@@ -373,6 +373,6 @@ func BenchmarkTouchHit(b *testing.B) {
 			as.Touch(addrs[i&4095])
 		}
 	}
-	b.Run("cached", func(b *testing.B) { run(b, 1024) })     // fits VPN cache
-	b.Run("present", func(b *testing.B) { run(b, 1<<15) })   // spills to Present
+	b.Run("cached", func(b *testing.B) { run(b, 1024) })   // fits VPN cache
+	b.Run("present", func(b *testing.B) { run(b, 1<<15) }) // spills to Present
 }

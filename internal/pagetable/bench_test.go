@@ -67,6 +67,32 @@ func BenchmarkCuckooInsert(b *testing.B) {
 	}
 }
 
+// heapBase is the first page of the OS model's heaps (osmm's vaBase).
+const heapBase = addr.VPN(1) << 27
+
+// populateHeap maps chunks 2 MB chunks upward from heapBase, 512 pages
+// per MapRange, the way the OS model's eager population fills a table.
+func populateHeap(t Table, chunks int) {
+	for k := 0; k < chunks; k++ {
+		off := uint64(k) * addr.EntriesPerTable
+		t.MapRange(heapBase+addr.VPN(off), addr.EntriesPerTable, addr.PFN(off))
+	}
+}
+
+// BenchmarkCuckooPopulate builds an ECH table over a 4 GB heap (1M
+// pages) the way the simulator does, reporting the host cost per page
+// and the resident metadata per page.
+func BenchmarkCuckooPopulate(b *testing.B) {
+	var perPage float64
+	for i := 0; i < b.N; i++ {
+		c := NewCuckoo(phys.New(1<<30), 4096)
+		populateHeap(c, 2048)
+		perPage = float64(c.MetadataBytes()) / float64(c.MappedPages())
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/(2048*addr.EntriesPerTable), "ns/page")
+	b.ReportMetric(perPage, "bytes/page")
+}
+
 func BenchmarkRadixLookup(b *testing.B) {
 	t := NewRadix(phys.New(1 << 30))
 	addrs := benchTable(b, t)

@@ -2,7 +2,6 @@ package pagetable
 
 import (
 	"fmt"
-	"unsafe"
 
 	"ndpage/internal/addr"
 	"ndpage/internal/bitset"
@@ -28,14 +27,12 @@ import (
 // lookup still needs exactly one probe per way during resizing.
 type Cuckoo struct {
 	alloc *phys.Allocator
-	ways  []*cuckooWay
-	salts []uint64
+	ways  [len(cuckooSalts)]cuckooWay
 	count uint64
-
-	// MigrateStep entries are rehashed per insert while a way resizes.
-	migrateStep int
-	// threshold is the per-way load factor that triggers a resize.
-	threshold float64
+	// pfns holds the frame of every entry the slots tag, so a slot need
+	// hold only its VPN tag, and Lookup, Present, and Map's remap check
+	// read one store entry instead of probing d slots.
+	pfns vpnStore
 
 	stats CuckooStats
 }
@@ -48,19 +45,13 @@ type CuckooStats struct {
 	Migrated uint64 // entries moved during gradual resizes
 }
 
-// cuckooSlot is one hash-table entry: exactly slotBytes wide, matching
-// the modelled PTE. Occupancy lives outside the slot array in a per-way
-// bitmap, so the slot stays two words and a lookup's emptiness test
-// reads bit-packed metadata instead of a padded bool per slot.
-type cuckooSlot struct {
-	vpn addr.VPN
-	pfn addr.PFN
-}
-
 // cuckooTab is one hash table (a way's old or new array during gradual
-// resizing): the slots, their occupancy bitmap, and the backing frames.
+// resizing): the VPN tag of each slot, their occupancy bitmap, and the
+// backing frames. The host slot is just the tag placement compares;
+// the PFN lives in Cuckoo.pfns. The modelled PTE is slotBytes wide
+// regardless, and only it decides the slots' physical addresses.
 type cuckooTab struct {
-	slots  []cuckooSlot
+	tags   []addr.VPN
 	occ    []uint64 // one bit per slot
 	frames []addr.P // one frame per slotsPerFrame slots
 }
@@ -70,7 +61,11 @@ func (t *cuckooTab) full(i int) bool { return bitset.TestBit(t.occ, uint64(i)) }
 
 type cuckooWay struct {
 	cuckooTab
+	salt  uint64
 	count int
+	// resizeAt is the count above which the way begins a gradual
+	// resize: cuckooThreshold x len(tags), precomputed per table size.
+	resizeAt int
 
 	// resize state
 	resizing bool
@@ -78,11 +73,23 @@ type cuckooWay struct {
 	migPtr   int
 }
 
-// slotsPerFrame is how many 16-byte slots fit a 4 KB frame.
-const slotsPerFrame = addr.PageSize / 16
-
-// slotBytes is the size of one cuckoo PTE slot (VPN tag + PFN + flags).
+// slotBytes is the size of one modelled cuckoo PTE slot (VPN tag + PFN
+// + flags).
 const slotBytes = 16
+
+// slotsPerFrame is how many modelled slots fit a 4 KB frame.
+const slotsPerFrame = addr.PageSize / slotBytes
+
+// cuckooSalts seed the d = 3 ways' hash functions.
+var cuckooSalts = [...]uint64{0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F, 0x165667B19E3779F9}
+
+const (
+	// cuckooMigrateStep entries are rehashed per insert while a way
+	// resizes.
+	cuckooMigrateStep = 8
+	// cuckooThreshold is the per-way load factor that triggers a resize.
+	cuckooThreshold = 0.6
+)
 
 // NewCuckoo builds an ECH table with the given initial slots per way
 // (rounded up to a power of two; minimum one frame's worth).
@@ -91,14 +98,9 @@ func NewCuckoo(alloc *phys.Allocator, initialSlots int) *Cuckoo {
 	for size < initialSlots {
 		size *= 2
 	}
-	c := &Cuckoo{
-		alloc:       alloc,
-		salts:       []uint64{0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F, 0x165667B19E3779F9},
-		migrateStep: 8,
-		threshold:   0.6,
-	}
-	for range c.salts {
-		c.ways = append(c.ways, c.newWay(size))
+	c := &Cuckoo{alloc: alloc}
+	for i, salt := range cuckooSalts {
+		c.ways[i] = cuckooWay{cuckooTab: c.newTab(size), salt: salt, resizeAt: resizeLimit(size)}
 	}
 	return c
 }
@@ -109,14 +111,10 @@ func (c *Cuckoo) Kind() string { return "cuckoo" }
 // Stats returns a copy of the structural counters.
 func (c *Cuckoo) Stats() CuckooStats { return c.stats }
 
-func (c *Cuckoo) newWay(size int) *cuckooWay {
-	return &cuckooWay{cuckooTab: c.newTab(size)}
-}
-
 // newTab builds one hash table of size slots.
 func (c *Cuckoo) newTab(size int) cuckooTab {
 	return cuckooTab{
-		slots:  make([]cuckooSlot, size),
+		tags:   make([]addr.VPN, size),
 		occ:    make([]uint64, bitset.WordsFor(uint64(size))),
 		frames: c.allocFrames(size),
 	}
@@ -135,8 +133,15 @@ func (c *Cuckoo) allocFrames(slots int) []addr.P {
 	return frames
 }
 
-func (c *Cuckoo) hash(w int, vpn addr.VPN, size int) int {
-	return int(xrand.Hash64(uint64(vpn)^c.salts[w])) & (size - 1)
+// resizeLimit is the integer form of the resize trigger
+// count > cuckooThreshold*size: count is an integer, so comparing it
+// against the product's floor decides identically.
+func resizeLimit(size int) int { return int(cuckooThreshold * float64(size)) }
+
+// hash returns the way's full hash of vpn; a table of size slots uses
+// its low log2(size) bits.
+func (way *cuckooWay) hash(vpn addr.VPN) int {
+	return int(xrand.Hash64(uint64(vpn) ^ way.salt))
 }
 
 // slotPA returns the physical address of slot i given the backing frames.
@@ -144,54 +149,50 @@ func slotPA(frames []addr.P, i int) addr.P {
 	return frames[i/slotsPerFrame] + addr.P((i%slotsPerFrame)*slotBytes)
 }
 
-// probe resolves where a lookup for vpn lands in way w: the table (old,
-// or new during gradual resizing), the slot index, and the slot's
-// physical address.
-func (c *Cuckoo) probe(w int, vpn addr.VPN) (tab *cuckooTab, idx int, pa addr.P) {
-	way := c.ways[w]
-	hOld := c.hash(w, vpn, len(way.slots))
-	if way.resizing && hOld < way.migPtr {
-		hNew := c.hash(w, vpn, len(way.newTab.slots))
-		return &way.newTab, hNew, slotPA(way.newTab.frames, hNew)
+// probe resolves where a lookup for vpn lands in the way: the table
+// (old, or new during gradual resizing) and the slot index. Both
+// tables index by the same hash, the new one by one more bit.
+func (way *cuckooWay) probe(vpn addr.VPN) (*cuckooTab, int) {
+	h := way.hash(vpn)
+	if i := h & (len(way.tags) - 1); !way.resizing || i >= way.migPtr {
+		return &way.cuckooTab, i
 	}
-	return &way.cuckooTab, hOld, slotPA(way.frames, hOld)
+	return &way.newTab, h & (len(way.newTab.tags) - 1)
+}
+
+// holds reports whether the way's probe slot for vpn carries its tag,
+// and where that slot is.
+func (way *cuckooWay) holds(vpn addr.VPN) (tab *cuckooTab, idx int, ok bool) {
+	tab, idx = way.probe(vpn)
+	return tab, idx, tab.full(idx) && tab.tags[idx] == vpn
 }
 
 // Lookup implements Table.
 func (c *Cuckoo) Lookup(vpn addr.VPN) (Entry, bool) {
-	for w := range c.ways {
-		tab, idx, _ := c.probe(w, vpn)
-		if tab.full(idx) && tab.slots[idx].vpn == vpn {
-			return Entry{PFN: tab.slots[idx].pfn}, true
-		}
-	}
-	return Entry{}, false
+	pfn, ok := c.pfns.get(vpn)
+	return Entry{PFN: pfn}, ok
 }
 
-// Present implements Table: the demand-paging fast predicate. The probe
-// already tags each slot with its VPN, so presence is the same d-way
-// probe without constructing an Entry.
+// Present implements Table: the demand-paging fast predicate, one store
+// read.
 func (c *Cuckoo) Present(vpn addr.VPN) bool {
-	for w := range c.ways {
-		tab, idx, _ := c.probe(w, vpn)
-		if tab.full(idx) && tab.slots[idx].vpn == vpn {
-			return true
-		}
-	}
-	return false
+	_, ok := c.pfns.get(vpn)
+	return ok
 }
 
 // WalkInto implements Table: d parallel probes, one per way.
 func (c *Cuckoo) WalkInto(v addr.V, w *Walk) {
 	w.Reset()
 	vpn := v.Page()
-	for way := range c.ways {
-		tab, idx, pa := c.probe(way, vpn)
-		w.Par = append(w.Par, Access{HashLevel, pa})
-		if tab.full(idx) && tab.slots[idx].vpn == vpn {
+	// Read the frame first: its load then overlaps the tag probes'.
+	pfn, _ := c.pfns.get(vpn)
+	for i := range c.ways {
+		tab, idx, ok := c.ways[i].holds(vpn)
+		w.Par = append(w.Par, Access{HashLevel, slotPA(tab.frames, idx)})
+		if ok {
 			w.Found = true
-			w.Entry = Entry{PFN: tab.slots[idx].pfn}
-			w.FoundIdx = way
+			w.FoundIdx = i
+			w.Entry.PFN = pfn
 		}
 	}
 }
@@ -199,46 +200,43 @@ func (c *Cuckoo) WalkInto(v addr.V, w *Walk) {
 // Map implements Table.
 func (c *Cuckoo) Map(vpn addr.VPN, pfn addr.PFN) {
 	c.stats.Inserts++
-	// Update in place if present.
-	for w := range c.ways {
-		tab, idx, _ := c.probe(w, vpn)
-		if tab.full(idx) && tab.slots[idx].vpn == vpn {
-			tab.slots[idx].pfn = pfn
-			return
-		}
+	if c.pfns.set(vpn, pfn) {
+		return // remapped in place: the slot holds only the tag
 	}
 	c.advanceMigrations()
-	c.insert(vpn, pfn, 0)
+	c.insert(vpn, 0)
 	c.count++
 	c.maybeResize()
 }
 
-// insert places (vpn,pfn) using cuckoo displacement, starting the way
-// search at startWay. attempts bounds forced-resize recursion.
-func (c *Cuckoo) insert(vpn addr.VPN, pfn addr.PFN, attempts int) {
+// insert places vpn's tag using cuckoo displacement. attempts bounds
+// forced-resize recursion.
+func (c *Cuckoo) insert(vpn addr.VPN, attempts int) {
 	if attempts > 8 {
 		panic("pagetable: cuckoo insertion failed after repeated resizes")
 	}
-	cur := cuckooSlot{vpn: vpn, pfn: pfn}
-	w := int(uint64(vpn)) % len(c.ways)
+	w := int(uint64(vpn) % uint64(len(c.ways)))
 	const maxKicks = 32
 	for kick := 0; kick < maxKicks; kick++ {
-		tab, idx, _ := c.probe(w, cur.vpn)
+		way := &c.ways[w]
+		tab, idx := way.probe(vpn)
 		if bitset.SetBit(tab.occ, uint64(idx)) {
-			tab.slots[idx] = cur
-			c.ways[w].count++
+			tab.tags[idx] = vpn
+			way.count++
 			return
 		}
 		// Displace the occupant and move it to the next way.
-		tab.slots[idx], cur = cur, tab.slots[idx]
+		tab.tags[idx], vpn = vpn, tab.tags[idx]
 		c.stats.Kicks++
-		w = (w + 1) % len(c.ways)
+		if w++; w == len(c.ways) {
+			w = 0
+		}
 	}
 	// Displacement path exhausted: force a resize of the fullest way
 	// and retry with the still-homeless entry.
 	c.forceResize()
 	c.advanceMigrations()
-	c.insert(cur.vpn, cur.pfn, attempts+1)
+	c.insert(vpn, attempts+1)
 }
 
 // MapRange implements Table.
@@ -257,25 +255,28 @@ func (c *Cuckoo) MapHuge(vpn addr.VPN, base addr.PFN) {
 
 // Unmap implements Table.
 func (c *Cuckoo) Unmap(vpn addr.VPN) (Entry, bool) {
-	for w := range c.ways {
-		tab, idx, _ := c.probe(w, vpn)
-		if tab.full(idx) && tab.slots[idx].vpn == vpn {
-			e := Entry{PFN: tab.slots[idx].pfn}
-			tab.slots[idx] = cuckooSlot{}
+	pfn, ok := c.pfns.remove(vpn)
+	if !ok {
+		return Entry{}, false
+	}
+	for i := range c.ways {
+		way := &c.ways[i]
+		if tab, idx, ok := way.holds(vpn); ok {
 			bitset.ClearBit(tab.occ, uint64(idx))
-			c.ways[w].count--
+			way.count--
 			c.count--
-			return e, true
+			return Entry{PFN: pfn}, true
 		}
 	}
-	return Entry{}, false
+	panic("pagetable: cuckoo store maps a VPN no slot holds")
 }
 
 // maybeResize begins a gradual resize of any way whose load factor
 // crossed the threshold.
 func (c *Cuckoo) maybeResize() {
-	for _, way := range c.ways {
-		if !way.resizing && float64(way.count) > c.threshold*float64(len(way.slots)) {
+	for i := range c.ways {
+		way := &c.ways[i]
+		if !way.resizing && way.count > way.resizeAt {
 			c.beginResize(way)
 		}
 	}
@@ -286,11 +287,12 @@ func (c *Cuckoo) maybeResize() {
 func (c *Cuckoo) forceResize() {
 	var target *cuckooWay
 	best := -1.0
-	for _, way := range c.ways {
+	for i := range c.ways {
+		way := &c.ways[i]
 		if way.resizing {
 			continue
 		}
-		lf := float64(way.count) / float64(len(way.slots))
+		lf := float64(way.count) / float64(len(way.tags))
 		if lf > best {
 			best, target = lf, way
 		}
@@ -298,9 +300,10 @@ func (c *Cuckoo) forceResize() {
 	if target == nil {
 		// Every way is already resizing; push all migrations to
 		// completion to free up space.
-		for _, way := range c.ways {
+		for i := range c.ways {
+			way := &c.ways[i]
 			for way.resizing {
-				c.migrate(way, len(way.slots))
+				c.migrate(way, len(way.tags))
 			}
 		}
 		return
@@ -310,42 +313,44 @@ func (c *Cuckoo) forceResize() {
 
 func (c *Cuckoo) beginResize(way *cuckooWay) {
 	way.resizing = true
-	way.newTab = c.newTab(2 * len(way.slots))
+	way.newTab = c.newTab(2 * len(way.tags))
 	way.migPtr = 0
 	c.stats.Resizes++
 }
 
-// advanceMigrations moves migrateStep entries per resizing way.
+// advanceMigrations moves cuckooMigrateStep entries per resizing way.
 func (c *Cuckoo) advanceMigrations() {
-	for _, way := range c.ways {
+	for i := range c.ways {
+		way := &c.ways[i]
 		if way.resizing {
-			c.migrate(way, c.migrateStep)
+			c.migrate(way, cuckooMigrateStep)
 		}
 	}
 }
 
 // migrate rehashes up to n old-table slots of way into its new table.
+//
+// The target slot is always free. An entry in old slot i moves to a
+// new slot whose low bits are i. The only other entries in the new
+// table were placed there by probe, which sends a key to the new table
+// only when its old slot is below migPtr. migPtr only grows, so none of
+// them has old slot i.
 func (c *Cuckoo) migrate(way *cuckooWay, n int) {
-	w := c.wayIndex(way)
-	for i := 0; i < n && way.migPtr < len(way.slots); i++ {
+	for i := 0; i < n && way.migPtr < len(way.tags); i++ {
 		i0 := way.migPtr
-		s := way.slots[i0]
 		way.migPtr++
 		if !way.full(i0) {
 			continue
 		}
-		hNew := c.hash(w, s.vpn, len(way.newTab.slots))
+		vpn := way.tags[i0]
+		hNew := way.hash(vpn) & (len(way.newTab.tags) - 1)
 		if !bitset.SetBit(way.newTab.occ, uint64(hNew)) {
-			// New-slot collision: bounce the entry through the
-			// regular insertion path (it may land in another way).
-			way.count--
-			c.insert(s.vpn, s.pfn, 0)
-		} else {
-			way.newTab.slots[hNew] = s
+			panic("pagetable: cuckoo migration target slot occupied")
 		}
+		way.newTab.tags[hNew] = vpn
 		c.stats.Migrated++
 	}
-	if way.migPtr >= len(way.slots) {
+	if way.migPtr >= len(way.tags) {
 		// Migration complete: retire the old table.
 		for _, f := range way.frames {
 			c.alloc.Free(f.Page())
@@ -353,26 +358,19 @@ func (c *Cuckoo) migrate(way *cuckooWay, n int) {
 		way.cuckooTab = way.newTab
 		way.newTab = cuckooTab{}
 		way.resizing = false
+		way.resizeAt = resizeLimit(len(way.tags))
 	}
-}
-
-func (c *Cuckoo) wayIndex(way *cuckooWay) int {
-	for i, w := range c.ways {
-		if w == way {
-			return i
-		}
-	}
-	panic("pagetable: unknown cuckoo way")
 }
 
 // Occupancy implements Table: one pseudo-level row describing overall
 // hash-table load.
 func (c *Cuckoo) Occupancy() []LevelOccupancy {
 	var capacity uint64
-	for _, way := range c.ways {
-		capacity += uint64(len(way.slots))
+	for i := range c.ways {
+		way := &c.ways[i]
+		capacity += uint64(len(way.tags))
 		if way.resizing {
-			capacity += uint64(len(way.newTab.slots))
+			capacity += uint64(len(way.newTab.tags))
 		}
 	}
 	return []LevelOccupancy{{
@@ -386,16 +384,16 @@ func (c *Cuckoo) Occupancy() []LevelOccupancy {
 // MappedPages implements Table.
 func (c *Cuckoo) MappedPages() uint64 { return c.count }
 
-// MetadataBytes implements Table: the slot arrays, their occupancy
+// MetadataBytes implements Table: the tag arrays, their occupancy
 // bitmaps, and backing-frame directories of every way (old and new
-// tables both, during gradual resizing).
+// tables both, during gradual resizing), plus the VPN-to-PFN store.
 func (c *Cuckoo) MetadataBytes() uint64 {
 	tab := func(t *cuckooTab) uint64 {
-		return uint64(len(t.slots))*uint64(unsafe.Sizeof(cuckooSlot{})) +
-			uint64(len(t.occ))*8 + uint64(len(t.frames))*8
+		return uint64(len(t.tags)+len(t.occ)+len(t.frames)) * 8
 	}
-	var total uint64
-	for _, way := range c.ways {
+	total := c.pfns.bytes()
+	for i := range c.ways {
+		way := &c.ways[i]
 		total += tab(&way.cuckooTab)
 		if way.resizing {
 			total += tab(&way.newTab)
@@ -407,10 +405,11 @@ func (c *Cuckoo) MetadataBytes() uint64 {
 // LoadFactors returns the per-way load factors, for tests and reports.
 func (c *Cuckoo) LoadFactors() []float64 {
 	out := make([]float64, len(c.ways))
-	for i, way := range c.ways {
-		size := len(way.slots)
+	for i := range c.ways {
+		way := &c.ways[i]
+		size := len(way.tags)
 		if way.resizing {
-			size += len(way.newTab.slots)
+			size += len(way.newTab.tags)
 		}
 		out[i] = float64(way.count) / float64(size)
 	}

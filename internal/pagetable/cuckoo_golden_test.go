@@ -1,0 +1,205 @@
+package pagetable
+
+import (
+	"encoding/binary"
+	"hash/fnv"
+	"math"
+	"math/bits"
+	"testing"
+
+	"ndpage/internal/addr"
+	"ndpage/internal/phys"
+	"ndpage/internal/xrand"
+)
+
+// cuckooPlacementGolden is the FNV-64a digest of runCuckooPlacement,
+// captured on the table layout that stored {vpn, pfn} pairs in its
+// slots. Any change to slot placement, resize or migration points, or
+// backing frames moves it.
+const cuckooPlacementGolden = 0x7a377d5afa72978e
+
+// runCuckooPlacement drives a cuckoo table from 256 slots per way through
+// a seeded mix of Map, MapRange, remap, Unmap and WalkInto, calling check
+// with the op's VPN after every op, and returns a digest of every Unmap
+// and walk result plus the final Stats, LoadFactors, Occupancy and
+// allocator Stats. The sequence forces a resize (forceResize) once.
+func runCuckooPlacement(check func(op int, c *Cuckoo, vpn addr.VPN)) uint64 {
+	alloc := phys.New(1 << 30)
+	c := NewCuckoo(alloc, 256)
+	rng := xrand.New(28)
+	h := fnv.New64a()
+	var buf [8]byte
+	put := func(x uint64) {
+		binary.LittleEndian.PutUint64(buf[:], x)
+		h.Write(buf[:])
+	}
+	var keys []addr.VPN
+	pick := func() addr.VPN {
+		if len(keys) == 0 || rng.Uint64n(8) == 0 {
+			return addr.VPN(rng.Uint64n(1 << 20))
+		}
+		return keys[rng.Uint64n(uint64(len(keys)))]
+	}
+	var w Walk
+	for op := 0; op < 20000; op++ {
+		var vpn addr.VPN
+		switch r := rng.Uint64n(16); {
+		case r < 6: // fresh page
+			vpn = addr.VPN(rng.Uint64n(1 << 20))
+			c.Map(vpn, addr.PFN(rng.Uint64n(1<<22)))
+			keys = append(keys, vpn)
+		case r < 7: // a run of pages
+			vpn = addr.VPN(rng.Uint64n(1 << 20))
+			count := rng.Uint64n(addr.EntriesPerTable) + 1
+			c.MapRange(vpn, count, addr.PFN(rng.Uint64n(1<<22)))
+			keys = append(keys, vpn, vpn+addr.VPN(count-1))
+		case r < 9: // remap in place
+			vpn = pick()
+			c.Map(vpn, addr.PFN(rng.Uint64n(1<<22)))
+		case r < 11:
+			vpn = pick()
+			e, ok := c.Unmap(vpn)
+			put(uint64(e.PFN))
+			if ok {
+				put(1)
+			}
+		default:
+			vpn = pick()
+			c.WalkInto(vpn.Addr()+addr.V(rng.Uint64n(addr.PageSize)), &w)
+			for _, a := range w.Par {
+				put(uint64(a.PA))
+			}
+			if w.Found {
+				put(1)
+			}
+			put(uint64(int64(w.FoundIdx)))
+			put(uint64(w.Entry.PFN))
+		}
+		if check != nil {
+			check(op, c, vpn)
+		}
+	}
+	s := c.Stats()
+	put(s.Inserts)
+	put(s.Kicks)
+	put(s.Resizes)
+	put(s.Migrated)
+	for _, lf := range c.LoadFactors() {
+		put(math.Float64bits(lf))
+	}
+	for _, o := range c.Occupancy() {
+		put(uint64(o.Level))
+		put(o.Nodes)
+		put(o.EntriesUsed)
+		put(o.Capacity)
+	}
+	a := alloc.Stats()
+	put(a.FrameAllocs)
+	put(a.HugeAllocs)
+	put(a.HugeFailures)
+	put(a.Frees)
+	put(a.FragmentFrames)
+	put(a.AllocatedFrames)
+	return h.Sum64()
+}
+
+// TestCuckooPlacementGolden pins where the cuckoo table places every
+// entry, when it resizes and migrates, and which frames back it, and
+// checks the slot/store invariant along the way.
+func TestCuckooPlacementGolden(t *testing.T) {
+	got := runCuckooPlacement(func(op int, c *Cuckoo, vpn addr.VPN) {
+		checkCuckooStore(t, c, vpn, op%1024 == 0)
+	})
+	if got != cuckooPlacementGolden {
+		t.Errorf("placement digest = %#x, want %#x", got, uint64(cuckooPlacementGolden))
+	}
+}
+
+// liveSlots calls f for every occupied slot a probe can reach: the old
+// table from migPtr up and the whole new table while a way resizes.
+// Old slots below migPtr keep their occupancy bits after migrating but
+// are dead.
+func (c *Cuckoo) liveSlots(f func(tab *cuckooTab, idx int)) {
+	for i := range c.ways {
+		way := &c.ways[i]
+		from := 0
+		if way.resizing {
+			from = way.migPtr
+		}
+		for i := from; i < len(way.tags); i++ {
+			if way.full(i) {
+				f(&way.cuckooTab, i)
+			}
+		}
+		if way.resizing {
+			for i := range way.newTab.tags {
+				if way.newTab.full(i) {
+					f(&way.newTab, i)
+				}
+			}
+		}
+	}
+}
+
+// liveCount counts what liveSlots visits, a word at a time.
+func (c *Cuckoo) liveCount() uint64 {
+	ones := func(occ []uint64, from int) (n uint64) {
+		for i, w := range occ {
+			if lo := i * 64; lo+64 <= from {
+				continue
+			} else if lo < from {
+				w &^= 1<<(from-lo) - 1
+			}
+			n += uint64(bits.OnesCount64(w))
+		}
+		return n
+	}
+	var n uint64
+	for i := range c.ways {
+		way := &c.ways[i]
+		if way.resizing {
+			n += ones(way.occ, way.migPtr) + ones(way.newTab.occ, 0)
+		} else {
+			n += ones(way.occ, 0)
+		}
+	}
+	return n
+}
+
+// checkCuckooStore asserts that the slots and the VPN store agree: as
+// many live occupied slots as MappedPages and store entries, and
+// Present(vpn) agrees with Lookup(vpn). With full set it also resolves
+// every live tag through Lookup and audits the store's window/map split,
+// which costs time proportional to the table.
+func checkCuckooStore(t *testing.T, c *Cuckoo, vpn addr.VPN, full bool) {
+	t.Helper()
+	if n := c.liveCount(); n != c.MappedPages() || n != c.pfns.n {
+		t.Fatalf("%d live slots, MappedPages %d, store entries %d", n, c.MappedPages(), c.pfns.n)
+	}
+	if _, ok := c.Lookup(vpn); c.Present(vpn) != ok {
+		t.Fatalf("Present(%#x) = %v, Lookup says %v", uint64(vpn), !ok, ok)
+	}
+	if !full {
+		return
+	}
+	c.liveSlots(func(tab *cuckooTab, idx int) {
+		if !c.Present(tab.tags[idx]) {
+			t.Fatalf("occupied tag %#x does not resolve through Lookup", uint64(tab.tags[idx]))
+		}
+	})
+	s := &c.pfns
+	n := uint64(len(s.sparse))
+	for _, p := range s.dense {
+		if p != 0 {
+			n++
+		}
+	}
+	if n != s.n {
+		t.Fatalf("store counts %d entries, holds %d", s.n, n)
+	}
+	for v := range s.sparse {
+		if uint64(v-s.base) < uint64(len(s.dense)) {
+			t.Fatalf("map key %#x lies inside the dense window", uint64(v))
+		}
+	}
+}

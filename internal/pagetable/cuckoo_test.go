@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"ndpage/internal/addr"
+	"ndpage/internal/phys"
 	"ndpage/internal/xrand"
 )
 
@@ -192,5 +193,28 @@ func TestCuckooDeterministic(t *testing.T) {
 	}
 	if run() != run() {
 		t.Error("cuckoo construction is not deterministic")
+	}
+}
+
+// TestCuckooMetadataBounds bounds resident metadata per mapped page. A
+// heap populated the way the OS model does it, at the pr workload's
+// default footprint (5738 chunks, 11.2 GiB), must stay within the
+// 34.6 B/page of the layout that kept {vpn, pfn} in every slot. Random 40-bit VPNs must stay O(mapped pages)
+// too: the VPN store must not allocate per-key structure far larger
+// than a page's entry.
+func TestCuckooMetadataBounds(t *testing.T) {
+	dense := NewCuckoo(phys.New(1<<30), 4096)
+	populateHeap(dense, 5738)
+	if got := float64(dense.MetadataBytes()) / float64(dense.MappedPages()); got > 34.6 {
+		t.Errorf("dense heap: %.2f B/page, want <= 34.6", got)
+	}
+
+	sparse := NewCuckoo(newAlloc(), 512)
+	rng := xrand.New(11)
+	for i := 0; i < 50000; i++ {
+		sparse.Map(addr.VPN(rng.Uint64n(1<<40)), addr.PFN(i))
+	}
+	if got := float64(sparse.MetadataBytes()) / float64(sparse.MappedPages()); got > 1024 {
+		t.Errorf("random 40-bit VPNs: %.2f B/page, want <= 1024", got)
 	}
 }

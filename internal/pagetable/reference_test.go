@@ -242,7 +242,7 @@ func (f *refFlattened) MappedPages() uint64 { return f.mapped }
 // multiple flattened nodes (and sparse chunks) appear.
 func differentialVPN(rng *xrand.RNG) addr.VPN {
 	if rng.Uint64n(4) != 0 {
-		span := rng.Uint64n(8) << addr.LevelBits                // one of 8 chunk bases
+		span := rng.Uint64n(8) << addr.LevelBits // one of 8 chunk bases
 		return addr.VPN(span + rng.Uint64n(addr.EntriesPerTable))
 	}
 	return addr.VPN(rng.Uint64n(1 << 20)) // anywhere in 4 GB
@@ -429,7 +429,9 @@ func TestCuckooDifferentialAgainstReference(t *testing.T) {
 				t.Fatalf("op %d: Present(%#x) disagrees with Lookup", op, uint64(vpn))
 			}
 		}
+		checkCuckooStore(t, c, vpn, op%1024 == 0)
 	}
+	checkCuckooStore(t, c, 0, true)
 	if g, w := c.MappedPages(), want.MappedPages(); g != w {
 		t.Fatalf("MappedPages = %d, want %d", g, w)
 	}

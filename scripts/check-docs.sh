@@ -71,7 +71,7 @@ for name in Radix ECH HugePage NDPage Ideal FlattenOnly BypassOnly Victima NMT P
     echo "FAIL: mechanism $name missing from ndpsim's -mech help"
     fail=1
   fi
-  if ! cat $DOCS | grep -qw "$name"; then
+  if ! grep -qw "$name" $DOCS; then
     echo "FAIL: mechanism $name undocumented in $DOCS"
     fail=1
   fi
@@ -80,7 +80,7 @@ if ! grep -q 'mechanism-comparison' cmd/ndpexp/main.go; then
   echo "FAIL: ndpexp does not list the mechanism-comparison figure"
   fail=1
 fi
-if ! cat $DOCS | grep -q 'mechanism-comparison'; then
+if ! grep -q 'mechanism-comparison' $DOCS; then
   echo "FAIL: ndpexp -figs mechanism-comparison undocumented in $DOCS"
   fail=1
 fi
@@ -89,7 +89,7 @@ for f in victima-gate identity-promote pcx-entries; do
     echo "FAIL: ndpsim defines no -$f flag"
     fail=1
   fi
-  if ! cat $DOCS | grep -q -- "-$f"; then
+  if ! grep -q -- "-$f" $DOCS; then
     echo "FAIL: ndpsim -$f undocumented in $DOCS"
     fail=1
   fi

@@ -12,6 +12,7 @@ package ndpage_test
 
 import (
 	"context"
+	"runtime"
 	"strconv"
 	"testing"
 
@@ -281,7 +282,7 @@ func sweepReplications(n int) []ndpage.Config {
 // benchSweep runs one replication sweep per iteration through run (a
 // fresh Runner each time, so the store never short-circuits the work)
 // and reports aggregate simulated instructions per second — the number
-// sharding is meant to scale with cores.
+// parallel workers are meant to scale with cores.
 func benchSweep(b *testing.B, run func(cfgs []ndpage.Config) ([]*ndpage.Result, error)) {
 	b.ReportAllocs()
 	cfgs := sweepReplications(8)
@@ -299,7 +300,7 @@ func benchSweep(b *testing.B, run func(cfgs []ndpage.Config) ([]*ndpage.Result, 
 	b.ReportMetric(float64(instr)/b.Elapsed().Seconds(), "sweep-instr/s")
 }
 
-// BenchmarkSweepSerial is the sharding baseline: the same replication
+// BenchmarkSweepSerial is the scaling baseline: the same replication
 // sweep on a single worker.
 func BenchmarkSweepSerial(b *testing.B) {
 	benchSweep(b, func(cfgs []ndpage.Config) ([]*ndpage.Result, error) {
@@ -308,14 +309,14 @@ func BenchmarkSweepSerial(b *testing.B) {
 	})
 }
 
-// BenchmarkSweepSharded measures the sharded replication runner at one
-// shard per CPU. The sweep-instr/s ratio against BenchmarkSweepSerial is
-// the multicore scaling the bench gates check (only meaningful when
-// GOMAXPROCS > 1; a single-CPU machine runs the shards sequentially).
-func BenchmarkSweepSharded(b *testing.B) {
+// BenchmarkSweepParallel measures the sweep worker pool at one worker
+// per CPU. The sweep-instr/s ratio against BenchmarkSweepSerial is the
+// multicore scaling the bench gates check (only meaningful when
+// GOMAXPROCS > 1; a single-CPU machine runs the workers sequentially).
+func BenchmarkSweepParallel(b *testing.B) {
 	benchSweep(b, func(cfgs []ndpage.Config) ([]*ndpage.Result, error) {
-		r := &ndpage.Sweep{}
-		return r.RunSharded(context.Background(), cfgs, 0)
+		r := &ndpage.Sweep{Parallel: runtime.GOMAXPROCS(0)}
+		return r.Run(context.Background(), cfgs)
 	})
 }
 

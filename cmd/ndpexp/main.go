@@ -32,7 +32,6 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"time"
 
@@ -48,7 +47,6 @@ func main() {
 		outDir    = flag.String("out", "results", "directory for CSV output (empty = no files)")
 		cacheDir  = flag.String("cache", "", "persistent run cache: a directory, or the http(s):// URL of a shared ndpserve instance (empty = in-memory only)")
 		parallel  = flag.Int("parallel", 0, "max concurrent simulations (0 = auto)")
-		shards    = flag.Int("shards", 0, "pin runs to N shard goroutines by content key for a reproducible schedule (-1 = one per CPU, 0 = off: completion-ordered pool)")
 		instr     = flag.Uint64("instructions", 0, "measured ops per core (0 = default)")
 		footprint = flag.Uint64("footprint", 0, "dataset bytes (0 = scaled default)")
 		chaosSeed = flag.Int64("chaos-seed", 0, "inject deterministic seeded faults into the -cache path (transport resets/5xx/truncation for a remote cache, torn writes/latency for a directory cache; 0 = off)")
@@ -58,14 +56,10 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	if *shards < 0 {
-		*shards = runtime.GOMAXPROCS(0)
-	}
 	e := &ndpage.Experiments{
 		Instructions: *instr,
 		Footprint:    *footprint,
 		Parallel:     *parallel,
-		Shards:       *shards,
 		Progress:     os.Stderr,
 		Context:      ctx,
 	}

@@ -28,13 +28,6 @@ type Experiments struct {
 	Workloads []string
 	// Parallel bounds concurrent simulations (0 = min(4, GOMAXPROCS)).
 	Parallel int
-	// Shards, when positive, runs figure prefetches through the sharded
-	// replication runner instead of the shared worker pool: each unique
-	// configuration pins to one of Shards goroutines by content key, so
-	// the execution schedule is a pure function of the configuration
-	// set — reproducible across runs, machines, and -race. Negative or
-	// zero keeps the completion-ordered pool.
-	Shards int
 	// Progress, when non-nil, receives a line per simulation: completed,
 	// served from the cache, or failed.
 	Progress io.Writer
@@ -55,7 +48,6 @@ func (e *Experiments) r() *exp.Runner {
 			Footprint:    e.Footprint,
 			Workloads:    e.Workloads,
 			Parallel:     e.Parallel,
-			Shards:       e.Shards,
 			Progress:     e.Progress,
 			Store:        e.Cache,
 			Context:      e.Context,

@@ -42,12 +42,6 @@ type Runner struct {
 	Workloads []string
 	// Parallel bounds concurrent simulations (0 = min(4, GOMAXPROCS)).
 	Parallel int
-	// Shards, when positive, runs figure prefetches through the sharded
-	// replication runner (sweep.Runner.RunSharded): each unique
-	// configuration is pinned to one of Shards goroutines by content
-	// key, so a figure's replications spread across cores with a
-	// schedule that is a pure function of the configuration set.
-	Shards int
 	// Progress, when non-nil, receives one line per run: completed,
 	// served from a persistent cache, or failed.
 	Progress io.Writer
@@ -193,21 +187,8 @@ func (r *Runner) get(cfg sim.Config) (*sim.Result, error) {
 
 // prefetch runs every configuration of the plan through the worker
 // pool (deduplicated against the store) and returns the first error.
-// With Shards set, the plan instead runs through the sharded
-// replication runner: configurations pin to shard goroutines by content
-// key, so the execution schedule is reproducible run to run.
 func (r *Runner) prefetch(p sweep.Plan) error {
 	p.Base = r.scale(p.Base)
-	if r.Shards > 0 {
-		cfgs, err := p.Configs()
-		if err != nil {
-			return fmt.Errorf("exp: %w", err)
-		}
-		if _, err := r.runner().RunSharded(r.ctx(), cfgs, r.Shards); err != nil {
-			return fmt.Errorf("exp: %w", err)
-		}
-		return nil
-	}
 	if _, err := r.runner().RunPlan(r.ctx(), p); err != nil {
 		return fmt.Errorf("exp: %w", err)
 	}

@@ -124,8 +124,6 @@ func TestChaosEndToEnd(t *testing.T) {
 			t.Fatal(err)
 		}
 		remote.Client = &http.Client{Transport: &fault.Transport{Plan: clientPlan}}
-		remote.BackoffBase = time.Millisecond
-		remote.BackoffCap = 2 * time.Millisecond
 		r := &sweep.Runner{Store: remote, Parallel: 1}
 		out, err := r.RunPlan(t.Context(), plan)
 		if err != nil {

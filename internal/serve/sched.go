@@ -21,36 +21,35 @@ var (
 // invariant — and read its outcome after done closes. The fields above
 // done are set once, before the close, and immutable afterwards.
 type flight struct {
-	cfg     sim.Config // normalized
-	key     string
-	res     *sim.Result
-	err     error
-	cached  bool // resolved from the store (raced with an upload), not simulated
-	elapsed time.Duration
-	done    chan struct{}
+	cfg    sim.Config // normalized
+	key    string
+	res    *sim.Result
+	err    error
+	cached bool // resolved from the store (raced with an upload), not simulated
+	done   chan struct{}
 }
 
 // submit schedules a cold key, collapsing onto an existing flight if
-// one is live. It returns the flight and whether this call created it;
-// errBusy when the admission queue is full, errClosed after Close.
-func (s *Server) submit(cfg sim.Config, key string) (*flight, bool, error) {
+// one is live. It returns errBusy when the admission queue is full,
+// errClosed after Close.
+func (s *Server) submit(cfg sim.Config, key string) (*flight, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if f := s.flights[key]; f != nil {
 		s.collapses.Add(1)
-		return f, false, nil
+		return f, nil
 	}
 	if s.closed {
-		return nil, false, errClosed
+		return nil, errClosed
 	}
 	f := &flight{cfg: cfg, key: key, done: make(chan struct{})}
 	select {
 	case s.queue <- f:
 		s.flights[key] = f
-		return f, true, nil
+		return f, nil
 	default:
 		s.rejected.Add(1)
-		return nil, false, errBusy
+		return nil, errBusy
 	}
 }
 
@@ -69,7 +68,6 @@ func (s *Server) worker() {
 // sibling's run may have landed the key while this flight queued),
 // simulate on a miss, store the result, then release every waiter.
 func (s *Server) runFlight(f *flight) {
-	start := time.Now()
 	if res, ok, err := s.store.Get(f.key); err == nil && ok {
 		f.res = res
 		f.cached = true
@@ -89,7 +87,6 @@ func (s *Server) runFlight(f *flight) {
 			}
 		}
 	}
-	f.elapsed = time.Since(start)
 	s.mu.Lock()
 	delete(s.flights, f.key)
 	s.mu.Unlock()

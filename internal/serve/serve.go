@@ -17,11 +17,9 @@
 //	POST /v1/sim             body sim.Config: warm → result; cold →
 //	                         singleflight-scheduled run (blocks); full
 //	                         queue → 429 + Retry-After
-//	POST /v1/plan            body PlanRequest: expand, schedule every
-//	                         cold key, return a plan id
-//	GET  /v1/events/{id}     progress stream for a plan: replays events
-//	                         so far, then live (SSE; ?format=ndjson for
-//	                         chunked JSON lines)
+//
+// A {key} must have the form sim.Config.Key() produces (32 lowercase
+// hex digits); anything else is a 400 before the store sees it.
 //
 // The package is transport and scheduling only: simulation semantics,
 // config validation (sim.Config.Normalize/Validate/Key), and storage
@@ -93,8 +91,6 @@ type Server struct {
 
 	mu      sync.Mutex
 	flights map[string]*flight // in-flight runs by key (singleflight)
-	plans   map[string]*plan
-	planSeq int
 	closed  bool
 
 	hits      atomic.Uint64
@@ -145,7 +141,6 @@ func New(opts Options) (*Server, error) {
 		logf:       logf,
 		queue:      make(chan *flight, depth),
 		flights:    make(map[string]*flight),
-		plans:      make(map[string]*plan),
 		start:      time.Now(),
 	}
 	s.mux = http.NewServeMux()
@@ -154,8 +149,6 @@ func New(opts Options) (*Server, error) {
 	s.mux.HandleFunc("GET /v1/result/{key}", s.handleResultGet)
 	s.mux.HandleFunc("PUT /v1/result/{key}", s.handleResultPut)
 	s.mux.HandleFunc("POST /v1/sim", s.handleSim)
-	s.mux.HandleFunc("POST /v1/plan", s.handlePlan)
-	s.mux.HandleFunc("GET /v1/events/{id}", s.handleEvents)
 	for i := 0; i < workers; i++ {
 		s.wg.Add(1)
 		go s.worker()
@@ -188,8 +181,7 @@ func (s *Server) Close() {
 type Stats struct {
 	UptimeSeconds float64 `json:"uptime_seconds"`
 	// Hits counts requests answered from the store without scheduling
-	// any work (warm GETs, 304 revalidations, warm POST /v1/sim and
-	// warm plan keys).
+	// any work (warm GETs, 304 revalidations, and warm POST /v1/sim).
 	Hits uint64 `json:"hits"`
 	// Misses counts requests whose key was not in the store.
 	Misses uint64 `json:"misses"`
@@ -227,7 +219,6 @@ type Stats struct {
 	// Quarantined is the backing store's corrupt-entry count (-1 when
 	// the store does not implement sweep.Quarantiner).
 	Quarantined int `json:"quarantined"`
-	Plans       int `json:"plans"`
 	// Breaker is the backing store's circuit position ("" when the
 	// store has no breaker — the normal case; set when the server is
 	// itself layered over a RemoteStore).
@@ -278,9 +269,6 @@ func (s *Server) Snapshot() Stats {
 		}
 		return ok
 	})
-	s.mu.Lock()
-	plans := len(s.plans)
-	s.mu.Unlock()
 	return Stats{
 		UptimeSeconds:   time.Since(s.start).Seconds(),
 		Hits:            s.hits.Load(),
@@ -300,7 +288,6 @@ func (s *Server) Snapshot() Stats {
 		BusyWorkers:     int(s.busy.Load()),
 		Stored:          stored,
 		Quarantined:     quarantined,
-		Plans:           plans,
 		Breaker:         breaker,
 	}
 }
@@ -343,11 +330,30 @@ func writeResult(w http.ResponseWriter, key string, res *sim.Result, xcache stri
 	json.NewEncoder(w).Encode(res)
 }
 
+// resultKey returns the request's {key}, or writes a 400 and reports
+// false when it is not shaped like a sim.Config.Key(). A malformed key
+// names no result; it is the client's error, not the store's.
+func resultKey(w http.ResponseWriter, r *http.Request) (string, bool) {
+	key := r.PathValue("key")
+	ok := len(key) == 32
+	for i := 0; ok && i < len(key); i++ {
+		c := key[i]
+		ok = '0' <= c && c <= '9' || 'a' <= c && c <= 'f'
+	}
+	if !ok {
+		http.Error(w, fmt.Sprintf("malformed key %q: want 32 lowercase hex digits", key), http.StatusBadRequest)
+	}
+	return key, ok
+}
+
 // handleResultGet is the warm-key read path: it never schedules work.
 // A cold key is a plain 404 — clients that want the server to compute
 // it POST /v1/sim instead.
 func (s *Server) handleResultGet(w http.ResponseWriter, r *http.Request) {
-	key := r.PathValue("key")
+	key, valid := resultKey(w, r)
+	if !valid {
+		return
+	}
 	res, ok, err := s.store.Get(key)
 	if err != nil {
 		http.Error(w, fmt.Sprintf("store: %v", err), http.StatusInternalServerError)
@@ -373,7 +379,10 @@ func (s *Server) handleResultGet(w http.ResponseWriter, r *http.Request) {
 // the key in the URL — the server re-derives the content address, so a
 // client cannot poison another configuration's cache slot.
 func (s *Server) handleResultPut(w http.ResponseWriter, r *http.Request) {
-	key := r.PathValue("key")
+	key, ok := resultKey(w, r)
+	if !ok {
+		return
+	}
 	var res sim.Result
 	if err := json.NewDecoder(io.LimitReader(r.Body, 64<<20)).Decode(&res); err != nil {
 		http.Error(w, fmt.Sprintf("decode result: %v", err), http.StatusBadRequest)
@@ -438,7 +447,7 @@ func (s *Server) handleSim(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.misses.Add(1)
-	f, _, err := s.submit(cfg, key)
+	f, err := s.submit(cfg, key)
 	if err != nil {
 		s.reject(w, err)
 		return

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -242,7 +241,7 @@ func TestWarmKeyNoScheduling(t *testing.T) {
 	}
 
 	// A cold GET is a 404, never a scheduled run.
-	resp, err = http.Get(ts.URL + "/v1/result/deadbeef")
+	resp, err = http.Get(ts.URL + "/v1/result/" + testBase(2).Key())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +255,7 @@ func TestWarmKeyNoScheduling(t *testing.T) {
 }
 
 // TestMalformedRequests: broken JSON, unknown fields, and invalid
-// configurations are all 400s, on both /v1/sim and /v1/plan.
+// configurations are all 400s on /v1/sim.
 func TestMalformedRequests(t *testing.T) {
 	var calls atomic.Int64
 	_, ts := newTestServer(t, Options{Simulate: instantSim(&calls)})
@@ -278,8 +277,6 @@ func TestMalformedRequests(t *testing.T) {
 		{"unknown field", "/v1/sim", `{"Cores": 1, "Bogus": true}`},
 		{"invalid config", "/v1/sim", string(badCfg)},
 		{"unknown workload", "/v1/sim", `{"Workload": "no-such-kernel"}`},
-		{"plan broken json", "/v1/plan", `{"base": [}`},
-		{"plan invalid axis", "/v1/plan", `{"base": ` + string(badCfg) + `}`},
 	}
 	for _, c := range cases {
 		if got := post(c.path, c.body); got != http.StatusBadRequest {
@@ -288,6 +285,44 @@ func TestMalformedRequests(t *testing.T) {
 	}
 	if calls.Load() != 0 {
 		t.Errorf("malformed requests reached the simulator: %d calls", calls.Load())
+	}
+}
+
+// TestMalformedResultKeys: on a DirStore-backed server, a {key} that
+// is not shaped like a content key is the client's error (400) on both
+// GET and PUT — never a store failure (500) — and the store never sees
+// it. A well-formed cold key is still a plain 404.
+func TestMalformedResultKeys(t *testing.T) {
+	ds, err := sweep.NewDirStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, ts := newTestServer(t, Options{Store: ds})
+	cfg := testBase(1)
+	key := cfg.Key()
+	body, _ := json.Marshal(fakeResult(cfg))
+	do := func(method, k string) int {
+		req, _ := http.NewRequest(method, ts.URL+"/v1/result/"+k, bytes.NewReader(body))
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	for _, k := range []string{"a.b", "%2e%2e", "x%5Cy", key[:31], key + "0", strings.ToUpper(key)} {
+		for _, method := range []string{http.MethodGet, http.MethodPut} {
+			if got := do(method, k); got != http.StatusBadRequest {
+				t.Errorf("%s /v1/result/%s: status %d, want 400", method, k, got)
+			}
+		}
+	}
+	if got := do(http.MethodGet, key); got != http.StatusNotFound {
+		t.Errorf("cold well-formed key: status %d, want 404", got)
+	}
+	if snap := s.Snapshot(); snap.Uploads != 0 || snap.StoreErrors != 0 || snap.Stored != 0 {
+		t.Errorf("malformed keys reached the store: %+v", snap)
 	}
 }
 
@@ -418,137 +453,6 @@ func TestUploadIntegrity(t *testing.T) {
 	}
 }
 
-// readEvents consumes a plan's ndjson stream until its done marker.
-func readEvents(t *testing.T, url string) []planEvent {
-	t.Helper()
-	resp, err := http.Get(url + "?format=ndjson")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("events: status %d", resp.StatusCode)
-	}
-	var events []planEvent
-	sc := bufio.NewScanner(resp.Body)
-	for sc.Scan() {
-		line := sc.Text()
-		if strings.Contains(line, `"done":true`) {
-			return events
-		}
-		var e planEvent
-		if err := json.Unmarshal([]byte(line), &e); err != nil {
-			t.Fatalf("bad event line %q: %v", line, err)
-		}
-		events = append(events, e)
-	}
-	t.Fatalf("stream ended without done marker: %v", sc.Err())
-	return nil
-}
-
-// TestPlanAndEventStream: a posted plan expands, warm keys are
-// replayed as cached events, cold keys stream as they complete, and
-// both framings (SSE and ndjson) terminate with a done marker.
-func TestPlanAndEventStream(t *testing.T) {
-	var calls atomic.Int64
-	store := sweep.NewMemStore()
-	warm := testBase(1)
-	if err := store.Put(warm.Key(), fakeResult(warm)); err != nil {
-		t.Fatal(err)
-	}
-	s, ts := newTestServer(t, Options{Store: store, Simulate: instantSim(&calls)})
-
-	preq := PlanRequest{Base: testBase(0), Seeds: []uint64{1, 2, 3}}
-	b, _ := json.Marshal(preq)
-	resp, err := http.Post(ts.URL+"/v1/plan", "application/json", bytes.NewReader(b))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("plan: status %d, want 202", resp.StatusCode)
-	}
-	var pr PlanResponse
-	if err := json.NewDecoder(resp.Body).Decode(&pr); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if pr.Total != 3 || pr.Warm != 1 || pr.Scheduled != 2 || pr.Rejected != 0 {
-		t.Fatalf("plan census = %+v, want total 3, warm 1, scheduled 2", pr)
-	}
-
-	events := readEvents(t, ts.URL+pr.Events)
-	if len(events) != 3 {
-		t.Fatalf("got %d events, want 3: %+v", len(events), events)
-	}
-	cached := 0
-	for _, e := range events {
-		if e.Err != "" {
-			t.Errorf("event %s failed: %s", e.Key, e.Err)
-		}
-		if e.Cached {
-			cached++
-		}
-	}
-	if cached != 1 {
-		t.Errorf("cached events = %d, want 1 (the warm key)", cached)
-	}
-	if calls.Load() != 2 {
-		t.Errorf("simulations = %d, want 2", calls.Load())
-	}
-
-	// Replay after completion: a late subscriber sees the full log.
-	if replay := readEvents(t, ts.URL+pr.Events); len(replay) != 3 {
-		t.Errorf("replay got %d events, want 3", len(replay))
-	}
-
-	// SSE framing of the same stream.
-	resp, err = http.Get(ts.URL + pr.Events)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
-		t.Fatalf("SSE Content-Type %q", ct)
-	}
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := bytes.Count(body, []byte("data: ")); got != 4 { // 3 events + done
-		t.Errorf("SSE data frames = %d, want 4\n%s", got, body)
-	}
-	if !bytes.Contains(body, []byte("event: done")) {
-		t.Errorf("SSE stream missing done frame:\n%s", body)
-	}
-
-	// Resubmitting the plan finds everything warm.
-	resp, err = http.Post(ts.URL+"/v1/plan", "application/json", bytes.NewReader(b))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var pr2 PlanResponse
-	json.NewDecoder(resp.Body).Decode(&pr2)
-	resp.Body.Close()
-	if pr2.Warm != 3 || pr2.Scheduled != 0 {
-		t.Errorf("resubmitted plan: %+v, want all warm", pr2)
-	}
-	if calls.Load() != 2 {
-		t.Errorf("resubmission re-simulated: %d calls", calls.Load())
-	}
-	if s.Snapshot().Plans != 2 {
-		t.Errorf("plans = %d, want 2", s.Snapshot().Plans)
-	}
-
-	if resp, err := http.Get(ts.URL + "/v1/events/nope"); err != nil {
-		t.Fatal(err)
-	} else {
-		if resp.StatusCode != http.StatusNotFound {
-			t.Errorf("unknown plan: status %d, want 404", resp.StatusCode)
-		}
-		resp.Body.Close()
-	}
-}
-
 // TestCloseDrains: Close admits nothing new but queued and in-flight
 // runs complete and land in the store.
 func TestCloseDrains(t *testing.T) {
@@ -558,11 +462,11 @@ func TestCloseDrains(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f1, _, err := s.submit(testBase(1).Normalize(), testBase(1).Key())
+	f1, err := s.submit(testBase(1).Normalize(), testBase(1).Key())
 	if err != nil {
 		t.Fatal(err)
 	}
-	f2, _, err := s.submit(testBase(2).Normalize(), testBase(2).Key())
+	f2, err := s.submit(testBase(2).Normalize(), testBase(2).Key())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -576,7 +480,7 @@ func TestCloseDrains(t *testing.T) {
 			t.Errorf("queued run %s not drained into the store", cfg.Key())
 		}
 	}
-	if _, _, err := s.submit(testBase(3).Normalize(), testBase(3).Key()); err == nil {
+	if _, err := s.submit(testBase(3).Normalize(), testBase(3).Key()); err == nil {
 		t.Error("submit after Close succeeded")
 	}
 }

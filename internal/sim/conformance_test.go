@@ -177,20 +177,20 @@ func TestConformanceMatrix(t *testing.T) {
 	}
 }
 
-// TestConformanceSharded runs the whole mechanism matrix through the
-// sharded replication runner at two shard counts and asserts the
-// results are identical: the execution schedule must not leak into the
+// TestConformanceParallel runs the whole mechanism matrix through the
+// sweep worker pool at one and four workers and asserts the results
+// are identical: the execution schedule must not leak into the
 // simulated timing.
-func TestConformanceSharded(t *testing.T) {
+func TestConformanceParallel(t *testing.T) {
 	var cfgs []sim.Config
 	for _, mech := range conformanceMechanisms {
 		cfgs = append(cfgs, conformanceCfg(mech, 2))
 	}
-	runAt := func(shards int) []*sim.Result {
-		r := &sweep.Runner{Store: sweep.NewMemStore()}
-		out, err := r.RunSharded(context.Background(), cfgs, shards)
+	runAt := func(parallel int) []*sim.Result {
+		r := &sweep.Runner{Store: sweep.NewMemStore(), Parallel: parallel}
+		out, err := r.Run(context.Background(), cfgs)
 		if err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
+			t.Fatalf("parallel=%d: %v", parallel, err)
 		}
 		return out
 	}
@@ -199,7 +199,7 @@ func TestConformanceSharded(t *testing.T) {
 		a, _ := json.Marshal(one[i])
 		b, _ := json.Marshal(four[i])
 		if string(a) != string(b) {
-			t.Errorf("%s: results differ between 1 and 4 shards", cfgs[i].Desc())
+			t.Errorf("%s: results differ between 1 and 4 workers", cfgs[i].Desc())
 		}
 	}
 }

@@ -37,10 +37,10 @@ import (
 //     server-side. A 429 (queue full) is retried after the server's
 //     Retry-After delay until Context cancels.
 //
-// The store is resilient by default: transient failures — connection
-// resets, timeouts, 5xx responses, truncated bodies — are retried with
-// capped jittered exponential backoff under per-attempt deadlines, and
-// a circuit breaker watches consecutive transport failures. When the
+// The store is resilient: transient failures — connection resets,
+// timeouts, 5xx responses, truncated bodies — are retried with capped
+// jittered exponential backoff under per-attempt deadlines, and a
+// circuit breaker watches consecutive transport failures. When the
 // server is persistently unreachable the breaker opens and the store
 // degrades instead of failing the sweep: Get serves the local copy or
 // reports a miss, Put keeps the result locally, and Simulate falls back
@@ -63,34 +63,8 @@ type RemoteStore struct {
 	// with an aggressive Timeout will cut long runs short).
 	Client *http.Client
 
-	// MaxAttempts bounds HTTP attempts per logical request across
-	// transient failures (0 = 4). Backpressure 429s do not consume
-	// attempts: the server is alive, just busy.
-	MaxAttempts int
-	// BackoffBase is the first retry delay; it doubles per attempt with
-	// up to 50% additive jitter (0 = 100ms).
-	BackoffBase time.Duration
-	// BackoffCap caps the (pre-jitter) retry delay (0 = 2s).
-	BackoffCap time.Duration
-	// RequestTimeout is the per-attempt deadline for Get and Put
-	// (0 = 15s). Simulate attempts use SimTimeout instead.
-	RequestTimeout time.Duration
-	// SimTimeout is the per-attempt deadline for Simulate (0 = none: a
-	// server-side simulation legitimately runs for minutes; the server's
-	// own watchdog bounds runaway runs).
-	SimTimeout time.Duration
-	// BreakerThreshold is the consecutive transport-failure count that
-	// opens the circuit (0 = 5, negative disables the breaker).
-	BreakerThreshold int
-	// BreakerCooldown is how long the circuit stays open before
-	// admitting a recovery probe (0 = 10s).
-	BreakerCooldown time.Duration
-	// NoLocalFallback disables degraded local simulation: with it set, a
-	// Simulate that cannot reach the server returns a transient RunError
-	// instead of running the configuration in-process.
-	NoLocalFallback bool
-
 	base string
+	tune remoteTuning
 
 	mu       sync.Mutex
 	local    map[string]*sim.Result
@@ -112,6 +86,29 @@ type RemoteStore struct {
 	localSims    atomic.Uint64 // cold runs simulated locally (degraded mode)
 	degradedGets atomic.Uint64 // Gets answered without the server (breaker open or retries exhausted)
 	droppedPuts  atomic.Uint64 // uploads abandoned to an unreachable server
+}
+
+// remoteTuning is a RemoteStore's retry, deadline, and breaker policy.
+// NewRemoteStore sets the production values; the package's tests
+// shorten them.
+type remoteTuning struct {
+	// attempts bounds HTTP attempts per logical request across
+	// transient failures. Backpressure 429s do not consume attempts:
+	// the server is alive, just busy.
+	attempts int
+	// backoffBase is the first retry delay; it doubles per attempt with
+	// up to 50% additive jitter, capped (before jitter) at backoffCap.
+	backoffBase, backoffCap time.Duration
+	// requestTimeout is the per-attempt deadline for Get and Put.
+	// Simulate attempts have none: a server-side simulation
+	// legitimately runs for minutes, and the server's own watchdog
+	// bounds runaway runs.
+	requestTimeout time.Duration
+	// breakerTrip is the consecutive transport-failure count that opens
+	// the circuit; breakerCooldown is how long it stays open before
+	// admitting a recovery probe.
+	breakerTrip     int
+	breakerCooldown time.Duration
 }
 
 // BreakerState is the circuit breaker's position.
@@ -169,7 +166,15 @@ func NewRemoteStore(baseURL string) (*RemoteStore, error) {
 		return nil, fmt.Errorf("sweep: remote store URL %q: want http(s)://host[:port]", baseURL)
 	}
 	return &RemoteStore{
-		base:     strings.TrimRight(baseURL, "/"),
+		base: strings.TrimRight(baseURL, "/"),
+		tune: remoteTuning{
+			attempts:        4,
+			backoffBase:     100 * time.Millisecond,
+			backoffCap:      2 * time.Second,
+			requestTimeout:  15 * time.Second,
+			breakerTrip:     5,
+			breakerCooldown: 10 * time.Second,
+		},
 		local:    make(map[string]*sim.Result),
 		etags:    make(map[string]string),
 		onServer: make(map[string]bool),
@@ -210,34 +215,6 @@ func (s *RemoteStore) httpc() *http.Client {
 	return http.DefaultClient
 }
 
-func (s *RemoteStore) attempts() int {
-	if s.MaxAttempts > 0 {
-		return s.MaxAttempts
-	}
-	return 4
-}
-
-func (s *RemoteStore) requestTimeout() time.Duration {
-	if s.RequestTimeout > 0 {
-		return s.RequestTimeout
-	}
-	return 15 * time.Second
-}
-
-func (s *RemoteStore) breakerThreshold() int {
-	if s.BreakerThreshold != 0 {
-		return s.BreakerThreshold
-	}
-	return 5
-}
-
-func (s *RemoteStore) breakerCooldown() time.Duration {
-	if s.BreakerCooldown > 0 {
-		return s.BreakerCooldown
-	}
-	return 10 * time.Second
-}
-
 // Breaker returns the circuit's current position (an open circuit past
 // its cooldown reads as open until the next request probes it).
 func (s *RemoteStore) Breaker() BreakerState {
@@ -251,14 +228,11 @@ func (s *RemoteStore) Breaker() BreakerState {
 // probe (half-open); everyone else degrades locally until the probe
 // resolves the circuit.
 func (s *RemoteStore) breakerAllow() bool {
-	if s.breakerThreshold() < 0 {
-		return true
-	}
 	s.brkMu.Lock()
 	defer s.brkMu.Unlock()
 	switch s.brkState {
 	case BreakerOpen:
-		if time.Since(s.brkOpenedAt) >= s.breakerCooldown() {
+		if time.Since(s.brkOpenedAt) >= s.tune.breakerCooldown {
 			s.brkState = BreakerHalfOpen
 			return true
 		}
@@ -275,9 +249,6 @@ func (s *RemoteStore) breakerAllow() bool {
 // the circuit at the threshold (immediately, for a failed half-open
 // probe).
 func (s *RemoteStore) breakerReport(ok bool) {
-	if s.breakerThreshold() < 0 {
-		return
-	}
 	s.brkMu.Lock()
 	defer s.brkMu.Unlock()
 	if ok {
@@ -286,7 +257,7 @@ func (s *RemoteStore) breakerReport(ok bool) {
 		return
 	}
 	s.brkFailures++
-	if s.brkState == BreakerHalfOpen || s.brkFailures >= s.breakerThreshold() {
+	if s.brkState == BreakerHalfOpen || s.brkFailures >= s.tune.breakerTrip {
 		if s.brkState != BreakerOpen {
 			s.breakerOpens.Add(1)
 		}
@@ -299,17 +270,9 @@ func (s *RemoteStore) breakerReport(ok bool) {
 // attempt (1-based), honoring Context. It reports false when the
 // context cancelled first.
 func (s *RemoteStore) backoff(attempt int) bool {
-	base := s.BackoffBase
-	if base <= 0 {
-		base = 100 * time.Millisecond
-	}
-	cap := s.BackoffCap
-	if cap <= 0 {
-		cap = 2 * time.Second
-	}
-	d := base << (attempt - 1)
-	if d > cap || d <= 0 {
-		d = cap
+	d := s.tune.backoffBase << (attempt - 1)
+	if d > s.tune.backoffCap || d <= 0 {
+		d = s.tune.backoffCap
 	}
 	// Additive jitter up to 50%, so a fleet of clients retrying a
 	// recovering server does not stampede it in lockstep.
@@ -389,12 +352,9 @@ func decodeResult(key string, body io.Reader) (*sim.Result, error) {
 	return &res, nil
 }
 
-// attemptCtx derives the per-attempt deadline context.
-func (s *RemoteStore) attemptCtx(timeout time.Duration) (context.Context, context.CancelFunc) {
-	if timeout <= 0 {
-		return s.ctx(), func() {}
-	}
-	return context.WithTimeout(s.ctx(), timeout)
+// requestCtx derives the per-attempt deadline context for Get and Put.
+func (s *RemoteStore) requestCtx() (context.Context, context.CancelFunc) {
+	return context.WithTimeout(s.ctx(), s.tune.requestTimeout)
 }
 
 // Get implements Store: a warm-key fetch from the server. Keys already
@@ -423,13 +383,13 @@ func (s *RemoteStore) Get(key string) (*sim.Result, bool, error) {
 	}
 
 	for attempt := 1; ; attempt++ {
-		ctx, cancel := s.attemptCtx(s.requestTimeout())
+		ctx, cancel := s.requestCtx()
 		res, ok, err, retryable := s.getOnce(ctx, key, localRes, etag)
 		cancel()
 		if !retryable {
 			return res, ok, err
 		}
-		if attempt >= s.attempts() || !s.breakerAllow() || !s.backoff(attempt) {
+		if attempt >= s.tune.attempts || !s.breakerAllow() || !s.backoff(attempt) {
 			return degrade()
 		}
 	}
@@ -515,13 +475,13 @@ func (s *RemoteStore) Put(key string, res *sim.Result) error {
 		return nil
 	}
 	for attempt := 1; ; attempt++ {
-		ctx, cancel := s.attemptCtx(s.requestTimeout())
+		ctx, cancel := s.requestCtx()
 		err, retryable := s.putOnce(ctx, key, b)
 		cancel()
 		if !retryable {
 			return err
 		}
-		if attempt >= s.attempts() || !s.breakerAllow() || !s.backoff(attempt) {
+		if attempt >= s.tune.attempts || !s.breakerAllow() || !s.backoff(attempt) {
 			s.droppedPuts.Add(1)
 			return nil
 		}
@@ -577,23 +537,13 @@ func retryAfter(resp *http.Response) time.Duration {
 }
 
 // localFallback is degraded-mode Simulate: the server is unreachable,
-// so the configuration runs in-process (unless NoLocalFallback asks for
-// a structured transient failure instead). The result is cached locally
+// so the configuration runs in-process. The result is cached locally
 // but not marked server-resident, so a later Put retries the upload
 // once the circuit closes.
-func (s *RemoteStore) localFallback(cfg sim.Config, key string, cause error) (*sim.Result, error) {
-	if s.NoLocalFallback {
-		return nil, &RunError{Op: "remote-sim", Desc: cfg.Desc(), Err: fmt.Errorf("server unreachable (circuit %s): %w", s.Breaker(), cause)}
-	}
+func (s *RemoteStore) localFallback(cfg sim.Config, key string) (*sim.Result, error) {
 	s.localSims.Add(1)
-	res, err := Guard(sim.RunConfig)(cfg)
+	res, err := simulateLocal(cfg)
 	if err != nil {
-		if !IsPermanent(err) {
-			var re *RunError
-			if !errors.As(err, &re) {
-				err = &RunError{Op: "simulate", Desc: cfg.Desc(), Permanent: true, Err: err}
-			}
-		}
 		return nil, err
 	}
 	s.mu.Lock()
@@ -609,8 +559,8 @@ func (s *RemoteStore) localFallback(cfg sim.Config, key string, cause error) (*s
 // simulation. Backpressure (429) is retried after the server's
 // Retry-After delay until the run is accepted or Context cancels;
 // transient failures (resets, timeouts, 5xx the server marks
-// retryable) back off and retry up to MaxAttempts. A server that stays
-// unreachable — or a breaker already open — degrades to local
+// retryable) back off and retry, up to four attempts. A server that
+// stays unreachable — or a breaker already open — degrades to local
 // in-process simulation, so the sweep completes on client hardware
 // instead of stalling. Permanent server-side failures (the server sets
 // X-Sim-Permanent: true) return a RunError with Permanent set and are
@@ -622,23 +572,19 @@ func (s *RemoteStore) Simulate(cfg sim.Config) (*sim.Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("sweep: remote sim %s: %w", cfg.Desc(), err)
 	}
-	unreachable := errors.New("retries exhausted")
 	if !s.breakerAllow() {
-		return s.localFallback(cfg, key, unreachable)
+		return s.localFallback(cfg, key)
 	}
 	for attempt := 1; ; attempt++ {
 		res, err, retryable := s.simulateOnce(cfg, key, body)
 		if !retryable {
 			return res, err
 		}
-		if err != nil {
-			unreachable = err
-		}
-		if attempt >= s.attempts() || !s.breakerAllow() || !s.backoff(attempt) {
+		if attempt >= s.tune.attempts || !s.breakerAllow() || !s.backoff(attempt) {
 			if cerr := s.ctx().Err(); cerr != nil {
 				return nil, cerr
 			}
-			return s.localFallback(cfg, key, unreachable)
+			return s.localFallback(cfg, key)
 		}
 	}
 }
@@ -648,16 +594,13 @@ func (s *RemoteStore) Simulate(cfg sim.Config) (*sim.Result, error) {
 // 429, so pacing rounds do not consume retry attempts).
 func (s *RemoteStore) simulateOnce(cfg sim.Config, key string, body []byte) (*sim.Result, error, bool) {
 	for {
-		ctx, cancel := s.attemptCtx(s.SimTimeout)
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, s.base+"/v1/sim", bytes.NewReader(body))
+		req, err := http.NewRequestWithContext(s.ctx(), http.MethodPost, s.base+"/v1/sim", bytes.NewReader(body))
 		if err != nil {
-			cancel()
 			return nil, fmt.Errorf("sweep: remote sim %s: %w", cfg.Desc(), err), false
 		}
 		req.Header.Set("Content-Type", "application/json")
 		resp, err := s.httpc().Do(req)
 		if err != nil {
-			cancel()
 			if cerr := s.ctx().Err(); cerr != nil {
 				return nil, cerr, false
 			}
@@ -665,7 +608,6 @@ func (s *RemoteStore) simulateOnce(cfg sim.Config, key string, body []byte) (*si
 			return nil, fmt.Errorf("sweep: remote sim %s: %w", cfg.Desc(), err), true
 		}
 		done, res, rerr, retryable := s.simResponse(cfg, key, resp)
-		cancel()
 		if done {
 			return res, rerr, retryable
 		}

@@ -3,7 +3,6 @@ package sweep
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
@@ -191,8 +190,7 @@ func TestRemoteGetDegradesToLocalCopy(t *testing.T) {
 		w.Header().Set("ETag", `"`+key+`"`)
 		json.NewEncoder(w).Encode(res)
 	})
-	store.BackoffBase = time.Millisecond
-	store.BackoffCap = 2 * time.Millisecond
+	tuneRemote(store)
 	if _, ok, err := store.Get(key); !ok || err != nil {
 		t.Fatalf("initial Get: %v, %v", ok, err)
 	}
@@ -321,11 +319,13 @@ func TestRemoteSimulateServerError(t *testing.T) {
 	}
 }
 
-// flakyRemote tunes a RemoteStore for fast failure tests.
+// tuneRemote shortens a RemoteStore's retry delays and request
+// deadline for fast failure tests; attempt counts and the breaker
+// threshold keep their production values.
 func tuneRemote(s *RemoteStore) {
-	s.BackoffBase = time.Millisecond
-	s.BackoffCap = 2 * time.Millisecond
-	s.RequestTimeout = 2 * time.Second
+	s.tune.backoffBase = time.Millisecond
+	s.tune.backoffCap = 2 * time.Millisecond
+	s.tune.requestTimeout = 2 * time.Second
 }
 
 // TestRemoteRetriesTransientFailures: 5xx responses and torn bodies are
@@ -392,7 +392,7 @@ func TestRemoteSimulateLocalFallback(t *testing.T) {
 	store, _, ts := newRemote(t, func(fx *remoteFixture, w http.ResponseWriter, r *http.Request) {})
 	ts.Close()
 	tuneRemote(store)
-	store.BreakerThreshold = 3
+	store.tune.breakerTrip = 3
 
 	cfg := testBase()
 	res, err := store.Simulate(cfg)
@@ -424,26 +424,6 @@ func TestRemoteSimulateLocalFallback(t *testing.T) {
 	}
 }
 
-// TestRemoteNoLocalFallback: with NoLocalFallback set, an unreachable
-// server yields a structured transient RunError instead of a local run.
-func TestRemoteNoLocalFallback(t *testing.T) {
-	store, _, ts := newRemote(t, func(fx *remoteFixture, w http.ResponseWriter, r *http.Request) {})
-	ts.Close()
-	tuneRemote(store)
-	store.NoLocalFallback = true
-	_, err := store.Simulate(testBaseWithSeed(1))
-	if err == nil {
-		t.Fatal("unreachable server returned nil error")
-	}
-	var re *RunError
-	if !errors.As(err, &re) || re.Permanent {
-		t.Errorf("error %v, want transient RunError", err)
-	}
-	if store.Stats().LocalSims != 0 {
-		t.Error("NoLocalFallback still simulated locally")
-	}
-}
-
 // TestRemoteBreakerRecovers: an open circuit admits a probe after the
 // cooldown; a healthy response closes it and normal service resumes.
 func TestRemoteBreakerRecovers(t *testing.T) {
@@ -460,8 +440,8 @@ func TestRemoteBreakerRecovers(t *testing.T) {
 		json.NewEncoder(w).Encode(res)
 	})
 	tuneRemote(store)
-	store.BreakerThreshold = 2
-	store.BreakerCooldown = 5 * time.Millisecond
+	store.tune.breakerTrip = 2
+	store.tune.breakerCooldown = 5 * time.Millisecond
 
 	if _, ok, _ := store.Get(key); ok {
 		t.Fatal("outage Get reported a hit")

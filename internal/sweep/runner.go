@@ -37,11 +37,13 @@ type Event struct {
 // Desc formats the event's run for a progress line.
 func (e Event) Desc() string { return e.Config.Desc() }
 
-// defaultNegativeCap bounds the failed-run memo when NegativeCap is 0:
-// generous for any real sweep (the full evaluation is a few hundred
-// configurations), small enough that a long-lived server process
-// absorbing an endless stream of distinct bad configurations stays
-// bounded.
+// defaultNegativeCap bounds the failed-run memo: generous for any real
+// sweep (the full evaluation is a few hundred configurations), small
+// enough that a long-lived server process absorbing an endless stream
+// of distinct bad configurations stays bounded. When full, the oldest
+// failure is forgotten — a re-request of that configuration simulates
+// again instead of replaying the memoized error, so memory stays
+// bounded and transient failures eventually retry.
 const defaultNegativeCap = 512
 
 // Runner executes simulation configurations through a bounded worker
@@ -51,8 +53,8 @@ const defaultNegativeCap = 512
 // min(4, GOMAXPROCS). Simulator panics are recovered into structured
 // RunErrors (see Guard), so one poisoned configuration fails its run
 // instead of the process. Permanently failed runs — RunError with
-// Permanent set — are negatively cached (up to NegativeCap entries,
-// oldest evicted first), so a sweep that shares cells across figures
+// Permanent set — are negatively cached (up to 512 entries, oldest
+// evicted first), so a sweep that shares cells across figures
 // reports one error per bad configuration instead of re-simulating it;
 // transient failures (network, backpressure exhaustion, watchdog
 // deadlines) are reported to the Run that observed them and retried by
@@ -75,12 +77,6 @@ type Runner struct {
 	// offload). Nil selects the Store's Simulate when it implements
 	// Simulator, else sim.RunConfig.
 	Simulate func(sim.Config) (*sim.Result, error)
-	// NegativeCap bounds the failed-run memo (0 = 512). When full, the
-	// oldest failure is forgotten — a re-request of that configuration
-	// simulates again instead of replaying the memoized error, which is
-	// the right trade for a long-lived server process: memory stays
-	// bounded and transient failures eventually retry.
-	NegativeCap int
 
 	mu       sync.Mutex
 	store    Store
@@ -128,14 +124,17 @@ func (r *Runner) sim(cfg sim.Config) (*sim.Result, error) {
 	if s, ok := r.store.(Simulator); ok {
 		return Guard(s.Simulate)(cfg)
 	}
+	return simulateLocal(cfg)
+}
+
+// simulateLocal runs cfg in-process under Guard. A plain sim.RunConfig
+// error is a build-time property of the configuration — deterministic,
+// so it becomes a permanent RunError, safe to memoize.
+func simulateLocal(cfg sim.Config) (*sim.Result, error) {
 	res, err := Guard(sim.RunConfig)(cfg)
-	if err != nil && !IsPermanent(err) {
-		var re *RunError
-		if !errors.As(err, &re) {
-			// A local sim.RunConfig error is a build-time property of the
-			// configuration — deterministic, so safe to memoize.
-			err = &RunError{Op: "simulate", Desc: cfg.Desc(), Permanent: true, Err: err}
-		}
+	var re *RunError
+	if err != nil && !errors.As(err, &re) {
+		err = &RunError{Op: "simulate", Desc: cfg.Desc(), Permanent: true, Err: err}
 	}
 	return res, err
 }
@@ -149,13 +148,9 @@ func (r *Runner) recordFailure(key string, err error) {
 	if !IsPermanent(err) {
 		return
 	}
-	cap := r.NegativeCap
-	if cap <= 0 {
-		cap = defaultNegativeCap
-	}
 	r.mu.Lock()
 	if _, ok := r.errs[key]; !ok {
-		for len(r.errOrder) >= cap {
+		for len(r.errOrder) >= defaultNegativeCap {
 			delete(r.errs, r.errOrder[0])
 			r.errOrder = r.errOrder[1:]
 		}
@@ -327,7 +322,7 @@ func (r *Runner) runOne(cfg sim.Config, key string, results map[string]*sim.Resu
 	res, err := r.sim(cfg)
 	if err != nil {
 		err = fmt.Errorf("sweep: %s: %w", cfg.Desc(), err)
-		// The lifetime memo (r.errs) may evict under NegativeCap;
+		// The lifetime memo (r.errs) may evict past defaultNegativeCap;
 		// runErrs is scoped to this Run call, so the call that observed
 		// the failure always reports it whatever the memo does.
 		r.recordFailure(key, err)

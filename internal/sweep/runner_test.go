@@ -3,6 +3,8 @@ package sweep
 import (
 	"context"
 	"errors"
+	"fmt"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -127,51 +129,59 @@ func TestRunnerNegativeCachesFailures(t *testing.T) {
 }
 
 // TestRunnerNegativeCacheBounded: the failure memo is capped at
-// NegativeCap entries, evicting oldest-first. An evicted key
+// defaultNegativeCap entries, evicting oldest-first. An evicted key
 // re-simulates on its next Run; keys still memoized do not — and every
 // Run reports the failure it observed regardless of later eviction.
 func TestRunnerNegativeCacheBounded(t *testing.T) {
 	var calls atomic.Int64
 	boom := errors.New("boom")
 	r := &Runner{
-		NegativeCap: 2,
+		// One worker records failures in input order, so the eviction
+		// order is the seed order.
+		Parallel: 1,
 		Simulate: func(cfg sim.Config) (*sim.Result, error) {
 			calls.Add(1)
-			return nil, &RunError{Op: "simulate", Permanent: true, Err: boom}
+			return nil, &RunError{Op: "simulate", Permanent: true, Err: fmt.Errorf("seed %d: %w", cfg.Seed, boom)}
 		},
 	}
 	ctx := context.Background()
-	// Three failing seeds, one Run each: recording seed 3 evicts seed 1.
-	for _, seed := range []uint64{1, 2, 3} {
-		if _, err := r.Run(ctx, seedPlan(seed)); !errors.Is(err, boom) {
-			t.Fatalf("seed %d: err = %v, want boom", seed, err)
+	seeds := func(from, n int) []sim.Config {
+		s := make([]uint64, n)
+		for i := range s {
+			s[i] = uint64(from + i)
 		}
+		return seedPlan(s...)
 	}
-	if calls.Load() != 3 {
-		t.Fatalf("initial failures simulated %d times, want 3", calls.Load())
+	// Fill the memo, then one more failure: recording it evicts seed 1.
+	if _, err := r.Run(ctx, seeds(1, defaultNegativeCap)); !errors.Is(err, boom) {
+		t.Fatalf("filling run: err = %v, want boom", err)
 	}
-	// Seeds 2 and 3 are still memoized: failures report with no new
+	if _, err := r.Run(ctx, seeds(defaultNegativeCap+1, 1)); !errors.Is(err, boom) {
+		t.Fatalf("overflow run: err = %v, want boom", err)
+	}
+	if calls.Load() != defaultNegativeCap+1 {
+		t.Fatalf("initial failures simulated %d times, want %d", calls.Load(), defaultNegativeCap+1)
+	}
+	// Seeds 2..cap+1 are still memoized: failures report with no new
 	// simulation.
-	for _, seed := range []uint64{2, 3} {
-		if _, err := r.Run(ctx, seedPlan(seed)); !errors.Is(err, boom) {
-			t.Fatalf("memoized seed %d: err = %v, want boom", seed, err)
-		}
+	if _, err := r.Run(ctx, seeds(2, defaultNegativeCap)); !errors.Is(err, boom) {
+		t.Fatalf("memoized seeds: err = %v, want boom", err)
 	}
-	if calls.Load() != 3 {
-		t.Errorf("memoized failures re-simulated: %d calls, want 3", calls.Load())
+	if calls.Load() != defaultNegativeCap+1 {
+		t.Errorf("memoized failures re-simulated: %d calls, want %d", calls.Load(), defaultNegativeCap+1)
 	}
 	// Seed 1 was evicted: its next Run re-simulates (and still fails).
 	if _, err := r.Run(ctx, seedPlan(1)); !errors.Is(err, boom) {
 		t.Fatalf("evicted seed 1: err = %v, want boom", err)
 	}
-	if calls.Load() != 4 {
-		t.Errorf("evicted failure served from memo: %d calls, want 4", calls.Load())
+	if calls.Load() != defaultNegativeCap+2 {
+		t.Errorf("evicted failure served from memo: %d calls, want %d", calls.Load(), defaultNegativeCap+2)
 	}
-	// One Run observing a failure that is evicted mid-flight by other
-	// failures still reports it: the per-Run pin, not the shared memo,
-	// carries the error to assembly.
-	if _, err := r.Run(ctx, seedPlan(10, 11, 12, 13)); !errors.Is(err, boom) {
-		t.Fatalf("multi-failure Run with eviction churn: err = %v, want boom", err)
+	// One Run observing a failure that is evicted mid-flight by its own
+	// later failures still reports it as its first error: the per-Run
+	// pin, not the shared memo, carries the error to assembly.
+	if _, err := r.Run(ctx, seeds(10_000, defaultNegativeCap+2)); !errors.Is(err, boom) || !strings.Contains(err.Error(), "seed 10000:") {
+		t.Fatalf("Run with eviction churn: err = %v, want seed 10000's boom", err)
 	}
 }
 

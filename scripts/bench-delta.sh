@@ -25,7 +25,6 @@ rows = [
     ("step_ndpage_ns_per_op", "step ns/op (NDPage)", False),
     ("step_mlp_ns_per_op", "step ns/op (MLP)", False),
     ("sweep_serial_instr_per_s", "sweep serial instr/s", True),
-    ("sweep_sharded_instr_per_s", "sweep sharded instr/s", True),
 ]
 
 print(f"{'metric':<24} {'PR6 base':>14} {'PR7':>14} {'delta':>9}")
@@ -45,6 +44,7 @@ for key, label, up in rows:
 
 extra = [
     ("sim_instr_per_s_nopgo", "sim-instr/s (PGO off)"),
+    ("sweep_parallel_instr_per_s", "sweep parallel instr/s"),
     ("lookup_dense_ns", "Flattened lookup dense ns"),
     ("lookup_sparse_ns", "Flattened lookup sparse ns"),
     ("touch_cached_ns", "Touch hit cached ns"),

@@ -12,7 +12,7 @@
 #   pgo_speedup_x          the ratio of the two
 #   sims_per_s             BenchmarkRunSmall (build + warmup + measure)
 #   events_per_s           BenchmarkEngineStep (calendar-queue dispatch)
-#   sweep_*_instr_per_s    BenchmarkSweepSerial / BenchmarkSweepSharded
+#   sweep_*_instr_per_s    BenchmarkSweepSerial / BenchmarkSweepParallel
 #   lookup_dense_ns        BenchmarkFlattenedLookup/dense
 #   lookup_sparse_ns       BenchmarkFlattenedLookup/sparse (lazy chunks)
 #   touch_cached_ns        BenchmarkTouchHit/cached (positive VPN cache)
@@ -34,7 +34,7 @@
 #                        jitter by more than the effect size, DESIGN.md 3c;
 #                        the honest same-box ratio is recorded separately)
 #   metadata budget      bytes_per_mapped_page <= META_BYTES_BUDGET
-#   shard scaling floor  sharded/serial >= SHARD_SPEEDUP_FLOOR (>= 2 CPUs)
+#   sweep scaling floor  parallel/serial >= PARALLEL_SPEEDUP_FLOOR (>= 2 CPUs)
 #
 # Scale knobs (CI runs reduced): BENCHTIME_RUNS, BENCHTIME_EVENTS,
 # BENCHTIME_STEPS, BENCHTIME_SWEEPS, BENCHTIME_MICRO. OUT overrides the
@@ -52,7 +52,7 @@ SIM_ALLOC_BUDGET=${SIM_ALLOC_BUDGET:-1200}
 STEP_ALLOC_BUDGET=${STEP_ALLOC_BUDGET:-2}
 EVENTS_SPEEDUP_FLOOR=${EVENTS_SPEEDUP_FLOOR:-0.80}
 SIM_SPEEDUP_FLOOR=${SIM_SPEEDUP_FLOOR:-0.80}
-SHARD_SPEEDUP_FLOOR=${SHARD_SPEEDUP_FLOOR:-1.5}
+PARALLEL_SPEEDUP_FLOOR=${PARALLEL_SPEEDUP_FLOOR:-1.5}
 META_BYTES_BUDGET=${META_BYTES_BUDGET:-256}
 PGO=$PWD/cmd/ndpsim/default.pgo
 
@@ -74,7 +74,7 @@ events=$(go test -run=NONE -bench='BenchmarkEngineStep$' \
 	-benchmem -benchtime "$BENCHTIME_EVENTS" -pgo=off . )
 steps=$(go test -run=NONE -bench='BenchmarkStepThroughput' \
 	-benchmem -benchtime "$BENCHTIME_STEPS" -pgo="$PGO" ./internal/sim )
-sweeps=$(go test -run=NONE -bench='BenchmarkSweep(Serial|Sharded)' \
+sweeps=$(go test -run=NONE -bench='BenchmarkSweep(Serial|Parallel)' \
 	-benchmem -benchtime "$BENCHTIME_SWEEPS" -pgo="$PGO" . )
 micro=$(go test -run=NONE -bench='BenchmarkFlattenedLookup|BenchmarkTouchHit' \
 	-benchmem -benchtime "$BENCHTIME_MICRO" -pgo="$PGO" \
@@ -123,7 +123,7 @@ step_cores=$(metric '^BenchmarkStepThroughput/NDPage' 'cores' <<<"$steps")
 mlp_ns=$(metric '^BenchmarkStepThroughputMLP' 'ns/op' <<<"$steps")
 mlp_allocs=$(metric '^BenchmarkStepThroughputMLP' 'allocs/op' <<<"$steps")
 sweep_serial=$(metric '^BenchmarkSweepSerial' 'sweep-instr/s' <<<"$sweeps")
-sweep_sharded=$(metric '^BenchmarkSweepSharded' 'sweep-instr/s' <<<"$sweeps")
+sweep_parallel=$(metric '^BenchmarkSweepParallel' 'sweep-instr/s' <<<"$sweeps")
 lookup_dense=$(metric '^BenchmarkFlattenedLookup/dense' 'ns/op' <<<"$micro")
 lookup_sparse=$(metric '^BenchmarkFlattenedLookup/sparse' 'ns/op' <<<"$micro")
 touch_cached=$(metric '^BenchmarkTouchHit/cached' 'ns/op' <<<"$micro")
@@ -131,7 +131,7 @@ touch_present=$(metric '^BenchmarkTouchHit/present' 'ns/op' <<<"$micro")
 bytes_page=$(metric '^BenchmarkFlattenedReferenceSweep' 'bytes/page' <<<"$meta")
 
 for v in sim_instr sim_allocs sims evps step_ndpage_allocs mlp_allocs \
-	sweep_serial sweep_sharded lookup_dense lookup_sparse \
+	sweep_serial sweep_parallel lookup_dense lookup_sparse \
 	touch_cached touch_present bytes_page; do
 	if [ -z "${!v}" ]; then
 		echo "bench.sh: failed to parse $v from benchmark output" >&2
@@ -147,7 +147,7 @@ events_x=$(awk -v a="$evps" 'BEGIN { printf "%.2f", a / 20567381 }')
 sim_instr_x=$(awk -v a="$sim_instr" 'BEGIN { printf "%.2f", a / 4747309 }')
 pgo_x=$(awk -v a="$sim_instr" -v b="$sim_instr_nopgo" \
 	'BEGIN { printf "%.2f", (b > 0 ? a / b : 0) }')
-shard_x=$(awk -v a="$sweep_sharded" -v b="$sweep_serial" \
+parallel_x=$(awk -v a="$sweep_parallel" -v b="$sweep_serial" \
 	'BEGIN { printf "%.2f", a / b }')
 
 # Provenance: the measured tree, with +dirty when it differs from HEAD
@@ -182,7 +182,7 @@ cat > "$OUT" <<EOF
     "step_mlp_ns_per_op": ${mlp_ns:-0},
     "step_mlp_allocs_per_op": $mlp_allocs,
     "sweep_serial_instr_per_s": $sweep_serial,
-    "sweep_sharded_instr_per_s": $sweep_sharded,
+    "sweep_parallel_instr_per_s": $sweep_parallel,
     "lookup_dense_ns": $lookup_dense,
     "lookup_sparse_ns": $lookup_sparse,
     "touch_cached_ns": $touch_cached,
@@ -194,7 +194,7 @@ cat > "$OUT" <<EOF
     "events_per_s_x": $events_x,
     "sim_instr_per_s_x": $sim_instr_x,
     "pgo_speedup_x": $pgo_x,
-    "sweep_sharded_over_serial_x": $shard_x
+    "sweep_parallel_over_serial_x": $parallel_x
   },
   "baseline_pr6": {
     "commit": "93a6fb4+dirty",
@@ -207,17 +207,16 @@ cat > "$OUT" <<EOF
     "step_ndpage_ns_per_op": 1329,
     "step_mlp_ns_per_op": 1532,
     "step_mlp_allocs_per_op": 0,
-    "sweep_serial_instr_per_s": 2796929,
-    "sweep_sharded_instr_per_s": 2998211
+    "sweep_serial_instr_per_s": 2796929
   },
   "gates": {
     "sim_throughput_allocs_per_op": $SIM_ALLOC_BUDGET,
     "step_allocs_per_op": $STEP_ALLOC_BUDGET,
     "events_speedup_floor": $EVENTS_SPEEDUP_FLOOR,
     "sim_instr_speedup_floor": $SIM_SPEEDUP_FLOOR,
-    "shard_speedup_floor": $SHARD_SPEEDUP_FLOOR,
+    "parallel_speedup_floor": $PARALLEL_SPEEDUP_FLOOR,
     "meta_bytes_budget": $META_BYTES_BUDGET,
-    "shard_gate_enforced": $([ "$cpus" -ge 2 ] && echo true || echo false)
+    "parallel_gate_enforced": $([ "$cpus" -ge 2 ] && echo true || echo false)
   }
 }
 EOF
@@ -247,8 +246,8 @@ check_budget "bytes_per_mapped_page" "$bytes_page" "$META_BYTES_BUDGET"
 check_floor "events/s vs PR6" "$events_x" "$EVENTS_SPEEDUP_FLOOR"
 check_floor "sim-instr/s vs PR6" "$sim_instr_x" "$SIM_SPEEDUP_FLOOR"
 if [ "$cpus" -ge 2 ]; then
-	check_floor "sharded/serial sweep" "$shard_x" "$SHARD_SPEEDUP_FLOOR"
+	check_floor "parallel/serial sweep" "$parallel_x" "$PARALLEL_SPEEDUP_FLOOR"
 else
-	echo "bench.sh: note: 1 CPU — shard scaling gate skipped (ratio ${shard_x}x recorded)"
+	echo "bench.sh: note: 1 CPU — sweep scaling gate skipped (ratio ${parallel_x}x recorded)"
 fi
 exit $fail

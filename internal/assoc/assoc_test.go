@@ -1,12 +1,13 @@
 package assoc
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
 
 func TestNewValidation(t *testing.T) {
-	for _, bad := range []struct{ sets, ways int }{{0, 1}, {3, 1}, {4, 0}, {-4, 2}} {
+	for _, bad := range []struct{ sets, ways int }{{0, 1}, {3, 1}, {4, 0}, {-4, 2}, {4, 17}, {1, 64}} {
 		func() {
 			defer func() {
 				if recover() == nil {
@@ -186,11 +187,11 @@ func TestSetDistribution(t *testing.T) {
 	}
 }
 
-// refTable is the pre-SoA array-of-structs implementation, kept verbatim
-// as the differential oracle: the SoA table must make identical hit,
-// free-way, victim, and Range-order decisions for any operation mix,
-// because table decisions feed simulated timing and the golden tests pin
-// that timing bit for bit.
+// refTable is the array-of-structs implementation with a global clock
+// and a per-way LRU stamp, kept as the differential oracle: the packed
+// table must make identical hit, free-way, victim, and Range-order
+// decisions for any operation mix, because table decisions feed
+// simulated timing and the golden tests pin that timing bit for bit.
 type refTable[V any] struct {
 	ways  int
 	mask  uint64
@@ -214,17 +215,48 @@ func (t *refTable[V]) set(key uint64) []refLine[V] {
 	return t.lines[s*t.ways : (s+1)*t.ways]
 }
 
-func (t *refTable[V]) Lookup(key uint64) (V, bool) {
+func (t *refTable[V]) find(key uint64) *refLine[V] {
 	set := t.set(key)
 	for i := range set {
 		if set[i].valid && set[i].key == key {
-			t.clock++
-			set[i].lru = t.clock
-			return set[i].value, true
+			return &set[i]
 		}
+	}
+	return nil
+}
+
+func (t *refTable[V]) Ref(key uint64) *V {
+	l := t.find(key)
+	if l == nil {
+		return nil
+	}
+	t.clock++
+	l.lru = t.clock
+	return &l.value
+}
+
+func (t *refTable[V]) Lookup(key uint64) (V, bool) {
+	if p := t.Ref(key); p != nil {
+		return *p, true
 	}
 	var zero V
 	return zero, false
+}
+
+func (t *refTable[V]) Peek(key uint64) (V, bool) {
+	if l := t.find(key); l != nil {
+		return l.value, true
+	}
+	var zero V
+	return zero, false
+}
+
+func (t *refTable[V]) Update(key uint64, v V) bool {
+	if l := t.find(key); l != nil {
+		l.value = v
+		return true
+	}
+	return false
 }
 
 func (t *refTable[V]) Insert(key uint64, v V) (uint64, V, bool) {
@@ -256,14 +288,17 @@ func (t *refTable[V]) Insert(key uint64, v V) (uint64, V, bool) {
 }
 
 func (t *refTable[V]) Invalidate(key uint64) bool {
-	set := t.set(key)
-	for i := range set {
-		if set[i].valid && set[i].key == key {
-			set[i].valid = false
-			return true
-		}
+	if l := t.find(key); l != nil {
+		l.valid = false
+		return true
 	}
 	return false
+}
+
+func (t *refTable[V]) Flush() {
+	for i := range t.lines {
+		t.lines[i].valid = false
+	}
 }
 
 func (t *refTable[V]) Range(fn func(key uint64, v V) bool) {
@@ -274,52 +309,114 @@ func (t *refTable[V]) Range(fn func(key uint64, v V) bool) {
 	}
 }
 
-// TestSoAMatchesAoSReference drives the SoA table and the AoS reference
-// through long pseudo-random operation mixes on a small hot table (heavy
-// eviction and invalidation) and requires identical results, including
-// eviction victims and Range order.
+// rangeSeq flattens a Range walk (optionally stopped after limit
+// entries) into key, value pairs.
+func rangeSeq(rng func(func(uint64, uint64) bool), limit int) []uint64 {
+	var seq []uint64
+	rng(func(k, v uint64) bool {
+		seq = append(seq, k, v)
+		return len(seq) < 2*limit
+	})
+	return seq
+}
+
+// TestSoAMatchesAoSReference drives the packed table and the stamp-based
+// AoS reference through long pseudo-random operation mixes at every
+// supported associativity, on hot tables (heavy eviction and
+// invalidation), and requires identical results: hits, values, eviction
+// victims, lengths, and Range order.
 func TestSoAMatchesAoSReference(t *testing.T) {
-	state := uint64(0x2545F4914F6CDD1D)
+	const ops = 100_000
+	for ways := 1; ways <= maxWays; ways++ {
+		for _, sets := range []int{1, 4, 64} {
+			t.Run(fmt.Sprintf("sets=%d/ways=%d", sets, ways), func(t *testing.T) {
+				diffAgainstReference(t, sets, ways, ops)
+			})
+		}
+	}
+}
+
+func diffAgainstReference(t *testing.T, sets, ways, ops int) {
+	state := uint64(0x2545F4914F6CDD1D) ^ uint64(sets*maxWays+ways)
 	next := func() uint64 {
 		state ^= state << 13
 		state ^= state >> 7
 		state ^= state << 17
 		return state
 	}
-	got := New[uint64](4, 4)
-	want := newRef[uint64](4, 4)
-	for op := 0; op < 20000; op++ {
-		key := next() % 96 // ~6 hot keys per set: constant conflict
-		switch next() % 4 {
-		case 0, 1:
-			gk, gv, ge := got.Insert(key, uint64(op))
-			wk, wv, we := want.Insert(key, uint64(op))
+	got := New[uint64](sets, ways)
+	want := newRef[uint64](sets, ways)
+	// About 1.5 keys per way keeps every set in constant conflict while
+	// leaving enough repeats for hits and promotions to matter.
+	keys := uint64(sets * (ways + ways/2 + 1))
+	for op := 0; op < ops; op++ {
+		key := next() % keys
+		val := uint64(op)
+		switch r := next() % 100; {
+		case r < 35:
+			gk, gv, ge := got.Insert(key, val)
+			wk, wv, we := want.Insert(key, val)
 			if gk != wk || gv != wv || ge != we {
 				t.Fatalf("op %d: Insert(%d) = (%d,%d,%v), reference (%d,%d,%v)",
 					op, key, gk, gv, ge, wk, wv, we)
 			}
-		case 2:
+		case r < 60:
 			gv, gok := got.Lookup(key)
 			wv, wok := want.Lookup(key)
 			if gv != wv || gok != wok {
 				t.Fatalf("op %d: Lookup(%d) = (%d,%v), reference (%d,%v)", op, key, gv, gok, wv, wok)
 			}
-		case 3:
+		case r < 72:
+			// Ref promotes and writes through its pointer, as a cache
+			// write hit does.
+			gp, wp := got.Ref(key), want.Ref(key)
+			if (gp == nil) != (wp == nil) {
+				t.Fatalf("op %d: Ref(%d) present %v, reference %v", op, key, gp != nil, wp != nil)
+			}
+			if gp != nil {
+				if *gp != *wp {
+					t.Fatalf("op %d: Ref(%d) = %d, reference %d", op, key, *gp, *wp)
+				}
+				*gp, *wp = val, val
+			}
+		case r < 80:
+			gv, gok := got.Peek(key)
+			wv, wok := want.Peek(key)
+			if gv != wv || gok != wok {
+				t.Fatalf("op %d: Peek(%d) = (%d,%v), reference (%d,%v)", op, key, gv, gok, wv, wok)
+			}
+		case r < 88:
+			if g, w := got.Update(key, val), want.Update(key, val); g != w {
+				t.Fatalf("op %d: Update(%d) = %v, reference %v", op, key, g, w)
+			}
+		case r < 98:
 			if g, w := got.Invalidate(key), want.Invalidate(key); g != w {
 				t.Fatalf("op %d: Invalidate(%d) = %v, reference %v", op, key, g, w)
 			}
+		case r < 99:
+			// A stopped Range must visit the same prefix.
+			limit := int(next()%8) + 1
+			if g, w := rangeSeq(got.Range, limit), rangeSeq(want.Range, limit); fmt.Sprint(g) != fmt.Sprint(w) {
+				t.Fatalf("op %d: Range(limit %d) = %v, reference %v", op, limit, g, w)
+			}
+		default:
+			if next()%20 == 0 {
+				got.Flush()
+				want.Flush()
+			}
 		}
 		if op%500 == 0 {
-			var gSeq, wSeq []uint64
-			got.Range(func(k uint64, v uint64) bool { gSeq = append(gSeq, k, v); return true })
-			want.Range(func(k uint64, v uint64) bool { wSeq = append(wSeq, k, v); return true })
-			if len(gSeq) != len(wSeq) {
-				t.Fatalf("op %d: Range visited %d entries, reference %d", op, len(gSeq)/2, len(wSeq)/2)
+			g, w := rangeSeq(got.Range, sets*ways), rangeSeq(want.Range, sets*ways)
+			if len(g) != len(w) {
+				t.Fatalf("op %d: Range visited %d entries, reference %d", op, len(g)/2, len(w)/2)
 			}
-			for i := range gSeq {
-				if gSeq[i] != wSeq[i] {
-					t.Fatalf("op %d: Range order diverged at %d: %d vs %d", op, i, gSeq[i], wSeq[i])
+			for i := range g {
+				if g[i] != w[i] {
+					t.Fatalf("op %d: Range order diverged at %d: %d vs %d", op, i, g[i], w[i])
 				}
+			}
+			if got.Len() != len(g)/2 {
+				t.Fatalf("op %d: Len %d, Range visited %d", op, got.Len(), len(g)/2)
 			}
 		}
 	}
@@ -339,5 +436,41 @@ func BenchmarkInsertEvict(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		t.Insert(uint64(i), uint64(i))
+	}
+}
+
+// BenchmarkLookupInsert is the cache/TLB access pattern — Lookup, and
+// Insert on a miss — over a uniform random key stream sized for about a
+// 70/30 hit/miss mix, at each associativity the simulator's tables use.
+func BenchmarkLookupInsert(b *testing.B) {
+	for _, ways := range []int{4, 8, 12, 16} {
+		b.Run(fmt.Sprintf("ways=%d", ways), func(b *testing.B) {
+			const sets = 64
+			t := New[uint64](sets, ways)
+			// LRU over uniform keys hits about capacity/keys of the time.
+			keys := uint64(sets*ways) * 10 / 7
+			stream := make([]uint64, 1<<12)
+			state := uint64(0x9E3779B97F4A7C15)
+			for i := range stream {
+				state ^= state << 13
+				state ^= state >> 7
+				state ^= state << 17
+				stream[i] = state % keys
+			}
+			for _, k := range stream {
+				t.Insert(k, k)
+			}
+			hits := 0
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				k := stream[i&(len(stream)-1)]
+				if _, ok := t.Lookup(k); ok {
+					hits++
+				} else {
+					t.Insert(k, k)
+				}
+			}
+			b.ReportMetric(float64(hits)/float64(b.N), "hit/op")
+		})
 	}
 }

@@ -102,11 +102,11 @@ func (c *Cache) Stats() *Stats { return &c.stats }
 // Lookup probes for the physical line without filling. On a write hit the
 // line is marked dirty. Returns whether the line was present.
 func (c *Cache) Lookup(line uint64, op access.Op, class access.Class) bool {
-	st, ok := c.table.Lookup(line)
+	st := c.table.Ref(line)
+	ok := st != nil
 	c.stats.PerClass[class].Record(ok)
-	if ok && op == access.Write && !st.dirty {
+	if ok && op == access.Write {
 		st.dirty = true
-		c.table.Update(line, st)
 	}
 	return ok
 }

@@ -236,3 +236,29 @@ func TestPollutionObservable(t *testing.T) {
 		t.Errorf("pollution invisible: clean %.4f vs polluted %.4f", clean, polluted)
 	}
 }
+
+// BenchmarkHierarchyAccess is one data access through the 4-core NDP
+// hierarchy: random lines over 8 MB (mostly L1 misses to HBM), one in
+// three a store, so dirty evictions and their write-backs occur.
+func BenchmarkHierarchyAccess(b *testing.B) {
+	h := New(Default(NDP, 4))
+	type req struct {
+		pa addr.P
+		op access.Op
+	}
+	rng := xrand.New(11)
+	stream := make([]req, 1<<14)
+	for i := range stream {
+		stream[i].pa = addr.P(rng.Uint64n(8<<20)) &^ (addr.LineSize - 1)
+		if rng.Uint64n(3) == 0 {
+			stream[i].op = access.Write
+		}
+	}
+	now := uint64(0)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r := stream[i&(len(stream)-1)]
+		h.Access(i&3, now, r.pa, r.op, access.Data)
+		now += 10
+	}
+}

@@ -95,6 +95,14 @@ func TestGoldenBlockingTiming(t *testing.T) {
 			t.Errorf("mshr/queued/overlap %d/%d/%d, want 0/11941/31139",
 				r.MSHRHits, r.QueuedWalks, r.OverlappedWalks)
 		}
+		// The slot-occupancy counts the walker's start bookkeeping feeds.
+		if r.WalkQueueCycles != 791_164 || r.MaxConcurrentWalks != 2 || r.WalkCycles != 6_947_072 {
+			t.Errorf("queueCycles/maxConcurrent/walkCycles %d/%d/%d, want 791164/2/6947072",
+				r.WalkQueueCycles, r.MaxConcurrentWalks, r.WalkCycles)
+		}
+		if want := []uint64{0, 7_960, 31_139}; !reflect.DeepEqual(r.WalkOverlapHist, want) {
+			t.Errorf("WalkOverlapHist %v, want %v", r.WalkOverlapHist, want)
+		}
 	})
 }
 

@@ -17,7 +17,12 @@
 //     path keeps interval-based slot occupancy and a retained-MSHR table
 //     that tolerate such skew. A per-core width-1 walker under a
 //     blocking core reproduces the conventional blocking-walk timing
-//     exactly.
+//     exactly. The walker keeps the latest end of any recorded walk; a
+//     request at or after it finds nothing in flight and starts at once
+//     in O(1) — always the case for a private walker under a blocking
+//     core. Other requests take one fused pass over the MSHR table that
+//     checks for a coalescing match, counts occupied slots, and finds
+//     the earliest retirement, rescanning only while every slot is busy.
 //
 //   - WalkAsync is the event-scheduled path for the non-blocking core
 //     model (sim.Config.MLP > 1). Requests arrive in global time order
@@ -218,6 +223,7 @@ type Walker struct {
 	mem   Memory
 
 	inflight []mshr
+	maxEnd   uint64              // latest end of any walk ever in inflight
 	walk     pagetable.Walk      // scratch reused across walks
 	fillBuf  []addr.Level        // scratch for PWC fills
 	wayCache *assoc.Table[uint8] // ECH cuckoo-walk cache (optional)
@@ -262,18 +268,6 @@ func (w *Walker) Stats() *Stats { return &w.stats }
 // ResetStats zeroes the counters (MSHR and cache contents persist).
 func (w *Walker) ResetStats() { w.stats = Stats{} }
 
-// InFlight returns the number of walks occupying a slot at time now
-// (started and not yet retired).
-func (w *Walker) InFlight(now uint64) int {
-	n := 0
-	for i := range w.inflight {
-		if w.inflight[i].start <= now && w.inflight[i].end > now {
-			n++
-		}
-	}
-	return n
-}
-
 // cwcRegion is the way-prediction granularity: one entry covers 8 pages.
 func cwcRegion(v addr.V) uint64 { return uint64(v.Page()) >> 3 }
 
@@ -284,33 +278,48 @@ func cwcRegion(v addr.V) uint64 { return uint64(v.Page()) >> 3 }
 func (w *Walker) Walk(req Request) Response {
 	w.prune(req.Time)
 
-	// MSHR check: a duplicate in-flight walk supplies the result with no
-	// new PTE traffic; the request completes when that walk does. Only
-	// walks already started by req.Time qualify — coalescing onto a walk
-	// another core issued in this request's future (timestamp skew from
-	// a long page fault) would stall the requester for the whole skew
-	// when its own walk would finish far sooner.
-	vpn := req.V.Page()
-	for i := range w.inflight {
-		f := &w.inflight[i]
-		if f.vpn == vpn && f.start <= req.Time && f.end > req.Time {
-			w.stats.MSHRHits.Inc()
-			return Response{Entry: f.entry, Found: f.found, Done: f.end, Coalesced: true}
-		}
-	}
-
 	// Slot allocation: the walk begins at the earliest time at or after
 	// the request when fewer than Width walks occupy their [start, end)
 	// interval. Occupancy is interval-based rather than arrival-order-
 	// based because the simulator's min-clock stepping can deliver a
 	// request timestamped *before* a walk another core issued after a
-	// long page fault; that future walk must not block this one.
-	start := w.slotFree(req.Time)
-	if start > req.Time {
-		w.stats.QueuedWalks.Inc()
-		w.stats.QueueCycles.Add(start - req.Time)
+	// long page fault; that future walk must not block this one. (A
+	// walk's duration is unknown until issued, so occupancy is checked
+	// at the start instant only; a walk overrunning into a
+	// future-started one is tolerated — the model is cycle-approximate.)
+	//
+	// A request at or after every recorded walk's end finds no walk in
+	// flight: no MSHR can match and a slot is free, so it starts at once.
+	// That is every walk of a private walker under a blocking core.
+	vpn := req.V.Page()
+	start, busy := req.Time, 0
+	if req.Time < w.maxEnd {
+		var next uint64
+		var hit *mshr
+		busy, next, hit = w.occupancy(start, vpn)
+		// MSHR check: a duplicate in-flight walk supplies the result
+		// with no new PTE traffic; the request completes when that walk
+		// does. Only walks already started by req.Time qualify —
+		// coalescing onto a walk another core issued in this request's
+		// future (timestamp skew from a long page fault) would stall the
+		// requester for the whole skew when its own walk would finish
+		// far sooner.
+		if hit != nil {
+			w.stats.MSHRHits.Inc()
+			return Response{Entry: hit.entry, Found: hit.found, Done: hit.end, Coalesced: true}
+		}
+		// Each full candidate advances to the earliest retirement among
+		// the walks occupying it.
+		for busy >= w.width {
+			start = next
+			busy, next, _ = w.occupancy(start, vpn)
+		}
+		if start > req.Time {
+			w.stats.QueuedWalks.Inc()
+			w.stats.QueueCycles.Add(start - req.Time)
+		}
 	}
-	w.stats.noteStart(w.InFlight(start) + 1)
+	w.stats.noteStart(busy + 1)
 
 	end := w.issue(start, req.Core, req.V)
 
@@ -326,7 +335,29 @@ func (w *Walker) Walk(req Request) Response {
 		vpn: vpn, start: start, end: end,
 		entry: w.walk.Entry, found: w.walk.Found,
 	})
+	if end > w.maxEnd {
+		w.maxEnd = end
+	}
 	return Response{Entry: w.walk.Entry, Found: w.walk.Found, Done: end}
+}
+
+// occupancy scans the MSHR table once at time t: busy counts the walks
+// whose [start, end) interval covers t, next is the earliest end among
+// them (0 if none), and hit is the first of them walking vpn, or nil.
+func (w *Walker) occupancy(t uint64, vpn addr.VPN) (busy int, next uint64, hit *mshr) {
+	for i := range w.inflight {
+		f := &w.inflight[i]
+		if f.start <= t && f.end > t {
+			if hit == nil && f.vpn == vpn {
+				hit = f
+			}
+			busy++
+			if next == 0 || f.end < next {
+				next = f.end
+			}
+		}
+	}
+	return busy, next, hit
 }
 
 // retainedMSHRs bounds the MSHR table. Retired entries are invisible to
@@ -350,33 +381,6 @@ func (w *Walker) prune(now uint64) {
 		}
 	}
 	w.inflight = live
-}
-
-// slotFree returns the earliest time at or after t when a walk slot is
-// available: occupancy at a candidate time counts walks whose
-// [start, end) interval covers it, and each full candidate advances to
-// the earliest retirement among the occupying walks. (A walk's duration
-// is unknown until issued, so occupancy is checked at the start instant
-// only; a walk overrunning into a future-started one is tolerated — the
-// model is cycle-approximate.)
-func (w *Walker) slotFree(t uint64) uint64 {
-	for {
-		n := 0
-		next := uint64(0)
-		for i := range w.inflight {
-			f := &w.inflight[i]
-			if f.start <= t && f.end > t {
-				n++
-				if next == 0 || f.end < next {
-					next = f.end
-				}
-			}
-		}
-		if n < w.width {
-			return t
-		}
-		t = next
-	}
 }
 
 // WalkAsync resolves one walk request on the event schedule: wt's

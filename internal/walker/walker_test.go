@@ -10,6 +10,7 @@ import (
 	"ndpage/internal/phys"
 	"ndpage/internal/pwc"
 	"ndpage/internal/walker"
+	"ndpage/internal/xrand"
 )
 
 // fakeMem is a fixed-latency memory: every access completes lat cycles
@@ -24,7 +25,7 @@ func (m *fakeMem) Access(core int, now uint64, pa addr.P, op access.Op, class ac
 
 // radixRig maps a 64 MB region in a radix table and returns a walker
 // over it with the given config.
-func radixRig(t *testing.T, cfg walker.Config) (*walker.Walker, addr.V) {
+func radixRig(t testing.TB, cfg walker.Config) (*walker.Walker, addr.V) {
 	t.Helper()
 	alloc := phys.New(1 << 30)
 	table := pagetable.NewRadix(alloc)
@@ -306,5 +307,39 @@ func TestUnmappedWalkReportsNotFound(t *testing.T) {
 	resp := w.Walk(walker.Request{Core: 0, V: addr.V(0x7000_0000_0000), Time: 0})
 	if resp.Found {
 		t.Error("unmapped address reported found")
+	}
+}
+
+// BenchmarkWalk is one synchronous walk over a populated 64 MB radix
+// table with a PWC, under the blocking core model's min-clock schedule:
+// each core requests a random page when its previous walk is done. The
+// private case is a per-core width-1 walker (one core); the shared case
+// is one width-2 walker serving four cores, whose walks overlap and
+// queue.
+func BenchmarkWalk(b *testing.B) {
+	for _, bc := range []struct {
+		name         string
+		cores, width int
+	}{{"private-w1", 1, 1}, {"shared-w2", 4, 2}} {
+		b.Run(bc.name, func(b *testing.B) {
+			w, base := radixRig(b, walker.Config{Width: bc.width, Cache: pwc.New(pwc.Default())})
+			rng := xrand.New(5)
+			pages := make([]addr.V, 1<<12)
+			for i := range pages {
+				pages[i] = base + addr.V(rng.Uint64n(64<<20/addr.PageSize)*addr.PageSize)
+			}
+			clock := make([]uint64, bc.cores)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				c := 0
+				for k := range clock {
+					if clock[k] < clock[c] {
+						c = k
+					}
+				}
+				resp := w.Walk(walker.Request{Core: c, V: pages[i&(len(pages)-1)], Time: clock[c]})
+				clock[c] = resp.Done + 50
+			}
+		})
 	}
 }

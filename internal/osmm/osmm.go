@@ -194,22 +194,8 @@ type AddressSpace struct {
 	residentSet   bitset.Paged
 	residentPages uint64
 
-	// mapped is a direct-mapped cache of VPNs known to be mapped, the
-	// Touch fast path: after warmup nearly every Touch is a hit on an
-	// installed translation, and this answers it with one 32 KB-table
-	// load instead of a page-table Lookup's dependent pointer chases.
-	// An entry holds vpn+1 ("vpn is mapped"), 0 when empty. It is a
-	// pure positive cache — misses fall through to the table — so the
-	// only invariant is no stale positives: reclaimChunk clears the
-	// slots of every VPN it unmaps.
-	mapped [mapCacheSlots]addr.VPN
-
 	stats Stats
 }
-
-// mapCacheSlots sizes the mapped-VPN cache; a power of two so the slot
-// index is a mask.
-const mapCacheSlots = 4096
 
 // vaBase is where heaps start: PL4 slot 1, giving clean non-zero upper
 // indices without colliding across address spaces (each space is private,
@@ -273,16 +259,6 @@ func (as *AddressSpace) reclaimChunk(chunk addr.VPN) uint64 {
 	as.residentSet.Clear(chunkKey(chunk))
 	if as.cfg.IdentityMap {
 		as.identity.Clear(chunkKey(chunk))
-	}
-	// Drop the unmapped VPNs from the Touch fast-path cache (clearing a
-	// slot another VPN happens to hold is harmless — it is a positive
-	// cache).
-	for k := uint64(0); k < addr.EntriesPerTable; k++ {
-		vpn := chunk + addr.VPN(k)
-		slot := uint64(vpn) & (mapCacheSlots - 1)
-		if as.mapped[slot] == vpn+1 {
-			as.mapped[slot] = 0
-		}
 	}
 	freed := uint64(0)
 	for k := uint64(0); k < addr.EntriesPerTable; {
@@ -412,18 +388,10 @@ func (as *AddressSpace) populateChunk(vpn addr.VPN) {
 
 // Touch ensures the page containing v is mapped, returning the cycle cost
 // charged to the faulting core (0 when already mapped — the common case).
-// A VPN-cache miss consults the table through Present — the bit-probe
-// predicate — rather than Lookup, so even the cache-miss half of the hit
-// path reads only present bitmaps, never frame numbers, before refilling
-// the cache.
+// The check is Table.Present: one frame-store record read, no frame
+// numbers.
 func (as *AddressSpace) Touch(v addr.V) uint64 {
-	vpn := v.Page()
-	slot := uint64(vpn) & (mapCacheSlots - 1)
-	if as.mapped[slot] == vpn+1 {
-		return 0
-	}
-	if as.table.Present(vpn) {
-		as.mapped[slot] = vpn + 1
+	if as.table.Present(v.Page()) {
 		return 0
 	}
 	return as.fault(v)

@@ -355,9 +355,8 @@ func TestUnmapFreesConsistently(t *testing.T) {
 }
 
 // BenchmarkTouchHit measures the demand-paging check on the ~99% path: a
-// page that is already mapped. The first pattern revisits pages inside
-// the positive VPN cache; the second sweeps a region wider than the
-// cache so most checks fall through to Table.Present.
+// page that is already mapped. The first pattern revisits a 1024-page
+// hot set; the second spreads over 32K pages.
 func BenchmarkTouchHit(b *testing.B) {
 	run := func(b *testing.B, pages uint64) {
 		as, _ := newAS(Base4K)
@@ -373,6 +372,6 @@ func BenchmarkTouchHit(b *testing.B) {
 			as.Touch(addrs[i&4095])
 		}
 	}
-	b.Run("cached", func(b *testing.B) { run(b, 1024) })   // fits VPN cache
-	b.Run("present", func(b *testing.B) { run(b, 1<<15) }) // spills to Present
+	b.Run("cached", func(b *testing.B) { run(b, 1024) })
+	b.Run("present", func(b *testing.B) { run(b, 1<<15) })
 }

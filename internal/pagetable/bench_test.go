@@ -168,3 +168,43 @@ func BenchmarkFlattenedReferenceSweep(b *testing.B) {
 	}
 	b.ReportMetric(perPage, "bytes/page")
 }
+
+// heapChunks is the pr workload's default footprint in 2 MB chunks
+// (11.2 GiB): far past the host caches, unlike benchTable's 256 MB, so
+// the per-table benchmarks below see the host misses a simulation does.
+const heapChunks = 5738
+
+// benchHeap runs op on each table, populated over heapChunks, with
+// uniformly random VPNs inside the heap drawn by an inline LCG (no
+// address array to compete for cache).
+func benchHeap(b *testing.B, op func(t Table, vpn addr.VPN)) {
+	for _, mk := range []func() Table{
+		func() Table { return NewRadix(phys.New(1 << 30)) },
+		func() Table { return NewFlattened(phys.New(1 << 30)) },
+		func() Table { return NewCuckoo(phys.New(1<<30), 4096) },
+	} {
+		t := mk()
+		populateHeap(t, heapChunks)
+		b.Run(t.Kind(), func(b *testing.B) {
+			x := uint64(1)
+			for i := 0; i < b.N; i++ {
+				x = x*6364136223846793005 + 1442695040888963407
+				op(t, heapBase+addr.VPN((x>>24)%(heapChunks*addr.EntriesPerTable)))
+			}
+		})
+	}
+}
+
+// presentSink keeps BenchmarkHeapPresent's result live.
+var presentSink bool
+
+// BenchmarkHeapPresent is the osmm.Touch predicate over a full heap.
+func BenchmarkHeapPresent(b *testing.B) {
+	benchHeap(b, func(t Table, vpn addr.VPN) { presentSink = t.Present(vpn) })
+}
+
+// BenchmarkHeapWalk is the hardware walk's table side over a full heap.
+func BenchmarkHeapWalk(b *testing.B) {
+	var w Walk
+	benchHeap(b, func(t Table, vpn addr.VPN) { t.WalkInto(vpn.Addr(), &w) })
+}

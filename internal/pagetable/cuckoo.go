@@ -29,10 +29,10 @@ type Cuckoo struct {
 	alloc *phys.Allocator
 	ways  [len(cuckooSalts)]cuckooWay
 	count uint64
-	// pfns holds the frame of every entry the slots tag, so a slot need
-	// hold only its VPN tag, and Lookup, Present, and Map's remap check
-	// read one store entry instead of probing d slots.
-	pfns vpnStore
+	// frames holds the frame of every entry the slots tag, so a slot
+	// need hold only its VPN tag, and Lookup, Present, and Map's remap
+	// check read one store record instead of probing d slots.
+	frames frameStore
 
 	stats CuckooStats
 }
@@ -48,7 +48,7 @@ type CuckooStats struct {
 // cuckooTab is one hash table (a way's old or new array during gradual
 // resizing): the VPN tag of each slot, their occupancy bitmap, and the
 // backing frames. The host slot is just the tag placement compares;
-// the PFN lives in Cuckoo.pfns. The modelled PTE is slotBytes wide
+// the PFN lives in Cuckoo.frames. The modelled PTE is slotBytes wide
 // regardless, and only it decides the slots' physical addresses.
 type cuckooTab struct {
 	tags   []addr.VPN
@@ -168,45 +168,57 @@ func (way *cuckooWay) holds(vpn addr.VPN) (tab *cuckooTab, idx int, ok bool) {
 }
 
 // Lookup implements Table.
-func (c *Cuckoo) Lookup(vpn addr.VPN) (Entry, bool) {
-	pfn, ok := c.pfns.get(vpn)
-	return Entry{PFN: pfn}, ok
-}
+func (c *Cuckoo) Lookup(vpn addr.VPN) (Entry, bool) { return c.frames.lookup(vpn) }
 
 // Present implements Table: the demand-paging fast predicate, one store
 // read.
-func (c *Cuckoo) Present(vpn addr.VPN) bool {
-	_, ok := c.pfns.get(vpn)
-	return ok
-}
+func (c *Cuckoo) Present(vpn addr.VPN) bool { return c.frames.present(vpn) }
 
 // WalkInto implements Table: d parallel probes, one per way.
 func (c *Cuckoo) WalkInto(v addr.V, w *Walk) {
 	w.Reset()
 	vpn := v.Page()
 	// Read the frame first: its load then overlaps the tag probes'.
-	pfn, _ := c.pfns.get(vpn)
+	e, _ := c.frames.lookup(vpn)
 	for i := range c.ways {
 		tab, idx, ok := c.ways[i].holds(vpn)
 		w.Par = append(w.Par, Access{HashLevel, slotPA(tab.frames, idx)})
 		if ok {
 			w.Found = true
 			w.FoundIdx = i
-			w.Entry.PFN = pfn
+			w.Entry = e
 		}
 	}
 }
 
 // Map implements Table.
-func (c *Cuckoo) Map(vpn addr.VPN, pfn addr.PFN) {
-	c.stats.Inserts++
-	if c.pfns.set(vpn, pfn) {
-		return // remapped in place: the slot holds only the tag
+func (c *Cuckoo) Map(vpn addr.VPN, pfn addr.PFN) { c.MapRange(vpn, 1, pfn) }
+
+// MapRange implements Table. Frames go into the store a chunk at a
+// time; then every page the chunk did not hold before gets a tag, in
+// page order. A remapped page needs none: its slot holds only the tag.
+// Placement never reads the store, so this places exactly as mapping
+// page by page would.
+func (c *Cuckoo) MapRange(vpn addr.VPN, count uint64, base addr.PFN) {
+	for count > 0 {
+		_, i := chunkOf(vpn)
+		n := min(addr.EntriesPerTable-i, count)
+		was := c.frames.presentMap(vpn)
+		c.frames.mapRange(vpn, n, base)
+		for k := uint64(0); k < n; k++ {
+			c.stats.Inserts++
+			if bitset.TestBit(was[:], i+k) {
+				continue
+			}
+			c.advanceMigrations()
+			c.insert(vpn+addr.VPN(k), 0)
+			c.count++
+			c.maybeResize()
+		}
+		vpn += addr.VPN(n)
+		base += addr.PFN(n)
+		count -= n
 	}
-	c.advanceMigrations()
-	c.insert(vpn, 0)
-	c.count++
-	c.maybeResize()
 }
 
 // insert places vpn's tag using cuckoo displacement. attempts bounds
@@ -239,13 +251,6 @@ func (c *Cuckoo) insert(vpn addr.VPN, attempts int) {
 	c.insert(vpn, attempts+1)
 }
 
-// MapRange implements Table.
-func (c *Cuckoo) MapRange(vpn addr.VPN, count uint64, base addr.PFN) {
-	for k := uint64(0); k < count; k++ {
-		c.Map(vpn+addr.VPN(k), base+addr.PFN(k))
-	}
-}
-
 // MapHuge implements Table. The ECH design keeps separate per-page-size
 // hash tables; this reproduction pairs the Huge Page mechanism with the
 // radix table instead, so huge mappings are not supported here.
@@ -255,7 +260,7 @@ func (c *Cuckoo) MapHuge(vpn addr.VPN, base addr.PFN) {
 
 // Unmap implements Table.
 func (c *Cuckoo) Unmap(vpn addr.VPN) (Entry, bool) {
-	pfn, ok := c.pfns.remove(vpn)
+	e, ok := c.frames.unmap(vpn)
 	if !ok {
 		return Entry{}, false
 	}
@@ -265,7 +270,7 @@ func (c *Cuckoo) Unmap(vpn addr.VPN) (Entry, bool) {
 			bitset.ClearBit(tab.occ, uint64(idx))
 			way.count--
 			c.count--
-			return Entry{PFN: pfn}, true
+			return e, true
 		}
 	}
 	panic("pagetable: cuckoo store maps a VPN no slot holds")
@@ -386,12 +391,12 @@ func (c *Cuckoo) MappedPages() uint64 { return c.count }
 
 // MetadataBytes implements Table: the tag arrays, their occupancy
 // bitmaps, and backing-frame directories of every way (old and new
-// tables both, during gradual resizing), plus the VPN-to-PFN store.
+// tables both, during gradual resizing), plus the frame store.
 func (c *Cuckoo) MetadataBytes() uint64 {
 	tab := func(t *cuckooTab) uint64 {
 		return uint64(len(t.tags)+len(t.occ)+len(t.frames)) * 8
 	}
-	total := c.pfns.bytes()
+	total := c.frames.bytes()
 	for i := range c.ways {
 		way := &c.ways[i]
 		total += tab(&way.cuckooTab)

@@ -166,15 +166,15 @@ func (c *Cuckoo) liveCount() uint64 {
 	return n
 }
 
-// checkCuckooStore asserts that the slots and the VPN store agree: as
-// many live occupied slots as MappedPages and store entries, and
+// checkCuckooStore asserts that the slots and the frame store agree: as
+// many live occupied slots as MappedPages and store pages, and
 // Present(vpn) agrees with Lookup(vpn). With full set it also resolves
-// every live tag through Lookup and audits the store's window/map split,
-// which costs time proportional to the table.
+// every live tag through Lookup and audits the store's layout, which
+// costs time proportional to the table.
 func checkCuckooStore(t *testing.T, c *Cuckoo, vpn addr.VPN, full bool) {
 	t.Helper()
-	if n := c.liveCount(); n != c.MappedPages() || n != c.pfns.n {
-		t.Fatalf("%d live slots, MappedPages %d, store entries %d", n, c.MappedPages(), c.pfns.n)
+	if n := c.liveCount(); n != c.MappedPages() || n != c.frames.pages() {
+		t.Fatalf("%d live slots, MappedPages %d, store pages %d", n, c.MappedPages(), c.frames.pages())
 	}
 	if _, ok := c.Lookup(vpn); c.Present(vpn) != ok {
 		t.Fatalf("Present(%#x) = %v, Lookup says %v", uint64(vpn), !ok, ok)
@@ -187,19 +187,7 @@ func checkCuckooStore(t *testing.T, c *Cuckoo, vpn addr.VPN, full bool) {
 			t.Fatalf("occupied tag %#x does not resolve through Lookup", uint64(tab.tags[idx]))
 		}
 	})
-	s := &c.pfns
-	n := uint64(len(s.sparse))
-	for _, p := range s.dense {
-		if p != 0 {
-			n++
-		}
-	}
-	if n != s.n {
-		t.Fatalf("store counts %d entries, holds %d", s.n, n)
-	}
-	for v := range s.sparse {
-		if uint64(v-s.base) < uint64(len(s.dense)) {
-			t.Fatalf("map key %#x lies inside the dense window", uint64(v))
-		}
+	if n := c.frames.audit(t); n != c.MappedPages() {
+		t.Fatalf("store holds %d pages, MappedPages %d", n, c.MappedPages())
 	}
 }

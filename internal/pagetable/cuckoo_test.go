@@ -200,7 +200,7 @@ func TestCuckooDeterministic(t *testing.T) {
 // heap populated the way the OS model does it, at the pr workload's
 // default footprint (5738 chunks, 11.2 GiB), must stay within the
 // 34.6 B/page of the layout that kept {vpn, pfn} in every slot. Random 40-bit VPNs must stay O(mapped pages)
-// too: the VPN store must not allocate per-key structure far larger
+// too: the frame store must not allocate per-key structure far larger
 // than a page's entry.
 func TestCuckooMetadataBounds(t *testing.T) {
 	dense := NewCuckoo(phys.New(1<<30), 4096)

@@ -11,25 +11,8 @@ import (
 )
 
 // flatChunks is the number of 512-entry runs in one flattened node
-// (2^18 entries / 512), and chunkWords the uint64 words of one chunk's
-// present bitmap.
-const (
-	flatChunks = addr.FlatEntries / addr.EntriesPerTable
-	chunkWords = addr.EntriesPerTable / 64
-)
-
-// flatChunk is one lazily materialized 512-entry run of a flattened
-// node: a bit-packed present set (64 B — one cache line) and the frame
-// numbers. Only chunks that hold mappings are resident, so a sparse
-// node (most of Table II's footprints) costs its pointer directory plus
-// ~4 KB per populated 2 MB span instead of a fully materialized 2^18
-// entry array, and the present probe of the demand-paging check stays
-// inside metadata small enough to be cache-resident.
-type flatChunk struct {
-	present [chunkWords]uint64
-	used    uint32 // mapped entries in this chunk; 0 releases the chunk
-	pfns    [addr.EntriesPerTable]addr.PFN
-}
+// (2^18 entries / 512).
+const flatChunks = addr.FlatEntries / addr.EntriesPerTable
 
 // flatNode is one flattened L2/L1 node: 2^18 entries covering 1 GB of
 // virtual space, replacing one PL2 node and its 512 PL1 children (paper
@@ -42,11 +25,10 @@ type flatChunk struct {
 // PTE access — because flattening removes the dependent pointer chase,
 // not the physical placement.
 //
-// The simulator-side metadata (which entries exist, and their frames) is
-// materialized per 512-entry chunk in leaves; the physical *backing* of
-// the node (chunks/chunkOK) is a separate axis — a chunk-backed node
-// lazily allocates PTE frames the first time a walk touches a 512-entry
-// run, whether or not any entry there is mapped.
+// Which entries exist, and their frames, live in the table's frame
+// store; the node holds only its physical *backing* (chunks/chunkOK) —
+// a chunk-backed node lazily allocates PTE frames the first time a walk
+// touches a 512-entry run, whether or not any entry there is mapped.
 type flatNode struct {
 	// contiguous 2 MB backing (preferred); base is valid when huge.
 	huge bool
@@ -55,20 +37,6 @@ type flatNode struct {
 	// chunkOK is a flatChunks-bit bitmap of which frames exist.
 	chunks  []addr.P
 	chunkOK []uint64
-
-	leaves [flatChunks]*flatChunk
-	used   int
-}
-
-// leafFor materializes and returns the chunk holding entry idx.
-func (n *flatNode) leafFor(idx uint64) *flatChunk {
-	ci := idx >> addr.LevelBits
-	c := n.leaves[ci]
-	if c == nil {
-		c = new(flatChunk)
-		n.leaves[ci] = c
-	}
-	return c
 }
 
 // Flattened is NDPage's page table: PL4 -> PL3 -> flattened L2/L1 leaf.
@@ -81,10 +49,12 @@ type Flattened struct {
 	// flats holds the flattened nodes indexed densely by the PL3 child
 	// slot (the 18-bit PL4+PL3 prefix), grown on demand. The simulator's
 	// address spaces bump-allocate from a fixed base, so occupied slots
-	// are a short dense run and the slice stays small — and Lookup, which
-	// runs on every demand-paging check of every load/store, indexes it
-	// with no map-bucket probe.
+	// are a short dense run and the slice stays small, and WalkInto
+	// indexes it with no map-bucket probe.
 	flats []*flatNode
+	// frames holds every mapped entry's frame; Lookup, Present and
+	// Unmap read only it.
+	frames frameStore
 
 	nodes      levelCounts
 	used       levelCounts
@@ -129,8 +99,7 @@ func (f *Flattened) newUpperNode(level addr.Level) *radixNode {
 	return n
 }
 
-// newFlatNode allocates the 1 GB-span leaf node. Entry metadata is not
-// materialized here — leaves fill in as chunks gain mappings.
+// newFlatNode allocates the 1 GB-span leaf node.
 func (f *Flattened) newFlatNode() *flatNode {
 	n := &flatNode{}
 	if base, ok := f.alloc.AllocHuge(); ok {
@@ -167,81 +136,31 @@ func (n *flatNode) pteAddr(alloc *phys.Allocator, idx uint64) addr.P {
 // PL4+PL3 prefix (18 bits).
 func pl3Slot(v addr.V) uint64 { return uint64(v >> 30) }
 
-// flatFor returns the flattened node covering v, creating the upper path
-// if requested.
-func (f *Flattened) flatFor(v addr.V, create bool) *flatNode {
+// buildPath creates the PL3 node and flattened node covering v.
+func (f *Flattened) buildPath(v addr.V) {
 	i4 := addr.Index(v, addr.PL4)
-	n3 := f.root.children[i4]
-	if n3 == nil {
-		if !create {
-			return nil
-		}
-		n3 = f.newUpperNode(addr.PL3)
-		f.root.children[i4] = n3
-		f.root.used++
+	if f.root.children[i4] == nil {
+		f.root.children[i4] = f.newUpperNode(addr.PL3)
 		f.used[addr.PL4]++
 	}
-	slot := pl3Slot(v)
-	fn := f.flatAt(slot)
-	if fn == nil {
-		if !create {
-			return nil
-		}
-		fn = f.newFlatNode()
-		f.setFlat(slot, fn)
-		n3.used++
+	if slot := pl3Slot(v); f.flatAt(slot) == nil {
+		f.setFlat(slot, f.newFlatNode())
 		f.used[addr.PL3]++
 	}
-	return fn
 }
 
 // Map implements Table.
-func (f *Flattened) Map(vpn addr.VPN, pfn addr.PFN) {
-	v := vpn.Addr()
-	fn := f.flatFor(v, true)
-	idx := addr.FlatIndex(v)
-	c := fn.leafFor(idx)
-	sub := idx & (addr.EntriesPerTable - 1)
-	if bitset.SetBit(c.present[:], sub) {
-		c.used++
-		fn.used++
-		f.used[addr.L2L1]++
-		f.mapped++
-	}
-	c.pfns[sub] = pfn
-}
+func (f *Flattened) Map(vpn addr.VPN, pfn addr.PFN) { f.MapRange(vpn, 1, pfn) }
 
-// MapRange implements Table: chunks are filled in bulk — present bits a
-// word at a time (the popcount of the freshly set bits maintains the
-// used counts) and frames linearly — without re-deriving the node and
-// chunk per entry.
+// MapRange implements Table, one flattened node's span at a time.
 func (f *Flattened) MapRange(vpn addr.VPN, count uint64, base addr.PFN) {
 	for count > 0 {
 		v := vpn.Addr()
-		fn := f.flatFor(v, true)
-		idx := addr.FlatIndex(v)
-		n := uint64(addr.FlatEntries) - idx
-		if n > count {
-			n = count
-		}
-		for filled := uint64(0); filled < n; {
-			c := fn.leafFor(idx + filled)
-			sub := (idx + filled) & (addr.EntriesPerTable - 1)
-			run := uint64(addr.EntriesPerTable) - sub
-			if run > n-filled {
-				run = n - filled
-			}
-			fresh := bitset.SetRun(c.present[:], sub, run)
-			c.used += uint32(fresh)
-			fn.used += int(fresh)
-			f.used[addr.L2L1] += fresh
-			f.mapped += fresh
-			b := base + addr.PFN(filled)
-			for k := uint64(0); k < run; k++ {
-				c.pfns[sub+k] = b + addr.PFN(k)
-			}
-			filled += run
-		}
+		f.buildPath(v)
+		n := min(addr.FlatEntries-addr.FlatIndex(v), count)
+		fresh := f.frames.mapRange(vpn, n, base)
+		f.used[addr.L2L1] += fresh
+		f.mapped += fresh
 		vpn += addr.VPN(n)
 		base += addr.PFN(n)
 		count -= n
@@ -259,67 +178,20 @@ func (f *Flattened) MapHuge(vpn addr.VPN, base addr.PFN) {
 }
 
 // Lookup implements Table.
-func (f *Flattened) Lookup(vpn addr.VPN) (Entry, bool) {
-	v := vpn.Addr()
-	fn := f.flatFor(v, false)
-	if fn == nil {
-		return Entry{}, false
-	}
-	idx := addr.FlatIndex(v)
-	c := fn.leaves[idx>>addr.LevelBits]
-	if c == nil {
-		return Entry{}, false
-	}
-	sub := idx & (addr.EntriesPerTable - 1)
-	if !bitset.TestBit(c.present[:], sub) {
-		return Entry{}, false
-	}
-	return Entry{PFN: c.pfns[sub]}, true
-}
+func (f *Flattened) Lookup(vpn addr.VPN) (Entry, bool) { return f.frames.lookup(vpn) }
 
-// Present implements Table: the demand-paging fast predicate. It reads
-// only the chunk directory and one present word — no frame load, no
-// Entry construction — so the 99%-hit path of osmm.Touch stays inside a
-// few cache lines of resident metadata.
-func (f *Flattened) Present(vpn addr.VPN) bool {
-	v := vpn.Addr()
-	fn := f.flatFor(v, false)
-	if fn == nil {
-		return false
-	}
-	idx := addr.FlatIndex(v)
-	c := fn.leaves[idx>>addr.LevelBits]
-	return c != nil && bitset.TestBit(c.present[:], idx&(addr.EntriesPerTable-1))
-}
+// Present implements Table: the demand-paging fast predicate, one frame
+// store read.
+func (f *Flattened) Present(vpn addr.VPN) bool { return f.frames.present(vpn) }
 
-// Unmap implements Table. A chunk whose last entry is unmapped is
-// released, so reclaim (which evicts whole 2 MB spans) returns the
-// metadata too.
+// Unmap implements Table.
 func (f *Flattened) Unmap(vpn addr.VPN) (Entry, bool) {
-	v := vpn.Addr()
-	fn := f.flatFor(v, false)
-	if fn == nil {
-		return Entry{}, false
+	e, ok := f.frames.unmap(vpn)
+	if ok {
+		f.used[addr.L2L1]--
+		f.mapped--
 	}
-	idx := addr.FlatIndex(v)
-	ci := idx >> addr.LevelBits
-	c := fn.leaves[ci]
-	if c == nil {
-		return Entry{}, false
-	}
-	sub := idx & (addr.EntriesPerTable - 1)
-	if !bitset.ClearBit(c.present[:], sub) {
-		return Entry{}, false
-	}
-	e := Entry{PFN: c.pfns[sub]}
-	c.used--
-	fn.used--
-	f.used[addr.L2L1]--
-	f.mapped--
-	if c.used == 0 {
-		fn.leaves[ci] = nil
-	}
-	return e, true
+	return e, ok
 }
 
 // WalkInto implements Table: PL4 access, PL3 access, then one directly
@@ -338,15 +210,8 @@ func (f *Flattened) WalkInto(v addr.V, w *Walk) {
 	if fn == nil {
 		return
 	}
-	idx := addr.FlatIndex(v)
-	w.Seq = append(w.Seq, Access{addr.L2L1, fn.pteAddr(f.alloc, idx)})
-	c := fn.leaves[idx>>addr.LevelBits]
-	sub := idx & (addr.EntriesPerTable - 1)
-	if c == nil || !bitset.TestBit(c.present[:], sub) {
-		return
-	}
-	w.Found = true
-	w.Entry = Entry{PFN: c.pfns[sub]}
+	w.Seq = append(w.Seq, Access{addr.L2L1, fn.pteAddr(f.alloc, addr.FlatIndex(v))})
+	w.Entry, w.Found = f.frames.lookup(v.Page())
 }
 
 // Occupancy implements Table. The L2L1 row reports the paper's "combined
@@ -367,26 +232,19 @@ func (f *Flattened) Occupancy() []LevelOccupancy {
 func (f *Flattened) MappedPages() uint64 { return f.mapped }
 
 // MetadataBytes implements Table: the simulator-side resident metadata —
-// the upper nodes' child directories, the dense node index, and per
-// flattened node its chunk directory plus only the materialized chunks.
+// the upper nodes' child directories, the dense node index, each
+// flattened node's backing directory, and the frame store.
 func (f *Flattened) MetadataBytes() uint64 {
 	const ptr = uint64(unsafe.Sizeof((*flatNode)(nil)))
 	total := (f.nodes[addr.PL4] + f.nodes[addr.PL3]) *
 		(uint64(unsafe.Sizeof(radixNode{})) + addr.EntriesPerTable*ptr)
 	total += uint64(len(f.flats)) * ptr
 	for _, fn := range f.flats {
-		if fn == nil {
-			continue
-		}
-		total += uint64(unsafe.Sizeof(*fn))
-		total += uint64(len(fn.chunks))*8 + uint64(len(fn.chunkOK))*8
-		for _, c := range fn.leaves {
-			if c != nil {
-				total += uint64(unsafe.Sizeof(*c))
-			}
+		if fn != nil {
+			total += uint64(unsafe.Sizeof(*fn)) + uint64(len(fn.chunks)+len(fn.chunkOK))*8
 		}
 	}
-	return total
+	return total + f.frames.bytes()
 }
 
 // HugeBackedNodes returns how many flattened nodes obtained a contiguous

@@ -259,3 +259,14 @@ func TestFlattenedSparseNodeMetadataBudget(t *testing.T) {
 	g.MapRange(0, addr.FlatEntries, 0)
 	t.Logf("dense flat node metadata: %d B", g.MetadataBytes()-base)
 }
+
+// TestFlattenedMetadataBounds bounds resident metadata per mapped page
+// at the pr workload's default footprint (5738 chunks, 11.2 GiB): one
+// frame store record per 2 MB chunk, no frame arrays.
+func TestFlattenedMetadataBounds(t *testing.T) {
+	f := NewFlattened(phys.New(1 << 30))
+	populateHeap(f, 5738)
+	if got := float64(f.MetadataBytes()) / float64(f.MappedPages()); got > 0.26 {
+		t.Errorf("dense heap: %.3f B/page, want <= 0.26", got)
+	}
+}

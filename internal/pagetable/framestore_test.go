@@ -1,0 +1,233 @@
+package pagetable
+
+import (
+	"testing"
+
+	"ndpage/internal/addr"
+	"ndpage/internal/bitset"
+	"ndpage/internal/xrand"
+)
+
+// audit checks the store's layout invariants — every record's count
+// matches its present map, a huge record is full and array-free, the
+// live and array counters match the records, empty records hold nothing,
+// and no map key lies inside the dense window — and returns the pages
+// it holds.
+func (s *frameStore) audit(t *testing.T) (pages uint64) {
+	t.Helper()
+	var live, arrays uint64
+	check := func(chunk uint64, r *chunkRec) {
+		n := bitset.Count(r.present[:])
+		if n != uint64(r.n) {
+			t.Fatalf("chunk %#x counts %d pages, present map holds %d", chunk, r.n, n)
+		}
+		if r.huge && (n != addr.EntriesPerTable || r.pfns != nil) {
+			t.Fatalf("huge chunk %#x holds %d pages, frame array %v", chunk, n, r.pfns != nil)
+		}
+		if n == 0 && *r != (chunkRec{}) {
+			t.Fatalf("empty chunk %#x not cleared: %+v", chunk, *r)
+		}
+		if n > 0 {
+			live++
+		}
+		if r.pfns != nil {
+			arrays++
+		}
+		pages += n
+	}
+	for i := range s.dense {
+		check(s.base+uint64(i), &s.dense[i])
+	}
+	for c, r := range s.sparse {
+		if c-s.base < uint64(len(s.dense)) {
+			t.Fatalf("map key %#x lies inside the dense window", c)
+		}
+		if r.n == 0 {
+			t.Fatalf("empty sparse record %#x kept", c)
+		}
+		check(c, r)
+	}
+	if live != s.live || arrays != s.arrays {
+		t.Fatalf("store counts %d live records and %d arrays, holds %d and %d", s.live, s.arrays, live, arrays)
+	}
+	return pages
+}
+
+// pages sums the records' page counts: the pages the store holds,
+// without the per-record bitmap scan audit makes.
+func (s *frameStore) pages() (n uint64) {
+	for i := range s.dense {
+		n += uint64(s.dense[i].n)
+	}
+	for _, r := range s.sparse {
+		n += uint64(r.n)
+	}
+	return n
+}
+
+// TestFrameStoreMatchesMap drives the store and a Go map through
+// ascending, descending and every-other page runs, MapRange runs over
+// chunk boundaries, scattered 40-bit keys, remaps, huge mappings and
+// removals, and requires identical answers, a consistent layout, and
+// memory proportional to the chunks held.
+func TestFrameStoreMatchesMap(t *testing.T) {
+	var s frameStore
+	model := map[addr.VPN]addr.PFN{}
+	huge := map[addr.VPN]addr.PFN{} // chunk base -> frame of huge chunks
+	rng := xrand.New(3)
+	set := func(vpn addr.VPN, pfn addr.PFN) {
+		if _, ok := huge[vpn&^(addr.EntriesPerTable-1)]; ok {
+			return
+		}
+		_, had := model[vpn]
+		if got := s.mapRange(vpn, 1, pfn); (got == 1) == had {
+			t.Fatalf("mapRange(%#x) fresh = %d, page was mapped: %v", uint64(vpn), got, had)
+		}
+		model[vpn] = pfn
+	}
+	for round := 0; round < 300; round++ {
+		base := addr.VPN(1<<27 + rng.Uint64n(1<<16))
+		n := rng.Uint64n(2048) + 1
+		switch rng.Uint64n(7) {
+		case 0: // ascending run, consecutive frames
+			pfn := addr.PFN(rng.Uint64n(1 << 30))
+			for k := uint64(0); k < n; k++ {
+				set(base+addr.VPN(k), pfn+addr.PFN(k))
+			}
+		case 1: // descending run, scattered frames
+			for k := uint64(0); k < n; k++ {
+				set(base-addr.VPN(k), addr.PFN(rng.Uint64n(1<<30)))
+			}
+		case 2: // every other page
+			for k := uint64(0); k < n; k++ {
+				set(base+addr.VPN(2*k), addr.PFN(rng.Uint64n(1<<30)))
+			}
+		case 3: // scattered keys
+			for k := uint64(0); k < n/16+1; k++ {
+				set(addr.VPN(rng.Uint64n(1<<40)), addr.PFN(rng.Uint64n(1<<30)))
+			}
+		case 4: // a range, possibly over chunk boundaries
+			pfn := addr.PFN(rng.Uint64n(1 << 30))
+			clear := true
+			for k := uint64(0); k < n; k++ {
+				if _, ok := huge[(base+addr.VPN(k))&^(addr.EntriesPerTable-1)]; ok {
+					clear = false
+				}
+			}
+			if !clear {
+				break
+			}
+			var want uint64
+			for k := uint64(0); k < n; k++ {
+				if _, ok := model[base+addr.VPN(k)]; !ok {
+					want++
+				}
+				model[base+addr.VPN(k)] = pfn + addr.PFN(k)
+			}
+			if got := s.mapRange(base, n, pfn); got != want {
+				t.Fatalf("mapRange(%#x, %d) fresh = %d, want %d", uint64(base), n, got, want)
+			}
+		case 5: // a huge mapping over an empty (or huge) chunk
+			chunk := base &^ (addr.EntriesPerTable - 1)
+			empty := true
+			for k := addr.VPN(0); k < addr.EntriesPerTable; k++ {
+				if _, ok := model[chunk+k]; ok {
+					empty = false
+				}
+			}
+			if !empty {
+				break
+			}
+			_, was := huge[chunk]
+			pfn := addr.PFN(rng.Uint64n(1 << 30))
+			if s.mapHuge(chunk, pfn) == was {
+				t.Fatalf("mapHuge(%#x) fresh = %v, was huge: %v", uint64(chunk), !was, was)
+			}
+			huge[chunk] = pfn
+		default: // removals
+			for k := uint64(0); k < n; k++ {
+				vpn := base + addr.VPN(k)
+				chunk := vpn &^ (addr.EntriesPerTable - 1)
+				got, ok := s.unmap(vpn)
+				if hp, hok := huge[chunk]; hok {
+					if !ok || got != (Entry{PFN: hp, Huge: true}) {
+						t.Fatalf("unmap(%#x) = %+v,%v want huge %d", uint64(vpn), got, ok, hp)
+					}
+					delete(huge, chunk)
+					continue
+				}
+				want, wok := model[vpn]
+				if ok != wok || got != (Entry{PFN: want}) && wok {
+					t.Fatalf("unmap(%#x) = %+v,%v want %d,%v", uint64(vpn), got, ok, want, wok)
+				}
+				delete(model, vpn)
+			}
+		}
+		pages := s.audit(t)
+		if want := uint64(len(model) + len(huge)*addr.EntriesPerTable); pages != want {
+			t.Fatalf("round %d: store holds %d pages, model %d", round, pages, want)
+		}
+		for vpn, want := range model {
+			if e, ok := s.lookup(vpn); !ok || e != (Entry{PFN: want}) || !s.present(vpn) {
+				t.Fatalf("round %d: lookup(%#x) = %+v,%v want %d", round, uint64(vpn), e, ok, want)
+			}
+		}
+		for chunk, want := range huge {
+			v := chunk + addr.VPN(rng.Uint64n(addr.EntriesPerTable))
+			if e, ok := s.lookup(v); !ok || e != (Entry{PFN: want, Huge: true}) {
+				t.Fatalf("round %d: lookup(%#x) = %+v,%v want huge %d", round, uint64(v), e, ok, want)
+			}
+		}
+	}
+	if s.present(addr.VPN(1) << 45) {
+		t.Error("present of an unmapped far key")
+	}
+	if per := float64(s.bytes()) / float64(s.live); per > 8*1024 {
+		t.Errorf("store holds %.1f B per chunk, want <= 8 KB", per)
+	}
+}
+
+// TestFrameStoreExtents pins when a chunk's frame array materializes:
+// never for a chunk mapped base+i, whether in one run, page by page, or
+// over a chunk boundary; on the first mapping off that line; and it is
+// dropped again when a run remaps every present page, or the chunk
+// empties and is re-mapped from another base.
+func TestFrameStoreExtents(t *testing.T) {
+	var s frameStore
+	const c0 = addr.VPN(1) << 27
+	s.mapRange(c0+256, addr.EntriesPerTable, 5000) // straddles two chunks
+	for k := addr.VPN(0); k < 256; k++ {
+		s.mapRange(c0+k, 1, 5000-256+addr.PFN(k)) // page by page below it
+	}
+	if s.arrays != 0 {
+		t.Fatalf("contiguous mappings spelled %d frame arrays", s.arrays)
+	}
+	s.mapRange(c0+7, 1, 99) // remap inside the extent
+	if s.arrays != 1 {
+		t.Fatalf("remap inside an extent: %d arrays, want 1", s.arrays)
+	}
+	for _, c := range []struct {
+		vpn addr.VPN
+		pfn addr.PFN
+	}{{c0 + 7, 99}, {c0 + 8, 5000 - 256 + 8}, {c0 + 600, 5000 + 600 - 256}} {
+		if e, ok := s.lookup(c.vpn); !ok || e.PFN != c.pfn {
+			t.Fatalf("lookup(%#x) = %+v,%v want %d", uint64(c.vpn), e, ok, c.pfn)
+		}
+	}
+	s.mapRange(c0, addr.EntriesPerTable, 8000) // remap the whole chunk
+	if s.arrays != 0 {
+		t.Fatalf("whole-chunk remap kept %d arrays", s.arrays)
+	}
+	s.mapRange(c0+3, 1, 1) // break it again, then empty the chunk
+	for k := addr.VPN(0); k < addr.EntriesPerTable; k++ {
+		s.unmap(c0 + k)
+	}
+	if s.arrays != 0 || s.rec(uint64(c0)>>addr.LevelBits).n != 0 {
+		t.Fatalf("emptied chunk keeps %d arrays", s.arrays)
+	}
+	s.mapRange(c0+10, 20, 300) // re-map from another base
+	if e, _ := s.lookup(c0 + 12); s.arrays != 0 || e.PFN != 302 {
+		t.Fatalf("re-mapped chunk: %d arrays, lookup %+v", s.arrays, e)
+	}
+	s.audit(t)
+}

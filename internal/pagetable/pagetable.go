@@ -13,10 +13,16 @@
 // A Table does two jobs: it is the *functional* map from virtual page
 // numbers to physical frames (Map/Lookup), and it is the *timing* oracle
 // telling the hardware walker which physical PTE addresses a walk for a
-// given address touches (Walk). Every table node is backed by real frames
-// from the shared physical allocator, so PTE accesses land in the same
-// DRAM banks as data and contend with it — that contention is the
-// paper's motivation.
+// given address touches (Walk). The two are kept apart. The functional
+// map is one frameStore per table, shared in design by all three: a
+// record per 2 MB chunk with its present bits and, since chunks are
+// nearly always backed by one contiguous block, a base frame instead
+// of 512 frame numbers. Lookup, Present and Unmap read only the store.
+// The radix tree, flattened nodes and cuckoo ways keep only what
+// decides PTE addresses and occupancy: node frames, used counts and
+// tags. Every table node is backed by real frames from the shared
+// physical allocator, so PTE accesses land in the same DRAM banks as
+// data and contend with it — that contention is the paper's motivation.
 package pagetable
 
 import (

@@ -213,3 +213,15 @@ func TestRadixNodesBackedByDistinctFrames(t *testing.T) {
 		t.Errorf("table consumed %d frames, want 6", used)
 	}
 }
+
+// TestRadixMetadataBounds bounds resident metadata per mapped page at
+// the pr workload's default footprint (5738 chunks, 11.2 GiB), populated
+// the way the OS model does it: every chunk is one extent in the frame
+// store, so a PL1 node costs its header and one store record.
+func TestRadixMetadataBounds(t *testing.T) {
+	r := NewRadix(phys.New(1 << 30))
+	populateHeap(r, 5738)
+	if got := float64(r.MetadataBytes()) / float64(r.MappedPages()); got > 0.36 {
+		t.Errorf("dense heap: %.3f B/page, want <= 0.36", got)
+	}
+}

@@ -111,7 +111,6 @@ func (f *refFlattened) flatFor(v addr.V, create bool) *refFlatNode {
 		}
 		n3 = f.newUpperNode(addr.PL3)
 		f.root.children[i4] = n3
-		f.root.used++
 		f.used[addr.PL4]++
 	}
 	slot := pl3Slot(v)
@@ -125,7 +124,6 @@ func (f *refFlattened) flatFor(v addr.V, create bool) *refFlatNode {
 			f.flats = append(f.flats, nil)
 		}
 		f.flats[slot] = fn
-		n3.used++
 		f.used[addr.PL3]++
 	}
 	return fn
@@ -183,6 +181,11 @@ func (f *refFlattened) Lookup(vpn addr.VPN) (Entry, bool) {
 		return Entry{}, false
 	}
 	return Entry{PFN: fn.pfns[idx]}, true
+}
+
+func (f *refFlattened) Present(vpn addr.VPN) bool {
+	_, ok := f.Lookup(vpn)
+	return ok
 }
 
 func (f *refFlattened) Unmap(vpn addr.VPN) (Entry, bool) {
@@ -436,3 +439,402 @@ func TestCuckooDifferentialAgainstReference(t *testing.T) {
 		t.Fatalf("MappedPages = %d, want %d", g, w)
 	}
 }
+
+// refRadixNode is the radix node layout from before the frame store:
+// leaves hold their own present flags and frames, PL2 nodes their 2 MB
+// leaf entries.
+type refRadixNode struct {
+	basePA   addr.P
+	level    addr.Level
+	children []*refRadixNode
+	present  []bool
+	pfns     []addr.PFN
+	huge     []bool
+	hugePFN  []addr.PFN
+}
+
+// refRadix is the Radix implementation from before the frame store,
+// kept in behavior (node allocation order included) as the reference
+// the frame-store Radix must match access for access.
+type refRadix struct {
+	alloc  *phys.Allocator
+	root   *refRadixNode
+	nodes  levelCounts
+	used   levelCounts
+	mapped uint64
+}
+
+func newRefRadix(alloc *phys.Allocator) *refRadix {
+	r := &refRadix{alloc: alloc}
+	r.root = r.newNode(addr.PL4)
+	return r
+}
+
+func (r *refRadix) newNode(level addr.Level) *refRadixNode {
+	pfn, ok := r.alloc.AllocFrame()
+	if !ok {
+		panic("ref: out of physical memory for a radix node")
+	}
+	n := &refRadixNode{basePA: pfn.Addr(), level: level}
+	if level == addr.PL1 {
+		n.present = make([]bool, addr.EntriesPerTable)
+		n.pfns = make([]addr.PFN, addr.EntriesPerTable)
+	} else {
+		n.children = make([]*refRadixNode, addr.EntriesPerTable)
+		n.huge = make([]bool, addr.EntriesPerTable)
+		n.hugePFN = make([]addr.PFN, addr.EntriesPerTable)
+	}
+	r.nodes[level]++
+	return n
+}
+
+// child returns the child of n at idx, creating it when create is set.
+func (r *refRadix) child(n *refRadixNode, idx uint64, create bool) *refRadixNode {
+	if c := n.children[idx]; c != nil || !create {
+		return c
+	}
+	c := r.newNode(n.level - 1)
+	n.children[idx] = c
+	r.used[n.level]++
+	return c
+}
+
+// pl2For returns the PL2 node covering vpn (nil when absent and not
+// created).
+func (r *refRadix) pl2For(vpn addr.VPN, create bool) *refRadixNode {
+	n := r.child(r.root, addr.Index(vpn.Addr(), addr.PL4), create)
+	if n == nil {
+		return nil
+	}
+	return r.child(n, addr.Index(vpn.Addr(), addr.PL3), create)
+}
+
+// hugeAt and leafAt report what a Radix would panic on: a 4 KB map
+// under a 2 MB leaf, or a 2 MB map over an existing PL1 node.
+func (r *refRadix) hugeAt(vpn addr.VPN) bool {
+	n := r.pl2For(vpn, false)
+	return n != nil && n.huge[addr.Index(vpn.Addr(), addr.PL2)]
+}
+
+func (r *refRadix) leafAt(vpn addr.VPN) bool {
+	n := r.pl2For(vpn, false)
+	return n != nil && n.children[addr.Index(vpn.Addr(), addr.PL2)] != nil
+}
+
+func (r *refRadix) Map(vpn addr.VPN, pfn addr.PFN) {
+	leaf := r.child(r.pl2For(vpn, true), addr.Index(vpn.Addr(), addr.PL2), true)
+	i1 := addr.Index(vpn.Addr(), addr.PL1)
+	if !leaf.present[i1] {
+		leaf.present[i1] = true
+		r.used[addr.PL1]++
+		r.mapped++
+	}
+	leaf.pfns[i1] = pfn
+}
+
+func (r *refRadix) MapRange(vpn addr.VPN, count uint64, base addr.PFN) {
+	for k := uint64(0); k < count; k++ {
+		r.Map(vpn+addr.VPN(k), base+addr.PFN(k))
+	}
+}
+
+func (r *refRadix) MapHuge(vpn addr.VPN, base addr.PFN) {
+	n := r.pl2For(vpn, true)
+	i2 := addr.Index(vpn.Addr(), addr.PL2)
+	if !n.huge[i2] {
+		n.huge[i2] = true
+		r.used[addr.PL2]++
+		r.mapped += addr.EntriesPerTable
+	}
+	n.hugePFN[i2] = base
+}
+
+func (r *refRadix) Lookup(vpn addr.VPN) (Entry, bool) {
+	n := r.pl2For(vpn, false)
+	if n == nil {
+		return Entry{}, false
+	}
+	i2 := addr.Index(vpn.Addr(), addr.PL2)
+	if n.huge[i2] {
+		return Entry{PFN: n.hugePFN[i2], Huge: true}, true
+	}
+	leaf := n.children[i2]
+	i1 := addr.Index(vpn.Addr(), addr.PL1)
+	if leaf == nil || !leaf.present[i1] {
+		return Entry{}, false
+	}
+	return Entry{PFN: leaf.pfns[i1]}, true
+}
+
+func (r *refRadix) Present(vpn addr.VPN) bool {
+	_, ok := r.Lookup(vpn)
+	return ok
+}
+
+func (r *refRadix) Unmap(vpn addr.VPN) (Entry, bool) {
+	e, ok := r.Lookup(vpn)
+	if !ok {
+		return e, false
+	}
+	n := r.pl2For(vpn, false)
+	if i2 := addr.Index(vpn.Addr(), addr.PL2); e.Huge {
+		n.huge[i2] = false
+		r.used[addr.PL2]--
+		r.mapped -= addr.EntriesPerTable
+	} else {
+		n.children[i2].present[addr.Index(vpn.Addr(), addr.PL1)] = false
+		r.used[addr.PL1]--
+		r.mapped--
+	}
+	return e, true
+}
+
+func (r *refRadix) WalkInto(v addr.V, w *Walk) {
+	w.Reset()
+	n := r.root
+	for _, l := range []addr.Level{addr.PL4, addr.PL3, addr.PL2, addr.PL1} {
+		i := addr.Index(v, l)
+		w.Seq = append(w.Seq, Access{l, pteAddr(n.basePA, i)})
+		if l == addr.PL1 {
+			if n.present[i] {
+				w.Found, w.Entry = true, Entry{PFN: n.pfns[i]}
+			}
+			return
+		}
+		if n.huge[i] {
+			w.Found, w.Entry = true, Entry{PFN: n.hugePFN[i], Huge: true}
+			return
+		}
+		if n = n.children[i]; n == nil {
+			return
+		}
+	}
+}
+
+func (r *refRadix) Occupancy() []LevelOccupancy {
+	var out []LevelOccupancy
+	for _, l := range []addr.Level{addr.PL4, addr.PL3, addr.PL2, addr.PL1} {
+		out = append(out, LevelOccupancy{Level: l, Nodes: r.nodes[l], EntriesUsed: r.used[l],
+			Capacity: r.nodes[l] * addr.EntriesPerTable})
+	}
+	return out
+}
+
+func (r *refRadix) MappedPages() uint64 { return r.mapped }
+
+// refSlot is one slot of the original ECH layout: the whole {vpn, pfn}
+// translation lives in the slot.
+type refSlot struct {
+	vpn  addr.VPN
+	pfn  addr.PFN
+	full bool
+}
+
+type refCuckooTab struct {
+	slots  []refSlot
+	frames []addr.P
+}
+
+type refCuckooWay struct {
+	refCuckooTab
+	salt     uint64
+	count    int
+	resizing bool
+	newTab   refCuckooTab
+	migPtr   int
+}
+
+// refCuckoo is the elastic cuckoo table in its original layout — frames
+// in the slots, every lookup probing the d ways — kept in behavior
+// (placement, resize and migration points, frame allocation order) as
+// the reference the tag-only table over the frame store must match.
+type refCuckoo struct {
+	alloc *phys.Allocator
+	ways  [len(cuckooSalts)]refCuckooWay
+	count uint64
+}
+
+func newRefCuckoo(alloc *phys.Allocator, initialSlots int) *refCuckoo {
+	size := slotsPerFrame
+	for size < initialSlots {
+		size *= 2
+	}
+	c := &refCuckoo{alloc: alloc}
+	for i, salt := range cuckooSalts {
+		c.ways[i] = refCuckooWay{refCuckooTab: c.newTab(size), salt: salt}
+	}
+	return c
+}
+
+func (c *refCuckoo) newTab(size int) refCuckooTab {
+	t := refCuckooTab{slots: make([]refSlot, size), frames: make([]addr.P, (size+slotsPerFrame-1)/slotsPerFrame)}
+	for i := range t.frames {
+		pfn, ok := c.alloc.AllocFrame()
+		if !ok {
+			panic("ref: out of physical memory for a cuckoo way")
+		}
+		t.frames[i] = pfn.Addr()
+	}
+	return t
+}
+
+// probe returns the slot a lookup for vpn reads in the way.
+func (way *refCuckooWay) probe(vpn addr.VPN) (*refCuckooTab, int) {
+	h := int(xrand.Hash64(uint64(vpn) ^ way.salt))
+	if i := h & (len(way.slots) - 1); !way.resizing || i >= way.migPtr {
+		return &way.refCuckooTab, i
+	}
+	return &way.newTab, h & (len(way.newTab.slots) - 1)
+}
+
+// find returns the slot holding vpn, nil when none does.
+func (c *refCuckoo) find(vpn addr.VPN) *refSlot {
+	for i := range c.ways {
+		tab, idx := c.ways[i].probe(vpn)
+		if s := &tab.slots[idx]; s.full && s.vpn == vpn {
+			return s
+		}
+	}
+	return nil
+}
+
+func (c *refCuckoo) Lookup(vpn addr.VPN) (Entry, bool) {
+	if s := c.find(vpn); s != nil {
+		return Entry{PFN: s.pfn}, true
+	}
+	return Entry{}, false
+}
+
+func (c *refCuckoo) Present(vpn addr.VPN) bool { return c.find(vpn) != nil }
+
+func (c *refCuckoo) Map(vpn addr.VPN, pfn addr.PFN) {
+	if s := c.find(vpn); s != nil {
+		s.pfn = pfn
+		return
+	}
+	c.advanceMigrations()
+	c.insert(refSlot{vpn, pfn, true}, 0)
+	c.count++
+	for i := range c.ways {
+		way := &c.ways[i]
+		if !way.resizing && float64(way.count) > cuckooThreshold*float64(len(way.slots)) {
+			c.beginResize(way)
+		}
+	}
+}
+
+func (c *refCuckoo) insert(e refSlot, attempts int) {
+	if attempts > 8 {
+		panic("ref: cuckoo insertion failed")
+	}
+	w := int(uint64(e.vpn) % uint64(len(c.ways)))
+	for kick := 0; kick < 32; kick++ {
+		way := &c.ways[w]
+		tab, idx := way.probe(e.vpn)
+		if !tab.slots[idx].full {
+			tab.slots[idx] = e
+			way.count++
+			return
+		}
+		tab.slots[idx], e = e, tab.slots[idx]
+		w = (w + 1) % len(c.ways)
+	}
+	c.forceResize()
+	c.advanceMigrations()
+	c.insert(e, attempts+1)
+}
+
+func (c *refCuckoo) MapRange(vpn addr.VPN, count uint64, base addr.PFN) {
+	for k := uint64(0); k < count; k++ {
+		c.Map(vpn+addr.VPN(k), base+addr.PFN(k))
+	}
+}
+
+func (c *refCuckoo) Unmap(vpn addr.VPN) (Entry, bool) {
+	for i := range c.ways {
+		way := &c.ways[i]
+		tab, idx := way.probe(vpn)
+		if s := &tab.slots[idx]; s.full && s.vpn == vpn {
+			s.full = false
+			way.count--
+			c.count--
+			return Entry{PFN: s.pfn}, true
+		}
+	}
+	return Entry{}, false
+}
+
+func (c *refCuckoo) forceResize() {
+	var target *refCuckooWay
+	best := -1.0
+	for i := range c.ways {
+		way := &c.ways[i]
+		if lf := float64(way.count) / float64(len(way.slots)); !way.resizing && lf > best {
+			best, target = lf, way
+		}
+	}
+	if target != nil {
+		c.beginResize(target)
+		return
+	}
+	for i := range c.ways {
+		for c.ways[i].resizing {
+			c.migrate(&c.ways[i], len(c.ways[i].slots))
+		}
+	}
+}
+
+func (c *refCuckoo) beginResize(way *refCuckooWay) {
+	way.resizing = true
+	way.newTab = c.newTab(2 * len(way.slots))
+	way.migPtr = 0
+}
+
+func (c *refCuckoo) advanceMigrations() {
+	for i := range c.ways {
+		if c.ways[i].resizing {
+			c.migrate(&c.ways[i], cuckooMigrateStep)
+		}
+	}
+}
+
+func (c *refCuckoo) migrate(way *refCuckooWay, n int) {
+	for i := 0; i < n && way.migPtr < len(way.slots); i++ {
+		s := way.slots[way.migPtr]
+		way.migPtr++
+		if s.full {
+			h := int(xrand.Hash64(uint64(s.vpn)^way.salt)) & (len(way.newTab.slots) - 1)
+			way.newTab.slots[h] = s
+		}
+	}
+	if way.migPtr >= len(way.slots) {
+		for _, f := range way.frames {
+			c.alloc.Free(f.Page())
+		}
+		way.refCuckooTab = way.newTab
+		way.newTab = refCuckooTab{}
+		way.resizing = false
+	}
+}
+
+func (c *refCuckoo) WalkInto(v addr.V, w *Walk) {
+	w.Reset()
+	vpn := v.Page()
+	for i := range c.ways {
+		tab, idx := c.ways[i].probe(vpn)
+		w.Par = append(w.Par, Access{HashLevel, slotPA(tab.frames, idx)})
+		if s := tab.slots[idx]; s.full && s.vpn == vpn {
+			w.Found, w.FoundIdx, w.Entry = true, i, Entry{PFN: s.pfn}
+		}
+	}
+}
+
+func (c *refCuckoo) Occupancy() []LevelOccupancy {
+	var capacity uint64
+	for i := range c.ways {
+		capacity += uint64(len(c.ways[i].slots) + len(c.ways[i].newTab.slots))
+	}
+	return []LevelOccupancy{{Level: HashLevel, Nodes: uint64(len(c.ways)), EntriesUsed: c.count, Capacity: capacity}}
+}
+
+func (c *refCuckoo) MappedPages() uint64 { return c.count }

@@ -21,19 +21,19 @@
 // the golden tests pin that timing exactly):
 //
 //   - The intervals live in a ring buffer, so evicting the oldest-ending
-//     interval — almost always the logically first — is a head bump, not
-//     a 47-slot shift, and out-of-order inserts shift whichever side is
+//     interval — always the logically first, see below — is a head bump,
+//     not a 47-slot shift, and out-of-order inserts shift whichever side is
 //     shorter (requests arrive near the frontier, so usually a slot or
 //     two at the tail).
 //   - Requests arriving at or past every remembered end (idle banks, the
 //     common case across the 16 banks) append in O(1) with no scan.
-//   - Interval ends are monotone in start order nearly always (service
-//     times are similar); while they are, the eviction victim is the
-//     front interval with no scan, and the placement scan skips the
-//     prefix of intervals whose ends cannot constrain the request via
-//     binary search, leaving only the short out-of-order frontier to
-//     walk. One flag tracks monotonicity; rare inversions fall back to
-//     the full scan, which re-detects monotonicity for the next call.
+//   - Remembered intervals are disjoint: a placement lands in a gap of
+//     the remembered intervals and at or above the floor, past every
+//     forgotten one. Disjoint intervals in start order have monotone
+//     ends, so the eviction victim (the smallest end) is always the
+//     front interval, and the placement scan skips the prefix of
+//     intervals whose ends cannot constrain the request via binary
+//     search, leaving only the short out-of-order frontier to walk.
 //   - IdleAt is an O(1) comparison against the high-water end, valid
 //     because eviction removes a minimum end and so never forgets the
 //     interval holding the maximum.
@@ -70,12 +70,6 @@ type Slots struct {
 	// arriving at or past maxEnd cannot be constrained by any
 	// remembered interval, so Reserve appends with no scan.
 	maxEnd uint64
-	// unsorted is set while interval ends are NOT known to be monotone
-	// nondecreasing in logical order (the zero value claims monotone,
-	// which holds for the empty book). While clear, the eviction victim
-	// is logical 0 and placement skips the dead prefix by binary
-	// search.
-	unsorted bool
 }
 
 // at returns the interval at logical position i.
@@ -99,8 +93,6 @@ func (s *Slots) Reserve(now, dur uint64) uint64 {
 		// Fast path: every remembered interval ends at or before the
 		// candidate, so none can delay it and none starts after it —
 		// the placement is the candidate itself, appended in order.
-		// Appending a new global-maximum end preserves whatever end
-		// order the book had.
 		if s.n == window {
 			s.evict()
 		}
@@ -113,24 +105,11 @@ func (s *Slots) Reserve(now, dur uint64) uint64 {
 	// Find the earliest gap >= candidate that fits dur: walk intervals
 	// in start order, bumping the candidate over the ends of intervals
 	// it cannot clear, until one starts late enough to leave a gap.
-	// While ends are monotone, intervals with end <= candidate can
-	// neither bump the candidate nor host a gap before it (their starts
-	// precede their ends), so the scan begins past them.
-	i0 := 0
-	if !s.unsorted {
-		lo, hi := 0, s.n
-		for lo < hi {
-			mid := int(uint(lo+hi) >> 1)
-			if s.at(mid).end > candidate {
-				hi = mid
-			} else {
-				lo = mid + 1
-			}
-		}
-		i0 = lo
-	}
+	// Intervals with end <= candidate can neither bump the candidate
+	// nor host a gap before it (their starts precede their ends), so
+	// the scan begins past them.
 	idx := s.n // insertion position
-	for i := i0; i < s.n; i++ {
+	for i := s.firstEndAfter(candidate); i < s.n; i++ {
 		iv := s.at(i)
 		if candidate+dur <= iv.start {
 			idx = i
@@ -143,8 +122,8 @@ func (s *Slots) Reserve(now, dur uint64) uint64 {
 
 	iv := interval{candidate, candidate + dur}
 	if s.n == window {
-		ev := s.evict()
-		if ev < idx {
+		s.evict()
+		if idx > 0 {
 			idx--
 		}
 	}
@@ -155,57 +134,35 @@ func (s *Slots) Reserve(now, dur uint64) uint64 {
 	return candidate
 }
 
-// evict removes the interval with the smallest end (ties: logically
-// first), raises the floor to its end, and returns its pre-removal
-// logical position. While ends are monotone that interval is logical 0
-// and eviction is a head bump; otherwise a scan finds it — and
-// re-detects monotonicity for subsequent calls, since removing an
-// interval never breaks an order that holds.
-func (s *Slots) evict() int {
-	ev, evEnd := 0, s.at(0).end
-	if s.unsorted {
-		mono := true
-		prev := evEnd
-		for i := 1; i < s.n; i++ {
-			e := s.at(i).end
-			if e < prev {
-				mono = false
-			}
-			prev = e
-			if e < evEnd {
-				ev, evEnd = i, e
-			}
-		}
-		if mono {
-			s.unsorted = false
+// firstEndAfter returns the logical position of the first interval
+// ending after t: ends are monotone in logical order, so a binary
+// search finds it.
+func (s *Slots) firstEndAfter(t uint64) int {
+	lo, hi := 0, s.n
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if s.at(mid).end > t {
+			hi = mid
+		} else {
+			lo = mid + 1
 		}
 	}
-	if evEnd > s.floor {
-		s.floor = evEnd
+	return lo
+}
+
+// evict removes the interval with the smallest end — logical 0, since
+// ends are monotone — and raises the floor to its end.
+func (s *Slots) evict() {
+	if end := s.at(0).end; end > s.floor {
+		s.floor = end
 	}
-	// Remove at ev, shifting whichever side is shorter.
-	if ev <= s.n-1-ev {
-		for i := ev; i > 0; i-- {
-			*s.at(i) = *s.at(i - 1)
-		}
-		s.head = (s.head + 1) & (ringCap - 1)
-	} else {
-		for i := ev; i < s.n-1; i++ {
-			*s.at(i) = *s.at(i + 1)
-		}
-	}
+	s.head = (s.head + 1) & (ringCap - 1)
 	s.n--
-	return ev
 }
 
 // insertAt places iv at logical position idx, shifting whichever side
-// is shorter and tracking end monotonicity across the new neighbors.
+// is shorter.
 func (s *Slots) insertAt(idx int, iv interval) {
-	if !s.unsorted {
-		if (idx > 0 && s.at(idx-1).end > iv.end) || (idx < s.n && iv.end > s.at(idx).end) {
-			s.unsorted = true
-		}
-	}
 	if idx <= s.n-idx {
 		s.head = (s.head - 1) & (ringCap - 1)
 		for i := 0; i < idx; i++ {
@@ -218,44 +175,6 @@ func (s *Slots) insertAt(idx int, iv interval) {
 	}
 	*s.at(idx) = iv
 	s.n++
-}
-
-// NextFree returns the earliest time at or after now at which the
-// resource could begin a reservation of length dur, without booking it.
-// It shares Reserve's placement scan, including the monotone dead-prefix
-// skip: intervals ending at or before the candidate can neither bump it
-// nor host a gap before it.
-func (s *Slots) NextFree(now, dur uint64) uint64 {
-	candidate := now
-	if s.floor > candidate {
-		candidate = s.floor
-	}
-	if candidate >= s.maxEnd {
-		return candidate
-	}
-	i0 := 0
-	if !s.unsorted {
-		lo, hi := 0, s.n
-		for lo < hi {
-			mid := int(uint(lo+hi) >> 1)
-			if s.at(mid).end > candidate {
-				hi = mid
-			} else {
-				lo = mid + 1
-			}
-		}
-		i0 = lo
-	}
-	for i := i0; i < s.n; i++ {
-		iv := s.at(i)
-		if candidate+dur <= iv.start {
-			return candidate
-		}
-		if iv.end > candidate {
-			candidate = iv.end
-		}
-	}
-	return candidate
 }
 
 // IdleAt reports whether no booked interval covers or follows t. This is
@@ -272,5 +191,4 @@ func (s *Slots) Reset() {
 	s.n = 0
 	s.floor = 0
 	s.maxEnd = 0
-	s.unsorted = false
 }

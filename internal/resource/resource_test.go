@@ -49,6 +49,26 @@ func TestExactFitGap(t *testing.T) {
 	}
 }
 
+// NextFree returns the earliest time at or after now at which the
+// resource could begin a reservation of length dur, without booking it:
+// Reserve's placement scan, kept for the tests that probe placements.
+func (s *Slots) NextFree(now, dur uint64) uint64 {
+	candidate := max(now, s.floor)
+	if candidate >= s.maxEnd {
+		return candidate
+	}
+	for i := s.firstEndAfter(candidate); i < s.n; i++ {
+		iv := s.at(i)
+		if candidate+dur <= iv.start {
+			return candidate
+		}
+		if iv.end > candidate {
+			candidate = iv.end
+		}
+	}
+	return candidate
+}
+
 func TestNextFreeDoesNotBook(t *testing.T) {
 	var s Slots
 	s.Reserve(0, 10)

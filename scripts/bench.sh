@@ -15,8 +15,8 @@
 #   sweep_*_instr_per_s    BenchmarkSweepSerial / BenchmarkSweepParallel
 #   lookup_dense_ns        BenchmarkFlattenedLookup/dense
 #   lookup_sparse_ns       BenchmarkFlattenedLookup/sparse (lazy chunks)
-#   touch_cached_ns        BenchmarkTouchHit/cached (positive VPN cache)
-#   touch_present_ns       BenchmarkTouchHit/present (Table.Present path)
+#   touch_cached_ns        BenchmarkTouchHit/cached (1024-page hot set)
+#   touch_present_ns       BenchmarkTouchHit/present (32K-page spread)
 #   bytes_per_mapped_page  BenchmarkFlattenedReferenceSweep metadata/page
 #   peak_rss_kb            max RSS of the reference ndpsim sweep
 #                          (via /usr/bin/time; 0 when unavailable)

@@ -7,7 +7,7 @@ package ndpage_test
 // exercises the full pipeline and prints the reproduction's key numbers.
 // Every benchmark also reports allocations (b.ReportAllocs): the
 // simulator's per-instruction path is allocation-free in steady state,
-// and the allocs/op columns are what the CI bench job budgets against.
+// and the allocation tests beside the benchmarks hold it there.
 // Full-scale tables come from `go run ./cmd/ndpexp`.
 
 import (
@@ -229,33 +229,61 @@ func BenchmarkRunSmall(b *testing.B) {
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "sims/s")
 }
 
+// throughputConfig is the default NDP/NDPage setup behind
+// BenchmarkSimulatorThroughput and TestSimulatorThroughputAllocs.
+var throughputConfig = ndpage.Config{
+	System:         ndpage.NDP,
+	Cores:          4,
+	Mechanism:      ndpage.NDPage,
+	Workload:       "bfs",
+	FootprintBytes: 512 << 20,
+	Warmup:         5_000,
+	Instructions:   50_000,
+}
+
 // BenchmarkSimulatorThroughput measures raw simulation speed: simulated
 // instructions per wall-clock second for the default NDP/NDPage setup.
 // Machine construction is inside the loop (each iteration is one full
 // run), so allocs/op here is per-simulation; the per-instruction
-// steady-state allocation budget is measured by
+// steady-state allocations are measured by
 // internal/sim.BenchmarkStepThroughput.
 func BenchmarkSimulatorThroughput(b *testing.B) {
 	b.ReportAllocs()
-	cfg := ndpage.Config{
-		System:         ndpage.NDP,
-		Cores:          4,
-		Mechanism:      ndpage.NDPage,
-		Workload:       "bfs",
-		FootprintBytes: 512 << 20,
-		Warmup:         5_000,
-		Instructions:   50_000,
-	}
 	b.ResetTimer()
 	var instr uint64
 	for i := 0; i < b.N; i++ {
-		res, err := ndpage.Run(cfg)
+		res, err := ndpage.Run(throughputConfig)
 		if err != nil {
 			b.Fatal(err)
 		}
 		instr += res.Instructions
 	}
 	b.ReportMetric(float64(instr)/b.Elapsed().Seconds(), "sim-instr/s")
+}
+
+// simAllocBudget bounds the heap allocations of one whole
+// throughputConfig simulation — construction, warmup and measurement.
+// The measured path allocates nothing per instruction, so the count is
+// set-up cost: tables, caches, workload state. It was ~750 when the
+// budget was set.
+const simAllocBudget = 1200
+
+// TestSimulatorThroughputAllocs keeps BenchmarkSimulatorThroughput's
+// per-simulation allocation count under simAllocBudget.
+func TestSimulatorThroughputAllocs(t *testing.T) {
+	var err error
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, e := ndpage.Run(throughputConfig); e != nil {
+			err = e
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs > simAllocBudget {
+		t.Errorf("one simulation allocates %.0f times, budget %d", allocs, simAllocBudget)
+	}
+	t.Logf("%.0f allocations per simulation (budget %d)", allocs, simAllocBudget)
 }
 
 // sweepReplications builds a figure-style replication sweep: the same
@@ -311,8 +339,8 @@ func BenchmarkSweepSerial(b *testing.B) {
 
 // BenchmarkSweepParallel measures the sweep worker pool at one worker
 // per CPU. The sweep-instr/s ratio against BenchmarkSweepSerial is the
-// multicore scaling the bench gates check (only meaningful when
-// GOMAXPROCS > 1; a single-CPU machine runs the workers sequentially).
+// multicore scaling (only meaningful when GOMAXPROCS > 1; a single-CPU
+// machine runs the workers sequentially).
 func BenchmarkSweepParallel(b *testing.B) {
 	benchSweep(b, func(cfgs []ndpage.Config) ([]*ndpage.Result, error) {
 		r := &ndpage.Sweep{Parallel: runtime.GOMAXPROCS(0)}

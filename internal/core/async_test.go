@@ -8,7 +8,7 @@ import (
 	"ndpage/internal/engine"
 )
 
-// xlatOut records one TranslateAsync completion. It implements
+// xlatOut records one TranslateAsyncPC completion. It implements
 // TranslationClient.
 type xlatOut struct {
 	pa addr.P
@@ -17,7 +17,7 @@ type xlatOut struct {
 
 func (o *xlatOut) OnTranslated(pa addr.P, at uint64) { o.pa, o.at = pa, at }
 
-// xlatIssuer injects TranslateAsync requests as engine events, the way
+// xlatIssuer injects TranslateAsyncPC requests as engine events, the way
 // the non-blocking front-end does.
 type xlatIssuer struct {
 	eng *engine.Engine
@@ -29,12 +29,12 @@ func (xi *xlatIssuer) OnEvent(now uint64, kind uint8, payload uint64) {
 	xi.fns[payload]()
 }
 
-// translateAt schedules one TranslateAsync request at time t and
+// translateAt schedules one TranslateAsyncPC request at time t and
 // returns the record its completion will fill.
 func (xi *xlatIssuer) translateAt(t uint64, v addr.V) *xlatOut {
 	out := &xlatOut{}
 	xi.fns = append(xi.fns, func() {
-		xi.m.TranslateAsync(xi.eng, t, v, access.Read, out)
+		xi.m.TranslateAsyncPC(xi.eng, t, v, access.Read, 0, out)
 	})
 	xi.eng.Schedule(t, 0, xi, 0, uint64(len(xi.fns)-1))
 	return out
@@ -52,7 +52,7 @@ func TestTranslateAsyncMatchesSynchronousTiming(t *testing.T) {
 		}
 		for i, v := range []addr.V{base, base + 64, base + 5*addr.PageSize} {
 			now := uint64(1000 * (i + 1))
-			wantPA, wantDone := syncMMU.Translate(now, v, access.Read)
+			wantPA, wantDone := syncMMU.TranslatePC(now, v, access.Read, 0)
 
 			eng := engine.New()
 			xi := &xlatIssuer{eng: eng, m: asyncMMU}

@@ -25,7 +25,7 @@ func rig(t *testing.T, mech Mechanism) (*MMU, addr.V) {
 	as := osmm.New(table, alloc, osmm.DefaultConfig(mech.Policy(), alloc.TotalFrames()))
 	base := as.Alloc(64<<20, "data")
 	mem := newNDPHierarchy(mech, 1)
-	return NewMMU(mech, 0, table, mem), base
+	return NewMMUWithOptions(mech, 0, table, mem, Options{}), base
 }
 
 func TestMechanismStringAndParse(t *testing.T) {
@@ -78,13 +78,13 @@ func TestTranslateCorrectness(t *testing.T) {
 	for _, mech := range Mechanisms {
 		mmu, base := rig(t, mech)
 		// Consecutive bytes in one page translate contiguously.
-		pa1, _ := mmu.Translate(0, base+100, access.Read)
-		pa2, _ := mmu.Translate(1000, base+101, access.Read)
+		pa1, _ := mmu.TranslatePC(0, base+100, access.Read, 0)
+		pa2, _ := mmu.TranslatePC(1000, base+101, access.Read, 0)
 		if pa2 != pa1+1 {
 			t.Errorf("%v: intra-page contiguity broken", mech)
 		}
 		// Distinct pages map to distinct frames.
-		pa3, _ := mmu.Translate(2000, base+addr.PageSize+100, access.Read)
+		pa3, _ := mmu.TranslatePC(2000, base+addr.PageSize+100, access.Read, 0)
 		if pa3.Page() == pa1.Page() {
 			t.Errorf("%v: distinct pages share a frame", mech)
 		}
@@ -93,7 +93,7 @@ func TestTranslateCorrectness(t *testing.T) {
 
 func TestIdealIsFree(t *testing.T) {
 	mmu, base := rig(t, Ideal)
-	_, done := mmu.Translate(12345, base, access.Read)
+	_, done := mmu.TranslatePC(12345, base, access.Read, 0)
 	if done != 12345 {
 		t.Fatalf("Ideal translation took %d cycles", done-12345)
 	}
@@ -104,10 +104,10 @@ func TestIdealIsFree(t *testing.T) {
 
 func TestTLBHitFastPath(t *testing.T) {
 	mmu, base := rig(t, Radix)
-	_, t1 := mmu.Translate(0, base, access.Read) // cold: full walk
+	_, t1 := mmu.TranslatePC(0, base, access.Read, 0) // cold: full walk
 	cold := t1
 	start := t1 + 100
-	_, t2 := mmu.Translate(start, base, access.Read)
+	_, t2 := mmu.TranslatePC(start, base, access.Read, 0)
 	if t2-start != mmu.DTLB().Latency() {
 		t.Errorf("warm translation = %d cycles, want L1 TLB latency %d",
 			t2-start, mmu.DTLB().Latency())
@@ -119,15 +119,15 @@ func TestTLBHitFastPath(t *testing.T) {
 
 func TestL2TLBPath(t *testing.T) {
 	mmu, base := rig(t, Radix)
-	mmu.Translate(0, base, access.Read)
+	mmu.TranslatePC(0, base, access.Read, 0)
 	// Flood the tiny L1 DTLB with other pages; base stays in the 1536-
 	// entry L2 TLB.
 	tNow := uint64(100000)
 	for i := 1; i <= 128; i++ {
-		_, tNow = mmu.Translate(tNow, base+addr.V(i*addr.PageSize), access.Read)
+		_, tNow = mmu.TranslatePC(tNow, base+addr.V(i*addr.PageSize), access.Read, 0)
 	}
 	start := tNow + 10
-	_, end := mmu.Translate(start, base, access.Read)
+	_, end := mmu.TranslatePC(start, base, access.Read, 0)
 	want := mmu.DTLB().Latency() + mmu.STLB().Latency()
 	if end-start != want {
 		t.Errorf("L2 TLB hit = %d cycles, want %d", end-start, want)
@@ -140,7 +140,7 @@ func TestWalkDepthPerMechanism(t *testing.T) {
 	want := map[Mechanism]uint64{Radix: 4, NDPage: 3, ECH: 3, HugePage: 3}
 	for mech, n := range want {
 		mmu, base := rig(t, mech)
-		mmu.Translate(0, base, access.Read)
+		mmu.TranslatePC(0, base, access.Read, 0)
 		if got := mmu.Stats().PTEAccesses.Value(); got != n {
 			t.Errorf("%v: first walk issued %d PTE accesses, want %d", mech, got, n)
 		}
@@ -149,11 +149,11 @@ func TestWalkDepthPerMechanism(t *testing.T) {
 
 func TestPWCShortensSecondWalk(t *testing.T) {
 	mmu, base := rig(t, Radix)
-	mmu.Translate(0, base, access.Read) // fills PL4/PL3/PL2 PWC entries
+	mmu.TranslatePC(0, base, access.Read, 0) // fills PL4/PL3/PL2 PWC entries
 	before := mmu.Stats().PTEAccesses.Value()
 	// Different page, same 2 MB region: PL2 PWC hit -> only the PL1
 	// PTE is read.
-	mmu.Translate(100000, base+7*addr.PageSize, access.Read)
+	mmu.TranslatePC(100000, base+7*addr.PageSize, access.Read, 0)
 	if got := mmu.Stats().PTEAccesses.Value() - before; got != 1 {
 		t.Errorf("PWC-assisted walk issued %d accesses, want 1", got)
 	}
@@ -161,20 +161,20 @@ func TestPWCShortensSecondWalk(t *testing.T) {
 
 func TestNDPageWalkIsSingleAccessAfterPWC(t *testing.T) {
 	mmu, base := rig(t, NDPage)
-	mmu.Translate(0, base, access.Read)
+	mmu.TranslatePC(0, base, access.Read, 0)
 	before := mmu.Stats().PTEAccesses.Value()
 	// Page in a *different 2 MB region* of the same GB: radix would need
 	// 2 accesses (PL2 PWC tags don't reach); NDPage needs 1 flattened
 	// access after its PL3 PWC hit.
-	mmu.Translate(100000, base+3*addr.HugePageSize, access.Read)
+	mmu.TranslatePC(100000, base+3*addr.HugePageSize, access.Read, 0)
 	if got := mmu.Stats().PTEAccesses.Value() - before; got != 1 {
 		t.Errorf("NDPage cross-region walk = %d accesses, want 1", got)
 	}
 	// The same scenario under Radix costs 2 accesses.
 	rmmu, rbase := rig(t, Radix)
-	rmmu.Translate(0, rbase, access.Read)
+	rmmu.TranslatePC(0, rbase, access.Read, 0)
 	before = rmmu.Stats().PTEAccesses.Value()
-	rmmu.Translate(100000, rbase+3*addr.HugePageSize, access.Read)
+	rmmu.TranslatePC(100000, rbase+3*addr.HugePageSize, access.Read, 0)
 	if got := rmmu.Stats().PTEAccesses.Value() - before; got != 2 {
 		t.Errorf("Radix cross-region walk = %d accesses, want 2", got)
 	}
@@ -183,7 +183,7 @@ func TestNDPageWalkIsSingleAccessAfterPWC(t *testing.T) {
 func TestECHWalkLatencyIsMaxNotSum(t *testing.T) {
 	mmu, base := rig(t, ECH)
 	start := uint64(0)
-	_, end := mmu.Translate(start, base, access.Read)
+	_, end := mmu.TranslatePC(start, base, access.Read, 0)
 	walk := mmu.Stats().WalkCycles.Value()
 	// Three parallel HBM accesses from idle banks complete in roughly
 	// one access time (plus possible bus serialization), far less than
@@ -202,10 +202,10 @@ func TestNDPageBypassKeepsPTEsOutOfL1(t *testing.T) {
 	as := osmm.New(table, alloc, osmm.DefaultConfig(osmm.Base4K, alloc.TotalFrames()))
 	base := as.Alloc(64<<20, "data")
 	mem := newNDPHierarchy(NDPage, 1)
-	mmu := NewMMU(NDPage, 0, table, mem)
+	mmu := NewMMUWithOptions(NDPage, 0, table, mem, Options{})
 	tNow := uint64(0)
 	for i := 0; i < 200; i++ {
-		_, tNow = mmu.Translate(tNow, base+addr.V(i*addr.PageSize*3), access.Read)
+		_, tNow = mmu.TranslatePC(tNow, base+addr.V(i*addr.PageSize*3), access.Read, 0)
 	}
 	l1 := mem.L1D(0).Stats()
 	if l1.PerClass[access.PTE].Total() != 0 {
@@ -220,7 +220,7 @@ func TestRadixPTEsDoEnterL1(t *testing.T) {
 	mmu, base := rig(t, Radix)
 	tNow := uint64(0)
 	for i := 0; i < 50; i++ {
-		_, tNow = mmu.Translate(tNow, base+addr.V(i*addr.PageSize*3), access.Read)
+		_, tNow = mmu.TranslatePC(tNow, base+addr.V(i*addr.PageSize*3), access.Read, 0)
 	}
 	// Baseline: PTE lookups hit the L1 cache path (pollution).
 	// Access the hierarchy through the MMU's walks only.
@@ -236,7 +236,7 @@ func TestHugePageTLBReach(t *testing.T) {
 	// Touch every page of a 2 MB chunk: a single TLB entry serves all.
 	tNow := uint64(0)
 	for i := 0; i < 512; i++ {
-		_, tNow = mmu.Translate(tNow, base+addr.V(i*addr.PageSize), access.Read)
+		_, tNow = mmu.TranslatePC(tNow, base+addr.V(i*addr.PageSize), access.Read, 0)
 	}
 	s := mmu.DTLB().Stats()
 	if s.Misses.Value() != 1 {
@@ -265,12 +265,12 @@ func TestUnmappedPanics(t *testing.T) {
 			t.Error("unmapped translation did not panic")
 		}
 	}()
-	mmu.Translate(0, addr.V(0x7000_0000_0000), access.Read)
+	mmu.TranslatePC(0, addr.V(0x7000_0000_0000), access.Read, 0)
 }
 
 func TestResetStats(t *testing.T) {
 	mmu, base := rig(t, Radix)
-	mmu.Translate(0, base, access.Read)
+	mmu.TranslatePC(0, base, access.Read, 0)
 	mmu.ResetStats()
 	s := mmu.Stats()
 	if s.Walks != 0 || s.TranslationCycles != 0 {
@@ -280,7 +280,7 @@ func TestResetStats(t *testing.T) {
 		t.Error("TLB stats not reset")
 	}
 	// Contents preserved: next translate is a TLB hit, not a walk.
-	mmu.Translate(1000, base, access.Read)
+	mmu.TranslatePC(1000, base, access.Read, 0)
 	if s.Walks != 0 {
 		t.Error("TLB contents were lost by ResetStats")
 	}
@@ -288,7 +288,7 @@ func TestResetStats(t *testing.T) {
 
 func TestMeanWalkLatency(t *testing.T) {
 	mmu, base := rig(t, Radix)
-	mmu.Translate(0, base, access.Read)
+	mmu.TranslatePC(0, base, access.Read, 0)
 	if mmu.Stats().MeanWalkLatency() <= 0 {
 		t.Error("MeanWalkLatency not recorded")
 	}
@@ -303,7 +303,7 @@ func TestECHWayPredictionReducesProbes(t *testing.T) {
 	as := osmm.New(table, alloc, osmm.DefaultConfig(osmm.Base4K, alloc.TotalFrames()))
 	base := as.Alloc(64<<20, "data")
 	mem := newNDPHierarchy(ECH, 1)
-	plain := NewMMU(ECH, 0, table, mem)
+	plain := NewMMUWithOptions(ECH, 0, table, mem, Options{})
 	predicted := NewMMUWithOptions(ECH, 0, table, memsys.New(memsys.Default(memsys.NDP, 1)),
 		Options{ECHWayPrediction: true})
 
@@ -317,8 +317,8 @@ func TestECHWayPredictionReducesProbes(t *testing.T) {
 			// simpler: fresh addresses per pass beyond TLB reach are
 			// not needed: first pass walks; later passes TLB-hit. So
 			// compare first-pass traffic on many distinct regions.
-			paP, tp = plain.Translate(tp, v, access.Read)
-			paQ, tq = predicted.Translate(tq, v, access.Read)
+			paP, tp = plain.TranslatePC(tp, v, access.Read, 0)
+			paQ, tq = predicted.TranslatePC(tq, v, access.Read, 0)
 			if paP != paQ {
 				t.Fatalf("prediction changed translation: %#x vs %#x", paP, paQ)
 			}
@@ -328,8 +328,8 @@ func TestECHWayPredictionReducesProbes(t *testing.T) {
 	// predicted issues ~1 after each region's first walk.
 	for i := 0; i < 512; i++ {
 		v := base + addr.V(8<<20) + addr.V(i*addr.PageSize)
-		plain.Translate(tp, v, access.Read)
-		predicted.Translate(tq, v, access.Read)
+		plain.TranslatePC(tp, v, access.Read, 0)
+		predicted.TranslatePC(tq, v, access.Read, 0)
 	}
 	plainProbes := plain.Stats().PTEAccesses.Value()
 	predProbes := predicted.Stats().PTEAccesses.Value()

@@ -101,7 +101,7 @@ type MMU struct {
 	identity IdentityMapper
 	pcx      *tlb.PCX
 
-	// dtlbLat/stlbLat cache the constant probe latencies: Translate runs
+	// dtlbLat/stlbLat cache the constant probe latencies: probe runs
 	// per simulated load/store and the TLB hit path should read MMU-local
 	// fields, not chase each TLB's config.
 	dtlbLat uint64
@@ -119,7 +119,7 @@ type MMU struct {
 // TranslationClient receives the completion of an asynchronous
 // translation: the physical address and the absolute time it resolved.
 // Implementations are caller-owned records (the simulator pools its
-// in-flight memory ops), invoked exactly once per TranslateAsync call.
+// in-flight memory ops), invoked exactly once per TranslateAsyncPC call.
 type TranslationClient interface {
 	OnTranslated(pa addr.P, at uint64)
 }
@@ -130,7 +130,6 @@ type TranslationClient interface {
 // registered with the walker as Waiters, so a miss allocates nothing.
 type xlatReq struct {
 	m      *MMU
-	vpn    addr.VPN
 	v      addr.V
 	now    uint64
 	pc     uint64
@@ -145,30 +144,20 @@ var _ walker.Waiter = (*xlatReq)(nil)
 // client.
 func (r *xlatReq) OnWalkDone(resp walker.Response) {
 	m := r.m
-	if !resp.Found {
-		panic(unmapped(r.v))
-	}
-	te := tlb.Entry{PFN: resp.Entry.PFN, Huge: resp.Entry.Huge}
-	m.dtlb.Insert(r.vpn, te)
-	m.stlb.Insert(r.vpn, te)
-	if m.pcx != nil && r.pc != 0 {
-		m.pcx.Insert(r.pc, r.vpn, te)
-	}
-	m.stats.TranslationCycles.Add(resp.Done - r.now)
-	client, pa := r.client, physical(resp.Entry, r.v)
+	client, pa := r.client, m.fill(r.now, r.v, r.pc, resp)
 	m.putXlat(r)
 	client.OnTranslated(pa, resp.Done)
 }
 
 // getXlat takes a pooled translation record (or grows the pool).
-func (m *MMU) getXlat(vpn addr.VPN, v addr.V, now uint64, pc uint64, client TranslationClient) *xlatReq {
+func (m *MMU) getXlat(v addr.V, now uint64, pc uint64, client TranslationClient) *xlatReq {
 	r := m.xlatFree
 	if r == nil {
 		r = &xlatReq{m: m}
 	} else {
 		m.xlatFree = r.next
 	}
-	r.vpn, r.v, r.now, r.pc, r.client, r.next = vpn, v, now, pc, client, nil
+	r.v, r.now, r.pc, r.client, r.next = v, now, pc, client, nil
 	return r
 }
 
@@ -206,13 +195,9 @@ type Options struct {
 	PCXEntries int
 }
 
-// NewMMU assembles the MMU for mech on core coreID. The TLB geometry is
-// Table I's; the PWC geometry follows the mechanism.
-func NewMMU(mech Mechanism, coreID int, table pagetable.Table, mem *memsys.Hierarchy) *MMU {
-	return NewMMUWithOptions(mech, coreID, table, mem, Options{})
-}
-
-// NewMMUWithOptions is NewMMU with sensitivity knobs.
+// NewMMUWithOptions assembles the MMU for mech on core coreID. The TLB
+// geometry is Table I's; the PWC geometry follows the mechanism, and
+// opts tunes it away from the defaults.
 func NewMMUWithOptions(mech Mechanism, coreID int, table pagetable.Table, mem *memsys.Hierarchy, opts Options) *MMU {
 	m := &MMU{
 		mech:   mech,
@@ -289,20 +274,48 @@ func (m *MMU) ResetStats() {
 	}
 }
 
-// Translate resolves the data-side virtual address v at absolute time now
-// and returns the physical address plus the absolute completion time. The
-// page must already be mapped (the OS model faults before translation, as
-// a real OS resolves the fault and restarts the access). Equivalent to
-// TranslatePC with no instruction PC (mechanisms that key on the PC see
-// a degenerate zero key and fall through to the conventional path).
-func (m *MMU) Translate(now uint64, v addr.V, op access.Op) (addr.P, uint64) {
-	return m.TranslatePC(now, v, op, 0)
-}
-
-// TranslatePC is Translate with the PC of the issuing instruction (zero
-// when unknown). The PC feeds the PCAX table; every other mechanism
+// TranslatePC resolves the data-side virtual address v at absolute time
+// now on the blocking core's path and returns the physical address
+// plus the absolute completion time. The page must already be mapped
+// (the OS model faults before translation, as a real OS resolves the
+// fault and restarts the access). pc is the issuing instruction's PC,
+// zero when unknown: it feeds the PCAX table, and every other mechanism
 // ignores it.
 func (m *MMU) TranslatePC(now uint64, v addr.V, op access.Op, pc uint64) (addr.P, uint64) {
+	pa, t, hit := m.probe(now, v, pc)
+	if hit {
+		return pa, t
+	}
+	resp := m.unit.Walker.Walk(walker.Request{Core: m.coreID, V: v, Time: t})
+	return m.fill(now, v, pc, resp), resp.Done
+}
+
+// TranslateAsyncPC resolves v as a request/completion pair on the event
+// schedule: client.OnTranslated is invoked exactly once with the
+// physical address and the absolute completion time. It shares
+// TranslatePC's TLB front end — hits resolve inline, since their
+// few-cycle latency is known immediately — while misses go through the
+// walk unit's event-scheduled path, so concurrent translations contend
+// for real walk slots, coalesce in the MSHRs, and fill the TLBs only
+// when their walk's completion event fires. The miss context rides a
+// pooled record registered with the walker, so the path allocates
+// nothing in steady state. Used by the non-blocking core model
+// (sim.Config.MLP > 1).
+func (m *MMU) TranslateAsyncPC(s walker.Scheduler, now uint64, v addr.V, op access.Op, pc uint64, client TranslationClient) {
+	pa, t, hit := m.probe(now, v, pc)
+	if hit {
+		client.OnTranslated(pa, t)
+		return
+	}
+	m.unit.Walker.WalkAsync(s, walker.Request{Core: m.coreID, V: v, Time: t}, m.getXlat(v, now, pc, client))
+}
+
+// probe runs the TLB front end both core models share: Ideal's
+// zero-latency translation, the NMT identity check, the L1 TLB, the
+// PCAX table, and the L2 TLB, charging a hit's latency. On a hit it
+// returns the physical address and completion time; on a miss, hit is
+// false and t is the time the walk starts.
+func (m *MMU) probe(now uint64, v addr.V, pc uint64) (pa addr.P, t uint64, hit bool) {
 	m.stats.Translations.Inc()
 	if m.mech == Ideal {
 		// Every request hits an L1 TLB of zero latency (Section VI).
@@ -310,38 +323,46 @@ func (m *MMU) TranslatePC(now uint64, v addr.V, op access.Op, pc uint64) (addr.P
 		if !ok {
 			panic(unmapped(v))
 		}
-		return physical(e, v), now
+		return physical(e, v), now, true
 	}
 	if m.identity != nil {
 		if pa, ok := m.identityTranslate(v); ok {
 			m.stats.TranslationCycles.Add(identityCheckLat)
-			return pa, now + identityCheckLat
+			return pa, now + identityCheckLat, true
 		}
 	}
 	vpn := v.Page()
-	t := now + m.dtlbLat
+	t = now + m.dtlbLat
 	if e, ok := m.dtlb.Lookup(vpn); ok {
 		m.stats.TranslationCycles.Add(t - now)
-		return physical(pagetable.Entry(e), v), t
+		return physical(pagetable.Entry(e), v), t, true
 	}
 	if m.pcx != nil && pc != 0 {
 		t += m.pcxLat
 		if e, ok := m.pcx.Lookup(pc, vpn); ok {
 			m.dtlb.Insert(vpn, e)
 			m.stats.TranslationCycles.Add(t - now)
-			return physical(pagetable.Entry(e), v), t
+			return physical(pagetable.Entry(e), v), t, true
 		}
 	}
 	t += m.stlbLat
 	if e, ok := m.stlb.Lookup(vpn); ok {
 		m.dtlb.Insert(vpn, e)
 		m.stats.TranslationCycles.Add(t - now)
-		return physical(pagetable.Entry(e), v), t
+		return physical(pagetable.Entry(e), v), t, true
 	}
-	resp := m.unit.Walker.Walk(walker.Request{Core: m.coreID, V: v, Time: t})
+	return 0, t, false
+}
+
+// fill completes a translation that missed the TLBs and started at
+// now: it installs the walk's leaf in the L1 and L2 TLBs (and the PCAX
+// table when the access carried a PC), charges the latency, and
+// returns v's physical address.
+func (m *MMU) fill(now uint64, v addr.V, pc uint64, resp walker.Response) addr.P {
 	if !resp.Found {
 		panic(unmapped(v))
 	}
+	vpn := v.Page()
 	te := tlb.Entry{PFN: resp.Entry.PFN, Huge: resp.Entry.Huge}
 	m.dtlb.Insert(vpn, te)
 	m.stlb.Insert(vpn, te)
@@ -349,7 +370,7 @@ func (m *MMU) TranslatePC(now uint64, v addr.V, op access.Op, pc uint64) (addr.P
 		m.pcx.Insert(pc, vpn, te)
 	}
 	m.stats.TranslationCycles.Add(resp.Done - now)
-	return physical(resp.Entry, v), resp.Done
+	return physical(resp.Entry, v)
 }
 
 // identityTranslate runs the NMT range check: a covered address still
@@ -366,66 +387,6 @@ func (m *MMU) identityTranslate(v addr.V) (addr.P, bool) {
 	}
 	m.stats.IdentityMisses.Inc()
 	return 0, false
-}
-
-// TranslateAsync resolves v as a request/completion pair on the event
-// schedule: client.OnTranslated is invoked exactly once with the
-// physical address and the absolute completion time. It is layered over
-// the same TLB and walk machinery as Translate — TLB hits resolve
-// inline (their few-cycle latency is known immediately), while misses
-// go through the walk unit's event-scheduled path, so concurrent
-// translations contend for real walk slots, coalesce in the MSHRs, and
-// fill the TLBs only when their walk's completion event fires. The miss
-// context rides a pooled record registered with the walker, so the path
-// allocates nothing in steady state. Used by the non-blocking core
-// model (sim.Config.MLP > 1); the blocking model keeps Translate.
-func (m *MMU) TranslateAsync(s walker.Scheduler, now uint64, v addr.V, op access.Op, client TranslationClient) {
-	m.TranslateAsyncPC(s, now, v, op, 0, client)
-}
-
-// TranslateAsyncPC is TranslateAsync with the PC of the issuing
-// instruction (zero when unknown); see TranslatePC.
-func (m *MMU) TranslateAsyncPC(s walker.Scheduler, now uint64, v addr.V, op access.Op, pc uint64, client TranslationClient) {
-	m.stats.Translations.Inc()
-	if m.mech == Ideal {
-		e, ok := m.table.Lookup(v.Page())
-		if !ok {
-			panic(unmapped(v))
-		}
-		client.OnTranslated(physical(e, v), now)
-		return
-	}
-	if m.identity != nil {
-		if pa, ok := m.identityTranslate(v); ok {
-			m.stats.TranslationCycles.Add(identityCheckLat)
-			client.OnTranslated(pa, now+identityCheckLat)
-			return
-		}
-	}
-	vpn := v.Page()
-	t := now + m.dtlbLat
-	if e, ok := m.dtlb.Lookup(vpn); ok {
-		m.stats.TranslationCycles.Add(t - now)
-		client.OnTranslated(physical(pagetable.Entry(e), v), t)
-		return
-	}
-	if m.pcx != nil && pc != 0 {
-		t += m.pcxLat
-		if e, ok := m.pcx.Lookup(pc, vpn); ok {
-			m.dtlb.Insert(vpn, e)
-			m.stats.TranslationCycles.Add(t - now)
-			client.OnTranslated(physical(pagetable.Entry(e), v), t)
-			return
-		}
-	}
-	t += m.stlbLat
-	if e, ok := m.stlb.Lookup(vpn); ok {
-		m.dtlb.Insert(vpn, e)
-		m.stats.TranslationCycles.Add(t - now)
-		client.OnTranslated(physical(pagetable.Entry(e), v), t)
-		return
-	}
-	m.unit.Walker.WalkAsync(s, walker.Request{Core: m.coreID, V: v, Time: t}, m.getXlat(vpn, v, now, pc, client))
 }
 
 // TranslateCode resolves an instruction-fetch address. Fetch translation

@@ -2,17 +2,17 @@ package engine
 
 import "testing"
 
-// The differential property tests pin the calendar queue to the
-// retained binary heap: any randomized schedule/dispatch sequence must
-// produce an identical dispatch order through both queues. The heap is
-// the oracle — it is the PR 4 implementation whose order the pinned
-// goldens were recorded under.
+// The differential property tests pin the calendar queue to the binary
+// heap it replaced (heapQueue, heap_test.go): any randomized
+// schedule/dispatch sequence must produce an identical dispatch order
+// through both queues. The heap is the oracle — it is the
+// implementation whose order the pinned goldens were recorded under.
 
-// newHeapEngine builds an engine on the fallback heap queue.
-func newHeapEngine() *Engine {
-	UseHeapFallback = true
-	defer func() { UseHeapFallback = false }()
-	return New()
+// queue is the scheduling surface Engine and heapQueue share.
+type queue interface {
+	Schedule(t uint64, actor int, target Actor, kind uint8, payload uint64)
+	Run()
+	Rewind()
 }
 
 // xorshift is the tests' deterministic PRNG.
@@ -33,7 +33,7 @@ func (s *xorshift) next() uint64 {
 // step for step — any divergence is caught at the first differing
 // dispatch.
 type diffRecorder struct {
-	e     *Engine
+	e     queue
 	rng   xorshift
 	got   []delivered
 	react bool
@@ -70,7 +70,7 @@ func (r *diffRecorder) OnEvent(now uint64, kind uint8, payload uint64) {
 
 // runDiffScenario drives one engine through a deterministic randomized
 // scenario: a seed batch of events, then Run with reactive scheduling.
-func runDiffScenario(e *Engine, seed uint64, react bool) []delivered {
+func runDiffScenario(e queue, seed uint64, react bool) []delivered {
 	r := &diffRecorder{e: e, rng: xorshift(seed), react: react}
 	rng := xorshift(seed * 0x9E3779B97F4A7C15)
 	n := int(rng.next()%300) + 1
@@ -92,7 +92,7 @@ func TestDifferentialCalendarVsHeap(t *testing.T) {
 		for round := 0; round < 40; round++ {
 			seed := uint64(round)*0x5DEECE66D + 11
 			cal := runDiffScenario(New(), seed, react)
-			hp := runDiffScenario(newHeapEngine(), seed, react)
+			hp := runDiffScenario(&heapQueue{}, seed, react)
 			if len(cal) != len(hp) {
 				t.Fatalf("react=%v round %d: calendar dispatched %d events, heap %d",
 					react, round, len(cal), len(hp))
@@ -111,7 +111,7 @@ func TestDifferentialCalendarVsHeap(t *testing.T) {
 // Rewind boundaries: drain, rewind, re-seed below the previous horizon
 // — the simulator's warmup/measurement phase structure.
 func TestDifferentialMultiPhase(t *testing.T) {
-	run := func(e *Engine) []delivered {
+	run := func(e queue) []delivered {
 		var all []delivered
 		rng := xorshift(0xABCDEF12345)
 		for phase := 0; phase < 5; phase++ {
@@ -126,7 +126,7 @@ func TestDifferentialMultiPhase(t *testing.T) {
 		return all
 	}
 	cal := run(New())
-	hp := run(newHeapEngine())
+	hp := run(&heapQueue{})
 	if len(cal) != len(hp) {
 		t.Fatalf("calendar dispatched %d events, heap %d", len(cal), len(hp))
 	}
@@ -134,28 +134,5 @@ func TestDifferentialMultiPhase(t *testing.T) {
 		if cal[i] != hp[i] {
 			t.Fatalf("dispatch %d diverged: calendar %+v, heap %+v", i, cal[i], hp[i])
 		}
-	}
-}
-
-// TestHeapFallbackSelectsHeap sanity-checks the fallback wiring: a
-// heap-backed engine services the public API identically.
-func TestHeapFallbackSelectsHeap(t *testing.T) {
-	e := newHeapEngine()
-	if !e.useHeap {
-		t.Fatal("UseHeapFallback did not select the heap queue")
-	}
-	r := &recorder{}
-	e.Schedule(5, 1, r, 2, 3)
-	e.Schedule(1, 0, r, 4, 5)
-	if e.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", e.Len())
-	}
-	e.Run()
-	if len(r.got) != 2 || r.got[0].now != 1 || r.got[1].now != 5 {
-		t.Fatalf("heap fallback dispatch order wrong: %+v", r.got)
-	}
-	e.Rewind()
-	if e.Now() != 0 {
-		t.Fatal("heap fallback Rewind did not reset the clock")
 	}
 }

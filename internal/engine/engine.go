@@ -34,8 +34,8 @@
 //     batch in sorted position, reproducing the heap's semantics
 //     exactly.
 //
-// The binary min-heap the wheel replaced is retained in-package
-// (UseHeapFallback) as the oracle for differential tests: randomized
+// The binary min-heap the wheel replaced lives on in the package's
+// tests (heap_test.go) as the oracle for differential tests: randomized
 // schedules must dispatch identically through both queues.
 //
 // The engine is single-threaded and allocation-free on the hot path:
@@ -58,8 +58,7 @@ type Actor interface {
 	OnEvent(now uint64, kind uint8, payload uint64)
 }
 
-// event is one scheduled typed event, stored inline in a bucket (or in
-// the heap-fallback queue).
+// event is one scheduled typed event, stored inline in a bucket.
 type event struct {
 	time    uint64
 	seq     uint64
@@ -68,24 +67,6 @@ type event struct {
 	actor   int32
 	kind    uint8
 }
-
-// before is the strict (time, actor, seq) order (heap fallback).
-func (e *event) before(o *event) bool {
-	if e.time != o.time {
-		return e.time < o.time
-	}
-	if e.actor != o.actor {
-		return e.actor < o.actor
-	}
-	return e.seq < o.seq
-}
-
-// UseHeapFallback, when set before New, builds engines on the retained
-// binary min-heap instead of the calendar queue. It exists for the
-// differential tests that pin the two queues to identical dispatch
-// orders (and as an escape hatch while the wheel beds in); production
-// code leaves it false. Not safe to flip concurrently with New.
-var UseHeapFallback = false
 
 const (
 	// nBuckets is the wheel size. 256 buckets at the adaptive width
@@ -130,10 +111,6 @@ type Engine struct {
 	deltaSum uint64
 	deltaCnt uint64
 
-	// heap is the binary-min-heap fallback queue (UseHeapFallback).
-	heap    []event
-	useHeap bool
-
 	seq uint64
 	now uint64
 	// dispatched counts events executed over the engine's lifetime;
@@ -153,12 +130,10 @@ const bucketSeedCap = 4
 // reaches its steady no-allocation state without 256 first-touch
 // growths.
 func New() *Engine {
-	e := &Engine{shift: initShift, useHeap: UseHeapFallback}
-	if !e.useHeap {
-		arena := make([]event, nBuckets*bucketSeedCap)
-		for i := range e.buckets {
-			e.buckets[i] = arena[i*bucketSeedCap : i*bucketSeedCap : (i+1)*bucketSeedCap]
-		}
+	e := &Engine{shift: initShift}
+	arena := make([]event, nBuckets*bucketSeedCap)
+	for i := range e.buckets {
+		e.buckets[i] = arena[i*bucketSeedCap : i*bucketSeedCap : (i+1)*bucketSeedCap]
 	}
 	return e
 }
@@ -169,9 +144,6 @@ func (e *Engine) Now() uint64 { return e.now }
 
 // Len returns the number of pending events.
 func (e *Engine) Len() int {
-	if e.useHeap {
-		return len(e.heap)
-	}
 	return e.wheelN + len(e.far) + (len(e.batch) - e.batchPos)
 }
 
@@ -217,10 +189,6 @@ func (e *Engine) Schedule(t uint64, actor int, target Actor, kind uint8, payload
 	}
 	ev := event{time: t, seq: e.seq, payload: payload, target: target, actor: int32(actor), kind: kind}
 	e.seq++
-	if e.useHeap {
-		e.heapPush(ev)
-		return
-	}
 	e.deltaSum += t - e.now
 	e.deltaCnt++
 	if e.deltaCnt == 1<<20 { // decay: recent deltas dominate the average
@@ -268,9 +236,9 @@ func (e *Engine) batchInsert(ev event) {
 // Step dispatches the earliest pending event. It returns false when the
 // queue is empty.
 func (e *Engine) Step() bool {
-	if e.useHeap {
-		return e.heapStep()
-	}
+	// Drain the extracted same-timestamp batch first: its events are
+	// already sorted by (actor, seq), so they need no wheel probe. Only
+	// an exhausted batch falls through to the wheel (next).
 	if e.batchPos < len(e.batch) {
 		e.batched++ // same-tick continuation: no wheel probe
 		i := e.batchPos

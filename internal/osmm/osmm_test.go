@@ -354,24 +354,58 @@ func TestUnmapFreesConsistently(t *testing.T) {
 	}
 }
 
-// BenchmarkTouchHit measures the demand-paging check on the ~99% path: a
-// page that is already mapped. The first pattern revisits a 1024-page
-// hot set; the second spreads over 32K pages.
-func BenchmarkTouchHit(b *testing.B) {
-	run := func(b *testing.B, pages uint64) {
-		as, _ := newAS(Base4K)
-		base := as.Alloc(pages*addr.PageSize, "hot")
-		rng := xrand.New(9)
-		addrs := make([]addr.V, 4096)
-		for i := range addrs {
-			addrs[i] = base + addr.V(rng.Uint64n(pages)*addr.PageSize)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			as.Touch(addrs[i&4095])
-		}
+// touchSets are BenchmarkTouchHit's two access patterns over mapped
+// pages: a 1024-page hot set, and a spread over 32K pages.
+var touchSets = []struct {
+	name  string
+	pages uint64
+}{{"cached", 1024}, {"present", 1 << 15}}
+
+// touchRig maps pages pages and returns 4096 random addresses in them.
+func touchRig(pages uint64) (*AddressSpace, []addr.V) {
+	as, _ := newAS(Base4K)
+	base := as.Alloc(pages*addr.PageSize, "hot")
+	rng := xrand.New(9)
+	addrs := make([]addr.V, 4096)
+	for i := range addrs {
+		addrs[i] = base + addr.V(rng.Uint64n(pages)*addr.PageSize)
 	}
-	b.Run("cached", func(b *testing.B) { run(b, 1024) })
-	b.Run("present", func(b *testing.B) { run(b, 1<<15) })
+	return as, addrs
+}
+
+// BenchmarkTouchHit measures the demand-paging check on the ~99% path: a
+// page that is already mapped.
+func BenchmarkTouchHit(b *testing.B) {
+	for _, ts := range touchSets {
+		b.Run(ts.name, func(b *testing.B) {
+			as, addrs := touchRig(ts.pages)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				as.Touch(addrs[i&4095])
+			}
+		})
+	}
+}
+
+// touchAllocBudget bounds the heap allocations of one Touch of a mapped
+// page, which is designed to allocate nothing.
+const touchAllocBudget = 2
+
+// TestTouchHitAllocs keeps BenchmarkTouchHit's allocations per Touch
+// under touchAllocBudget on both patterns.
+func TestTouchHitAllocs(t *testing.T) {
+	for _, ts := range touchSets {
+		t.Run(ts.name, func(t *testing.T) {
+			as, addrs := touchRig(ts.pages)
+			i := 0
+			allocs := testing.AllocsPerRun(10000, func() {
+				as.Touch(addrs[i&4095])
+				i++
+			})
+			if allocs > touchAllocBudget {
+				t.Errorf("%.2f allocations per Touch, budget %d", allocs, touchAllocBudget)
+			}
+		})
+	}
 }

@@ -9,7 +9,7 @@ import (
 )
 
 // benchTable populates a table with mixed dense+sparse mappings.
-func benchTable(b *testing.B, t Table) []addr.V {
+func benchTable(b testing.TB, t Table) []addr.V {
 	b.Helper()
 	t.MapRange(0, 1<<16, 0) // 256 MB dense
 	rng := xrand.New(1)
@@ -105,7 +105,7 @@ func BenchmarkRadixLookup(b *testing.B) {
 // benchSparseTable maps a handful of pages per 1 GB region across many
 // regions, so lookups cross flat nodes and land in lazily materialized
 // chunks.
-func benchSparseTable(b *testing.B, t Table) []addr.V {
+func benchSparseTable(b testing.TB, t Table) []addr.V {
 	b.Helper()
 	rng := xrand.New(3)
 	addrs := make([]addr.V, 4096)
@@ -118,25 +118,56 @@ func benchSparseTable(b *testing.B, t Table) []addr.V {
 	return addrs
 }
 
-func BenchmarkFlattenedLookup(b *testing.B) {
-	b.Run("dense", func(b *testing.B) {
+// lookupTables are BenchmarkFlattenedLookup's two layouts: a dense
+// 256 MB region, and a few pages in each of 64 lazily materialized
+// flat nodes.
+var lookupTables = []struct {
+	name  string
+	build func(tb testing.TB) (Table, []addr.V)
+}{
+	{"dense", func(tb testing.TB) (Table, []addr.V) {
 		t := NewFlattened(phys.New(1 << 30))
-		addrs := benchTable(b, t)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			t.Lookup(addrs[i&4095].Page())
-		}
-	})
-	b.Run("sparse", func(b *testing.B) {
+		return t, benchTable(tb, t)
+	}},
+	{"sparse", func(tb testing.TB) (Table, []addr.V) {
 		t := NewFlattened(phys.New(1 << 32))
-		addrs := benchSparseTable(b, t)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			t.Lookup(addrs[i&4095].Page())
-		}
-	})
+		return t, benchSparseTable(tb, t)
+	}},
+}
+
+func BenchmarkFlattenedLookup(b *testing.B) {
+	for _, lt := range lookupTables {
+		b.Run(lt.name, func(b *testing.B) {
+			t, addrs := lt.build(b)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				t.Lookup(addrs[i&4095].Page())
+			}
+		})
+	}
+}
+
+// lookupAllocBudget bounds the heap allocations of one steady-state
+// Flattened lookup, which is designed to allocate nothing.
+const lookupAllocBudget = 2
+
+// TestFlattenedLookupAllocs keeps BenchmarkFlattenedLookup's
+// allocations per lookup under lookupAllocBudget on both layouts.
+func TestFlattenedLookupAllocs(t *testing.T) {
+	for _, lt := range lookupTables {
+		t.Run(lt.name, func(t *testing.T) {
+			tbl, addrs := lt.build(t)
+			i := 0
+			allocs := testing.AllocsPerRun(10000, func() {
+				tbl.Lookup(addrs[i&4095].Page())
+				i++
+			})
+			if allocs > lookupAllocBudget {
+				t.Errorf("%.2f allocations per lookup, budget %d", allocs, lookupAllocBudget)
+			}
+		})
+	}
 }
 
 func BenchmarkFlattenedPresent(b *testing.B) {
@@ -149,24 +180,47 @@ func BenchmarkFlattenedPresent(b *testing.B) {
 	}
 }
 
-// BenchmarkFlattenedReferenceSweep populates the reference sweep — a
-// dense 1 GB region plus scattered pages across 63 more — and reports
-// resident metadata per mapped page, the bytes_per_mapped_page metric
-// scripts/bench.sh records and gates.
+// referenceSweep populates the reference sweep: a dense 1 GB region
+// plus 16K pages scattered across 63 more flat nodes.
+func referenceSweep() *Flattened {
+	t := NewFlattened(phys.New(1 << 32))
+	t.MapRange(0, addr.FlatEntries, 0) // dense 1 GB
+	rng := xrand.New(5)
+	for j := 0; j < 1<<14; j++ { // sparse tail over 63 GB
+		region := (1 + rng.Uint64n(63)) << 18
+		t.Map(addr.VPN(region+rng.Uint64n(addr.FlatEntries)), addr.PFN(j))
+	}
+	return t
+}
+
+// BenchmarkFlattenedReferenceSweep builds the reference sweep and
+// reports resident metadata per mapped page, which
+// TestFlattenedReferenceSweepMetadata bounds.
 func BenchmarkFlattenedReferenceSweep(b *testing.B) {
 	var perPage float64
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		t := NewFlattened(phys.New(1 << 32))
-		t.MapRange(0, addr.FlatEntries, 0) // dense 1 GB
-		rng := xrand.New(5)
-		for j := 0; j < 1<<14; j++ { // sparse tail over 63 GB
-			region := (1 + rng.Uint64n(63)) << 18
-			t.Map(addr.VPN(region+rng.Uint64n(addr.FlatEntries)), addr.PFN(j))
-		}
+		t := referenceSweep()
 		perPage = float64(t.MetadataBytes()) / float64(t.MappedPages())
 	}
 	b.ReportMetric(perPage, "bytes/page")
+}
+
+// sweepMetaBudget bounds the reference sweep's resident metadata per
+// mapped page, in bytes. It was ~54 B/page when the budget was set;
+// the scattered pages cost far more than the dense ones.
+const sweepMetaBudget = 256
+
+// TestFlattenedReferenceSweepMetadata keeps the reference sweep's
+// metadata per mapped page under sweepMetaBudget.
+// TestFlattenedMetadataBounds covers the dense heap alone.
+func TestFlattenedReferenceSweepMetadata(t *testing.T) {
+	f := referenceSweep()
+	perPage := float64(f.MetadataBytes()) / float64(f.MappedPages())
+	if perPage > sweepMetaBudget {
+		t.Errorf("reference sweep: %.1f B/page, budget %d", perPage, sweepMetaBudget)
+	}
+	t.Logf("reference sweep: %.1f B/page (budget %d)", perPage, sweepMetaBudget)
 }
 
 // heapChunks is the pr workload's default footprint in 2 MB chunks

@@ -164,7 +164,8 @@ type Table interface {
 	MappedPages() uint64
 	// MetadataBytes reports the simulator-side resident metadata of the
 	// organization — the footprint of the lookup structures themselves,
-	// not the modelled PTE frames. It is the bytes-per-mapped-page
-	// regression metric (scripts/bench.sh).
+	// not the modelled PTE frames. Per mapped page, it is the metric
+	// the metadata-bound tests hold down (TestFlattenedMetadataBounds,
+	// TestFlattenedReferenceSweepMetadata and their siblings).
 	MetadataBytes() uint64
 }

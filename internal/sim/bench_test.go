@@ -7,39 +7,56 @@ import (
 	"ndpage/internal/memsys"
 )
 
+// stepConfig is the machine BenchmarkStepThroughput and
+// TestStepAllocs advance: four NDP cores on pr under mech, with the
+// non-blocking core model when mlp > 1 (then on a shared width-2
+// walker, so walks contend for slots on the event schedule).
+func stepConfig(mech core.Mechanism, mlp int) Config {
+	cfg := Config{
+		System:         memsys.NDP,
+		Cores:          4,
+		Mechanism:      mech,
+		Workload:       "pr",
+		FootprintBytes: 512 << 20,
+		MemoryBytes:    4 << 30,
+		FragHoles:      200,
+		Warmup:         1,
+		Instructions:   1,
+		MLP:            mlp,
+	}
+	if mlp > 1 {
+		cfg.SharedWalker = true
+		cfg.WalkerWidth = 2
+	}
+	return cfg
+}
+
+// stepper builds cfg's machine, settles its initialization, and returns
+// a step that advances every core by one instruction.
+func stepper(tb testing.TB, cfg Config) (m *Machine, step func()) {
+	tb.Helper()
+	m, err := New(cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	m.run(1) // settle init
+	target := uint64(1)
+	return m, func() {
+		target++
+		m.run(target)
+	}
+}
+
 // BenchmarkStepThroughput measures raw engine speed in simulated
 // instructions per second for each mechanism (the simulator's own
 // performance, not the simulated machine's). Each iteration advances
-// every core by one instruction, so ns/op is per Cores instructions —
+// every core by one instruction, so ns/op is per Cores instructions,
 // and allocs/op is the steady-state measured-instruction-path
-// allocation count, which must stay ~0 (the CI bench job budgets
-// against it via scripts/bench.sh).
+// allocation count, which TestStepAllocs bounds.
 func BenchmarkStepThroughput(b *testing.B) {
 	for _, mech := range core.Mechanisms {
 		b.Run(mech.String(), func(b *testing.B) {
-			b.ReportAllocs()
-			m, err := New(Config{
-				System:         memsys.NDP,
-				Cores:          4,
-				Mechanism:      mech,
-				Workload:       "pr",
-				FootprintBytes: 512 << 20,
-				MemoryBytes:    4 << 30,
-				FragHoles:      200,
-				Warmup:         1,
-				Instructions:   1,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			m.run(1) // settle init
-			b.ResetTimer()
-			target := uint64(1)
-			for i := 0; i < b.N; i++ {
-				target++
-				m.run(target)
-			}
-			b.ReportMetric(float64(len(m.cores)), "cores")
+			benchSteps(b, stepConfig(mech, 1))
 		})
 	}
 }
@@ -50,32 +67,41 @@ func BenchmarkStepThroughput(b *testing.B) {
 // zero-allocation property of the MLP > 1 path, which used to allocate
 // several closures per instruction.
 func BenchmarkStepThroughputMLP(b *testing.B) {
+	benchSteps(b, stepConfig(core.Radix, 4))
+}
+
+func benchSteps(b *testing.B, cfg Config) {
 	b.ReportAllocs()
-	m, err := New(Config{
-		System:         memsys.NDP,
-		Cores:          4,
-		Mechanism:      core.Radix,
-		Workload:       "pr",
-		FootprintBytes: 512 << 20,
-		MemoryBytes:    4 << 30,
-		FragHoles:      200,
-		Warmup:         1,
-		Instructions:   1,
-		MLP:            4,
-		SharedWalker:   true,
-		WalkerWidth:    2,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	m.run(1) // settle init
+	m, step := stepper(b, cfg)
 	b.ResetTimer()
-	target := uint64(1)
 	for i := 0; i < b.N; i++ {
-		target++
-		m.run(target)
+		step()
 	}
 	b.ReportMetric(float64(len(m.cores)), "cores")
+}
+
+// stepAllocBudget bounds the heap allocations of one steady-state step
+// (one instruction on each of four cores). The path is designed to
+// allocate nothing; the budget leaves room for amortized growth of
+// pooled records.
+const stepAllocBudget = 2
+
+// TestStepAllocs keeps BenchmarkStepThroughput's and
+// BenchmarkStepThroughputMLP's steady-state allocations per step under
+// stepAllocBudget, for every mechanism and for the MLP core model.
+func TestStepAllocs(t *testing.T) {
+	cfgs := map[string]Config{"MLP": stepConfig(core.Radix, 4)}
+	for _, mech := range core.Mechanisms {
+		cfgs[mech.String()] = stepConfig(mech, 1)
+	}
+	for name, cfg := range cfgs {
+		t.Run(name, func(t *testing.T) {
+			_, step := stepper(t, cfg)
+			if allocs := testing.AllocsPerRun(2000, step); allocs > stepAllocBudget {
+				t.Errorf("%.2f allocations per step, budget %d", allocs, stepAllocBudget)
+			}
+		})
+	}
 }
 
 // BenchmarkMachineConstruction measures setup cost (allocator,

@@ -1,23 +1,31 @@
 package sim
 
 import (
+	"encoding/json"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
 	"ndpage/internal/core"
-	"ndpage/internal/engine"
 )
 
-// TestEngineQueueDifferential runs whole simulations through both event
-// queues — the calendar wheel and the retained binary-heap fallback —
-// and requires identical Results. The goldens pin the wheel to the
-// recorded pre-wheel numbers; this test additionally pins every counter
-// of fresh configurations (blocking and MLP, narrow and shared walkers)
-// to the heap oracle, so any dispatch-order divergence the goldens'
-// two configurations miss still fails.
+// TestEngineQueueDifferential pins whole simulations to the binary-heap
+// event queue the calendar wheel replaced. testdata/engine_queue_golden.json
+// holds the heap's full Results for fresh configurations (blocking and
+// MLP, narrow and shared walkers), captured on the last commit that
+// still ran both queues side by side and found them deeply equal. The
+// timing goldens pin two configurations' headline counters; this test
+// pins every counter, so a dispatch-order divergence they miss still
+// fails. The heap itself lives on as internal/engine's test oracle.
 func TestEngineQueueDifferential(t *testing.T) {
-	if engine.UseHeapFallback {
-		t.Fatal("UseHeapFallback set on entry")
+	raw, err := os.ReadFile(filepath.Join("testdata", "engine_queue_golden.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want map[string]*Result
+	if err := json.Unmarshal(raw, &want); err != nil {
+		t.Fatal(err)
 	}
 	cfgs := map[string]Config{
 		"blocking-2core-bfs": goldenCfg(2, core.NDPage, "bfs"),
@@ -28,16 +36,16 @@ func TestEngineQueueDifferential(t *testing.T) {
 	mlp.SharedWalker = true
 	mlp.WalkerWidth = 4
 	cfgs["mlp8-4core-dlrm"] = mlp
+	if len(want) != len(cfgs) {
+		t.Fatalf("golden holds %d results, want %d", len(want), len(cfgs))
+	}
 
 	for name, cfg := range cfgs {
 		t.Run(name, func(t *testing.T) {
-			calendar := run(t, cfg)
-			engine.UseHeapFallback = true
-			heap := run(t, cfg)
-			engine.UseHeapFallback = false
-			if !reflect.DeepEqual(calendar, heap) {
-				t.Errorf("results diverge between calendar queue and heap oracle:\ncalendar: %+v\nheap:     %+v",
-					calendar, heap)
+			got := run(t, cfg)
+			if !reflect.DeepEqual(got, want[name]) {
+				t.Errorf("result diverges from the heap queue's:\ncalendar: %+v\nheap:     %+v",
+					got, want[name])
 			}
 		})
 	}

@@ -15,7 +15,7 @@
 //
 //   - Config.MLP > 1 is the non-blocking front-end: a core may keep up
 //     to MLP loads/stores in flight. Translation becomes a
-//     request/completion pair on the engine (MMU.TranslateAsync), walks
+//     request/completion pair on the engine (MMU.TranslateAsyncPC), walks
 //     contend for real walker slots, the data access issues inside the
 //     translation's completion event, and a window-release event retires
 //     each op. The front-end stalls only on faults, compute bursts, and

@@ -5,7 +5,9 @@ import (
 
 	"ndpage/internal/addr"
 	"ndpage/internal/engine"
+	"ndpage/internal/pwc"
 	"ndpage/internal/walker"
+	"ndpage/internal/xrand"
 )
 
 // asyncResp collects one WalkAsync outcome plus the engine time the
@@ -260,5 +262,60 @@ func TestAsyncSteadyStateDoesNotAllocate(t *testing.T) {
 	allocs := testing.AllocsPerRun(50, round)
 	if allocs > 0 {
 		t.Errorf("steady-state WalkAsync allocated %.1f times per round, want 0", allocs)
+	}
+}
+
+// walkCore is BenchmarkWalkAsync's issuing core: each event issues one
+// walk at the current time, and the walk's completion schedules the
+// core's next issue 50 cycles later, until the shared budget is spent.
+type walkCore struct {
+	eng    *engine.Engine
+	w      *walker.Walker
+	id     int
+	pages  []addr.V
+	budget *int
+}
+
+func (c *walkCore) OnEvent(now uint64, kind uint8, payload uint64) {
+	if *c.budget <= 0 {
+		return
+	}
+	*c.budget--
+	v := c.pages[*c.budget&(len(c.pages)-1)]
+	c.w.WalkAsync(c.eng, walker.Request{Core: c.id, V: v, Time: now}, c)
+}
+
+func (c *walkCore) OnWalkDone(resp walker.Response) {
+	c.eng.Schedule(resp.Done+50, c.id, c, 0, 0)
+}
+
+// BenchmarkWalkAsync is BenchmarkWalk on the event schedule: one walk
+// per op over the same populated 64 MB radix table with a PWC. The
+// private case is one core on a width-1 walker; the shared case is
+// four cores on one width-2 walker, whose walks overlap, queue and
+// coalesce in the MSHRs.
+func BenchmarkWalkAsync(b *testing.B) {
+	for _, bc := range []struct {
+		name         string
+		cores, width int
+	}{{"private-w1", 1, 1}, {"shared-w2", 4, 2}} {
+		b.Run(bc.name, func(b *testing.B) {
+			w, base := radixRig(b, walker.Config{Width: bc.width, Cache: pwc.New(pwc.Default())})
+			rng := xrand.New(5)
+			pages := make([]addr.V, 1<<12)
+			for i := range pages {
+				pages[i] = base + addr.V(rng.Uint64n(64<<20/addr.PageSize)*addr.PageSize)
+			}
+			eng := engine.New()
+			budget := b.N
+			cores := make([]walkCore, bc.cores)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := range cores {
+				cores[i] = walkCore{eng: eng, w: w, id: i, pages: pages, budget: &budget}
+				eng.Schedule(0, i, &cores[i], 0, 0)
+			}
+			eng.Run()
+		})
 	}
 }

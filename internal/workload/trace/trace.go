@@ -447,13 +447,7 @@ const CSVHeaderPC = "op,addr,pc"
 // column is emitted only when some op carries a nonzero PC, so captures
 // without PCs stay byte-identical to the two-column format.
 func EncodeCSV(w io.Writer, ops []Op) error {
-	pcs := false
-	for _, op := range ops {
-		if (op.Kind == Load || op.Kind == Store) && op.PC != 0 {
-			pcs = true
-			break
-		}
-	}
+	pcs := carriesPC(ops)
 	bw := bufio.NewWriter(w)
 	if pcs {
 		fmt.Fprintln(bw, CSVHeaderPC)
@@ -479,6 +473,16 @@ func EncodeCSV(w io.Writer, ops []Op) error {
 		}
 	}
 	return bw.Flush()
+}
+
+// carriesPC reports whether any load or store in ops has a nonzero PC.
+func carriesPC(ops []Op) bool {
+	for _, op := range ops {
+		if (op.Kind == Load || op.Kind == Store) && op.PC != 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // DecodeCSV reads a CSV capture: one stream, a derived header (base,

@@ -83,6 +83,7 @@ func populateHeap(t Table, chunks int) {
 // pages) the way the simulator does, reporting the host cost per page
 // and the resident metadata per page.
 func BenchmarkCuckooPopulate(b *testing.B) {
+	b.ReportAllocs()
 	var perPage float64
 	for i := 0; i < b.N; i++ {
 		c := NewCuckoo(phys.New(1<<30), 4096)

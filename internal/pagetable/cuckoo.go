@@ -2,6 +2,7 @@ package pagetable
 
 import (
 	"fmt"
+	"math/bits"
 
 	"ndpage/internal/addr"
 	"ndpage/internal/bitset"
@@ -24,7 +25,8 @@ import (
 // crosses the threshold it begins a gradual migration into a table twice
 // the size, tracked by a migration pointer. Entries whose old-table slot
 // index is below the pointer have been rehashed into the new table, so a
-// lookup still needs exactly one probe per way during resizing.
+// lookup still needs exactly one probe per way during resizing. Both
+// tables share one slot array that grows in place (see cuckooWay).
 type Cuckoo struct {
 	alloc *phys.Allocator
 	ways  [len(cuckooSalts)]cuckooWay
@@ -42,36 +44,56 @@ type CuckooStats struct {
 	Inserts  uint64
 	Kicks    uint64 // displacement steps
 	Resizes  uint64 // gradual resizes begun
-	Migrated uint64 // entries moved during gradual resizes
+	Migrated uint64 // entries migrated during gradual resizes, moved or not
 }
 
-// cuckooTab is one hash table (a way's old or new array during gradual
-// resizing): the VPN tag of each slot, their occupancy bitmap, and the
-// backing frames. The host slot is just the tag placement compares;
-// the PFN lives in Cuckoo.frames. The modelled PTE is slotBytes wide
-// regardless, and only it decides the slots' physical addresses.
-type cuckooTab struct {
-	tags   []addr.VPN
-	occ    []uint64 // one bit per slot
-	frames []addr.P // one frame per slotsPerFrame slots
-}
-
-// full reports whether slot i holds an entry.
-func (t *cuckooTab) full(i int) bool { return bitset.TestBit(t.occ, uint64(i)) }
-
+// cuckooWay is one hash table that grows in place, the way linear
+// hashing splits buckets. Its slot array covers size slots, or 2*size
+// while it resizes; doubling appends one segment of size slots, so no
+// tag is ever copied to grow the way and no array is freed. A slot
+// holds only the VPN tag that placement compares; the PFN lives in
+// Cuckoo.frames. The modelled PTE is slotBytes wide regardless, and
+// only it decides the slots' physical addresses.
+//
+// While the way resizes, the old table is slots [migPtr, size) and
+// the new one, twice as large, is [0, migPtr) plus [size, size+migPtr):
+// a key's new slot is its old slot i or i+size (its hash with one more
+// bit), so migrating slot i either leaves the tag where it is or moves
+// it to i+size. Old-table slots sit in frames and new-table slots in
+// newFrames.
 type cuckooWay struct {
-	cuckooTab
+	// segs[0] holds the initial 1<<seg0Shift slots and each resize
+	// appends a segment as large as the table, so segs[k], k > 0,
+	// holds slots [len(segs[k]), 2*len(segs[k])) and slot i lives in
+	// segs[bits.Len(i>>seg0Shift)]. The few segment headers stay in
+	// L1, so locating a slot adds one cached load.
+	segs      [][]addr.VPN
+	seg0Shift uint8
+	occ       []uint64 // one bit per slot
+	frames    []addr.P // one frame per slotsPerFrame old-table slots
+	newFrames []addr.P // the new table's, while resizing
+
+	size  int // the table's slots (the old table's while resizing), a power of two
 	salt  uint64
 	count int
 	// resizeAt is the count above which the way begins a gradual
-	// resize: cuckooThreshold x len(tags), precomputed per table size.
+	// resize: cuckooThreshold x size, precomputed per table size.
 	resizeAt int
 
-	// resize state
 	resizing bool
-	newTab   cuckooTab
-	migPtr   int
+	// migPtr is the first old-table slot not yet migrated; 0 unless
+	// resizing, so probe needs no resizing test.
+	migPtr int
 }
+
+// slot returns slot i's tag.
+func (way *cuckooWay) slot(i int) *addr.VPN {
+	s := way.segs[bits.Len(uint(i)>>way.seg0Shift)]
+	return &s[i&(len(s)-1)]
+}
+
+// full reports whether slot i holds an entry.
+func (way *cuckooWay) full(i int) bool { return bitset.TestBit(way.occ, uint64(i)) }
 
 // slotBytes is the size of one modelled cuckoo PTE slot (VPN tag + PFN
 // + flags).
@@ -100,7 +122,15 @@ func NewCuckoo(alloc *phys.Allocator, initialSlots int) *Cuckoo {
 	}
 	c := &Cuckoo{alloc: alloc}
 	for i, salt := range cuckooSalts {
-		c.ways[i] = cuckooWay{cuckooTab: c.newTab(size), salt: salt, resizeAt: resizeLimit(size)}
+		c.ways[i] = cuckooWay{
+			segs:      [][]addr.VPN{make([]addr.VPN, size)},
+			seg0Shift: uint8(bits.TrailingZeros(uint(size))),
+			occ:       make([]uint64, bitset.WordsFor(uint64(size))),
+			frames:    c.allocFrames(size),
+			size:      size,
+			salt:      salt,
+			resizeAt:  resizeLimit(size),
+		}
 	}
 	return c
 }
@@ -110,15 +140,6 @@ func (c *Cuckoo) Kind() string { return "cuckoo" }
 
 // Stats returns a copy of the structural counters.
 func (c *Cuckoo) Stats() CuckooStats { return c.stats }
-
-// newTab builds one hash table of size slots.
-func (c *Cuckoo) newTab(size int) cuckooTab {
-	return cuckooTab{
-		tags:   make([]addr.VPN, size),
-		occ:    make([]uint64, bitset.WordsFor(uint64(size))),
-		frames: c.allocFrames(size),
-	}
-}
 
 func (c *Cuckoo) allocFrames(slots int) []addr.P {
 	n := (slots + slotsPerFrame - 1) / slotsPerFrame
@@ -144,27 +165,32 @@ func (way *cuckooWay) hash(vpn addr.VPN) int {
 	return int(xrand.Hash64(uint64(vpn) ^ way.salt))
 }
 
-// slotPA returns the physical address of slot i given the backing frames.
-func slotPA(frames []addr.P, i int) addr.P {
+// probe returns the slot a lookup for vpn lands on: its old-table slot,
+// or, once migration has passed that slot, its new-table slot, which
+// indexes by one more hash bit.
+func (way *cuckooWay) probe(vpn addr.VPN) int {
+	h := way.hash(vpn)
+	i := h & (way.size - 1)
+	if i < way.migPtr {
+		i += h & way.size
+	}
+	return i
+}
+
+// slotPA returns the modelled physical address of slot i.
+func (way *cuckooWay) slotPA(i int) addr.P {
+	frames := way.frames
+	if i < way.migPtr || i >= way.size {
+		frames = way.newFrames
+	}
 	return frames[i/slotsPerFrame] + addr.P((i%slotsPerFrame)*slotBytes)
 }
 
-// probe resolves where a lookup for vpn lands in the way: the table
-// (old, or new during gradual resizing) and the slot index. Both
-// tables index by the same hash, the new one by one more bit.
-func (way *cuckooWay) probe(vpn addr.VPN) (*cuckooTab, int) {
-	h := way.hash(vpn)
-	if i := h & (len(way.tags) - 1); !way.resizing || i >= way.migPtr {
-		return &way.cuckooTab, i
-	}
-	return &way.newTab, h & (len(way.newTab.tags) - 1)
-}
-
 // holds reports whether the way's probe slot for vpn carries its tag,
-// and where that slot is.
-func (way *cuckooWay) holds(vpn addr.VPN) (tab *cuckooTab, idx int, ok bool) {
-	tab, idx = way.probe(vpn)
-	return tab, idx, tab.full(idx) && tab.tags[idx] == vpn
+// and which slot that is.
+func (way *cuckooWay) holds(vpn addr.VPN) (idx int, ok bool) {
+	idx = way.probe(vpn)
+	return idx, way.full(idx) && *way.slot(idx) == vpn
 }
 
 // Lookup implements Table.
@@ -181,8 +207,9 @@ func (c *Cuckoo) WalkInto(v addr.V, w *Walk) {
 	// Read the frame first: its load then overlaps the tag probes'.
 	e, _ := c.frames.lookup(vpn)
 	for i := range c.ways {
-		tab, idx, ok := c.ways[i].holds(vpn)
-		w.Par = append(w.Par, Access{HashLevel, slotPA(tab.frames, idx)})
+		way := &c.ways[i]
+		idx, ok := way.holds(vpn)
+		w.Par = append(w.Par, Access{HashLevel, way.slotPA(idx)})
 		if ok {
 			w.Found = true
 			w.FoundIdx = i
@@ -211,9 +238,9 @@ func (c *Cuckoo) MapRange(vpn addr.VPN, count uint64, base addr.PFN) {
 				continue
 			}
 			c.advanceMigrations()
-			c.insert(vpn+addr.VPN(k), 0)
+			way := c.insert(vpn+addr.VPN(k), 0)
 			c.count++
-			c.maybeResize()
+			c.maybeResize(way)
 		}
 		vpn += addr.VPN(n)
 		base += addr.PFN(n)
@@ -221,9 +248,9 @@ func (c *Cuckoo) MapRange(vpn addr.VPN, count uint64, base addr.PFN) {
 	}
 }
 
-// insert places vpn's tag using cuckoo displacement. attempts bounds
-// forced-resize recursion.
-func (c *Cuckoo) insert(vpn addr.VPN, attempts int) {
+// insert places vpn's tag using cuckoo displacement and returns the way
+// whose count grew. attempts bounds forced-resize recursion.
+func (c *Cuckoo) insert(vpn addr.VPN, attempts int) *cuckooWay {
 	if attempts > 8 {
 		panic("pagetable: cuckoo insertion failed after repeated resizes")
 	}
@@ -231,14 +258,15 @@ func (c *Cuckoo) insert(vpn addr.VPN, attempts int) {
 	const maxKicks = 32
 	for kick := 0; kick < maxKicks; kick++ {
 		way := &c.ways[w]
-		tab, idx := way.probe(vpn)
-		if bitset.SetBit(tab.occ, uint64(idx)) {
-			tab.tags[idx] = vpn
+		idx := way.probe(vpn)
+		tag := way.slot(idx)
+		if bitset.SetBit(way.occ, uint64(idx)) {
+			*tag = vpn
 			way.count++
-			return
+			return way
 		}
 		// Displace the occupant and move it to the next way.
-		tab.tags[idx], vpn = vpn, tab.tags[idx]
+		*tag, vpn = vpn, *tag
 		c.stats.Kicks++
 		if w++; w == len(c.ways) {
 			w = 0
@@ -248,7 +276,7 @@ func (c *Cuckoo) insert(vpn addr.VPN, attempts int) {
 	// and retry with the still-homeless entry.
 	c.forceResize()
 	c.advanceMigrations()
-	c.insert(vpn, attempts+1)
+	return c.insert(vpn, attempts+1)
 }
 
 // MapHuge implements Table. The ECH design keeps separate per-page-size
@@ -266,8 +294,8 @@ func (c *Cuckoo) Unmap(vpn addr.VPN) (Entry, bool) {
 	}
 	for i := range c.ways {
 		way := &c.ways[i]
-		if tab, idx, ok := way.holds(vpn); ok {
-			bitset.ClearBit(tab.occ, uint64(idx))
+		if idx, ok := way.holds(vpn); ok {
+			bitset.ClearBit(way.occ, uint64(idx))
 			way.count--
 			c.count--
 			return e, true
@@ -276,14 +304,14 @@ func (c *Cuckoo) Unmap(vpn addr.VPN) (Entry, bool) {
 	panic("pagetable: cuckoo store maps a VPN no slot holds")
 }
 
-// maybeResize begins a gradual resize of any way whose load factor
-// crossed the threshold.
-func (c *Cuckoo) maybeResize() {
-	for i := range c.ways {
-		way := &c.ways[i]
-		if !way.resizing && way.count > way.resizeAt {
-			c.beginResize(way)
-		}
+// maybeResize begins a gradual resize of way, the one an insert just
+// grew, if its load factor crossed the threshold. No other way's count
+// changed, and a way that finishes migrating is below its new, doubled
+// threshold: it gains at most one entry per cuckooMigrateStep slots
+// migrated, from at most cuckooThreshold x size.
+func (c *Cuckoo) maybeResize(way *cuckooWay) {
+	if !way.resizing && way.count > way.resizeAt {
+		c.beginResize(way)
 	}
 }
 
@@ -297,7 +325,7 @@ func (c *Cuckoo) forceResize() {
 		if way.resizing {
 			continue
 		}
-		lf := float64(way.count) / float64(len(way.tags))
+		lf := float64(way.count) / float64(way.size)
 		if lf > best {
 			best, target = lf, way
 		}
@@ -308,7 +336,7 @@ func (c *Cuckoo) forceResize() {
 		for i := range c.ways {
 			way := &c.ways[i]
 			for way.resizing {
-				c.migrate(way, len(way.tags))
+				c.migrate(way, way.size)
 			}
 		}
 		return
@@ -316,9 +344,16 @@ func (c *Cuckoo) forceResize() {
 	c.beginResize(target)
 }
 
+// beginResize appends the segment [size, 2*size) and widens the
+// occupancy bitmap to match; only the bitmap, at most 1/64 of the
+// tags, is copied.
 func (c *Cuckoo) beginResize(way *cuckooWay) {
 	way.resizing = true
-	way.newTab = c.newTab(2 * len(way.tags))
+	way.segs = append(way.segs, make([]addr.VPN, way.size))
+	occ := make([]uint64, bitset.WordsFor(uint64(2*way.size)))
+	copy(occ, way.occ)
+	way.occ = occ
+	way.newFrames = c.allocFrames(2 * way.size)
 	way.migPtr = 0
 	c.stats.Resizes++
 }
@@ -334,37 +369,56 @@ func (c *Cuckoo) advanceMigrations() {
 }
 
 // migrate rehashes up to n old-table slots of way into its new table.
+// Slot i's entry goes to slot i + hash&size: it stays, or moves up by
+// size.
 //
-// The target slot is always free. An entry in old slot i moves to a
-// new slot whose low bits are i. The only other entries in the new
-// table were placed there by probe, which sends a key to the new table
-// only when its old slot is below migPtr. migPtr only grows, so none of
+// Slot i+size is always free. The only other entries in that half
+// were placed there by probe, which sends a key to the new table only
+// when its old slot is below migPtr. migPtr only grows, so none of
 // them has old slot i.
 func (c *Cuckoo) migrate(way *cuckooWay, n int) {
-	for i := 0; i < n && way.migPtr < len(way.tags); i++ {
-		i0 := way.migPtr
-		way.migPtr++
-		if !way.full(i0) {
-			continue
+	end := min(way.migPtr+n, way.size)
+	for lo := way.migPtr; lo < end; {
+		// Visit the occupied slots of [lo, end) in lo's bitmap word.
+		hi := min(end, (lo|63)+1)
+		word := way.occ[lo>>6] >> (lo & 63)
+		if hi-lo < 64 {
+			word &= 1<<(hi-lo) - 1
 		}
-		vpn := way.tags[i0]
-		hNew := way.hash(vpn) & (len(way.newTab.tags) - 1)
-		if !bitset.SetBit(way.newTab.occ, uint64(hNew)) {
-			panic("pagetable: cuckoo migration target slot occupied")
+		for ; word != 0; word &= word - 1 {
+			i := lo + bits.TrailingZeros64(word)
+			vpn := *way.slot(i)
+			dst := i + way.hash(vpn)&way.size
+			bitset.ClearBit(way.occ, uint64(i))
+			if !bitset.SetBit(way.occ, uint64(dst)) {
+				panic("pagetable: cuckoo migration target slot occupied")
+			}
+			*way.slot(dst) = vpn
+			c.stats.Migrated++
 		}
-		way.newTab.tags[hNew] = vpn
-		c.stats.Migrated++
+		lo = hi
 	}
-	if way.migPtr >= len(way.tags) {
-		// Migration complete: retire the old table.
+	way.migPtr = end
+	if end == way.size {
+		// Migration complete: retire the old table's frames.
 		for _, f := range way.frames {
 			c.alloc.Free(f.Page())
 		}
-		way.cuckooTab = way.newTab
-		way.newTab = cuckooTab{}
+		way.frames, way.newFrames = way.newFrames, nil
+		way.size *= 2
+		way.migPtr = 0
 		way.resizing = false
-		way.resizeAt = resizeLimit(len(way.tags))
+		way.resizeAt = resizeLimit(way.size)
 	}
+}
+
+// capacity is the way's modelled slot count: both tables while it
+// resizes.
+func (way *cuckooWay) capacity() int {
+	if way.resizing {
+		return 3 * way.size
+	}
+	return way.size
 }
 
 // Occupancy implements Table: one pseudo-level row describing overall
@@ -372,11 +426,7 @@ func (c *Cuckoo) migrate(way *cuckooWay, n int) {
 func (c *Cuckoo) Occupancy() []LevelOccupancy {
 	var capacity uint64
 	for i := range c.ways {
-		way := &c.ways[i]
-		capacity += uint64(len(way.tags))
-		if way.resizing {
-			capacity += uint64(len(way.newTab.tags))
-		}
+		capacity += uint64(c.ways[i].capacity())
 	}
 	return []LevelOccupancy{{
 		Level:       HashLevel,
@@ -389,20 +439,18 @@ func (c *Cuckoo) Occupancy() []LevelOccupancy {
 // MappedPages implements Table.
 func (c *Cuckoo) MappedPages() uint64 { return c.count }
 
-// MetadataBytes implements Table: the tag arrays, their occupancy
-// bitmaps, and backing-frame directories of every way (old and new
-// tables both, during gradual resizing), plus the frame store.
+// MetadataBytes implements Table: the host memory every way holds (its
+// tag segments, 2*size slots while it resizes, their occupancy bitmap,
+// and the frame directories of both tables), plus the frame store.
 func (c *Cuckoo) MetadataBytes() uint64 {
-	tab := func(t *cuckooTab) uint64 {
-		return uint64(len(t.tags)+len(t.occ)+len(t.frames)) * 8
-	}
 	total := c.frames.bytes()
 	for i := range c.ways {
 		way := &c.ways[i]
-		total += tab(&way.cuckooTab)
-		if way.resizing {
-			total += tab(&way.newTab)
+		words := len(way.occ) + len(way.frames) + len(way.newFrames)
+		for _, s := range way.segs {
+			words += len(s)
 		}
+		total += uint64(words) * 8
 	}
 	return total
 }
@@ -412,11 +460,7 @@ func (c *Cuckoo) LoadFactors() []float64 {
 	out := make([]float64, len(c.ways))
 	for i := range c.ways {
 		way := &c.ways[i]
-		size := len(way.tags)
-		if way.resizing {
-			size += len(way.newTab.tags)
-		}
-		out[i] = float64(way.count) / float64(size)
+		out[i] = float64(way.count) / float64(way.capacity())
 	}
 	return out
 }

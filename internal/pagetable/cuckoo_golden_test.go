@@ -115,27 +115,14 @@ func TestCuckooPlacementGolden(t *testing.T) {
 	}
 }
 
-// liveSlots calls f for every occupied slot a probe can reach: the old
-// table from migPtr up and the whole new table while a way resizes.
-// Old slots below migPtr keep their occupancy bits after migrating but
-// are dead.
-func (c *Cuckoo) liveSlots(f func(tab *cuckooTab, idx int)) {
+// liveSlots calls f for every occupied slot of every way. Every
+// occupied slot is live: migrating a tag clears its old slot's bit.
+func (c *Cuckoo) liveSlots(f func(way *cuckooWay, idx int)) {
 	for i := range c.ways {
 		way := &c.ways[i]
-		from := 0
-		if way.resizing {
-			from = way.migPtr
-		}
-		for i := from; i < len(way.tags); i++ {
-			if way.full(i) {
-				f(&way.cuckooTab, i)
-			}
-		}
-		if way.resizing {
-			for i := range way.newTab.tags {
-				if way.newTab.full(i) {
-					f(&way.newTab, i)
-				}
+		for w, word := range way.occ {
+			for ; word != 0; word &= word - 1 {
+				f(way, w*64+bits.TrailingZeros64(word))
 			}
 		}
 	}
@@ -143,24 +130,10 @@ func (c *Cuckoo) liveSlots(f func(tab *cuckooTab, idx int)) {
 
 // liveCount counts what liveSlots visits, a word at a time.
 func (c *Cuckoo) liveCount() uint64 {
-	ones := func(occ []uint64, from int) (n uint64) {
-		for i, w := range occ {
-			if lo := i * 64; lo+64 <= from {
-				continue
-			} else if lo < from {
-				w &^= 1<<(from-lo) - 1
-			}
-			n += uint64(bits.OnesCount64(w))
-		}
-		return n
-	}
 	var n uint64
 	for i := range c.ways {
-		way := &c.ways[i]
-		if way.resizing {
-			n += ones(way.occ, way.migPtr) + ones(way.newTab.occ, 0)
-		} else {
-			n += ones(way.occ, 0)
+		for _, word := range c.ways[i].occ {
+			n += uint64(bits.OnesCount64(word))
 		}
 	}
 	return n
@@ -169,8 +142,9 @@ func (c *Cuckoo) liveCount() uint64 {
 // checkCuckooStore asserts that the slots and the frame store agree: as
 // many live occupied slots as MappedPages and store pages, and
 // Present(vpn) agrees with Lookup(vpn). With full set it also resolves
-// every live tag through Lookup and audits the store's layout, which
-// costs time proportional to the table.
+// every live tag through Lookup, checks that probe finds it where it
+// sits, and audits the store's layout, which costs time proportional
+// to the table.
 func checkCuckooStore(t *testing.T, c *Cuckoo, vpn addr.VPN, full bool) {
 	t.Helper()
 	if n := c.liveCount(); n != c.MappedPages() || n != c.frames.pages() {
@@ -182,9 +156,13 @@ func checkCuckooStore(t *testing.T, c *Cuckoo, vpn addr.VPN, full bool) {
 	if !full {
 		return
 	}
-	c.liveSlots(func(tab *cuckooTab, idx int) {
-		if !c.Present(tab.tags[idx]) {
-			t.Fatalf("occupied tag %#x does not resolve through Lookup", uint64(tab.tags[idx]))
+	c.liveSlots(func(way *cuckooWay, idx int) {
+		vpn := *way.slot(idx)
+		if !c.Present(vpn) {
+			t.Fatalf("occupied tag %#x does not resolve through Lookup", uint64(vpn))
+		}
+		if p := way.probe(vpn); p != idx {
+			t.Fatalf("tag %#x sits in slot %d, but probe finds slot %d", uint64(vpn), idx, p)
 		}
 	})
 	if n := c.frames.audit(t); n != c.MappedPages() {

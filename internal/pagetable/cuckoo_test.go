@@ -1,6 +1,7 @@
 package pagetable
 
 import (
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -216,5 +217,21 @@ func TestCuckooMetadataBounds(t *testing.T) {
 	}
 	if got := float64(sparse.MetadataBytes()) / float64(sparse.MappedPages()); got > 1024 {
 		t.Errorf("random 40-bit VPNs: %.2f B/page, want <= 1024", got)
+	}
+}
+
+// TestCuckooPopulateAllocs bounds the host bytes allocated while
+// building an ECH table over a 4 GB heap (1M pages) to 1.25x the
+// metadata the finished table holds. A way grows in place, so a resize
+// allocates only its new segment, frame directory and occupancy bitmap.
+func TestCuckooPopulateAllocs(t *testing.T) {
+	c := NewCuckoo(phys.New(1<<30), 4096)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	populateHeap(c, 2048)
+	runtime.ReadMemStats(&after)
+	alloc, meta := after.TotalAlloc-before.TotalAlloc, c.MetadataBytes()
+	if ratio := float64(alloc) / float64(meta); ratio > 1.25 {
+		t.Errorf("populating allocated %d B, %.2fx MetadataBytes %d B; want <= 1.25x", alloc, ratio, meta)
 	}
 }

@@ -822,7 +822,8 @@ func (c *refCuckoo) WalkInto(v addr.V, w *Walk) {
 	vpn := v.Page()
 	for i := range c.ways {
 		tab, idx := c.ways[i].probe(vpn)
-		w.Par = append(w.Par, Access{HashLevel, slotPA(tab.frames, idx)})
+		pa := tab.frames[idx/slotsPerFrame] + addr.P((idx%slotsPerFrame)*slotBytes)
+		w.Par = append(w.Par, Access{HashLevel, pa})
 		if s := tab.slots[idx]; s.full && s.vpn == vpn {
 			w.Found, w.FoundIdx, w.Entry = true, i, Entry{PFN: s.pfn}
 		}

@@ -254,6 +254,17 @@ func TestWarmKeyNoScheduling(t *testing.T) {
 	}
 }
 
+// malformedConfigs are /v1/sim request bodies decodeConfig must reject.
+func malformedConfigs() []struct{ name, body string } {
+	badCfg, _ := json.Marshal(func() sim.Config { c := testBase(1); c.Cores = 999; return c }())
+	return []struct{ name, body string }{
+		{"broken json", `{"Cores": `},
+		{"unknown field", `{"Cores": 1, "Bogus": true}`},
+		{"invalid config", string(badCfg)},
+		{"unknown workload", `{"Workload": "no-such-kernel"}`},
+	}
+}
+
 // TestMalformedRequests: broken JSON, unknown fields, and invalid
 // configurations are all 400s on /v1/sim.
 func TestMalformedRequests(t *testing.T) {
@@ -269,17 +280,8 @@ func TestMalformedRequests(t *testing.T) {
 		return resp.StatusCode
 	}
 
-	badCfg, _ := json.Marshal(func() sim.Config { c := testBase(1); c.Cores = 999; return c }())
-	cases := []struct {
-		name, path, body string
-	}{
-		{"broken json", "/v1/sim", `{"Cores": `},
-		{"unknown field", "/v1/sim", `{"Cores": 1, "Bogus": true}`},
-		{"invalid config", "/v1/sim", string(badCfg)},
-		{"unknown workload", "/v1/sim", `{"Workload": "no-such-kernel"}`},
-	}
-	for _, c := range cases {
-		if got := post(c.path, c.body); got != http.StatusBadRequest {
+	for _, c := range malformedConfigs() {
+		if got := post("/v1/sim", c.body); got != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400", c.name, got)
 		}
 	}

@@ -70,8 +70,10 @@ func TestConformanceCoversAllMechanisms(t *testing.T) {
 
 // TestConformanceMatrix runs every mechanism under both core models and
 // asserts the cross-mechanism invariants: translation counts match the
-// issued memory ops, derived rates are finite fractions, the sim.Result
-// survives a JSON round trip, and a same-seed rerun is cycle-identical.
+// issued memory ops, no walk is left pending, the blocking core's cycle
+// attribution sums to TotalCycles, derived rates are finite fractions,
+// the sim.Result survives a JSON round trip, and a same-seed rerun is
+// cycle-identical.
 func TestConformanceMatrix(t *testing.T) {
 	for _, mech := range conformanceMechanisms {
 		for _, mlp := range []int{1, 4} {
@@ -96,6 +98,20 @@ func TestConformanceMatrix(t *testing.T) {
 				if translations != res.Loads+res.Stores {
 					t.Errorf("translations = %d, want loads+stores = %d",
 						translations, res.Loads+res.Stores)
+				}
+				// The run drains: no request still waits for a walk slot.
+				for i := 0; i < cfg.Normalize().Cores; i++ {
+					if n := m.MMU(i).Walker().PendingWalks(); n != 0 {
+						t.Errorf("core %d: %d walks still pending after Run", i, n)
+					}
+				}
+				// The blocking core charges every cycle to exactly one
+				// of translation, data, compute and faults. (Under
+				// MLP > 1 translations overlap, so the parts may exceed
+				// the total.)
+				sum := res.TranslationCycles + res.DataCycles + res.ComputeCycles + res.FaultCycles
+				if mlp == 1 && sum != res.TotalCycles {
+					t.Errorf("translation+data+compute+fault cycles = %d, want TotalCycles %d", sum, res.TotalCycles)
 				}
 
 				for name, rate := range map[string]float64{

@@ -262,6 +262,8 @@ func malformedConfigs() []struct{ name, body string } {
 		{"unknown field", `{"Cores": 1, "Bogus": true}`},
 		{"invalid config", string(badCfg)},
 		{"unknown workload", `{"Workload": "no-such-kernel"}`},
+		{"unknown mechanism", `{"Mechanism": 99, "Workload": "rnd"}`},
+		{"unknown system", `{"System": 99, "Workload": "rnd"}`},
 	}
 }
 

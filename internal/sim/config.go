@@ -7,6 +7,7 @@ import (
 	"fmt"
 
 	"ndpage/internal/core"
+	"ndpage/internal/memsys"
 	"ndpage/internal/workload"
 )
 
@@ -66,6 +67,13 @@ func (c Config) Normalize() Config {
 // values (= defaults) always pass; explicit garbage does not.
 func (c Config) Validate() error {
 	n := c.Normalize()
+	// A mechanism is known exactly when its name parses back to it.
+	if m, err := core.ParseMechanism(n.Mechanism.String()); err != nil || m != n.Mechanism {
+		return fmt.Errorf("sim: Mechanism %d is not a known mechanism", int(n.Mechanism))
+	}
+	if n.System != memsys.CPU && n.System != memsys.NDP {
+		return fmt.Errorf("sim: System %d is neither cpu (%d) nor ndp (%d)", int(n.System), memsys.CPU, memsys.NDP)
+	}
 	if n.Cores < 1 || n.Cores > 64 {
 		return fmt.Errorf("sim: core count %d out of range [1, 64]", n.Cores)
 	}

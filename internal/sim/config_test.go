@@ -22,6 +22,11 @@ func TestValidate(t *testing.T) {
 	}{
 		{"defaults", func(c *Config) { *c = Config{Workload: "rnd"} }, ""},
 		{"base", func(c *Config) {}, ""},
+		{"unknown mechanism", func(c *Config) { c.Mechanism = 99 }, "Mechanism 99"},
+		{"negative mechanism", func(c *Config) { c.Mechanism = -1 }, "Mechanism -1"},
+		{"unknown system", func(c *Config) { c.System = 99 }, "System 99"},
+		{"negative system", func(c *Config) { c.System = -1 }, "System -1"},
+		{"cpu system", func(c *Config) { c.System = memsys.CPU }, ""},
 		{"negative cores", func(c *Config) { c.Cores = -1 }, "core count"},
 		{"too many cores", func(c *Config) { c.Cores = 65 }, "core count"},
 		{"negative MLP", func(c *Config) { c.MLP = -1 }, "MLP"},

@@ -280,70 +280,207 @@ func (b *bfs) Init(mem Mem, rng *xrand.RNG, footprint uint64, threads int) {
 	b.queueVA = mem.AllocLazy(b.queueSpan*uint64(threads), "bfs-frontier")
 }
 
-// bfsThread holds one traversal's real state.
-type bfsThread struct {
-	b       *bfs
-	rng     *xrand.RNG
-	visited []uint64
-	queue   []uint32
-	head    int
-	qBase   addr.V // this thread's slice of the frontier region
-	qPos    uint64 // monotonically increasing append cursor
+// frontier is a traversal thread's work queue. Real vertex ids drive
+// control flow; every enqueue and dequeue is also emitted against the
+// thread's slice of the simulated frontier region.
+type frontier struct {
+	b     *bfs
+	rng   *xrand.RNG
+	queue []uint32
+	head  int
+	qBase addr.V // this thread's slice of the frontier region
+	qPos  uint64 // monotonically increasing append cursor
 }
 
-func (b *bfs) Thread(core int, seed uint64) Generator {
-	t := &bfsThread{
-		b:       b,
-		rng:     xrand.New(seed),
-		visited: make([]uint64, b.n/64+1),
-		qBase:   b.queueVA + addr.V(b.queueSpan*uint64(core)),
+func (b *bfs) newFrontier(core int, seed uint64) frontier {
+	return frontier{
+		b:     b,
+		rng:   xrand.New(seed),
+		qBase: b.queueVA + addr.V(b.queueSpan*uint64(core)),
 	}
-	return newThread(t.step)
 }
 
 const bfsQueueCap = 1 << 15
 
-func (t *bfsThread) qAddr() addr.V {
-	a := t.qBase + addr.V(4*(t.qPos%(t.b.queueSpan/4)))
-	t.qPos++
+func (f *frontier) qAddr() addr.V {
+	a := f.qBase + addr.V(4*(f.qPos%(f.b.queueSpan/4)))
+	f.qPos++
 	return a
+}
+
+func (f *frontier) exhausted() bool { return f.head >= len(f.queue) }
+
+// restart empties the queue, seeds it with a fresh random source and
+// emits that enqueue. It returns the source.
+func (f *frontier) restart(e *emitter) uint64 {
+	f.queue = f.queue[:0]
+	f.head = 0
+	src := f.rng.Uint64n(f.b.n)
+	f.queue = append(f.queue, uint32(src))
+	e.store(f.qAddr())
+	return src
+}
+
+// pop dequeues the next vertex. It does not emit the dequeue load.
+func (f *frontier) pop() uint64 {
+	u := uint64(f.queue[f.head])
+	f.head++
+	if f.head > bfsQueueCap {
+		// Compact the consumed prefix to bound Go-side memory.
+		f.queue = append(f.queue[:0], f.queue[f.head:]...)
+		f.head = 0
+	}
+	return u
+}
+
+// push enqueues v, unless bfsQueueCap vertices are already pending, and
+// emits the enqueue store either way: the simulated region is unbounded.
+func (f *frontier) push(e *emitter, v uint64) {
+	if len(f.queue)-f.head < bfsQueueCap {
+		f.queue = append(f.queue, uint32(v))
+	}
+	e.store(f.qAddr())
+}
+
+// vertexSet is a traversal's host-side visited set over ids [0, n): the
+// array/bitmap container split of Roaring bitmaps. Ids split into
+// 64Ki-vertex chunks. A chunk keeps the sorted low halves of its members
+// until it holds setListMax of them, the size of its bitmap, and then
+// switches to the [1024]uint64 bitmap for good. A traversal that visits
+// 0.07% of a large graph so costs a few bytes per visit instead of n/8
+// bytes. No chunk ever holds more than its 8 KB bitmap plus a fixed
+// 288 B: its header and its first list. All chunks carve their first
+// lists from one slab, so the lists cost one allocation until a chunk
+// outgrows its first.
+type vertexSet struct {
+	chunks []setChunk
+}
+
+type setChunk struct {
+	list []uint16         // sorted members while sparse; nil once dense
+	bits *[1 << 10]uint64 // members once dense
+}
+
+const (
+	setListMax  = 4096 // 8 KB of uint16, the size of a chunk bitmap
+	setFirstCap = 128  // capacity of each chunk's first list
+	setWindow   = 64   // entries add searches around lo's interpolated position
+)
+
+func newVertexSet(n uint64) vertexSet {
+	chunks := make([]setChunk, (n+1<<16-1)>>16)
+	slab := make([]uint16, setFirstCap*len(chunks))
+	for i := range chunks {
+		chunks[i].list = slab[i*setFirstCap : i*setFirstCap : (i+1)*setFirstCap]
+	}
+	return vertexSet{chunks: chunks}
+}
+
+// add inserts v and reports whether it was absent.
+func (s *vertexSet) add(v uint64) bool {
+	c := &s.chunks[v>>16]
+	lo := uint16(v)
+	if c.bits != nil {
+		w, m := &c.bits[lo>>6], uint64(1)<<(lo&63)
+		if *w&m != 0 {
+			return false
+		}
+		*w |= m
+		return true
+	}
+	a := c.list
+	// Branch-free search: i ends at the last member <= lo, or at 0. The
+	// step is a mask, not a branch: the compiler keeps a branch (not a
+	// conditional move) for an index that feeds a load, and at every
+	// level that branch is a coin toss for the predictor.
+	i, n := 0, len(a)
+	if n > setWindow {
+		// A sparse chunk's members spread near-uniformly over its ids, so
+		// lo's interpolated position is usually within half a window of
+		// the answer. Two independent loads check that the window
+		// brackets it; the search then stays inside the window's lines
+		// instead of taking a dependent miss per level.
+		s := min(max(int(uint64(lo)*uint64(n)>>16)-setWindow/2, 0), n-setWindow)
+		if a[s] <= lo && (s+setWindow == n || a[s+setWindow] > lo) {
+			i, n = s, setWindow
+		}
+	}
+	for n > 1 {
+		half := n >> 1
+		d := int(lo) - int(a[i+half]) // >= 0 exactly when a[i+half] <= lo
+		i += half &^ (d >> 63)
+		n -= half
+	}
+	if len(a) > 0 {
+		d := int(lo) - int(a[i])
+		if d == 0 {
+			return false
+		}
+		i += 1 + d>>63 // insert after a[i] exactly when a[i] < lo
+	}
+	if len(a) == setListMax {
+		c.bits = new([1 << 10]uint64)
+		for _, x := range a {
+			c.bits[x>>6] |= 1 << (x & 63)
+		}
+		c.bits[lo>>6] |= 1 << (lo & 63)
+		c.list = nil
+		return true
+	}
+	if len(a) == cap(a) {
+		grown := make([]uint16, len(a), min(2*cap(a), setListMax))
+		copy(grown, a)
+		a = grown
+	}
+	a = a[:len(a)+1]
+	copy(a[i+1:], a[i:])
+	a[i] = lo
+	c.list = a
+	return true
+}
+
+// reset empties the set. Lists keep their capacity and dense chunks
+// their bitmaps, so a new traversal reuses them.
+func (s *vertexSet) reset() {
+	for i := range s.chunks {
+		c := &s.chunks[i]
+		if c.bits != nil {
+			*c.bits = [1 << 10]uint64{}
+		} else {
+			c.list = c.list[:0]
+		}
+	}
+}
+
+// bfsThread holds one traversal's real state.
+type bfsThread struct {
+	frontier
+	visited vertexSet
+}
+
+func (b *bfs) Thread(core int, seed uint64) Generator {
+	t := &bfsThread{frontier: b.newFrontier(core, seed), visited: newVertexSet(b.n)}
+	return newThread(t.step)
 }
 
 func (t *bfsThread) step(e *emitter) {
 	b := t.b
-	if t.head >= len(t.queue) {
+	if t.exhausted() {
 		// Frontier exhausted: restart from a fresh source.
-		for i := range t.visited {
-			t.visited[i] = 0
-		}
-		t.queue = t.queue[:0]
-		t.head = 0
-		src := t.rng.Uint64n(b.n)
-		t.visited[src/64] |= 1 << (src % 64)
-		t.queue = append(t.queue, uint32(src))
-		e.store(t.qAddr())
+		t.visited.reset()
+		t.visited.add(t.restart(e))
 		return
 	}
-	u := uint64(t.queue[t.head])
-	t.head++
-	if t.head > bfsQueueCap {
-		// Compact the consumed prefix to bound Go-side memory.
-		t.queue = append(t.queue[:0], t.queue[t.head:]...)
-		t.head = 0
-	}
+	u := t.pop()
 	e.load(t.qAddr()) // dequeue
 	b.emitRow(e, u)
 	for k, d := uint64(0), b.degree(u); k < d; k++ {
 		e.load(b.edgeAddr(u, k))
 		v := b.neighbor(u, k)
 		e.load(b.visitedVA + addr.V(v/8)) // visited probe
-		if t.visited[v/64]&(1<<(v%64)) == 0 {
-			t.visited[v/64] |= 1 << (v % 64)
+		if t.visited.add(v) {
 			e.store(b.visitedVA + addr.V(v/8))
-			if len(t.queue)-t.head < bfsQueueCap {
-				t.queue = append(t.queue, uint32(v))
-			}
-			e.store(t.qAddr()) // enqueue (append to frontier region)
+			t.push(e, v) // enqueue (append to frontier region)
 			e.compute(1)
 		}
 	}
@@ -370,13 +507,8 @@ type bcThread struct {
 
 func (b *bc) Thread(core int, seed uint64) Generator {
 	t := &bcThread{
-		bfsThread: bfsThread{
-			b:       &b.bfs,
-			rng:     xrand.New(seed),
-			visited: make([]uint64, b.n/64+1),
-			qBase:   b.queueVA + addr.V(b.queueSpan*uint64(core)),
-		},
-		backPos: -1,
+		bfsThread: bfsThread{frontier: b.newFrontier(core, seed), visited: newVertexSet(b.n)},
+		backPos:   -1,
 	}
 	return newThread(t.step)
 }
@@ -400,29 +532,17 @@ func (t *bcThread) step(e *emitter) {
 		}
 		return
 	}
-	if t.head >= len(t.queue) {
+	if t.exhausted() {
 		if len(t.order) > 0 {
 			// Forward phase done: switch to the reverse sweep.
 			t.backPos = len(t.order) - 1
 			return
 		}
-		for i := range t.visited {
-			t.visited[i] = 0
-		}
-		t.queue = t.queue[:0]
-		t.head = 0
-		src := t.rng.Uint64n(b.n)
-		t.visited[src/64] |= 1 << (src % 64)
-		t.queue = append(t.queue, uint32(src))
-		e.store(t.qAddr())
+		t.visited.reset()
+		t.visited.add(t.restart(e))
 		return
 	}
-	u := uint64(t.queue[t.head])
-	t.head++
-	if t.head > bfsQueueCap {
-		t.queue = append(t.queue[:0], t.queue[t.head:]...)
-		t.head = 0
-	}
+	u := t.pop()
 	if len(t.order) < 4*bfsQueueCap {
 		t.order = append(t.order, uint32(u))
 	}
@@ -435,14 +555,10 @@ func (t *bcThread) step(e *emitter) {
 		v := b.neighbor(u, k)
 		e.load(b.visitedVA + addr.V(v/8))
 		e.compute(1) // path-count arithmetic
-		if t.visited[v/64]&(1<<(v%64)) == 0 {
-			t.visited[v/64] |= 1 << (v % 64)
+		if t.visited.add(v) {
 			e.store(b.visitedVA + addr.V(v/8))
 			e.store(b.propAAddr(v)) // sigma[v] += sigma[u]
-			if len(t.queue)-t.head < bfsQueueCap {
-				t.queue = append(t.queue, uint32(v))
-			}
-			e.store(t.qAddr())
+			t.push(e, v)
 		}
 	}
 }
@@ -461,38 +577,24 @@ func NewSP() Workload { return &sssp{bfs{graphData: graphData{local: 20}}} }
 func (s *sssp) Name() string { return "sp" }
 
 type spThread struct {
-	bfsThread
+	frontier
 	round uint64
 }
 
 func (s *sssp) Thread(core int, seed uint64) Generator {
-	t := &spThread{bfsThread: bfsThread{
-		b:       &s.bfs,
-		rng:     xrand.New(seed),
-		visited: make([]uint64, s.n/64+1),
-		qBase:   s.queueVA + addr.V(s.queueSpan*uint64(core)),
-	}}
+	t := &spThread{frontier: s.newFrontier(core, seed)}
 	return newThread(t.step)
 }
 
 func (t *spThread) step(e *emitter) {
 	b := t.b
-	if t.head >= len(t.queue) {
+	if t.exhausted() {
 		t.round++
-		t.queue = t.queue[:0]
-		t.head = 0
-		src := t.rng.Uint64n(b.n)
-		t.queue = append(t.queue, uint32(src))
-		e.store(t.qAddr())
+		src := t.restart(e)
 		e.store(b.labelAddr(src)) // dist[src] = 0
 		return
 	}
-	u := uint64(t.queue[t.head])
-	t.head++
-	if t.head > bfsQueueCap {
-		t.queue = append(t.queue[:0], t.queue[t.head:]...)
-		t.head = 0
-	}
+	u := t.pop()
 	e.load(t.qAddr())
 	b.emitRow(e, u)
 	e.load(b.labelAddr(u)) // dist[u]
@@ -505,10 +607,7 @@ func (t *spThread) step(e *emitter) {
 		h := xrand.Hash64(b.seed ^ (u*131 + v + t.round))
 		if h%100 < 30/(1+t.round%8) {
 			e.store(b.labelAddr(v))
-			if len(t.queue)-t.head < bfsQueueCap {
-				t.queue = append(t.queue, uint32(v))
-			}
-			e.store(t.qAddr())
+			t.push(e, v)
 		}
 	}
 }

@@ -21,7 +21,10 @@
 //
 // -cpuprofile and -memprofile write pprof profiles of the simulation
 // (construction + run; the CPU profile excludes flag parsing, the heap
-// profile is taken after the run completes), for `go tool pprof`.
+// profile is taken after the run completes, with the machine still
+// live), for `go tool pprof`. Under -cache the cache runs (or skips)
+// the simulation and keeps no machine, so that heap profile shows
+// little of it.
 package main
 
 import (
@@ -38,6 +41,7 @@ import (
 
 	"ndpage"
 	"ndpage/internal/addr"
+	"ndpage/internal/sim"
 )
 
 // errFlagParse marks a flag-parsing failure the FlagSet has already
@@ -77,7 +81,7 @@ func run(args []string, out io.Writer) error {
 		jsonOut    = fs.Bool("json", false, "emit the full result as JSON instead of the text summary")
 		list       = fs.Bool("list", false, "list workloads and exit")
 		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile of the simulation to FILE")
-		memProfile = fs.String("memprofile", "", "write a heap profile (post-run) to FILE")
+		memProfile = fs.String("memprofile", "", "write a heap profile (post-run, machine still live) to FILE")
 	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -133,11 +137,14 @@ func run(args []string, out io.Writer) error {
 		IdentityPromote: *promote,
 		PCXEntries:      *pcxEntries,
 	}
-	var res *ndpage.Result
+	var (
+		res *ndpage.Result
+		m   *sim.Machine // kept live until the heap profile is written
+	)
 	if *cache != "" {
 		res, err = runCached(*cache, cfg)
-	} else {
-		res, err = ndpage.Run(cfg)
+	} else if m, err = sim.New(cfg); err == nil {
+		res = m.Run()
 	}
 	if err != nil {
 		return err
@@ -153,6 +160,7 @@ func run(args []string, out io.Writer) error {
 		if err := pprof.WriteHeapProfile(f); err != nil {
 			return fmt.Errorf("memprofile: %w", err)
 		}
+		runtime.KeepAlive(m)
 	}
 
 	if *jsonOut {

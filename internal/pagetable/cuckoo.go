@@ -55,6 +55,11 @@ type CuckooStats struct {
 // Cuckoo.frames. The modelled PTE is slotBytes wide regardless, and
 // only it decides the slots' physical addresses.
 //
+// A tag is stored as its low 32 bits, 4 B per slot. The OS model's
+// heaps start at VPN 1<<27 and span at most 16 GB, so every simulated
+// tag fits; the upper half of a tag at or above 1<<32 goes in hi,
+// keyed by slot, the same dense-plus-map fallback as the frame store.
+//
 // While the way resizes, the old table is slots [migPtr, size) and
 // the new one, twice as large, is [0, migPtr) plus [size, size+migPtr):
 // a key's new slot is its old slot i or i+size (its hash with one more
@@ -67,8 +72,12 @@ type cuckooWay struct {
 	// holds slots [len(segs[k]), 2*len(segs[k])) and slot i lives in
 	// segs[bits.Len(i>>seg0Shift)]. The few segment headers stay in
 	// L1, so locating a slot adds one cached load.
-	segs      [][]addr.VPN
+	segs      [][]uint32
 	seg0Shift uint8
+	// hi holds the nonzero upper halves of the occupied slots' tags;
+	// nil until a tag at or above 1<<32 arrives. An emptied slot drops
+	// its entry.
+	hi        map[int]uint32
 	occ       []uint64 // one bit per slot
 	frames    []addr.P // one frame per slotsPerFrame old-table slots
 	newFrames []addr.P // the new table's, while resizing
@@ -86,10 +95,32 @@ type cuckooWay struct {
 	migPtr int
 }
 
-// slot returns slot i's tag.
-func (way *cuckooWay) slot(i int) *addr.VPN {
+// lo returns the cell holding slot i's low tag half.
+func (way *cuckooWay) lo(i int) *uint32 {
 	s := way.segs[bits.Len(uint(i)>>way.seg0Shift)]
 	return &s[i&(len(s)-1)]
+}
+
+// tag returns slot i's tag.
+func (way *cuckooWay) tag(i int) addr.VPN {
+	vpn := addr.VPN(*way.lo(i))
+	if way.hi != nil {
+		vpn |= addr.VPN(way.hi[i]) << 32
+	}
+	return vpn
+}
+
+// setTag stores vpn as slot i's tag.
+func (way *cuckooWay) setTag(i int, vpn addr.VPN) {
+	*way.lo(i) = uint32(vpn)
+	if h := uint32(vpn >> 32); h != 0 {
+		if way.hi == nil {
+			way.hi = make(map[int]uint32)
+		}
+		way.hi[i] = h
+	} else if way.hi != nil {
+		delete(way.hi, i)
+	}
 }
 
 // full reports whether slot i holds an entry.
@@ -123,7 +154,7 @@ func NewCuckoo(alloc *phys.Allocator, initialSlots int) *Cuckoo {
 	c := &Cuckoo{alloc: alloc}
 	for i, salt := range cuckooSalts {
 		c.ways[i] = cuckooWay{
-			segs:      [][]addr.VPN{make([]addr.VPN, size)},
+			segs:      [][]uint32{make([]uint32, size)},
 			seg0Shift: uint8(bits.TrailingZeros(uint(size))),
 			occ:       make([]uint64, bitset.WordsFor(uint64(size))),
 			frames:    c.allocFrames(size),
@@ -190,7 +221,7 @@ func (way *cuckooWay) slotPA(i int) addr.P {
 // and which slot that is.
 func (way *cuckooWay) holds(vpn addr.VPN) (idx int, ok bool) {
 	idx = way.probe(vpn)
-	return idx, way.full(idx) && *way.slot(idx) == vpn
+	return idx, way.full(idx) && way.tag(idx) == vpn
 }
 
 // Lookup implements Table.
@@ -259,14 +290,15 @@ func (c *Cuckoo) insert(vpn addr.VPN, attempts int) *cuckooWay {
 	for kick := 0; kick < maxKicks; kick++ {
 		way := &c.ways[w]
 		idx := way.probe(vpn)
-		tag := way.slot(idx)
 		if bitset.SetBit(way.occ, uint64(idx)) {
-			*tag = vpn
+			way.setTag(idx, vpn)
 			way.count++
 			return way
 		}
 		// Displace the occupant and move it to the next way.
-		*tag, vpn = vpn, *tag
+		old := way.tag(idx)
+		way.setTag(idx, vpn)
+		vpn = old
 		c.stats.Kicks++
 		if w++; w == len(c.ways) {
 			w = 0
@@ -296,6 +328,7 @@ func (c *Cuckoo) Unmap(vpn addr.VPN) (Entry, bool) {
 		way := &c.ways[i]
 		if idx, ok := way.holds(vpn); ok {
 			bitset.ClearBit(way.occ, uint64(idx))
+			delete(way.hi, idx)
 			way.count--
 			c.count--
 			return e, true
@@ -349,7 +382,7 @@ func (c *Cuckoo) forceResize() {
 // tags, is copied.
 func (c *Cuckoo) beginResize(way *cuckooWay) {
 	way.resizing = true
-	way.segs = append(way.segs, make([]addr.VPN, way.size))
+	way.segs = append(way.segs, make([]uint32, way.size))
 	occ := make([]uint64, bitset.WordsFor(uint64(2*way.size)))
 	copy(occ, way.occ)
 	way.occ = occ
@@ -387,14 +420,18 @@ func (c *Cuckoo) migrate(way *cuckooWay, n int) {
 		}
 		for ; word != 0; word &= word - 1 {
 			i := lo + bits.TrailingZeros64(word)
-			vpn := *way.slot(i)
+			c.stats.Migrated++
+			vpn := way.tag(i)
 			dst := i + way.hash(vpn)&way.size
+			if dst == i {
+				continue // the tag stays, high half included
+			}
 			bitset.ClearBit(way.occ, uint64(i))
 			if !bitset.SetBit(way.occ, uint64(dst)) {
 				panic("pagetable: cuckoo migration target slot occupied")
 			}
-			*way.slot(dst) = vpn
-			c.stats.Migrated++
+			way.setTag(dst, vpn)
+			delete(way.hi, i)
 		}
 		lo = hi
 	}
@@ -440,17 +477,18 @@ func (c *Cuckoo) Occupancy() []LevelOccupancy {
 func (c *Cuckoo) MappedPages() uint64 { return c.count }
 
 // MetadataBytes implements Table: the host memory every way holds (its
-// tag segments, 2*size slots while it resizes, their occupancy bitmap,
-// and the frame directories of both tables), plus the frame store.
+// 4-byte tag halves, 2*size slots while it resizes, the upper halves
+// it keeps in hi, its occupancy bitmap, and the frame directories of
+// both tables), plus the frame store.
 func (c *Cuckoo) MetadataBytes() uint64 {
 	total := c.frames.bytes()
 	for i := range c.ways {
 		way := &c.ways[i]
-		words := len(way.occ) + len(way.frames) + len(way.newFrames)
+		total += uint64(len(way.occ)+len(way.frames)+len(way.newFrames)) * 8
 		for _, s := range way.segs {
-			words += len(s)
+			total += uint64(len(s)) * 4
 		}
-		total += uint64(words) * 8
+		total += uint64(len(way.hi)) * sparseEntryBytes
 	}
 	return total
 }

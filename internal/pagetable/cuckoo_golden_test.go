@@ -143,8 +143,9 @@ func (c *Cuckoo) liveCount() uint64 {
 // many live occupied slots as MappedPages and store pages, and
 // Present(vpn) agrees with Lookup(vpn). With full set it also resolves
 // every live tag through Lookup, checks that probe finds it where it
-// sits, and audits the store's layout, which costs time proportional
-// to the table.
+// sits, checks that every upper tag half a way keeps is nonzero and
+// belongs to an occupied slot, and audits the store's layout, which
+// costs time proportional to the table.
 func checkCuckooStore(t *testing.T, c *Cuckoo, vpn addr.VPN, full bool) {
 	t.Helper()
 	if n := c.liveCount(); n != c.MappedPages() || n != c.frames.pages() {
@@ -157,7 +158,7 @@ func checkCuckooStore(t *testing.T, c *Cuckoo, vpn addr.VPN, full bool) {
 		return
 	}
 	c.liveSlots(func(way *cuckooWay, idx int) {
-		vpn := *way.slot(idx)
+		vpn := way.tag(idx)
 		if !c.Present(vpn) {
 			t.Fatalf("occupied tag %#x does not resolve through Lookup", uint64(vpn))
 		}
@@ -165,6 +166,14 @@ func checkCuckooStore(t *testing.T, c *Cuckoo, vpn addr.VPN, full bool) {
 			t.Fatalf("tag %#x sits in slot %d, but probe finds slot %d", uint64(vpn), idx, p)
 		}
 	})
+	for i := range c.ways {
+		way := &c.ways[i]
+		for idx, h := range way.hi {
+			if h == 0 || !way.full(idx) {
+				t.Fatalf("way %d keeps upper half %#x for slot %d, occupied %v", i, h, idx, way.full(idx))
+			}
+		}
+	}
 	if n := c.frames.audit(t); n != c.MappedPages() {
 		t.Fatalf("store holds %d pages, MappedPages %d", n, c.MappedPages())
 	}

@@ -200,14 +200,20 @@ func TestCuckooDeterministic(t *testing.T) {
 // TestCuckooMetadataBounds bounds resident metadata per mapped page. A
 // heap populated the way the OS model does it, at the pr workload's
 // default footprint (5738 chunks, 11.2 GiB), must stay within the
-// 34.6 B/page of the layout that kept {vpn, pfn} in every slot. Random 40-bit VPNs must stay O(mapped pages)
-// too: the frame store must not allocate per-key structure far larger
-// than a page's entry.
+// 34.6 B/page of the layout that kept {vpn, pfn} in every slot, and
+// within 10 B/page with 4-byte tags (8-byte tags took 17.7). Random
+// 40-bit VPNs must stay O(mapped pages) too: neither the frame store
+// nor the ways' upper tag halves may allocate per-key structure far
+// larger than a page's entry.
 func TestCuckooMetadataBounds(t *testing.T) {
 	dense := NewCuckoo(phys.New(1<<30), 4096)
 	populateHeap(dense, 5738)
-	if got := float64(dense.MetadataBytes()) / float64(dense.MappedPages()); got > 34.6 {
+	got := float64(dense.MetadataBytes()) / float64(dense.MappedPages())
+	if got > 34.6 {
 		t.Errorf("dense heap: %.2f B/page, want <= 34.6", got)
+	}
+	if got > 10 {
+		t.Errorf("dense heap: %.2f B/page, want <= 10 with 4-byte tags", got)
 	}
 
 	sparse := NewCuckoo(newAlloc(), 512)
@@ -224,6 +230,8 @@ func TestCuckooMetadataBounds(t *testing.T) {
 // building an ECH table over a 4 GB heap (1M pages) to 1.25x the
 // metadata the finished table holds. A way grows in place, so a resize
 // allocates only its new segment, frame directory and occupancy bitmap.
+// The bitmap copies are what lifts the ratio above 1 (about 1.17x with
+// 4-byte tags).
 func TestCuckooPopulateAllocs(t *testing.T) {
 	c := NewCuckoo(phys.New(1<<30), 4096)
 	var before, after runtime.MemStats
@@ -233,5 +241,77 @@ func TestCuckooPopulateAllocs(t *testing.T) {
 	alloc, meta := after.TotalAlloc-before.TotalAlloc, c.MetadataBytes()
 	if ratio := float64(alloc) / float64(meta); ratio > 1.25 {
 		t.Errorf("populating allocated %d B, %.2fx MetadataBytes %d B; want <= 1.25x", alloc, ratio, meta)
+	}
+}
+
+// TestCuckooHighTags drives tags at and above 1<<32, whose upper
+// halves a way keeps in its hi map, against refCuckoo. Keys come in
+// pairs v, v+k<<32 that share their low 32 bits and probe the same
+// slot of their first way's 256 slots, so the second key of a pair
+// kicks the first. Half the pairs start at VPN 1<<35, so both keys
+// carry an upper half. Inserts, kicks, resizes, migrations and Unmaps
+// must leave Lookup, WalkInto and Unmap as the reference has them, and
+// unmapping every key must leave no upper half behind.
+func TestCuckooHighTags(t *testing.T) {
+	c := NewCuckoo(phys.New(1<<30), 256)
+	p := fuzzPair{"cuckoo", new(Walk), new(Walk), c, newRefCuckoo(phys.New(1<<30), 256)}
+	var keys []addr.VPN
+	for i := addr.VPN(0); len(keys) < 600; i++ {
+		v := heapBase + i
+		if i%2 == 1 {
+			v = addr.VPN(1)<<35 + i
+		}
+		// Insertion starts in way vpn%3, and 1<<32 is 1 mod 3, so a
+		// partner that starts in v's way has k a multiple of 3.
+		way := &c.ways[v%3]
+		for k := addr.VPN(3); ; k += 3 {
+			if u := v + k<<32; way.hash(u)&255 == way.hash(v)&255 {
+				keys = append(keys, v, u)
+				break
+			}
+		}
+	}
+	rng := xrand.New(19)
+	op := 0
+	step := func(vpn addr.VPN) {
+		p.check(t, op, vpn)
+		p.checkCounts(t, op)
+		checkCuckooStore(t, c, vpn, true)
+		op++
+	}
+	unmap := func(vpn addr.VPN) {
+		eg, okg := p.got.Unmap(vpn)
+		ew, okw := p.want.Unmap(vpn)
+		if okg != okw || eg != ew {
+			t.Fatalf("op %d: Unmap(%#x) = %+v,%v want %+v,%v", op, uint64(vpn), eg, okg, ew, okw)
+		}
+		step(vpn)
+	}
+	highs := 0
+	for i, vpn := range keys {
+		p.got.Map(vpn, addr.PFN(i))
+		p.want.Map(vpn, addr.PFN(i))
+		step(vpn)
+		if i%2 == 1 {
+			p.check(t, op, keys[i-1])
+		}
+		if i%8 == 7 {
+			unmap(keys[rng.Uint64n(uint64(i))])
+		}
+		for w := range c.ways {
+			highs = max(highs, len(c.ways[w].hi))
+		}
+	}
+	s := c.Stats()
+	if s.Kicks == 0 || s.Resizes == 0 || s.Migrated == 0 || highs == 0 {
+		t.Fatalf("stats %+v with at most %d upper halves per way: want kicks, a resize, migrations and upper halves", s, highs)
+	}
+	for _, vpn := range keys {
+		unmap(vpn)
+	}
+	for w := range c.ways {
+		if n := len(c.ways[w].hi); n != 0 {
+			t.Errorf("way %d keeps %d upper halves with every key unmapped", w, n)
+		}
 	}
 }

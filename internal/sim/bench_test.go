@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"runtime"
 	"testing"
 
 	"ndpage/internal/core"
@@ -124,5 +125,25 @@ func BenchmarkMachineConstruction(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// TestECHLiveHeap bounds the host heap a 4-core ECH machine on pr at
+// the default footprint keeps live once built, to 36 MB. Its cuckoo
+// ways' 4-byte tags are most of it; with 8-byte tags it kept 51.5 MB.
+func TestECHLiveHeap(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	m, err := New(Config{System: memsys.NDP, Cores: 4, Mechanism: core.ECH, Workload: "pr"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(m)
+	live := float64(after.HeapAlloc-before.HeapAlloc) / (1 << 20)
+	if live > 36 {
+		t.Errorf("ECH/pr machine holds %.1f MB of live heap after New, want <= 36", live)
 	}
 }

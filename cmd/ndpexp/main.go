@@ -28,7 +28,6 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"net/http"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -36,7 +35,6 @@ import (
 	"time"
 
 	"ndpage"
-	"ndpage/internal/fault"
 )
 
 func main() {
@@ -49,7 +47,6 @@ func main() {
 		parallel  = flag.Int("parallel", 0, "max concurrent simulations (0 = auto)")
 		instr     = flag.Uint64("instructions", 0, "measured ops per core (0 = default)")
 		footprint = flag.Uint64("footprint", 0, "dataset bytes (0 = scaled default)")
-		chaosSeed = flag.Int64("chaos-seed", 0, "inject deterministic seeded faults into the -cache path (transport resets/5xx/truncation for a remote cache, torn writes/latency for a directory cache; 0 = off)")
 	)
 	flag.Parse()
 
@@ -63,16 +60,12 @@ func main() {
 		Progress:     os.Stderr,
 		Context:      ctx,
 	}
-	var chaos *fault.Plan
 	if *cacheDir != "" {
-		store, plan, err := openCache(ctx, *cacheDir, *chaosSeed)
+		store, err := openCache(ctx, *cacheDir)
 		if err != nil {
 			fatal(err)
 		}
 		e.Cache = store
-		chaos = plan
-	} else if *chaosSeed != 0 {
-		fatal(fmt.Errorf("-chaos-seed needs a -cache path to inject faults into"))
 	}
 	if *quick {
 		if e.Instructions == 0 {
@@ -141,41 +134,25 @@ func main() {
 		}
 	}
 	fmt.Printf("total %v\n", time.Since(start).Round(time.Second))
-	if chaos != nil {
-		fmt.Fprintf(os.Stderr, "chaos: seed %d, %d faults injected (%s)\n",
-			chaos.Seed(), chaos.Total(), chaos.Counts())
-	}
 }
 
 // openCache resolves the -cache argument: an http(s):// URL selects a
 // shared ndpserve instance (cold runs execute server-side, deduplicated
-// across every client), anything else a local cache directory. A
-// non-zero chaosSeed threads a deterministic fault injector into the
-// chosen path — faulty transport for a remote cache, faulty store for a
-// directory — so the pipeline's resilience is exercised end to end.
-func openCache(ctx context.Context, arg string, chaosSeed int64) (ndpage.Store, *fault.Plan, error) {
+// across every client), anything else a local cache directory.
+func openCache(ctx context.Context, arg string) (ndpage.Store, error) {
 	if strings.HasPrefix(arg, "http://") || strings.HasPrefix(arg, "https://") {
 		store, err := ndpage.NewRemoteStore(arg)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		store.Context = ctx // Ctrl-C aborts in-flight requests and 429 retry waits
-		if chaosSeed != 0 {
-			plan := fault.ClientPlan(chaosSeed)
-			store.Client = &http.Client{Transport: &fault.Transport{Plan: plan}}
-			return store, plan, nil
-		}
-		return store, nil, nil
+		return store, nil
 	}
 	ds, err := ndpage.NewDirStore(arg)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	if chaosSeed != 0 {
-		plan := fault.LocalPlan(chaosSeed)
-		return &fault.Store{Inner: ds, Plan: plan, Dir: ds.Dir()}, plan, nil
-	}
-	return ds, nil, nil
+	return ds, nil
 }
 
 func fatal(err error) {

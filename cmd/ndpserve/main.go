@@ -33,9 +33,7 @@ import (
 	"syscall"
 	"time"
 
-	"ndpage/internal/fault"
 	"ndpage/internal/serve"
-	"ndpage/internal/sim"
 	"ndpage/internal/sweep"
 )
 
@@ -67,7 +65,6 @@ func run(ctx context.Context, args []string, logw io.Writer, ready chan<- string
 		queue    = fs.Int("queue", 0, "admission queue depth before 429 backpressure (0 = 64)")
 		retry    = fs.Int("retry-after", 0, "Retry-After seconds sent with 429 responses (0 = 2)")
 		runTO    = fs.Duration("run-timeout", 0, "per-run watchdog deadline; runs past it fail transiently and detach (0 = none)")
-		chaos    = fs.Int64("chaos-seed", 0, "inject deterministic seeded faults (one simulator panic + one torn store write) for chaos testing (0 = off)")
 	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -80,7 +77,7 @@ func run(ctx context.Context, args []string, logw io.Writer, ready chan<- string
 	if err != nil {
 		return err
 	}
-	opts := serve.Options{
+	srv, err := serve.New(serve.Options{
 		Store:      store,
 		Workers:    *workers,
 		QueueDepth: *queue,
@@ -89,18 +86,7 @@ func run(ctx context.Context, args []string, logw io.Writer, ready chan<- string
 		Logf: func(format string, args ...any) {
 			fmt.Fprintf(logw, format+"\n", args...)
 		},
-	}
-	if *chaos != 0 {
-		// Chaos mode: scheduled faults between the service and its own
-		// substrate — a panic in the first simulation (recovered by the
-		// worker guard) and a torn first store write (quarantined and
-		// re-simulated on the next read). The process must shrug.
-		plan := fault.ServerPlan(*chaos)
-		opts.Store = &fault.Store{Inner: store, Plan: plan, Dir: store.Dir()}
-		opts.Simulate = plan.WrapSim(sim.RunConfig)
-		fmt.Fprintf(logw, "ndpserve: chaos mode, seed %d\n", *chaos)
-	}
-	srv, err := serve.New(opts)
+	})
 	if err != nil {
 		return err
 	}

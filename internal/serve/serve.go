@@ -219,56 +219,17 @@ type Stats struct {
 	// Quarantined is the backing store's corrupt-entry count (-1 when
 	// the store does not implement sweep.Quarantiner).
 	Quarantined int `json:"quarantined"`
-	// Breaker is the backing store's circuit position ("" when the
-	// store has no breaker — the normal case; set when the server is
-	// itself layered over a RemoteStore).
-	Breaker string `json:"breaker,omitempty"`
-}
-
-// storeUnwrapper is implemented by store wrappers (fault injection,
-// instrumentation layers) so capability probes can see through them.
-type storeUnwrapper interface {
-	Unwrap() sweep.Store
-}
-
-// probeStore walks the store's wrapper chain until visit returns true.
-func probeStore(s sweep.Store, visit func(sweep.Store) bool) {
-	for s != nil {
-		if visit(s) {
-			return
-		}
-		w, ok := s.(storeUnwrapper)
-		if !ok {
-			return
-		}
-		s = w.Unwrap()
-	}
 }
 
 // Snapshot returns the current Stats.
 func (s *Server) Snapshot() Stats {
-	stored, quarantined, breaker := -1, -1, ""
-	probeStore(s.store, func(st sweep.Store) bool {
-		inv, ok := st.(sweep.Inventory)
-		if ok {
-			stored = inv.Len()
-		}
-		return ok
-	})
-	probeStore(s.store, func(st sweep.Store) bool {
-		q, ok := st.(sweep.Quarantiner)
-		if ok {
-			quarantined = q.Quarantined()
-		}
-		return ok
-	})
-	probeStore(s.store, func(st sweep.Store) bool {
-		b, ok := st.(interface{ Breaker() sweep.BreakerState })
-		if ok {
-			breaker = b.Breaker().String()
-		}
-		return ok
-	})
+	stored, quarantined := -1, -1
+	if inv, ok := s.store.(sweep.Inventory); ok {
+		stored = inv.Len()
+	}
+	if q, ok := s.store.(sweep.Quarantiner); ok {
+		quarantined = q.Quarantined()
+	}
 	return Stats{
 		UptimeSeconds:   time.Since(s.start).Seconds(),
 		Hits:            s.hits.Load(),
@@ -288,7 +249,6 @@ func (s *Server) Snapshot() Stats {
 		BusyWorkers:     int(s.busy.Load()),
 		Stored:          stored,
 		Quarantined:     quarantined,
-		Breaker:         breaker,
 	}
 }
 

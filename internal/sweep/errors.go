@@ -19,8 +19,8 @@ import (
 //     reproducible panic on poisoned state). Retrying cannot help, so
 //     the Runner negatively caches them for its lifetime.
 //   - Transient failures are a property of the moment (an unreachable
-//     server, an exhausted backpressure budget, a watchdog deadline, an
-//     injected chaos fault). They are reported to the Run that observed
+//     server, an exhausted backpressure budget, a watchdog deadline, a
+//     test's injected fault). They are reported to the Run that observed
 //     them and then forgotten — the next Run retries.
 type RunError struct {
 	// Op names the layer that failed: "simulate", "remote-sim",
@@ -69,10 +69,11 @@ func IsPermanent(err error) bool {
 	return errors.As(err, &re) && re.Permanent
 }
 
-// transientPanic is the contract by which a fault-injection layer marks
-// its panics as deliberate: a recovered panic value implementing it (and
-// returning true) classifies as transient, because the injector — not
-// the configuration — caused it. Real simulator panics are deterministic
+// transientPanic is the contract by which a test's fault injector
+// (internal/serve/chaos_test.go) marks its panics as deliberate: a
+// recovered panic value implementing it (and returning true) classifies
+// as transient, because the injector — not the configuration — caused
+// it. Real simulator panics are deterministic
 // consequences of the configuration and classify as permanent.
 type transientPanic interface {
 	InjectedFault() bool

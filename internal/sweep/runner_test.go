@@ -373,8 +373,8 @@ func TestGuardInjectedPanicIsTransient(t *testing.T) {
 	}
 }
 
-// markedPanic satisfies the transient-panic contract the fault package
-// uses (declared structurally so sweep never imports fault).
+// markedPanic satisfies the transient-panic contract that the chaos
+// harness's injected panic (internal/serve/chaos_test.go) also meets.
 type markedPanic struct{}
 
 func (markedPanic) InjectedFault() bool { return true }

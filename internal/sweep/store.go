@@ -40,7 +40,7 @@ type Inventory interface {
 // Quarantiner is the optional Store extension for stores that isolate
 // corrupt entries instead of failing on them. The result server's
 // /statsz endpoint reports the count so an operator notices a sick disk
-// (or a chaos test asserts its injected corruption was healed).
+// (and TestChaosEndToEnd asserts its torn write was healed).
 type Quarantiner interface {
 	// Quarantined returns the number of corrupt entries isolated since
 	// the store was opened.
@@ -119,7 +119,7 @@ func (s *MemStore) Keys() []string {
 //
 // Corrupt entries self-heal: an entry that no longer parses — a torn
 // write that bypassed the atomic rename (power loss, a sick filesystem,
-// an injected chaos fault) — is moved into a quarantine/ subdirectory,
+// a test's injected tear) — is moved into a quarantine/ subdirectory,
 // counted, and reported as a miss, so the sweep re-simulates the run
 // instead of hard-failing on that key forever. The debris is kept, not
 // deleted, so an operator can post-mortem it.

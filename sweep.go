@@ -67,7 +67,7 @@ func NewRemoteStore(baseURL string) (*sweep.RemoteStore, error) { return sweep.N
 // transient/permanent classification: permanent failures are a property
 // of the configuration (retrying reproduces them; the Sweep negatively
 // caches them), transient failures a property of the moment (network
-// blips, watchdog deadlines, injected chaos — the next Run retries).
+// blips, watchdog deadlines — the next Run retries).
 type RunError = sweep.RunError
 
 // IsPermanent reports whether err is (or wraps) a RunError marked

@@ -324,6 +324,9 @@ func (as *AddressSpace) AllocLazy(size uint64, name string) addr.V {
 	return as.reserve(size, name, true).Base
 }
 
+// reserve bump-allocates a region and announces it to the table
+// before any page of it is mapped, so the table's frame store holds
+// the whole heap in its dense window.
 func (as *AddressSpace) reserve(size uint64, name string, lazy bool) Region {
 	if size == 0 {
 		panic("osmm: zero-size allocation")
@@ -332,6 +335,7 @@ func (as *AddressSpace) reserve(size uint64, name string, lazy bool) Region {
 	r := Region{Base: as.brk, Size: size, Name: name, Lazy: lazy}
 	as.regions = append(as.regions, r)
 	as.brk += addr.V(size)
+	as.table.Reserve(r.Base.Page(), size/addr.PageSize)
 	return r
 }
 

@@ -409,3 +409,87 @@ func TestTouchHitAllocs(t *testing.T) {
 		})
 	}
 }
+
+// reserveLog is a table that records its Reserve calls and every
+// mapping that lands outside the ranges reserved before it.
+type reserveLog struct {
+	pagetable.Table
+	reserved [][2]addr.VPN // [first, end) pages, in call order
+	maps     int
+	outside  []addr.VPN // first page of each mapping outside them
+}
+
+func (l *reserveLog) Reserve(vpn addr.VPN, pages uint64) {
+	l.reserved = append(l.reserved, [2]addr.VPN{vpn, vpn + addr.VPN(pages)})
+	l.Table.Reserve(vpn, pages)
+}
+
+func (l *reserveLog) mapped(vpn addr.VPN, count uint64) {
+	l.maps++
+	for _, r := range l.reserved {
+		if vpn >= r[0] && vpn+addr.VPN(count) <= r[1] {
+			return
+		}
+	}
+	l.outside = append(l.outside, vpn)
+}
+
+func (l *reserveLog) Map(vpn addr.VPN, pfn addr.PFN) {
+	l.mapped(vpn, 1)
+	l.Table.Map(vpn, pfn)
+}
+
+func (l *reserveLog) MapRange(vpn addr.VPN, count uint64, base addr.PFN) {
+	l.mapped(vpn, count)
+	l.Table.MapRange(vpn, count, base)
+}
+
+func (l *reserveLog) MapHuge(vpn addr.VPN, base addr.PFN) {
+	l.mapped(vpn, addr.EntriesPerTable)
+	l.Table.MapHuge(vpn, base)
+}
+
+// TestReserveBeforeMap requires the address space to reserve each
+// region in the table, with the region's bounds, before it maps any
+// page of it: eager and lazy regions, under DemandPaging, the Huge2M
+// policy, and frame-by-frame population under a resident limit.
+func TestReserveBeforeMap(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		policy Policy
+		set    func(*Config)
+	}{
+		{"base4k", Base4K, func(*Config) {}},
+		{"demand-paging", Base4K, func(c *Config) { c.DemandPaging = true }},
+		{"huge2m", Huge2M, func(*Config) {}},
+		{"holes", Huge2M, func(c *Config) { c.HoleFraction = 0.5 }},
+		{"resident-limit", Base4K, func(c *Config) { c.ResidentLimitFrames = 4 << 20 / addr.PageSize }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			alloc := phys.New(testMem)
+			log := &reserveLog{Table: pagetable.NewRadix(alloc)}
+			cfg := DefaultConfig(c.policy, alloc.TotalFrames())
+			c.set(&cfg)
+			as := New(log, alloc, cfg)
+			bases := []addr.V{as.Alloc(6<<20, "data"), as.AllocLazy(4<<20, "grow"), as.Alloc(2<<20+1, "more")}
+			for _, b := range bases {
+				for off := uint64(0); off < 4<<20; off += 64 << 10 {
+					as.Touch(b + addr.V(off))
+				}
+			}
+			if log.maps == 0 || len(log.outside) > 0 {
+				t.Fatalf("%d of %d mappings outside the reserved ranges, first pages %#x", len(log.outside), log.maps, log.outside)
+			}
+			regions := as.Regions()
+			if len(log.reserved) != len(regions) {
+				t.Fatalf("%d Reserve calls for %d regions", len(log.reserved), len(regions))
+			}
+			for i, r := range regions {
+				if want := [2]addr.VPN{r.Base.Page(), r.End().Page()}; log.reserved[i] != want {
+					t.Errorf("region %q reserved pages [%#x, %#x), want [%#x, %#x)", r.Name,
+						log.reserved[i][0], log.reserved[i][1], want[0], want[1])
+				}
+			}
+		})
+	}
+}

@@ -70,9 +70,11 @@ func BenchmarkCuckooInsert(b *testing.B) {
 // heapBase is the first page of the OS model's heaps (osmm's vaBase).
 const heapBase = addr.VPN(1) << 27
 
-// populateHeap maps chunks 2 MB chunks upward from heapBase, 512 pages
-// per MapRange, the way the OS model's eager population fills a table.
+// populateHeap reserves chunks 2 MB chunks upward from heapBase and
+// maps them, 512 pages per MapRange, the way the OS model's eager
+// population fills a table.
 func populateHeap(t Table, chunks int) {
+	t.Reserve(heapBase, uint64(chunks)*addr.EntriesPerTable)
 	for k := 0; k < chunks; k++ {
 		off := uint64(k) * addr.EntriesPerTable
 		t.MapRange(heapBase+addr.VPN(off), addr.EntriesPerTable, addr.PFN(off))

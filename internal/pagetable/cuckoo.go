@@ -249,6 +249,9 @@ func (c *Cuckoo) WalkInto(v addr.V, w *Walk) {
 	}
 }
 
+// Reserve implements Table.
+func (c *Cuckoo) Reserve(vpn addr.VPN, pages uint64) { c.frames.reserve(vpn, pages) }
+
 // Map implements Table.
 func (c *Cuckoo) Map(vpn addr.VPN, pfn addr.PFN) { c.MapRange(vpn, 1, pfn) }
 

@@ -149,6 +149,9 @@ func (f *Flattened) buildPath(v addr.V) {
 	}
 }
 
+// Reserve implements Table.
+func (f *Flattened) Reserve(vpn addr.VPN, pages uint64) { f.frames.reserve(vpn, pages) }
+
 // Map implements Table.
 func (f *Flattened) Map(vpn addr.VPN, pfn addr.PFN) { f.MapRange(vpn, 1, pfn) }
 

@@ -39,25 +39,20 @@ func (r *chunkRec) frame(i uint64) addr.PFN {
 
 // frameStore maps VPN -> frame for every table; the tables keep only
 // what decides PTE addresses and occupancy. Records are keyed by chunk
-// ordinal (vpn >> 9). The OS model bump-allocates every heap upward
-// from one base, so one window of chunks lives in a flat array indexed
-// by ordinal - base, where a read is a bounds check and one load. A
-// chunk the window could only take by spanning more than about twice
-// the live records goes to a Go map instead, so memory stays
-// proportional to the mapped chunks for any key distribution. No map key ever lies inside the
-// window: growing the window moves the keys it newly spans into the
-// array.
+// ordinal (vpn >> 9). The OS model reserves each heap region before it
+// maps a page of it (Table.Reserve), and the store sizes one window of
+// chunks to the hull of the reserved ranges: a flat array indexed by
+// ordinal - base, where a read is a bounds check and one load. A chunk
+// outside the window, which only a table driven without reservations
+// maps, goes to a Go map, so memory stays proportional to the mapped
+// chunks for any key distribution. No map key ever lies inside the
+// window: widening it moves the keys it newly spans into the array.
 type frameStore struct {
 	base   uint64 // chunk ordinal of dense[0]
 	dense  []chunkRec
 	sparse map[uint64]*chunkRec
-	live   uint64 // records holding at least one page, dense and sparse
 	arrays uint64 // materialized frame arrays
 }
-
-// storeSlack is how far past twice its live record count the window
-// may span, so holes between populated chunks stay dense.
-const storeSlack = 16
 
 // sparseEntryBytes estimates a Go map entry's resident cost beyond the
 // record it points to: the key and pointer plus control bytes and
@@ -112,9 +107,6 @@ func (s *frameStore) recFor(chunk uint64) *chunkRec {
 	if r := s.rec(chunk); r != nil {
 		return r
 	}
-	if s.cover(chunk) {
-		return &s.dense[chunk-s.base]
-	}
 	if s.sparse == nil {
 		s.sparse = make(map[uint64]*chunkRec)
 	}
@@ -145,9 +137,6 @@ func (s *frameStore) mapRange(vpn addr.VPN, count uint64, base addr.PFN) (fresh 
 // the frames out.
 func (s *frameStore) mapRun(r *chunkRec, i, n uint64, base addr.PFN) uint64 {
 	fresh := bitset.SetRun(r.present[:], i, n)
-	if r.n == 0 {
-		s.live++
-	}
 	r.n += uint32(fresh)
 	switch start := base - addr.PFN(i); {
 	case uint64(r.n) == n:
@@ -178,9 +167,6 @@ func (s *frameStore) mapRun(r *chunkRec, i, n uint64, base addr.PFN) uint64 {
 func (s *frameStore) mapHuge(vpn addr.VPN, base addr.PFN) (fresh bool) {
 	chunk, _ := chunkOf(vpn)
 	r := s.recFor(chunk)
-	if r.n == 0 {
-		s.live++
-	}
 	fresh = !r.huge
 	*r = chunkRec{base: base, n: addr.EntriesPerTable, huge: true}
 	for k := range r.present {
@@ -211,7 +197,6 @@ func (s *frameStore) unmap(vpn addr.VPN) (Entry, bool) {
 			s.arrays--
 		}
 		*r = chunkRec{}
-		s.live--
 		if chunk-s.base >= uint64(len(s.dense)) {
 			delete(s.sparse, chunk)
 		}
@@ -219,37 +204,36 @@ func (s *frameStore) unmap(vpn addr.VPN) (Entry, bool) {
 	return e, true
 }
 
-// cover grows the window to take chunk, which lies outside it, unless
-// the window would then span more than 2 x (live+1) + storeSlack
-// records. It grows by half again toward chunk, so a run of ascending
-// or descending chunks regrows it only logarithmically often.
-func (s *frameStore) cover(chunk uint64) bool {
-	lo, hi := chunk, chunk+1
-	if len(s.dense) > 0 {
-		lo, hi = min(lo, s.base), max(hi, s.base+uint64(len(s.dense)))
+// reserve widens the window to the hull of itself and the chunks
+// holding pages [vpn, vpn+pages), and moves the map records it newly
+// spans into the array. The window extends upward by append, so the
+// small regions the OS model reserves after a large one (per-core code)
+// usually fit in the array's spare capacity instead of copying it.
+// Callers reserve adjacent ranges, as the OS model's bump-allocated
+// heap does: the hull of two far-apart ranges spans every chunk
+// between them.
+func (s *frameStore) reserve(vpn addr.VPN, pages uint64) {
+	if pages == 0 {
+		return
 	}
-	span := hi - lo
-	if span > 2*(s.live+1)+storeSlack {
-		return false
+	lo, _ := chunkOf(vpn)
+	hi, _ := chunkOf(vpn + addr.VPN(pages-1))
+	if len(s.dense) == 0 {
+		s.base = lo
 	}
-	extra := span / 2
-	if chunk < s.base || len(s.dense) == 0 {
-		lo -= min(extra, lo)
-	} else {
-		hi += extra
+	if lo < s.base {
+		s.dense = append(make([]chunkRec, s.base-lo, s.base-lo+uint64(len(s.dense))), s.dense...)
+		s.base = lo
 	}
-	d := make([]chunkRec, hi-lo)
-	if len(s.dense) > 0 {
-		copy(d[s.base-lo:], s.dense)
+	if end := s.base + uint64(len(s.dense)); hi >= end {
+		s.dense = append(s.dense, make([]chunkRec, hi+1-end)...)
 	}
-	s.base, s.dense = lo, d
 	for c, r := range s.sparse {
-		if i := c - lo; i < uint64(len(d)) {
-			d[i] = *r
+		if i := c - s.base; i < uint64(len(s.dense)) {
+			s.dense[i] = *r
 			delete(s.sparse, c)
 		}
 	}
-	return true
 }
 
 // bytes is the store's resident size.

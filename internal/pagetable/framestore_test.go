@@ -10,12 +10,12 @@ import (
 
 // audit checks the store's layout invariants — every record's count
 // matches its present map, a huge record is full and array-free, the
-// live and array counters match the records, empty records hold nothing,
-// and no map key lies inside the dense window — and returns the pages
-// it holds.
+// array counter matches the records, empty records hold nothing, and
+// no map key lies inside the dense window — and returns the pages it
+// holds.
 func (s *frameStore) audit(t *testing.T) (pages uint64) {
 	t.Helper()
-	var live, arrays uint64
+	var arrays uint64
 	check := func(chunk uint64, r *chunkRec) {
 		n := bitset.Count(r.present[:])
 		if n != uint64(r.n) {
@@ -26,9 +26,6 @@ func (s *frameStore) audit(t *testing.T) (pages uint64) {
 		}
 		if n == 0 && *r != (chunkRec{}) {
 			t.Fatalf("empty chunk %#x not cleared: %+v", chunk, *r)
-		}
-		if n > 0 {
-			live++
 		}
 		if r.pfns != nil {
 			arrays++
@@ -47,8 +44,8 @@ func (s *frameStore) audit(t *testing.T) (pages uint64) {
 		}
 		check(c, r)
 	}
-	if live != s.live || arrays != s.arrays {
-		t.Fatalf("store counts %d live records and %d arrays, holds %d and %d", s.live, s.arrays, live, arrays)
+	if arrays != s.arrays {
+		t.Fatalf("store counts %d arrays, holds %d", s.arrays, arrays)
 	}
 	return pages
 }
@@ -67,9 +64,10 @@ func (s *frameStore) pages() (n uint64) {
 
 // TestFrameStoreMatchesMap drives the store and a Go map through
 // ascending, descending and every-other page runs, MapRange runs over
-// chunk boundaries, scattered 40-bit keys, remaps, huge mappings and
-// removals, and requires identical answers, a consistent layout, and
-// memory proportional to the chunks held.
+// chunk boundaries, scattered 40-bit keys, remaps, huge mappings,
+// removals and reservations of the heap-like range the runs fall in,
+// and requires identical answers, a consistent layout, and memory
+// proportional to the chunks held.
 func TestFrameStoreMatchesMap(t *testing.T) {
 	var s frameStore
 	model := map[addr.VPN]addr.PFN{}
@@ -88,7 +86,7 @@ func TestFrameStoreMatchesMap(t *testing.T) {
 	for round := 0; round < 300; round++ {
 		base := addr.VPN(1<<27 + rng.Uint64n(1<<16))
 		n := rng.Uint64n(2048) + 1
-		switch rng.Uint64n(7) {
+		switch rng.Uint64n(8) {
 		case 0: // ascending run, consecutive frames
 			pfn := addr.PFN(rng.Uint64n(1 << 30))
 			for k := uint64(0); k < n; k++ {
@@ -144,6 +142,8 @@ func TestFrameStoreMatchesMap(t *testing.T) {
 				t.Fatalf("mapHuge(%#x) fresh = %v, was huge: %v", uint64(chunk), !was, was)
 			}
 			huge[chunk] = pfn
+		case 6: // a reservation, which must change no answer
+			s.reserve(base, n)
 		default: // removals
 			for k := uint64(0); k < n; k++ {
 				vpn := base + addr.VPN(k)
@@ -182,7 +182,11 @@ func TestFrameStoreMatchesMap(t *testing.T) {
 	if s.present(addr.VPN(1) << 45) {
 		t.Error("present of an unmapped far key")
 	}
-	if per := float64(s.bytes()) / float64(s.live); per > 8*1024 {
+	chunks := map[addr.VPN]bool{}
+	for vpn := range model {
+		chunks[vpn>>addr.LevelBits] = true
+	}
+	if per := float64(s.bytes()) / float64(len(chunks)+len(huge)); per > 8*1024 {
 		t.Errorf("store holds %.1f B per chunk, want <= 8 KB", per)
 	}
 }
@@ -191,10 +195,13 @@ func TestFrameStoreMatchesMap(t *testing.T) {
 // never for a chunk mapped base+i, whether in one run, page by page, or
 // over a chunk boundary; on the first mapping off that line; and it is
 // dropped again when a run remaps every present page, or the chunk
-// empties and is re-mapped from another base.
+// empties and is re-mapped from another base. The chunks are reserved
+// first, as the OS model does, so the emptied record stays readable in
+// the window.
 func TestFrameStoreExtents(t *testing.T) {
 	var s frameStore
 	const c0 = addr.VPN(1) << 27
+	s.reserve(c0, 2*addr.EntriesPerTable)
 	s.mapRange(c0+256, addr.EntriesPerTable, 5000) // straddles two chunks
 	for k := addr.VPN(0); k < 256; k++ {
 		s.mapRange(c0+k, 1, 5000-256+addr.PFN(k)) // page by page below it
@@ -230,4 +237,32 @@ func TestFrameStoreExtents(t *testing.T) {
 		t.Fatalf("re-mapped chunk: %d arrays, lookup %+v", s.arrays, e)
 	}
 	s.audit(t)
+}
+
+// TestFrameStoreReservedDemandOrder reserves the pr workload's default
+// heap (5738 chunks) as a few regions, the way the OS model's
+// allocations do, then faults one page per chunk in shuffled order:
+// every record must land in the window, never the map. A rule that
+// admitted chunks by the live records in the window would send nearly
+// every early fault in a random-order heap to the map.
+func TestFrameStoreReservedDemandOrder(t *testing.T) {
+	var s frameStore
+	rng := xrand.New(7)
+	for off := uint64(0); off < heapChunks; {
+		n := min(rng.Uint64n(2048)+1, heapChunks-off)
+		s.reserve(heapBase+addr.VPN(off*addr.EntriesPerTable), n*addr.EntriesPerTable)
+		off += n
+	}
+	order := make([]int, heapChunks)
+	rng.Perm(order)
+	for k, c := range order {
+		vpn := heapBase + addr.VPN(uint64(c)*addr.EntriesPerTable+rng.Uint64n(addr.EntriesPerTable))
+		s.mapRange(vpn, 1, addr.PFN(k))
+		if len(s.sparse) != 0 {
+			t.Fatalf("fault %d (chunk %d): %d records in the map", k, c, len(s.sparse))
+		}
+	}
+	if pages := s.audit(t); pages != heapChunks || len(s.dense) != heapChunks {
+		t.Fatalf("store holds %d pages in a %d-chunk window, want %d in %d", pages, len(s.dense), heapChunks, heapChunks)
+	}
 }

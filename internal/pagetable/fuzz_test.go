@@ -16,8 +16,11 @@ var fuzzChunks = [...]addr.VPN{
 	heapBase + 2*addr.EntriesPerTable,
 	heapBase + 3*addr.EntriesPerTable,
 	heapBase + addr.FlatEntries,
-	addr.VPN(1) << 35,
+	farChunk,
 }
+
+// farChunk is the fuzzed chunk under another PL4 entry.
+const farChunk = addr.VPN(1) << 35
 
 // Fuzz op kinds.
 const (
@@ -26,14 +29,15 @@ const (
 	opMapHuge
 	opUnmap
 	opWalk
+	opReserve
 	numOps
 )
 
 // fuzzOpBytes is the encoded size of one op.
 const fuzzOpBytes = 6
 
-// fuzzOp is one decoded operation. arg sets the run length of MapRange
-// and Unmap, and the frame: an even arg maps page i of the chunk to
+// fuzzOp is one decoded operation. arg sets the run length of MapRange,
+// Unmap and Reserve, and the frame: an even arg maps page i of the chunk to
 // frame (arg/2 mod 4)<<16 + i, one of four extents a mapping may land on
 // or off; an odd arg picks frame arg/2 outright.
 type fuzzOp struct {
@@ -60,8 +64,8 @@ func decodeFuzzOps(data []byte) []fuzzOp {
 
 func (o fuzzOp) vpn() addr.VPN { return fuzzChunks[o.chunk] + addr.VPN(o.page) }
 
-// count is the run length of a MapRange or Unmap: up to a little over
-// two chunks.
+// count is the run length of a MapRange, Unmap or Reserve: up to a
+// little over two chunks.
 func (o fuzzOp) count() uint64 { return uint64(o.arg)%1100 + 1 }
 
 func (o fuzzOp) pfn() addr.PFN {
@@ -77,6 +81,7 @@ type fuzzPair struct {
 	name      string
 	wg, ww    *Walk
 	got, want interface {
+		Reserve(addr.VPN, uint64)
 		Map(addr.VPN, addr.PFN)
 		MapRange(addr.VPN, uint64, addr.PFN)
 		Lookup(addr.VPN) (Entry, bool)
@@ -178,6 +183,14 @@ func runTableOps(t *testing.T, ops []fuzzOp) {
 				}
 				radix.MapHuge(chunk, o.pfn()-addr.PFN(o.page))
 				refR.MapHuge(chunk, o.pfn()-addr.PFN(o.page))
+			case opReserve:
+				// The window spans the hull of every reservation, so
+				// the far chunk, 2^26 chunks up, is never reserved.
+				if fuzzChunks[o.chunk] >= farChunk {
+					continue
+				}
+				p.got.Reserve(vpn, o.count())
+				p.want.Reserve(vpn, o.count())
 			case opUnmap:
 				for k := uint64(0); k < o.count(); k++ {
 					v := vpn + addr.VPN(k)
@@ -190,7 +203,7 @@ func runTableOps(t *testing.T, ops []fuzzOp) {
 			}
 			p.check(t, i, vpn)
 			p.checkCounts(t, i)
-			if o.kind == opMapRange || o.kind == opUnmap {
+			if o.kind == opMapRange || o.kind == opUnmap || o.kind == opReserve {
 				p.check(t, i, vpn+addr.VPN(o.count()-1))
 			}
 		}
@@ -224,12 +237,18 @@ var fuzzSeeds = [][]fuzzOp{
 	{{opMapHuge, 2, 5, 4}, {opWalk, 2, 9, 0}, {opUnmap, 2, 5, 0}, {opMap, 2, 6, 6}, {opMapHuge, 2, 0, 0}},
 	// Scattered single pages in the far chunks and the next flat node.
 	{{opMap, 4, 1, 3}, {opMap, 4, 2, 9}, {opMap, 5, 511, 0}, {opUnmap, 4, 1, 1}, {opWalk, 5, 511, 0}},
+	// Chunks mapped before any reservation sit in the map; reserving
+	// chunks 0-2, then widening to the next flat node, moves them into
+	// the window, where they unmap and remap.
+	{{opMap, 0, 5, 3}, {opMapRange, 2, 100, 40}, {opMap, 4, 1, 9}, {opMap, 5, 7, 0},
+		{opReserve, 0, 300, 1099}, {opWalk, 2, 120, 0}, {opReserve, 4, 0, 0}, {opWalk, 4, 1, 0},
+		{opUnmap, 0, 5, 0}, {opMap, 0, 5, 11}, {opUnmap, 4, 1, 0}, {opMap, 4, 2, 2}},
 }
 
 // FuzzTableOps decodes its input into Map, MapRange, MapHuge (Radix
-// only), Unmap and WalkInto sequences over a few chunks and requires
-// each table to match its reference after every op: Lookup, Present,
-// WalkInto accesses, MappedPages and Occupancy.
+// only), Unmap, WalkInto and Reserve sequences over a few chunks and
+// requires each table to match its reference after every op: Lookup,
+// Present, WalkInto accesses, MappedPages and Occupancy.
 func FuzzTableOps(f *testing.F) {
 	for _, seed := range fuzzSeeds {
 		var data []byte

@@ -92,6 +92,9 @@ func (r *Radix) buildPath(vpn addr.VPN) {
 	r.child(n, addr.Index(v, addr.PL2))
 }
 
+// Reserve implements Table.
+func (r *Radix) Reserve(vpn addr.VPN, pages uint64) { r.frames.reserve(vpn, pages) }
+
 // Map implements Table.
 func (r *Radix) Map(vpn addr.VPN, pfn addr.PFN) { r.MapRange(vpn, 1, pfn) }
 

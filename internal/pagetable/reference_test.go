@@ -240,6 +240,9 @@ func (f *refFlattened) Occupancy() []LevelOccupancy {
 
 func (f *refFlattened) MappedPages() uint64 { return f.mapped }
 
+// Reserve is a no-op: the reference keeps no dense window.
+func (f *refFlattened) Reserve(addr.VPN, uint64) {}
+
 // differentialVPN draws a VPN biased toward locality: most draws land in
 // a handful of dense 2 MB spans, the rest scatter across a 4 GB heap so
 // multiple flattened nodes (and sparse chunks) appear.
@@ -622,6 +625,9 @@ func (r *refRadix) Occupancy() []LevelOccupancy {
 
 func (r *refRadix) MappedPages() uint64 { return r.mapped }
 
+// Reserve is a no-op: the reference keeps no dense window.
+func (r *refRadix) Reserve(addr.VPN, uint64) {}
+
 // refSlot is one slot of the original ECH layout: the whole {vpn, pfn}
 // translation lives in the slot.
 type refSlot struct {
@@ -839,3 +845,6 @@ func (c *refCuckoo) Occupancy() []LevelOccupancy {
 }
 
 func (c *refCuckoo) MappedPages() uint64 { return c.count }
+
+// Reserve is a no-op: the reference keeps no dense window.
+func (c *refCuckoo) Reserve(addr.VPN, uint64) {}

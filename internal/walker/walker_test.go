@@ -227,6 +227,7 @@ type parTable struct {
 }
 
 func (p *parTable) Kind() string                                { return "stub-hash" }
+func (p *parTable) Reserve(vpn addr.VPN, pages uint64)          {}
 func (p *parTable) Map(vpn addr.VPN, pfn addr.PFN)              {}
 func (p *parTable) MapHuge(vpn addr.VPN, base addr.PFN)         { panic("no huge") }
 func (p *parTable) MapRange(vpn addr.VPN, n uint64, b addr.PFN) {}

@@ -8,9 +8,11 @@ import (
 	"ndpage/internal/xrand"
 )
 
-// benchTable populates a table with mixed dense+sparse mappings.
+// benchTable populates a table with a dense 256 MB region and returns
+// 4096 random addresses in it.
 func benchTable(b testing.TB, t Table) []addr.V {
 	b.Helper()
+	t.Reserve(0, 1<<16)
 	t.MapRange(0, 1<<16, 0) // 256 MB dense
 	rng := xrand.New(1)
 	addrs := make([]addr.V, 4096)
@@ -53,17 +55,20 @@ func BenchmarkCuckooWalk(b *testing.B) {
 
 func BenchmarkRadixMapRange(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		t := NewRadix(phys.New(1 << 30))
+		t := reserved(NewRadix(phys.New(1<<30)), 1<<16)
 		t.MapRange(0, 1<<16, 0)
 	}
 }
 
+// BenchmarkCuckooInsert maps random pages of a reserved 2^24-page heap
+// one at a time: slot placement, kicks and gradual resizes.
 func BenchmarkCuckooInsert(b *testing.B) {
 	t := NewCuckoo(phys.New(1<<30), 1<<16)
+	t.Reserve(heapBase, testSpan)
 	rng := xrand.New(2)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		t.Map(addr.VPN(rng.Uint64n(1<<40)), addr.PFN(i))
+		t.Map(heapBase+addr.VPN(rng.Uint64n(testSpan)), addr.PFN(i))
 	}
 }
 
@@ -105,11 +110,12 @@ func BenchmarkRadixLookup(b *testing.B) {
 	}
 }
 
-// benchSparseTable maps a handful of pages per 1 GB region across many
+// benchSparseTable maps a handful of pages per 1 GB region across 64
 // regions, so lookups cross flat nodes and land in lazily materialized
 // chunks.
 func benchSparseTable(b testing.TB, t Table) []addr.V {
 	b.Helper()
+	t.Reserve(0, 64*addr.FlatEntries)
 	rng := xrand.New(3)
 	addrs := make([]addr.V, 4096)
 	for i := range addrs {
@@ -186,7 +192,7 @@ func BenchmarkFlattenedPresent(b *testing.B) {
 // referenceSweep populates the reference sweep: a dense 1 GB region
 // plus 16K pages scattered across 63 more flat nodes.
 func referenceSweep() *Flattened {
-	t := NewFlattened(phys.New(1 << 32))
+	t := reserved(NewFlattened(phys.New(1<<32)), 64*addr.FlatEntries)
 	t.MapRange(0, addr.FlatEntries, 0) // dense 1 GB
 	rng := xrand.New(5)
 	for j := 0; j < 1<<14; j++ { // sparse tail over 63 GB

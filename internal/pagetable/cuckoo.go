@@ -55,10 +55,8 @@ type CuckooStats struct {
 // Cuckoo.frames. The modelled PTE is slotBytes wide regardless, and
 // only it decides the slots' physical addresses.
 //
-// A tag is stored as its low 32 bits, 4 B per slot. The OS model's
-// heaps start at VPN 1<<27 and span at most 16 GB, so every simulated
-// tag fits; the upper half of a tag at or above 1<<32 goes in hi,
-// keyed by slot, the same dense-plus-map fallback as the frame store.
+// A tag is 4 B: the frame store maps only pages below maxVPN (1<<32),
+// so every tag fits in 32 bits.
 //
 // While the way resizes, the old table is slots [migPtr, size) and
 // the new one, twice as large, is [0, migPtr) plus [size, size+migPtr):
@@ -74,10 +72,6 @@ type cuckooWay struct {
 	// L1, so locating a slot adds one cached load.
 	segs      [][]uint32
 	seg0Shift uint8
-	// hi holds the nonzero upper halves of the occupied slots' tags;
-	// nil until a tag at or above 1<<32 arrives. An emptied slot drops
-	// its entry.
-	hi        map[int]uint32
 	occ       []uint64 // one bit per slot
 	frames    []addr.P // one frame per slotsPerFrame old-table slots
 	newFrames []addr.P // the new table's, while resizing
@@ -95,33 +89,17 @@ type cuckooWay struct {
 	migPtr int
 }
 
-// lo returns the cell holding slot i's low tag half.
-func (way *cuckooWay) lo(i int) *uint32 {
+// cell returns the cell holding slot i's tag.
+func (way *cuckooWay) cell(i int) *uint32 {
 	s := way.segs[bits.Len(uint(i)>>way.seg0Shift)]
 	return &s[i&(len(s)-1)]
 }
 
 // tag returns slot i's tag.
-func (way *cuckooWay) tag(i int) addr.VPN {
-	vpn := addr.VPN(*way.lo(i))
-	if way.hi != nil {
-		vpn |= addr.VPN(way.hi[i]) << 32
-	}
-	return vpn
-}
+func (way *cuckooWay) tag(i int) addr.VPN { return addr.VPN(*way.cell(i)) }
 
-// setTag stores vpn as slot i's tag.
-func (way *cuckooWay) setTag(i int, vpn addr.VPN) {
-	*way.lo(i) = uint32(vpn)
-	if h := uint32(vpn >> 32); h != 0 {
-		if way.hi == nil {
-			way.hi = make(map[int]uint32)
-		}
-		way.hi[i] = h
-	} else if way.hi != nil {
-		delete(way.hi, i)
-	}
-}
+// setTag stores vpn, which lies below maxVPN, as slot i's tag.
+func (way *cuckooWay) setTag(i int, vpn addr.VPN) { *way.cell(i) = uint32(vpn) }
 
 // full reports whether slot i holds an entry.
 func (way *cuckooWay) full(i int) bool { return bitset.TestBit(way.occ, uint64(i)) }
@@ -331,7 +309,6 @@ func (c *Cuckoo) Unmap(vpn addr.VPN) (Entry, bool) {
 		way := &c.ways[i]
 		if idx, ok := way.holds(vpn); ok {
 			bitset.ClearBit(way.occ, uint64(idx))
-			delete(way.hi, idx)
 			way.count--
 			c.count--
 			return e, true
@@ -427,14 +404,13 @@ func (c *Cuckoo) migrate(way *cuckooWay, n int) {
 			vpn := way.tag(i)
 			dst := i + way.hash(vpn)&way.size
 			if dst == i {
-				continue // the tag stays, high half included
+				continue // the tag stays
 			}
 			bitset.ClearBit(way.occ, uint64(i))
 			if !bitset.SetBit(way.occ, uint64(dst)) {
 				panic("pagetable: cuckoo migration target slot occupied")
 			}
 			way.setTag(dst, vpn)
-			delete(way.hi, i)
 		}
 		lo = hi
 	}
@@ -480,9 +456,8 @@ func (c *Cuckoo) Occupancy() []LevelOccupancy {
 func (c *Cuckoo) MappedPages() uint64 { return c.count }
 
 // MetadataBytes implements Table: the host memory every way holds (its
-// 4-byte tag halves, 2*size slots while it resizes, the upper halves
-// it keeps in hi, its occupancy bitmap, and the frame directories of
-// both tables), plus the frame store.
+// 4-byte tags, 2*size slots while it resizes, its occupancy bitmap, and
+// the frame directories of both tables), plus the frame store.
 func (c *Cuckoo) MetadataBytes() uint64 {
 	total := c.frames.bytes()
 	for i := range c.ways {
@@ -491,7 +466,6 @@ func (c *Cuckoo) MetadataBytes() uint64 {
 		for _, s := range way.segs {
 			total += uint64(len(s)) * 4
 		}
-		total += uint64(len(way.hi)) * sparseEntryBytes
 	}
 	return total
 }

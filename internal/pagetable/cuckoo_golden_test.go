@@ -23,9 +23,12 @@ const cuckooPlacementGolden = 0x7a377d5afa72978e
 // with the op's VPN after every op, and returns a digest of every Unmap
 // and walk result plus the final Stats, LoadFactors, Occupancy and
 // allocator Stats. The sequence forces a resize (forceResize) once.
+// Keys lie below 2^20 and runs reach at most 511 pages past them, so the
+// table reserves [0, 2^20+512) first; reserving takes no frames.
 func runCuckooPlacement(check func(op int, c *Cuckoo, vpn addr.VPN)) uint64 {
 	alloc := phys.New(1 << 30)
 	c := NewCuckoo(alloc, 256)
+	c.Reserve(0, 1<<20+addr.EntriesPerTable)
 	rng := xrand.New(28)
 	h := fnv.New64a()
 	var buf [8]byte
@@ -143,9 +146,8 @@ func (c *Cuckoo) liveCount() uint64 {
 // many live occupied slots as MappedPages and store pages, and
 // Present(vpn) agrees with Lookup(vpn). With full set it also resolves
 // every live tag through Lookup, checks that probe finds it where it
-// sits, checks that every upper tag half a way keeps is nonzero and
-// belongs to an occupied slot, and audits the store's layout, which
-// costs time proportional to the table.
+// sits, and audits the store's layout, which costs time proportional to
+// the table.
 func checkCuckooStore(t *testing.T, c *Cuckoo, vpn addr.VPN, full bool) {
 	t.Helper()
 	if n := c.liveCount(); n != c.MappedPages() || n != c.frames.pages() {
@@ -166,14 +168,6 @@ func checkCuckooStore(t *testing.T, c *Cuckoo, vpn addr.VPN, full bool) {
 			t.Fatalf("tag %#x sits in slot %d, but probe finds slot %d", uint64(vpn), idx, p)
 		}
 	})
-	for i := range c.ways {
-		way := &c.ways[i]
-		for idx, h := range way.hi {
-			if h == 0 || !way.full(idx) {
-				t.Fatalf("way %d keeps upper half %#x for slot %d, occupied %v", i, h, idx, way.full(idx))
-			}
-		}
-	}
 	if n := c.frames.audit(t); n != c.MappedPages() {
 		t.Fatalf("store holds %d pages, MappedPages %d", n, c.MappedPages())
 	}

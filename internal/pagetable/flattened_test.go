@@ -9,7 +9,7 @@ import (
 )
 
 func TestFlattenedMapLookup(t *testing.T) {
-	f := NewFlattened(newAlloc())
+	f := reserved(NewFlattened(newAlloc()), addr.EntriesPerTable)
 	if _, ok := f.Lookup(42); ok {
 		t.Fatal("empty table lookup found a mapping")
 	}
@@ -25,7 +25,7 @@ func TestFlattenedMapLookup(t *testing.T) {
 }
 
 func TestFlattenedWalkIsThreeAccesses(t *testing.T) {
-	f := NewFlattened(newAlloc())
+	f := reserved(NewFlattened(newAlloc()), 1<<17)
 	vpn := addr.VPN(0x12345)
 	f.Map(vpn, 7)
 	var w Walk
@@ -48,12 +48,12 @@ func TestFlattenedWalkIsThreeAccesses(t *testing.T) {
 // *organization* of the same function — both must produce identical
 // translations for identical Map calls.
 func TestFlattenedAgreesWithRadix(t *testing.T) {
-	f := NewFlattened(newAlloc())
-	r := NewRadix(newAlloc())
+	f := reserved(NewFlattened(newAlloc()), testSpan)
+	r := reserved(NewRadix(newAlloc()), testSpan)
 	rng := xrand.New(3)
 	var vpns []addr.VPN
 	for i := 0; i < 2000; i++ {
-		vpn := addr.VPN(rng.Uint64n(1 << 30)) // spread across many nodes
+		vpn := addr.VPN(rng.Uint64n(testSpan)) // spread across 64 nodes
 		pfn := addr.PFN(rng.Uint64n(1 << 22))
 		f.Map(vpn, pfn)
 		r.Map(vpn, pfn)
@@ -70,7 +70,7 @@ func TestFlattenedAgreesWithRadix(t *testing.T) {
 }
 
 func TestFlattenedSiblingRegionsShareFlatNode(t *testing.T) {
-	f := NewFlattened(newAlloc())
+	f := reserved(NewFlattened(newAlloc()), 8*addr.EntriesPerTable)
 	// Two pages in different 2 MB regions of the same 1 GB span: a radix
 	// table would need two PL1 nodes under two PL2 entries; the
 	// flattened table serves both from one node with direct indexing.
@@ -99,7 +99,7 @@ func TestFlattenedSiblingRegionsShareFlatNode(t *testing.T) {
 }
 
 func TestFlattenedMapRange(t *testing.T) {
-	f := NewFlattened(newAlloc())
+	f := reserved(NewFlattened(newAlloc()), 4000)
 	const start, count = addr.VPN(1000), uint64(3000)
 	f.MapRange(start, count, 5000)
 	if f.MappedPages() != count {
@@ -114,7 +114,7 @@ func TestFlattenedMapRange(t *testing.T) {
 }
 
 func TestFlattenedMapHugeExpandsTo512(t *testing.T) {
-	f := NewFlattened(newAlloc())
+	f := reserved(NewFlattened(newAlloc()), 3*addr.EntriesPerTable)
 	base := addr.VPN(addr.EntriesPerTable * 2)
 	f.MapHuge(base, 7000)
 	if f.MappedPages() != addr.EntriesPerTable {
@@ -127,7 +127,7 @@ func TestFlattenedMapHugeExpandsTo512(t *testing.T) {
 }
 
 func TestFlattenedHugeBackingPreferred(t *testing.T) {
-	f := NewFlattened(newAlloc())
+	f := reserved(NewFlattened(newAlloc()), addr.EntriesPerTable)
 	f.Map(1, 1)
 	huge, chunked := f.HugeBackedNodes()
 	if huge != 1 || chunked != 0 {
@@ -145,7 +145,7 @@ func TestFlattenedChunkFallbackWhenFragmented(t *testing.T) {
 			break
 		}
 	}
-	f := NewFlattened(alloc)
+	f := reserved(NewFlattened(alloc), addr.EntriesPerTable)
 	f.Map(1, 1)
 	huge, chunked := f.HugeBackedNodes()
 	if chunked != 1 || huge != 0 {
@@ -160,7 +160,7 @@ func TestFlattenedChunkFallbackWhenFragmented(t *testing.T) {
 }
 
 func TestFlattenedOccupancy(t *testing.T) {
-	f := NewFlattened(newAlloc())
+	f := reserved(NewFlattened(newAlloc()), addr.FlatEntries)
 	// Fill one full 1 GB span: flattened occupancy 100%.
 	f.MapRange(0, addr.FlatEntries, 0)
 	for _, o := range f.Occupancy() {
@@ -178,7 +178,7 @@ func TestFlattenedOccupancy(t *testing.T) {
 }
 
 func TestFlattenedWalkUnmapped(t *testing.T) {
-	f := NewFlattened(newAlloc())
+	f := reserved(NewFlattened(newAlloc()), addr.EntriesPerTable)
 	f.Map(0, 1)
 	var w Walk
 	// Unmapped page in the mapped 1 GB span: 3 accesses, not found.
@@ -198,12 +198,12 @@ func TestFlattenedWalkUnmapped(t *testing.T) {
 // the index in one step (slices.Grow, not element-at-a-time append) and
 // leave every intervening slot nil and unmapped.
 func TestFlattenedSparseSlotGrow(t *testing.T) {
-	f := NewFlattened(newAlloc())
+	f := reserved(NewFlattened(newAlloc()), testSpan)
 	low := addr.VPN(5)
 	f.Map(low, 100)
 
-	// 200 GB away: slot 200 while the index holds 1 entry.
-	far := addr.VPN(200 << (30 - addr.PageShift))
+	// 60 GB away: slot 60 while the index holds 1 entry.
+	far := addr.VPN(60 << (30 - addr.PageShift))
 	f.Map(far, 200)
 
 	if got := uint64(len(f.flats)); got != pl3Slot(far.Addr())+1 {
@@ -225,7 +225,7 @@ func TestFlattenedSparseSlotGrow(t *testing.T) {
 	}
 	// Growing backward-compatibly: a slot in the middle lands in the
 	// already-grown index without reallocating past the end.
-	mid := addr.VPN(100 << (30 - addr.PageShift))
+	mid := addr.VPN(30 << (30 - addr.PageShift))
 	f.Map(mid, 300)
 	if e, ok := f.Lookup(mid); !ok || e.PFN != 300 {
 		t.Fatalf("Lookup(mid) = %+v, %v", e, ok)
@@ -238,9 +238,11 @@ func TestFlattenedSparseSlotGrow(t *testing.T) {
 // TestFlattenedSparseNodeMetadataBudget enforces the PR acceptance bound:
 // a flat node holding a handful of scattered pages must keep its resident
 // metadata at no more than 1/4 of the 256 KB the old always-materialized
-// present []bool alone consumed.
+// present []bool alone consumed. The node's span is reserved before the
+// empty table is measured: the frame-store window is the heap's cost,
+// 88 B per 2 MB chunk, not the node's.
 func TestFlattenedSparseNodeMetadataBudget(t *testing.T) {
-	f := NewFlattened(newAlloc())
+	f := reserved(NewFlattened(newAlloc()), addr.FlatEntries)
 	empty := f.MetadataBytes()
 	rng := xrand.New(3)
 	for i := 0; i < 8; i++ { // 8 pages scattered over one 1 GB node
@@ -254,7 +256,7 @@ func TestFlattenedSparseNodeMetadataBudget(t *testing.T) {
 	t.Logf("sparse flat node metadata: %d B (budget %d B)", sparse, budget)
 
 	// Dense comparison point, logged for the record: full node.
-	g := NewFlattened(newAlloc())
+	g := reserved(NewFlattened(newAlloc()), addr.FlatEntries)
 	base := g.MetadataBytes()
 	g.MapRange(0, addr.FlatEntries, 0)
 	t.Logf("dense flat node metadata: %d B", g.MetadataBytes()-base)

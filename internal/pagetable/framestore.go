@@ -1,6 +1,7 @@
 package pagetable
 
 import (
+	"fmt"
 	"unsafe"
 
 	"ndpage/internal/addr"
@@ -42,34 +43,31 @@ func (r *chunkRec) frame(i uint64) addr.PFN {
 // ordinal (vpn >> 9). The OS model reserves each heap region before it
 // maps a page of it (Table.Reserve), and the store sizes one window of
 // chunks to the hull of the reserved ranges: a flat array indexed by
-// ordinal - base, where a read is a bounds check and one load. A chunk
-// outside the window, which only a table driven without reservations
-// maps, goes to a Go map, so memory stays proportional to the mapped
-// chunks for any key distribution. No map key ever lies inside the
-// window: widening it moves the keys it newly spans into the array.
+// ordinal - base, where a read is a bounds check and one load. The
+// window is the only storage: mapping a page outside it panics, and a
+// read outside it finds nothing.
 type frameStore struct {
 	base   uint64 // chunk ordinal of dense[0]
 	dense  []chunkRec
-	sparse map[uint64]*chunkRec
 	arrays uint64 // materialized frame arrays
 }
 
-// sparseEntryBytes estimates a Go map entry's resident cost beyond the
-// record it points to: the key and pointer plus control bytes and
-// load-factor headroom.
-const sparseEntryBytes = 32
+// maxVPN bounds every reservation, so a mapped VPN, and with it a cuckoo
+// tag, fits in 32 bits. Heaps start at VPN 2^27 and span at most 2^28
+// pages (workload.MaxFootprint).
+const maxVPN = addr.VPN(1) << 32
 
 // chunkOf splits vpn into its chunk ordinal and index within the chunk.
 func chunkOf(vpn addr.VPN) (chunk, i uint64) {
 	return uint64(vpn) >> addr.LevelBits, uint64(vpn) & (addr.EntriesPerTable - 1)
 }
 
-// rec returns the record of chunk, nil when the chunk has none.
+// rec returns the record of chunk, nil outside the window.
 func (s *frameStore) rec(chunk uint64) *chunkRec {
 	if i := chunk - s.base; i < uint64(len(s.dense)) {
 		return &s.dense[i]
 	}
-	return s.sparse[chunk]
+	return nil
 }
 
 // present reports whether vpn is mapped: one record read.
@@ -101,18 +99,15 @@ func (s *frameStore) presentMap(vpn addr.VPN) (m [chunkWords]uint64) {
 	return m
 }
 
-// recFor returns chunk's record, creating it (empty) if needed. The
-// pointer is valid until the next recFor.
-func (s *frameStore) recFor(chunk uint64) *chunkRec {
+// recFor returns the record of vpn's chunk, which a mapping is about to
+// write; the chunk must lie in a reserved range. The pointer is valid
+// until the next reserve.
+func (s *frameStore) recFor(vpn addr.VPN) *chunkRec {
+	chunk, _ := chunkOf(vpn)
 	if r := s.rec(chunk); r != nil {
 		return r
 	}
-	if s.sparse == nil {
-		s.sparse = make(map[uint64]*chunkRec)
-	}
-	r := new(chunkRec)
-	s.sparse[chunk] = r
-	return r
+	panic(fmt.Sprintf("pagetable: map of VPN %#x outside every reserved range", uint64(vpn)))
 }
 
 // mapRange maps count pages from vpn to consecutive frames from base,
@@ -120,9 +115,9 @@ func (s *frameStore) recFor(chunk uint64) *chunkRec {
 // a huge mapping.
 func (s *frameStore) mapRange(vpn addr.VPN, count uint64, base addr.PFN) (fresh uint64) {
 	for count > 0 {
-		chunk, i := chunkOf(vpn)
+		_, i := chunkOf(vpn)
 		n := min(addr.EntriesPerTable-i, count)
-		fresh += s.mapRun(s.recFor(chunk), i, n, base)
+		fresh += s.mapRun(s.recFor(vpn), i, n, base)
 		vpn += addr.VPN(n)
 		base += addr.PFN(n)
 		count -= n
@@ -165,8 +160,7 @@ func (s *frameStore) mapRun(r *chunkRec, i, n uint64, base addr.PFN) uint64 {
 // whether the chunk was not already huge. The chunk must hold no 4 KB
 // mappings.
 func (s *frameStore) mapHuge(vpn addr.VPN, base addr.PFN) (fresh bool) {
-	chunk, _ := chunkOf(vpn)
-	r := s.recFor(chunk)
+	r := s.recFor(vpn)
 	fresh = !r.huge
 	*r = chunkRec{base: base, n: addr.EntriesPerTable, huge: true}
 	for k := range r.present {
@@ -176,8 +170,8 @@ func (s *frameStore) mapHuge(vpn addr.VPN, base addr.PFN) (fresh bool) {
 }
 
 // unmap removes the translation covering vpn (all of a huge mapping),
-// returning it. A record left empty is cleared, and a sparse one
-// deleted, so reclaim returns the metadata too.
+// returning it. A record left empty is cleared, so reclaim returns its
+// frame array too.
 func (s *frameStore) unmap(vpn addr.VPN) (Entry, bool) {
 	chunk, i := chunkOf(vpn)
 	r := s.rec(chunk)
@@ -197,24 +191,21 @@ func (s *frameStore) unmap(vpn addr.VPN) (Entry, bool) {
 			s.arrays--
 		}
 		*r = chunkRec{}
-		if chunk-s.base >= uint64(len(s.dense)) {
-			delete(s.sparse, chunk)
-		}
 	}
 	return e, true
 }
 
-// reserve widens the window to the hull of itself and the chunks
-// holding pages [vpn, vpn+pages), and moves the map records it newly
-// spans into the array. The window extends upward by append, so the
-// small regions the OS model reserves after a large one (per-core code)
-// usually fit in the array's spare capacity instead of copying it.
-// Callers reserve adjacent ranges, as the OS model's bump-allocated
-// heap does: the hull of two far-apart ranges spans every chunk
-// between them.
+// reserve widens the window up to the last of pages [vpn, vpn+pages).
+// Ranges come in ascending order, as the OS model's bump allocator hands
+// them out, and lie below maxVPN; anything else panics. The window grows
+// by append, so the small regions reserved after a large one (per-core
+// code) usually fit in the array's spare capacity instead of copying it.
 func (s *frameStore) reserve(vpn addr.VPN, pages uint64) {
 	if pages == 0 {
 		return
+	}
+	if vpn >= maxVPN || pages > uint64(maxVPN-vpn) {
+		panic(fmt.Sprintf("pagetable: reservation of %d pages at VPN %#x reaches VPN %#x", pages, uint64(vpn), uint64(maxVPN)))
 	}
 	lo, _ := chunkOf(vpn)
 	hi, _ := chunkOf(vpn + addr.VPN(pages-1))
@@ -222,23 +213,15 @@ func (s *frameStore) reserve(vpn addr.VPN, pages uint64) {
 		s.base = lo
 	}
 	if lo < s.base {
-		s.dense = append(make([]chunkRec, s.base-lo, s.base-lo+uint64(len(s.dense))), s.dense...)
-		s.base = lo
+		panic(fmt.Sprintf("pagetable: reservation at VPN %#x lies below the reserved window at VPN %#x", uint64(vpn), s.base<<addr.LevelBits))
 	}
 	if end := s.base + uint64(len(s.dense)); hi >= end {
 		s.dense = append(s.dense, make([]chunkRec, hi+1-end)...)
-	}
-	for c, r := range s.sparse {
-		if i := c - s.base; i < uint64(len(s.dense)) {
-			s.dense[i] = *r
-			delete(s.sparse, c)
-		}
 	}
 }
 
 // bytes is the store's resident size.
 func (s *frameStore) bytes() uint64 {
 	const rec = uint64(unsafe.Sizeof(chunkRec{}))
-	return uint64(cap(s.dense))*rec + uint64(len(s.sparse))*(rec+sparseEntryBytes) +
-		s.arrays*addr.EntriesPerTable*8
+	return uint64(cap(s.dense))*rec + s.arrays*addr.EntriesPerTable*8
 }

@@ -1,6 +1,7 @@
 package pagetable
 
 import (
+	"strings"
 	"testing"
 
 	"ndpage/internal/addr"
@@ -10,9 +11,8 @@ import (
 
 // audit checks the store's layout invariants — every record's count
 // matches its present map, a huge record is full and array-free, the
-// array counter matches the records, empty records hold nothing, and
-// no map key lies inside the dense window — and returns the pages it
-// holds.
+// array counter matches the records, and empty records hold nothing —
+// and returns the pages it holds.
 func (s *frameStore) audit(t *testing.T) (pages uint64) {
 	t.Helper()
 	var arrays uint64
@@ -35,15 +35,6 @@ func (s *frameStore) audit(t *testing.T) (pages uint64) {
 	for i := range s.dense {
 		check(s.base+uint64(i), &s.dense[i])
 	}
-	for c, r := range s.sparse {
-		if c-s.base < uint64(len(s.dense)) {
-			t.Fatalf("map key %#x lies inside the dense window", c)
-		}
-		if r.n == 0 {
-			t.Fatalf("empty sparse record %#x kept", c)
-		}
-		check(c, r)
-	}
 	if arrays != s.arrays {
 		t.Fatalf("store counts %d arrays, holds %d", s.arrays, arrays)
 	}
@@ -56,20 +47,21 @@ func (s *frameStore) pages() (n uint64) {
 	for i := range s.dense {
 		n += uint64(s.dense[i].n)
 	}
-	for _, r := range s.sparse {
-		n += uint64(r.n)
-	}
 	return n
 }
 
-// TestFrameStoreMatchesMap drives the store and a Go map through
-// ascending, descending and every-other page runs, MapRange runs over
-// chunk boundaries, scattered 40-bit keys, remaps, huge mappings,
-// removals and reservations of the heap-like range the runs fall in,
-// and requires identical answers, a consistent layout, and memory
-// proportional to the chunks held.
+// TestFrameStoreMatchesMap reserves a heap-like span, then drives the
+// store and a Go map through ascending, descending and every-other page
+// runs, MapRange runs over chunk boundaries, keys scattered over the
+// span, remaps, huge mappings, removals and reservations inside the
+// window, and requires identical answers, a consistent layout, and
+// memory proportional to the chunks held.
 func TestFrameStoreMatchesMap(t *testing.T) {
 	var s frameStore
+	// Runs start in [heapBase, heapBase+1<<16) and reach up to 4096
+	// pages either way.
+	const spanLo, span = heapBase - 4096, 1<<16 + 8192
+	s.reserve(spanLo, span)
 	model := map[addr.VPN]addr.PFN{}
 	huge := map[addr.VPN]addr.PFN{} // chunk base -> frame of huge chunks
 	rng := xrand.New(3)
@@ -102,7 +94,7 @@ func TestFrameStoreMatchesMap(t *testing.T) {
 			}
 		case 3: // scattered keys
 			for k := uint64(0); k < n/16+1; k++ {
-				set(addr.VPN(rng.Uint64n(1<<40)), addr.PFN(rng.Uint64n(1<<30)))
+				set(spanLo+addr.VPN(rng.Uint64n(span)), addr.PFN(rng.Uint64n(1<<30)))
 			}
 		case 4: // a range, possibly over chunk boundaries
 			pfn := addr.PFN(rng.Uint64n(1 << 30))
@@ -142,7 +134,7 @@ func TestFrameStoreMatchesMap(t *testing.T) {
 				t.Fatalf("mapHuge(%#x) fresh = %v, was huge: %v", uint64(chunk), !was, was)
 			}
 			huge[chunk] = pfn
-		case 6: // a reservation, which must change no answer
+		case 6: // a reservation inside the window, which must change no answer
 			s.reserve(base, n)
 		default: // removals
 			for k := uint64(0); k < n; k++ {
@@ -240,11 +232,10 @@ func TestFrameStoreExtents(t *testing.T) {
 }
 
 // TestFrameStoreReservedDemandOrder reserves the pr workload's default
-// heap (5738 chunks) as a few regions, the way the OS model's
+// heap (5738 chunks) as a few ascending regions, the way the OS model's
 // allocations do, then faults one page per chunk in shuffled order:
-// every record must land in the window, never the map. A rule that
-// admitted chunks by the live records in the window would send nearly
-// every early fault in a random-order heap to the map.
+// every fault must land in the window, which the reservations alone
+// size to the heap.
 func TestFrameStoreReservedDemandOrder(t *testing.T) {
 	var s frameStore
 	rng := xrand.New(7)
@@ -258,11 +249,60 @@ func TestFrameStoreReservedDemandOrder(t *testing.T) {
 	for k, c := range order {
 		vpn := heapBase + addr.VPN(uint64(c)*addr.EntriesPerTable+rng.Uint64n(addr.EntriesPerTable))
 		s.mapRange(vpn, 1, addr.PFN(k))
-		if len(s.sparse) != 0 {
-			t.Fatalf("fault %d (chunk %d): %d records in the map", k, c, len(s.sparse))
-		}
 	}
 	if pages := s.audit(t); pages != heapChunks || len(s.dense) != heapChunks {
 		t.Fatalf("store holds %d pages in a %d-chunk window, want %d in %d", pages, len(s.dense), heapChunks, heapChunks)
+	}
+}
+
+// TestFrameStoreRejectsOutOfWindow pins the window's three panics, each
+// naming the VPN at fault, on every table: a mapping into an unreserved
+// chunk, a reservation below the window, and a reservation reaching
+// maxVPN. The panics leave the table's mappings as they were, except a
+// run that leaves the window, which comes last. A reservation ending
+// just below maxVPN is accepted.
+func TestFrameStoreRejectsOutOfWindow(t *testing.T) {
+	wantPanic := func(name, want string, f func()) {
+		t.Helper()
+		defer func() {
+			t.Helper()
+			msg, _ := recover().(string)
+			if !strings.Contains(msg, want) {
+				t.Errorf("%s: panic %q, want one naming %s", name, msg, want)
+			}
+		}()
+		f()
+	}
+	for _, mk := range []func() Table{
+		func() Table { return NewRadix(newAlloc()) },
+		func() Table { return NewFlattened(newAlloc()) },
+		func() Table { return NewCuckoo(newAlloc(), 512) },
+	} {
+		tab := mk()
+		tab.Reserve(heapBase, 2*addr.EntriesPerTable)
+		tab.Map(heapBase+addr.EntriesPerTable+3, 7)
+		kind := tab.Kind()
+		wantPanic(kind+" map past the window", "0x8000400", func() { tab.Map(heapBase+2*addr.EntriesPerTable, 1) })
+		wantPanic(kind+" map below the window", "0x7ffffff", func() { tab.Map(heapBase-1, 1) })
+		wantPanic(kind+" reserve below the window", "0x7fffe00", func() { tab.Reserve(heapBase-addr.EntriesPerTable, 1) })
+		wantPanic(kind+" reserve reaching maxVPN", "0xfffffe00", func() { tab.Reserve(maxVPN-addr.EntriesPerTable, addr.EntriesPerTable+1) })
+		wantPanic(kind+" reserve overflowing", "0x8000000", func() { tab.Reserve(heapBase, ^uint64(0)) })
+		if e, ok := tab.Lookup(heapBase + addr.EntriesPerTable + 3); !ok || e.PFN != 7 || tab.MappedPages() != 1 {
+			t.Errorf("%s: after the panics Lookup = %+v,%v, MappedPages %d", kind, e, ok, tab.MappedPages())
+		}
+		for _, v := range []addr.VPN{heapBase - 1, heapBase + 2*addr.EntriesPerTable, maxVPN, 1 << 40} {
+			if tab.Present(v) {
+				t.Errorf("%s: Present(%#x) outside the window", kind, uint64(v))
+			}
+		}
+		wantPanic(kind+" run over the window's end", "0x8000400", func() {
+			tab.MapRange(heapBase+2*addr.EntriesPerTable-1, 2, 1)
+		})
+	}
+	var s frameStore
+	s.reserve(maxVPN-addr.EntriesPerTable, addr.EntriesPerTable)
+	s.mapRange(maxVPN-1, 1, 9)
+	if e, ok := s.lookup(maxVPN - 1); !ok || e.PFN != 9 {
+		t.Errorf("last page below maxVPN: lookup = %+v,%v", e, ok)
 	}
 }

@@ -8,19 +8,21 @@ import (
 )
 
 // fuzzChunks are the 2 MB chunks FuzzTableOps maps into: four adjacent
-// heap chunks, one in the next flattened node, and one under another
-// PL4 entry.
+// chunks, two on each side of a flattened-node boundary, one in the
+// middle of the node after it, and one at VPN 1<<28, under the next PL4
+// entry. Their hull spans 515 chunks.
 var fuzzChunks = [...]addr.VPN{
-	heapBase,
-	heapBase + addr.EntriesPerTable,
-	heapBase + 2*addr.EntriesPerTable,
-	heapBase + 3*addr.EntriesPerTable,
-	heapBase + addr.FlatEntries,
-	farChunk,
+	flatEdge - 2*addr.EntriesPerTable,
+	flatEdge - addr.EntriesPerTable,
+	flatEdge,
+	flatEdge + addr.EntriesPerTable,
+	flatEdge + addr.FlatEntries/2,
+	flatEdge + addr.FlatEntries,
 }
 
-// farChunk is the fuzzed chunk under another PL4 entry.
-const farChunk = addr.VPN(1) << 35
+// flatEdge is the flattened-node boundary the first four fuzzed chunks
+// straddle: the last flat node below VPN 1<<28.
+const flatEdge = addr.VPN(1)<<28 - addr.FlatEntries
 
 // Fuzz op kinds.
 const (
@@ -29,15 +31,14 @@ const (
 	opMapHuge
 	opUnmap
 	opWalk
-	opReserve
 	numOps
 )
 
 // fuzzOpBytes is the encoded size of one op.
 const fuzzOpBytes = 6
 
-// fuzzOp is one decoded operation. arg sets the run length of MapRange,
-// Unmap and Reserve, and the frame: an even arg maps page i of the chunk to
+// fuzzOp is one decoded operation. arg sets the run length of MapRange
+// and Unmap, and the frame: an even arg maps page i of the chunk to
 // frame (arg/2 mod 4)<<16 + i, one of four extents a mapping may land on
 // or off; an odd arg picks frame arg/2 outright.
 type fuzzOp struct {
@@ -64,8 +65,8 @@ func decodeFuzzOps(data []byte) []fuzzOp {
 
 func (o fuzzOp) vpn() addr.VPN { return fuzzChunks[o.chunk] + addr.VPN(o.page) }
 
-// count is the run length of a MapRange, Unmap or Reserve: up to a
-// little over two chunks.
+// count is the run length of a MapRange or Unmap: up to a little over
+// two chunks.
 func (o fuzzOp) count() uint64 { return uint64(o.arg)%1100 + 1 }
 
 func (o fuzzOp) pfn() addr.PFN {
@@ -81,7 +82,6 @@ type fuzzPair struct {
 	name      string
 	wg, ww    *Walk
 	got, want interface {
-		Reserve(addr.VPN, uint64)
 		Map(addr.VPN, addr.PFN)
 		MapRange(addr.VPN, uint64, addr.PFN)
 		Lookup(addr.VPN) (Entry, bool)
@@ -141,11 +141,18 @@ func sameAccesses(a, b []Access) bool {
 
 // runTableOps applies ops to Radix, Flattened and Cuckoo and to their
 // references, checking every pair after every op, and sweeps every page
-// of every chunk at the end, where it also audits each frame store. Radix skips the ops that would panic on it:
-// a 4 KB map under a 2 MB leaf, or a 2 MB map over a PL1 node.
+// of every chunk at the end, where it also audits each frame store.
+// Each table first reserves the chunks' hull and the three chunks past
+// the last, which a run from it can reach. Radix skips the ops that
+// would panic on it: a 4 KB map under a 2 MB leaf, or a 2 MB map over a
+// PL1 node.
 func runTableOps(t *testing.T, ops []fuzzOp) {
 	radix, refR := NewRadix(phys.New(1<<30)), newRefRadix(phys.New(1<<30))
 	flat, cuckoo := NewFlattened(phys.New(1<<30)), NewCuckoo(phys.New(1<<30), 256)
+	lo, hi := fuzzChunks[0], fuzzChunks[len(fuzzChunks)-1]+4*addr.EntriesPerTable
+	for _, tab := range []Table{radix, flat, cuckoo} {
+		tab.Reserve(lo, uint64(hi-lo))
+	}
 	pairs := []fuzzPair{
 		{"radix", new(Walk), new(Walk), radix, refR},
 		{"flattened", new(Walk), new(Walk), flat, newRefFlattened(phys.New(1 << 30))},
@@ -183,14 +190,6 @@ func runTableOps(t *testing.T, ops []fuzzOp) {
 				}
 				radix.MapHuge(chunk, o.pfn()-addr.PFN(o.page))
 				refR.MapHuge(chunk, o.pfn()-addr.PFN(o.page))
-			case opReserve:
-				// The window spans the hull of every reservation, so
-				// the far chunk, 2^26 chunks up, is never reserved.
-				if fuzzChunks[o.chunk] >= farChunk {
-					continue
-				}
-				p.got.Reserve(vpn, o.count())
-				p.want.Reserve(vpn, o.count())
 			case opUnmap:
 				for k := uint64(0); k < o.count(); k++ {
 					v := vpn + addr.VPN(k)
@@ -203,7 +202,7 @@ func runTableOps(t *testing.T, ops []fuzzOp) {
 			}
 			p.check(t, i, vpn)
 			p.checkCounts(t, i)
-			if o.kind == opMapRange || o.kind == opUnmap || o.kind == opReserve {
+			if o.kind == opMapRange || o.kind == opUnmap {
 				p.check(t, i, vpn+addr.VPN(o.count()-1))
 			}
 		}
@@ -235,18 +234,17 @@ var fuzzSeeds = [][]fuzzOp{
 	{{opMapRange, 0, 300, 399}, {opMap, 0, 301, 5}, {opMap, 1, 10, 7}, {opWalk, 1, 150, 0}},
 	// MapHuge, then Unmap of one page removes it; a 4 KB map follows.
 	{{opMapHuge, 2, 5, 4}, {opWalk, 2, 9, 0}, {opUnmap, 2, 5, 0}, {opMap, 2, 6, 6}, {opMapHuge, 2, 0, 0}},
-	// Scattered single pages in the far chunks and the next flat node.
+	// Scattered single pages mid-node and under the next PL4 entry.
 	{{opMap, 4, 1, 3}, {opMap, 4, 2, 9}, {opMap, 5, 511, 0}, {opUnmap, 4, 1, 1}, {opWalk, 5, 511, 0}},
-	// Chunks mapped before any reservation sit in the map; reserving
-	// chunks 0-2, then widening to the next flat node, moves them into
-	// the window, where they unmap and remap.
-	{{opMap, 0, 5, 3}, {opMapRange, 2, 100, 40}, {opMap, 4, 1, 9}, {opMap, 5, 7, 0},
-		{opReserve, 0, 300, 1099}, {opWalk, 2, 120, 0}, {opReserve, 4, 0, 0}, {opWalk, 4, 1, 0},
-		{opUnmap, 0, 5, 0}, {opMap, 0, 5, 11}, {opUnmap, 4, 1, 0}, {opMap, 4, 2, 2}},
+	// A MapRange across the flattened-node boundary, a remap past it,
+	// an Unmap run back across it, and a MapRange from the last chunk
+	// into the reserved chunks past it.
+	{{opMapRange, 1, 400, 399}, {opMap, 2, 5, 8}, {opWalk, 2, 6, 0}, {opUnmap, 1, 500, 199},
+		{opWalk, 1, 600, 0}, {opMapRange, 5, 500, 1099}, {opWalk, 5, 511, 0}, {opUnmap, 5, 400, 1099}},
 }
 
 // FuzzTableOps decodes its input into Map, MapRange, MapHuge (Radix
-// only), Unmap, WalkInto and Reserve sequences over a few chunks and
+// only), Unmap and WalkInto sequences over a few reserved chunks and
 // requires each table to match its reference after every op: Lookup,
 // Present, WalkInto accesses, MappedPages and Occupancy.
 func FuzzTableOps(f *testing.F) {

@@ -18,9 +18,9 @@
 // record per 2 MB chunk with its present bits and, since chunks are
 // nearly always backed by one contiguous block, a base frame instead
 // of 512 frame numbers. The OS model reserves each heap region before
-// it maps into it (Reserve), so the records of a simulated heap sit in
-// one flat array sized to the heap. Lookup, Present and Unmap read
-// only the store.
+// it maps into it (Reserve), and a table maps only reserved pages, so
+// the records sit in one flat array sized to the heap. Lookup, Present
+// and Unmap read only the store.
 // The radix tree, flattened nodes and cuckoo ways keep only what
 // decides PTE addresses and occupancy: node frames, used counts and
 // tags. Every table node is backed by real frames from the shared
@@ -137,10 +137,10 @@ type Table interface {
 	Kind() string
 	// Reserve announces that pages [vpn, vpn+pages) form one heap
 	// region the caller will map into. The OS model calls it once per
-	// region before mapping any page of it, so the frame store can
-	// size its dense window to the heap instead of guessing from the
-	// keys it sees. Pages mapped outside every reserved range still
-	// translate, through a slower per-chunk map.
+	// region, in ascending address order, before mapping any page of
+	// it, and the frame store sizes its window to the heap. A range
+	// that starts below the first or reaches VPN 2^32 panics, as does
+	// a mapping outside every reserved range.
 	Reserve(vpn addr.VPN, pages uint64)
 	// Map installs a 4 KB translation.
 	Map(vpn addr.VPN, pfn addr.PFN)

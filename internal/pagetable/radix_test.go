@@ -11,8 +11,19 @@ func newAlloc() *phys.Allocator {
 	return phys.New(256 << 20) // 256 MB is plenty for table nodes in tests
 }
 
+// testSpan is the span the table tests draw scattered keys from: 2^24
+// pages (64 GiB), whose frame-store window is 32768 records, ~2.9 MB.
+const testSpan = 1 << 24
+
+// reserved reserves pages [0, pages) of t, as the OS model reserves a
+// heap region before it maps into it, and returns t.
+func reserved[T Table](t T, pages uint64) T {
+	t.Reserve(0, pages)
+	return t
+}
+
 func TestRadixMapLookup(t *testing.T) {
-	r := NewRadix(newAlloc())
+	r := reserved(NewRadix(newAlloc()), addr.EntriesPerTable)
 	if _, ok := r.Lookup(42); ok {
 		t.Fatal("lookup in empty table found a mapping")
 	}
@@ -35,7 +46,7 @@ func TestRadixMapLookup(t *testing.T) {
 }
 
 func TestRadixWalkDepthAndOrder(t *testing.T) {
-	r := NewRadix(newAlloc())
+	r := reserved(NewRadix(newAlloc()), 1<<17)
 	vpn := addr.VPN(0x12345)
 	r.Map(vpn, 7)
 	var w Walk
@@ -63,7 +74,7 @@ func TestRadixWalkDepthAndOrder(t *testing.T) {
 }
 
 func TestRadixWalkUnmappedStopsEarly(t *testing.T) {
-	r := NewRadix(newAlloc())
+	r := reserved(NewRadix(newAlloc()), addr.EntriesPerTable)
 	r.Map(0, 1) // creates a path under prefix 0
 	var w Walk
 	// Entirely different PL4 subtree: walk reads only the root entry.
@@ -79,7 +90,7 @@ func TestRadixWalkUnmappedStopsEarly(t *testing.T) {
 }
 
 func TestRadixSiblingPagesShareNodes(t *testing.T) {
-	r := NewRadix(newAlloc())
+	r := reserved(NewRadix(newAlloc()), addr.EntriesPerTable)
 	r.Map(0, 1)
 	r.Map(1, 2)
 	var w0, w1 Walk
@@ -101,7 +112,7 @@ func TestRadixSiblingPagesShareNodes(t *testing.T) {
 }
 
 func TestRadixMapRangeEquivalentToMapLoop(t *testing.T) {
-	a, b := NewRadix(newAlloc()), NewRadix(newAlloc())
+	a, b := reserved(NewRadix(newAlloc()), 3000), reserved(NewRadix(newAlloc()), 3000)
 	const start, count = addr.VPN(1000), uint64(1500) // crosses PL1 node boundaries
 	a.MapRange(start, count, 5000)
 	for k := uint64(0); k < count; k++ {
@@ -120,7 +131,7 @@ func TestRadixMapRangeEquivalentToMapLoop(t *testing.T) {
 }
 
 func TestRadixHugeMapping(t *testing.T) {
-	r := NewRadix(newAlloc())
+	r := reserved(NewRadix(newAlloc()), 4*addr.EntriesPerTable)
 	base := addr.VPN(addr.EntriesPerTable * 3) // 2MB-aligned
 	r.MapHuge(base, 9000)
 	if r.MappedPages() != addr.EntriesPerTable {
@@ -147,7 +158,7 @@ func TestRadixHugeMapping(t *testing.T) {
 }
 
 func TestRadixHugeUnalignedPanics(t *testing.T) {
-	r := NewRadix(newAlloc())
+	r := reserved(NewRadix(newAlloc()), addr.EntriesPerTable)
 	defer func() {
 		if recover() == nil {
 			t.Error("unaligned MapHuge did not panic")
@@ -157,7 +168,7 @@ func TestRadixHugeUnalignedPanics(t *testing.T) {
 }
 
 func TestRadixConflictingMappingsPanic(t *testing.T) {
-	r := NewRadix(newAlloc())
+	r := reserved(NewRadix(newAlloc()), 2*addr.EntriesPerTable)
 	r.MapHuge(addr.VPN(addr.EntriesPerTable), 1)
 	func() {
 		defer func() {
@@ -179,7 +190,7 @@ func TestRadixConflictingMappingsPanic(t *testing.T) {
 }
 
 func TestRadixOccupancyDenseRegion(t *testing.T) {
-	r := NewRadix(newAlloc())
+	r := reserved(NewRadix(newAlloc()), 2*addr.EntriesPerTable)
 	// Map 4 MB densely: 1024 pages = 2 full PL1 nodes.
 	r.MapRange(0, 2*addr.EntriesPerTable, 0)
 	occ := map[addr.Level]LevelOccupancy{}
@@ -205,7 +216,7 @@ func TestRadixOccupancyDenseRegion(t *testing.T) {
 func TestRadixNodesBackedByDistinctFrames(t *testing.T) {
 	alloc := newAlloc()
 	before := alloc.FreeFrames()
-	r := NewRadix(alloc)
+	r := reserved(NewRadix(alloc), 3*addr.EntriesPerTable)
 	r.MapRange(0, 3*addr.EntriesPerTable, 0) // 3 PL1 nodes + PL2+PL3+PL4
 	used := before - alloc.FreeFrames()
 	// root + PL3 + PL2 + 3 PL1 = 6 frames.

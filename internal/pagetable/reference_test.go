@@ -240,9 +240,6 @@ func (f *refFlattened) Occupancy() []LevelOccupancy {
 
 func (f *refFlattened) MappedPages() uint64 { return f.mapped }
 
-// Reserve is a no-op: the reference keeps no dense window.
-func (f *refFlattened) Reserve(addr.VPN, uint64) {}
-
 // differentialVPN draws a VPN biased toward locality: most draws land in
 // a handful of dense 2 MB spans, the rest scatter across a 4 GB heap so
 // multiple flattened nodes (and sparse chunks) appear.
@@ -253,6 +250,10 @@ func differentialVPN(rng *xrand.RNG) addr.VPN {
 	}
 	return addr.VPN(rng.Uint64n(1 << 20)) // anywhere in 4 GB
 }
+
+// differentialSpan is the span the differential tests reserve: every
+// differentialVPN plus the longest MapRange run past it.
+const differentialSpan = 1<<20 + 2048
 
 // runFlattenedDifferential drives the production table and the []bool
 // reference through one randomized sequence over identically seeded
@@ -273,7 +274,7 @@ func runFlattenedDifferential(t *testing.T, seed uint64, fragment bool) {
 		}
 		return a
 	}
-	got := NewFlattened(mkAlloc())
+	got := reserved(NewFlattened(mkAlloc()), differentialSpan)
 	want := newRefFlattened(mkAlloc())
 	rng := xrand.New(seed)
 
@@ -364,7 +365,7 @@ func TestFlattenedDifferentialChunkBacked(t *testing.T) {
 // organizations of one function must agree on every translation and on
 // the mapped-page count (occupancy shapes differ by design).
 func TestRadixDifferentialAgainstReference(t *testing.T) {
-	r := NewRadix(phys.New(1 << 30))
+	r := reserved(NewRadix(phys.New(1<<30)), differentialSpan)
 	want := newRefFlattened(phys.New(1 << 30))
 	rng := xrand.New(11)
 	for op := 0; op < 20000; op++ {
@@ -404,7 +405,7 @@ func TestRadixDifferentialAgainstReference(t *testing.T) {
 // TestCuckooDifferentialAgainstReference does the same for the elastic
 // cuckoo table (no huge mappings there).
 func TestCuckooDifferentialAgainstReference(t *testing.T) {
-	c := NewCuckoo(phys.New(1<<30), 4096)
+	c := reserved(NewCuckoo(phys.New(1<<30), 4096), differentialSpan)
 	want := newRefFlattened(phys.New(1 << 30))
 	rng := xrand.New(13)
 	for op := 0; op < 20000; op++ {
@@ -625,9 +626,6 @@ func (r *refRadix) Occupancy() []LevelOccupancy {
 
 func (r *refRadix) MappedPages() uint64 { return r.mapped }
 
-// Reserve is a no-op: the reference keeps no dense window.
-func (r *refRadix) Reserve(addr.VPN, uint64) {}
-
 // refSlot is one slot of the original ECH layout: the whole {vpn, pfn}
 // translation lives in the slot.
 type refSlot struct {
@@ -845,6 +843,3 @@ func (c *refCuckoo) Occupancy() []LevelOccupancy {
 }
 
 func (c *refCuckoo) MappedPages() uint64 { return c.count }
-
-// Reserve is a no-op: the reference keeps no dense window.
-func (c *refCuckoo) Reserve(addr.VPN, uint64) {}

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 
+	"ndpage/internal/addr"
 	"ndpage/internal/core"
 	"ndpage/internal/memsys"
 	"ndpage/internal/workload"
@@ -85,6 +86,12 @@ func (c Config) Validate() error {
 	}
 	if n.FragHoles < 0 {
 		return fmt.Errorf("sim: FragHoles %d must not be negative", n.FragHoles)
+	}
+	if n.FootprintBytes > workload.MaxFootprint {
+		return fmt.Errorf("sim: FootprintBytes %d exceeds workload.MaxFootprint (%d)", n.FootprintBytes, uint64(workload.MaxFootprint))
+	}
+	if n.MemoryBytes%addr.HugePageSize != 0 || n.MemoryBytes > 1<<40 {
+		return fmt.Errorf("sim: MemoryBytes %d must be a positive multiple of 2 MB, at most 1 TiB", n.MemoryBytes)
 	}
 	if n.FetchEvery < 1 {
 		return fmt.Errorf("sim: FetchEvery %d must be positive", n.FetchEvery)

@@ -60,6 +60,11 @@ func TestValidate(t *testing.T) {
 		{"inert pcx entries", func(c *Config) { c.PCXEntries = 512 }, "inert"},
 		{"pcax bad geometry", func(c *Config) { c.Mechanism = core.PCAX; c.PCXEntries = 100 }, "power-of-two"},
 		{"pcax negative entries", func(c *Config) { c.Mechanism = core.PCAX; c.PCXEntries = -4 }, "power-of-two"},
+		{"max footprint", func(c *Config) { c.FootprintBytes = workload.MaxFootprint }, ""},
+		{"footprint over max", func(c *Config) { c.FootprintBytes = workload.MaxFootprint + 1 }, "MaxFootprint"},
+		{"memory not 2 MB multiple", func(c *Config) { c.MemoryBytes = 3 << 20 }, "multiple of 2 MB"},
+		{"memory 1 TiB", func(c *Config) { c.MemoryBytes = 1 << 40 }, ""},
+		{"memory over 1 TiB", func(c *Config) { c.MemoryBytes = 1<<40 + 2<<20 }, "at most 1 TiB"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -165,18 +170,11 @@ func TestKeyMechanismKnobs(t *testing.T) {
 // a registered key its name+params — while builtins hash exactly as
 // before (no identity suffix).
 func TestKeyWorkloadIdentity(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "k.ndpt")
+	path := filepath.Join(t.TempDir(), "k.ndpt")
 	writeOps := func(a uint64) {
 		w := trace.NewWriter("k", 1, 1)
 		w.Append(0, trace.Op{Kind: trace.Load, Addr: a})
-		var buf bytes.Buffer
-		if err := w.Encode(&buf); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
+		writeCapture(t, w, path)
 	}
 	writeOps(0x1000)
 	cfg := testCfg(memsys.NDP, 1, core.Radix, "trace:"+path)
@@ -218,14 +216,8 @@ func TestTraceReplayRuns(t *testing.T) {
 			w.Append(s, trace.Op{Kind: trace.Store, Addr: base + 4096*i})
 		}
 	}
-	var buf bytes.Buffer
-	if err := w.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
 	path := filepath.Join(t.TempDir(), "e2e.ndpt")
-	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	writeCapture(t, w, path)
 
 	cfg := testCfg(memsys.NDP, 2, core.NDPage, "trace:"+path)
 	res, err := RunConfig(cfg)
@@ -245,6 +237,36 @@ func TestTraceReplayRuns(t *testing.T) {
 	}
 	if res2.Cycles != res.Cycles {
 		t.Errorf("replay not deterministic: %d vs %d cycles", res2.Cycles, res.Cycles)
+	}
+}
+
+// writeCapture encodes w's capture to path.
+func writeCapture(t *testing.T, w *trace.Writer, path string) {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := w.Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestTraceSpanOverMaxFootprint: a capture whose two loads lie 2 TiB
+// apart spans more than workload.MaxFootprint, so Validate and New
+// reject it before the replay would allocate the span.
+func TestTraceSpanOverMaxFootprint(t *testing.T) {
+	w := trace.NewWriter("wide", 1, 1)
+	w.Append(0, trace.Op{Kind: trace.Load, Addr: 0x1000})
+	w.Append(0, trace.Op{Kind: trace.Load, Addr: 0x1000 + 2<<40})
+	path := filepath.Join(t.TempDir(), "wide.ndpt")
+	writeCapture(t, w, path)
+	cfg := testCfg(memsys.NDP, 1, core.Radix, "trace:"+path)
+	if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), "MaxFootprint") {
+		t.Fatalf("Validate() = %v, want an error naming MaxFootprint", err)
+	}
+	if _, err := New(cfg); err == nil {
+		t.Fatal("New accepted a capture spanning 2 TiB")
 	}
 }
 

@@ -302,28 +302,6 @@ func (m *Machine) Allocator() *phys.Allocator { return m.alloc }
 // MMU returns core i's MMU (tests and tools).
 func (m *Machine) MMU(i int) *core.MMU { return m.cores[i].mmu }
 
-// step executes one op on core c to completion: the blocking core model
-// (Config.MLP = 1). The whole op — fetch, faults, translation, data
-// access — runs inside the current event, and the caller schedules the
-// core's next event at the updated clock, which reproduces the
-// pre-engine min-clock step loop bit for bit. Kept as the one-op
-// reference semantics behind stepEvent's compute-run fusion (and used
-// directly by tests).
-func (m *Machine) step(c *simCore) {
-	c.gen.Next(&c.op)
-	c.instructions++
-	switch c.op.Kind {
-	case workload.Compute:
-		c.clock += uint64(c.op.Cycles)
-		c.computeCycles += uint64(c.op.Cycles)
-		return
-	case workload.Load, workload.Store:
-	default:
-		panic(fmt.Sprintf("sim: unknown op kind %d", c.op.Kind))
-	}
-	m.stepMem(c)
-}
-
 // stepMem executes the memory op already decoded into c.op: fetch
 // bookkeeping, demand faults, translation, and the data access.
 func (m *Machine) stepMem(c *simCore) {
@@ -397,13 +375,14 @@ func (m *Machine) scheduleFrontEnd(c *simCore, t uint64) {
 	m.eng.Schedule(t, c.id, c, evFrontEnd, 0)
 }
 
-// stepEvent is the blocking model's event. It executes the memory op
-// this event was scheduled for (if one is pending), then decodes ahead:
-// runs of compute ops execute inline — a compute op touches only the
-// core's private clock and counters, so its standalone event was pure
-// front-end bookkeeping no other actor could observe — and the next
-// memory op is deferred to a fresh event at exactly the dispatch time
-// the unfused schedule gave it. Every shared-structure access therefore
+// stepEvent is the blocking model's event (Config.MLP = 1), which
+// reproduces the pre-engine min-clock step loop bit for bit. It
+// executes the memory op this event was scheduled for (if one is
+// pending), then decodes ahead: runs of compute ops execute inline — a
+// compute op touches only the core's private clock and counters, so an
+// event per op would be front-end bookkeeping no other actor could
+// observe — and the next memory op is deferred to a fresh event at
+// exactly the dispatch time an event per op would give it. Every shared-structure access therefore
 // keeps its pre-fusion (time, core) dispatch slot while the engine
 // round-trips for compute ops disappear. c.opValid marks the deferred
 // op between the two events (the staged MLP > 1 front-end owns the same

@@ -6,6 +6,7 @@ import (
 	"ndpage/internal/addr"
 	"ndpage/internal/core"
 	"ndpage/internal/memsys"
+	"ndpage/internal/workload"
 )
 
 // testCfg returns a small, fast configuration.
@@ -36,6 +37,21 @@ func run(t *testing.T, cfg Config) *Result {
 func TestUnknownWorkloadRejected(t *testing.T) {
 	if _, err := RunConfig(Config{Workload: "nope"}); err == nil {
 		t.Fatal("unknown workload accepted")
+	}
+}
+
+// TestMaxFootprintMachineRuns builds a 4-core demand-paged machine at
+// workload.MaxFootprint and runs 1k instructions: the largest heap
+// Validate admits stays below the page tables' VPN ceiling, where a
+// reservation panics. Every table reserves through the same frame store.
+func TestMaxFootprintMachineRuns(t *testing.T) {
+	cfg := testCfg(memsys.NDP, 4, core.Radix, "rnd")
+	cfg.FootprintBytes = workload.MaxFootprint
+	cfg.DemandPaging = true
+	cfg.Warmup, cfg.Instructions = 1, 1000
+	res := run(t, cfg)
+	if want := cfg.Instructions * uint64(cfg.Cores); res.Instructions != want {
+		t.Errorf("%d instructions, want %d", res.Instructions, want)
 	}
 }
 

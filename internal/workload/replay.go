@@ -34,6 +34,10 @@ func traceSpec(name string) (Spec, error) {
 	if err != nil {
 		return Spec{}, fmt.Errorf("workload %q: %w", name, err)
 	}
+	if hdr.Footprint > MaxFootprint {
+		return Spec{}, fmt.Errorf("workload %q: capture spans %d bytes, more than MaxFootprint (%d)",
+			name, hdr.Footprint, uint64(MaxFootprint))
+	}
 	return Spec{
 		Name:  name,
 		Suite: "trace",

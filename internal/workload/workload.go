@@ -52,6 +52,12 @@ type Op struct {
 	Cycles uint32
 }
 
+// MaxFootprint is the largest dataset a simulation accepts, 1 TiB: the
+// bound on a configured footprint and on a trace capture's span. Heaps
+// start at 512 GiB, so every heap stays far below the 16 TiB of virtual
+// pages a page table maps (VPN 2^32).
+const MaxFootprint = 1 << 40
+
 // Mem is the allocation interface a workload uses to reserve its dataset.
 // It is implemented by the OS model's AddressSpace.
 type Mem interface {

@@ -31,6 +31,7 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"sort"
 	"strings"
 	"time"
 
@@ -60,6 +61,10 @@ func main() {
 		Progress:     os.Stderr,
 		Context:      ctx,
 	}
+	figures, err := selectFigures(*figsArg, e)
+	if err != nil {
+		fatal(err)
+	}
 	if *cacheDir != "" {
 		store, err := openCache(ctx, *cacheDir)
 		if err != nil {
@@ -77,37 +82,6 @@ func main() {
 		e.Workloads = strings.Split(*wlArg, ",")
 	}
 
-	type figure struct {
-		name string
-		run  func() (*ndpage.Table, error)
-	}
-	figures := []figure{
-		{"fig4", e.Fig4}, {"fig5", e.Fig5}, {"fig6", e.Fig6},
-		{"fig7", e.Fig7}, {"fig8", e.Fig8},
-		{"motivation", e.Motivation}, {"pwc", e.PWCRates},
-		{"fig12", e.Fig12}, {"fig13", e.Fig13}, {"fig14", e.Fig14},
-		{"ablation", e.Ablation},
-	}
-	extras := []figure{
-		{"mechanism-comparison", e.MechanismComparison},
-		{"pwc-sensitivity", e.PWCSensitivity},
-		{"hbm-sensitivity", e.HBMChannelSensitivity},
-		{"walker-sensitivity", e.WalkerWidthSensitivity},
-		{"mlp-sensitivity", e.MLPSensitivity},
-		{"population-sensitivity", e.PopulationSensitivity},
-		{"oversubscription", e.OversubscriptionStudy},
-	}
-	if *figsArg != "all" {
-		figures = append(figures, extras...)
-	}
-
-	want := map[string]bool{}
-	if *figsArg != "all" {
-		for _, f := range strings.Split(*figsArg, ",") {
-			want[strings.TrimSpace(f)] = true
-		}
-	}
-
 	if *outDir != "" {
 		if err := os.MkdirAll(*outDir, 0o755); err != nil {
 			fatal(err)
@@ -116,9 +90,6 @@ func main() {
 
 	start := time.Now()
 	for _, f := range figures {
-		if len(want) > 0 && !want[f.name] {
-			continue
-		}
 		t0 := time.Now()
 		tab, err := f.run()
 		if err != nil {
@@ -134,6 +105,66 @@ func main() {
 		}
 	}
 	fmt.Printf("total %v\n", time.Since(start).Round(time.Second))
+}
+
+// figure is one table ndpexp can regenerate, by its -figs name.
+type figure struct {
+	name string
+	run  func() (*ndpage.Table, error)
+}
+
+// selectFigures resolves the -figs argument to the figures to run, in
+// report order: "all" is the paper's figures; otherwise a comma-separated
+// list drawn from the paper's figures and the extras. An unknown name is
+// an error listing the valid ones.
+func selectFigures(arg string, e *ndpage.Experiments) ([]figure, error) {
+	figures := []figure{
+		{"fig4", e.Fig4}, {"fig5", e.Fig5}, {"fig6", e.Fig6},
+		{"fig7", e.Fig7}, {"fig8", e.Fig8},
+		{"motivation", e.Motivation}, {"pwc", e.PWCRates},
+		{"fig12", e.Fig12}, {"fig13", e.Fig13}, {"fig14", e.Fig14},
+		{"ablation", e.Ablation},
+	}
+	if arg == "all" {
+		return figures, nil
+	}
+	figures = append(figures,
+		figure{"mechanism-comparison", e.MechanismComparison},
+		figure{"pwc-sensitivity", e.PWCSensitivity},
+		figure{"hbm-sensitivity", e.HBMChannelSensitivity},
+		figure{"walker-sensitivity", e.WalkerWidthSensitivity},
+		figure{"mlp-sensitivity", e.MLPSensitivity},
+		figure{"population-sensitivity", e.PopulationSensitivity},
+		figure{"oversubscription", e.OversubscriptionStudy},
+	)
+	want := map[string]bool{}
+	for _, name := range strings.Split(arg, ",") {
+		if name = strings.TrimSpace(name); name != "" {
+			want[name] = true
+		}
+	}
+	var out []figure
+	names := make([]string, len(figures))
+	for i, f := range figures {
+		names[i] = f.name
+		if want[f.name] {
+			out = append(out, f)
+			delete(want, f.name)
+		}
+	}
+	if len(want) == 0 && len(out) > 0 {
+		return out, nil
+	}
+	problem := "no figure named"
+	if len(want) > 0 {
+		unknown := make([]string, 0, len(want))
+		for name := range want {
+			unknown = append(unknown, name)
+		}
+		sort.Strings(unknown)
+		problem = "unknown figure " + strings.Join(unknown, ", ")
+	}
+	return nil, fmt.Errorf("-figs %q: %s (valid: all, %s)", arg, problem, strings.Join(names, ", "))
 }
 
 // openCache resolves the -cache argument: an http(s):// URL selects a

@@ -82,22 +82,14 @@ func build(opts options) (workload.Spec, workload.Workload, error) {
 }
 
 // emit writes the CSV trace (or, with opts.stats, the op-mix summary)
-// to w. The writer is buffered here, and the buffer's deferred write
-// errors — which a bare "defer Flush()" would discard — are returned.
-func emit(opts options, w io.Writer) (err error) {
+// to w. Output is buffered, and the buffer's write errors — which a
+// bare "defer Flush()" would discard — are returned.
+func emit(opts options, w io.Writer) error {
 	spec, wl, err := build(opts)
 	if err != nil {
 		return err
 	}
 	gen := wl.Thread(opts.thread, threadSeed(opts.seed, opts.thread))
-
-	out := bufio.NewWriter(w)
-	defer func() {
-		if ferr := out.Flush(); err == nil {
-			err = ferr
-		}
-	}()
-
 	var op workload.Op
 	if opts.stats {
 		var loads, stores, computes, cycles uint64
@@ -116,6 +108,7 @@ func emit(opts options, w io.Writer) (err error) {
 				cycles += uint64(op.Cycles)
 			}
 		}
+		out := bufio.NewWriter(w)
 		fmt.Fprintf(out, "workload       %s (%s: %s)\n", spec.Name, spec.Suite, spec.Description)
 		fmt.Fprintf(out, "ops            %d\n", opts.ops)
 		fmt.Fprintf(out, "loads          %d (%.1f%%)\n", loads, 100*float64(loads)/float64(opts.ops))
@@ -123,33 +116,17 @@ func emit(opts options, w io.Writer) (err error) {
 		fmt.Fprintf(out, "compute ops    %d (%d cycles)\n", computes, cycles)
 		fmt.Fprintf(out, "distinct pages %d (%.1f MB touched)\n", len(pages),
 			float64(len(pages))*4096/1e6)
-		return nil
+		return out.Flush()
 	}
 
-	header := trace.CSVHeader
-	if opts.pcs {
-		header = trace.CSVHeaderPC
-	}
-	fmt.Fprintln(out, header)
+	csv := trace.NewCSVWriter(w, opts.pcs)
 	for i := uint64(0); i < opts.ops; i++ {
 		gen.Next(&op)
-		kind := ""
-		switch op.Kind {
-		case workload.Load:
-			kind = "L"
-		case workload.Store:
-			kind = "S"
-		case workload.Compute:
-			fmt.Fprintf(out, "C,%d\n", op.Cycles)
-			continue
-		}
-		if opts.pcs {
-			fmt.Fprintf(out, "%s,%#x,%#x\n", kind, uint64(op.Addr), op.PC)
-		} else {
-			fmt.Fprintf(out, "%s,%#x\n", kind, uint64(op.Addr))
+		if err := csv.Write(trace.Op{Kind: trace.Kind(op.Kind), Addr: uint64(op.Addr), PC: op.PC, Cycles: op.Cycles}); err != nil {
+			return err
 		}
 	}
-	return nil
+	return csv.Flush()
 }
 
 // capture writes a binary .ndpt capture to opts.out: opts.ops ops of

@@ -34,47 +34,49 @@ func table(t *testing.T, f func() (*stats.Table, error)) *stats.Table {
 	return tab
 }
 
-func TestGetMemoizes(t *testing.T) {
+func TestRunPropagatesErrors(t *testing.T) {
 	r := quickRunner()
-	cfg := r.matrix(memsys.NDP, core.Radix, 1, "rnd")
-	a, err := r.get(cfg)
-	if err != nil {
-		t.Fatal(err)
+	plan := sweep.Plan{Base: r.matrix(memsys.NDP, core.Radix, 1, "no-such-workload")}
+	if _, err := r.run(plan); err == nil {
+		t.Fatal("run accepted an unknown workload")
 	}
-	b, err := r.get(cfg)
-	if err != nil {
-		t.Fatal(err)
+	if _, err := r.run(plan); err == nil {
+		t.Fatal("repeated run lost the error")
 	}
-	if a != b {
-		t.Fatal("second get did not return the memoized result")
+	r.Workloads = []string{"no-such-workload"}
+	if _, err := r.Fig4(); err == nil {
+		t.Fatal("Fig4 swallowed the error")
 	}
 }
 
-func TestGetPropagatesErrors(t *testing.T) {
+// TestAtPanicsOutsidePlan: a figure reading a cell its plan did not run
+// is a bug in the figure, reported with the cell's description.
+func TestAtPanicsOutsidePlan(t *testing.T) {
 	r := quickRunner()
-	cfg := r.matrix(memsys.NDP, core.Radix, 1, "no-such-workload")
-	if _, err := r.get(cfg); err == nil {
-		t.Fatal("get accepted an unknown workload")
+	c, err := r.run(sweep.Plan{Base: r.matrix(memsys.NDP, core.Radix, 1, "rnd")})
+	if err != nil {
+		t.Fatal(err)
 	}
-	// The failure is reported again without re-running, and prefetch
-	// surfaces it too.
-	if _, err := r.get(cfg); err == nil {
-		t.Fatal("repeated get lost the error")
-	}
-	plan := sweep.Plan{Base: r.scale(cfg)}
-	if err := r.prefetch(plan); err == nil {
-		t.Fatal("prefetch swallowed the error")
-	}
+	defer func() {
+		if msg, _ := recover().(string); !strings.Contains(msg, "cpu/Radix/1c/rnd") {
+			t.Errorf("panic %q does not name the missing cell", msg)
+		}
+	}()
+	c.at(r.matrix(memsys.CPU, core.Radix, 1, "rnd"))
 }
 
 func TestPrefetchParallelMatchesSequential(t *testing.T) {
 	seq := quickRunner()
+	seq.Parallel = 1
 	c1 := seq.matrix(memsys.NDP, core.Radix, 1, "rnd")
 	c2 := seq.matrix(memsys.NDP, core.NDPage, 1, "rnd")
-	a1, err1 := seq.get(c1)
-	a2, err2 := seq.get(c2)
-	if err1 != nil || err2 != nil {
-		t.Fatal(err1, err2)
+	var a []*sim.Result
+	for _, cfg := range []sim.Config{c1, c2} {
+		c, err := seq.run(sweep.Plan{Base: cfg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		a = append(a, c.at(cfg))
 	}
 
 	par := quickRunner()
@@ -86,17 +88,14 @@ func TestPrefetchParallelMatchesSequential(t *testing.T) {
 		Cores:      []int{1},
 		Workloads:  []string{"rnd"},
 	}
-	if err := par.prefetch(plan); err != nil {
+	c, err := par.run(plan)
+	if err != nil {
 		t.Fatal(err)
 	}
-	b1, err1 := par.get(c1)
-	b2, err2 := par.get(c2)
-	if err1 != nil || err2 != nil {
-		t.Fatal(err1, err2)
-	}
-	if a1.Cycles != b1.Cycles || a2.Cycles != b2.Cycles {
-		t.Errorf("parallel prefetch changed results: %d/%d vs %d/%d",
-			a1.Cycles, a2.Cycles, b1.Cycles, b2.Cycles)
+	b1, b2 := c.at(c1), c.at(c2)
+	if a[0].Cycles != b1.Cycles || a[1].Cycles != b2.Cycles {
+		t.Errorf("parallel run changed results: %d/%d vs %d/%d",
+			a[0].Cycles, a[1].Cycles, b1.Cycles, b2.Cycles)
 	}
 }
 
@@ -117,7 +116,7 @@ func (s *countingStore) Put(key string, res *sim.Result) error {
 func TestFiguresShareRuns(t *testing.T) {
 	store := &countingStore{Store: sweep.NewMemStore()}
 	r := quickRunner()
-	r.Store = store
+	r.Cache = store
 	if _, err := r.Fig4(); err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +139,7 @@ func TestFiguresShareRuns(t *testing.T) {
 func TestPersistentStoreSkipsSimulations(t *testing.T) {
 	mem := sweep.NewMemStore()
 	first := quickRunner()
-	first.Store = mem
+	first.Cache = mem
 	tab1, err := first.Fig4()
 	if err != nil {
 		t.Fatal(err)
@@ -148,7 +147,7 @@ func TestPersistentStoreSkipsSimulations(t *testing.T) {
 
 	store := &countingStore{Store: mem}
 	second := quickRunner()
-	second.Store = store
+	second.Cache = store
 	tab2, err := second.Fig4()
 	if err != nil {
 		t.Fatal(err)
@@ -161,16 +160,60 @@ func TestPersistentStoreSkipsSimulations(t *testing.T) {
 	}
 }
 
+// TestWarmDirStoreServesFigures: a fresh Runner over a cache directory
+// a cold pass filled regenerates Figures 4 and 5 from disk alone — no
+// simulation, one "cached" progress line per key, identical tables.
+func TestWarmDirStoreServesFigures(t *testing.T) {
+	dir := t.TempDir()
+	coldStore, err := sweep.NewDirStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold := quickRunner()
+	cold.Cache = coldStore
+	cold4 := table(t, cold.Fig4)
+	cold5 := table(t, cold.Fig5)
+
+	warmStore, err := sweep.NewDirStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := &countingStore{Store: warmStore}
+	var log strings.Builder
+	warm := quickRunner()
+	warm.Cache = store
+	warm.Progress = &log
+	warm4 := table(t, warm.Fig4)
+	warm5 := table(t, warm.Fig5)
+
+	if n := store.puts.Load(); n != 0 {
+		t.Errorf("warm pass stored %d results, want 0", n)
+	}
+	lines := strings.Split(strings.TrimSpace(log.String()), "\n")
+	seen := map[string]bool{}
+	for _, line := range lines {
+		if !strings.HasPrefix(line, "cached ") || seen[line] {
+			t.Errorf("warm progress line %q: want one cached line per key", line)
+		}
+		seen[line] = true
+	}
+	if want := 2 * len(warm.WorkloadNames()); len(lines) != want { // CPU and NDP per workload
+		t.Errorf("warm pass announced %d runs, want %d:\n%s", len(lines), want, log.String())
+	}
+	if warm4.String() != cold4.String() || warm5.String() != cold5.String() {
+		t.Errorf("warm tables differ from the cold pass:\n%s%s\nvs\n%s%s", warm4, warm5, cold4, cold5)
+	}
+}
+
 // TestProgressReportsFailures: every sweep event renders a line —
 // including failures, which the old Runner completed silently on.
 func TestProgressReportsFailures(t *testing.T) {
 	var buf strings.Builder
 	r := quickRunner()
-	r.Progress = &buf
 	cfg := r.matrix(memsys.NDP, core.Radix, 4, "rnd").Normalize()
-	r.progress(sweep.Event{Config: cfg, Err: fmt.Errorf("walker exploded")})
-	r.progress(sweep.Event{Config: cfg, Cycles: 2_000_000})
-	r.progress(sweep.Event{Config: cfg, Cached: true, Cycles: 2_000_000})
+	progress(&buf, sweep.Event{Config: cfg, Err: fmt.Errorf("walker exploded")})
+	progress(&buf, sweep.Event{Config: cfg, Cycles: 2_000_000})
+	progress(&buf, sweep.Event{Config: cfg, Cached: true, Cycles: 2_000_000})
 	out := buf.String()
 	for _, want := range []string{"fail ", "walker exploded", "done ", "cached ", "ndp/Radix/4c/rnd"} {
 		if !strings.Contains(out, want) {

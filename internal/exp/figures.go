@@ -5,7 +5,6 @@ import (
 	"ndpage/internal/core"
 	"ndpage/internal/memsys"
 	"ndpage/internal/stats"
-	"ndpage/internal/sweep"
 	"ndpage/internal/workload"
 )
 
@@ -43,22 +42,16 @@ const (
 // Fig4 reproduces Figure 4: average page-table-walk latency per workload
 // on the 4-core NDP and CPU systems (Radix), and the NDP increment.
 func (r *Runner) Fig4() (*stats.Table, error) {
-	if err := r.prefetch(r.radixPairPlan(4)); err != nil {
+	c, err := r.run(r.radixPairPlan(4))
+	if err != nil {
 		return nil, err
 	}
 	t := stats.NewTable("Figure 4: mean PTW latency, 4-core Radix (cycles)",
 		"workload", "cpu", "ndp", "ndp/cpu")
 	var cpuAll, ndpAll []float64
 	for _, wl := range r.WorkloadNames() {
-		cpuRes, err := r.get(r.matrix(memsys.CPU, core.Radix, 4, wl))
-		if err != nil {
-			return nil, err
-		}
-		ndpRes, err := r.get(r.matrix(memsys.NDP, core.Radix, 4, wl))
-		if err != nil {
-			return nil, err
-		}
-		cpu, ndp := cpuRes.MeanPTWLatency(), ndpRes.MeanPTWLatency()
+		cpu := c.at(r.matrix(memsys.CPU, core.Radix, 4, wl)).MeanPTWLatency()
+		ndp := c.at(r.matrix(memsys.NDP, core.Radix, 4, wl)).MeanPTWLatency()
 		cpuAll = append(cpuAll, cpu)
 		ndpAll = append(ndpAll, ndp)
 		t.AddRow(wl, stats.F(cpu), stats.F(ndp), stats.F(ndp/cpu))
@@ -72,23 +65,16 @@ func (r *Runner) Fig4() (*stats.Table, error) {
 // Fig5 reproduces Figure 5: fraction of execution time spent on address
 // translation in the 4-core systems.
 func (r *Runner) Fig5() (*stats.Table, error) {
-	if err := r.prefetch(r.radixPairPlan(4)); err != nil {
+	c, err := r.run(r.radixPairPlan(4))
+	if err != nil {
 		return nil, err
 	}
 	t := stats.NewTable("Figure 5: address-translation overhead, 4-core Radix (% of time)",
 		"workload", "cpu", "ndp")
 	var cpuAll, ndpAll []float64
 	for _, wl := range r.WorkloadNames() {
-		cpuRes, err := r.get(r.matrix(memsys.CPU, core.Radix, 4, wl))
-		if err != nil {
-			return nil, err
-		}
-		ndpRes, err := r.get(r.matrix(memsys.NDP, core.Radix, 4, wl))
-		if err != nil {
-			return nil, err
-		}
-		cpu := 100 * cpuRes.TranslationOverhead()
-		ndp := 100 * ndpRes.TranslationOverhead()
+		cpu := 100 * c.at(r.matrix(memsys.CPU, core.Radix, 4, wl)).TranslationOverhead()
+		ndp := 100 * c.at(r.matrix(memsys.NDP, core.Radix, 4, wl)).TranslationOverhead()
 		cpuAll = append(cpuAll, cpu)
 		ndpAll = append(ndpAll, ndp)
 		t.AddRow(wl, stats.Pct(cpu), stats.Pct(ndp))
@@ -102,28 +88,23 @@ func (r *Runner) Fig5() (*stats.Table, error) {
 // and (b) translation overhead, averaged over the workloads.
 func (r *Runner) Fig6() (*stats.Table, error) {
 	coreCounts := []int{1, 4, 8}
-	if err := r.prefetch(r.radixPairPlan(coreCounts...)); err != nil {
+	c, err := r.run(r.radixPairPlan(coreCounts...))
+	if err != nil {
 		return nil, err
 	}
 	t := stats.NewTable("Figure 6: scaling with core count (Radix, workload mean)",
 		"cores", "cpu ptw", "ndp ptw", "cpu xlat%", "ndp xlat%")
-	for _, c := range coreCounts {
+	for _, n := range coreCounts {
 		var cp, np, co, no []float64
 		for _, wl := range r.WorkloadNames() {
-			cpu, err := r.get(r.matrix(memsys.CPU, core.Radix, c, wl))
-			if err != nil {
-				return nil, err
-			}
-			ndp, err := r.get(r.matrix(memsys.NDP, core.Radix, c, wl))
-			if err != nil {
-				return nil, err
-			}
+			cpu := c.at(r.matrix(memsys.CPU, core.Radix, n, wl))
+			ndp := c.at(r.matrix(memsys.NDP, core.Radix, n, wl))
 			cp = append(cp, cpu.MeanPTWLatency())
 			np = append(np, ndp.MeanPTWLatency())
 			co = append(co, 100*cpu.TranslationOverhead())
 			no = append(no, 100*ndp.TranslationOverhead())
 		}
-		t.AddRow(stats.I(uint64(c)), stats.F(stats.ArithMean(cp)), stats.F(stats.ArithMean(np)),
+		t.AddRow(stats.I(uint64(n)), stats.F(stats.ArithMean(cp)), stats.F(stats.ArithMean(np)),
 			stats.Pct(stats.ArithMean(co)), stats.Pct(stats.ArithMean(no)))
 	}
 	t.AddNote("paper (a): NDP PTW %.2f -> %.2f cycles from 1 to 8 cores; CPU stays flat", paperFig6NDP1, paperFig6NDP8)
@@ -134,29 +115,16 @@ func (r *Runner) Fig6() (*stats.Table, error) {
 // Fig7 reproduces Figure 7: L1 miss rates of normal data (ideal vs
 // actual) and metadata, on the 4-core NDP system.
 func (r *Runner) Fig7() (*stats.Table, error) {
-	plan := sweep.Plan{
-		Base:       r.base(),
-		Systems:    []memsys.Kind{memsys.NDP},
-		Mechanisms: []core.Mechanism{core.Radix, core.Ideal},
-		Cores:      []int{4},
-		Workloads:  r.WorkloadNames(),
-	}
-	if err := r.prefetch(plan); err != nil {
+	c, err := r.run(r.ndpPlan(4, core.Radix, core.Ideal))
+	if err != nil {
 		return nil, err
 	}
 	t := stats.NewTable("Figure 7: L1 miss rates, 4-core NDP (%)",
 		"workload", "data (ideal)", "data (actual)", "metadata")
 	var id, ac, md []float64
 	for _, wl := range r.WorkloadNames() {
-		idealRes, err := r.get(r.matrix(memsys.NDP, core.Ideal, 4, wl))
-		if err != nil {
-			return nil, err
-		}
-		radix, err := r.get(r.matrix(memsys.NDP, core.Radix, 4, wl))
-		if err != nil {
-			return nil, err
-		}
-		ideal := 100 * idealRes.L1DataMissRate()
+		radix := c.at(r.matrix(memsys.NDP, core.Radix, 4, wl))
+		ideal := 100 * c.at(r.matrix(memsys.NDP, core.Ideal, 4, wl)).L1DataMissRate()
 		actual := 100 * radix.L1DataMissRate()
 		meta := 100 * radix.L1PTEMissRate()
 		id, ac, md = append(id, ideal), append(ac, actual), append(md, meta)
@@ -171,27 +139,15 @@ func (r *Runner) Fig7() (*stats.Table, error) {
 // Fig8 reproduces Figure 8: page-table occupancy per level, plus the
 // flattened table's combined PL2/PL1 occupancy.
 func (r *Runner) Fig8() (*stats.Table, error) {
-	plan := sweep.Plan{
-		Base:       r.base(),
-		Systems:    []memsys.Kind{memsys.NDP},
-		Mechanisms: []core.Mechanism{core.Radix, core.NDPage},
-		Cores:      []int{4},
-		Workloads:  r.WorkloadNames(),
-	}
-	if err := r.prefetch(plan); err != nil {
+	c, err := r.run(r.ndpPlan(4, core.Radix, core.NDPage))
+	if err != nil {
 		return nil, err
 	}
 	t := stats.NewTable("Figure 8: page-table occupancy, 4-core (%)",
 		"workload", "PL4", "PL3", "PL2", "PL1", "PL2/PL1 (flat)")
 	for _, wl := range r.WorkloadNames() {
-		radix, err := r.get(r.matrix(memsys.NDP, core.Radix, 4, wl))
-		if err != nil {
-			return nil, err
-		}
-		flat, err := r.get(r.matrix(memsys.NDP, core.NDPage, 4, wl))
-		if err != nil {
-			return nil, err
-		}
+		radix := c.at(r.matrix(memsys.NDP, core.Radix, 4, wl))
+		flat := c.at(r.matrix(memsys.NDP, core.NDPage, 4, wl))
 		t.AddRow(wl,
 			stats.Pct(100*radix.OccupancyRate(addr.PL4)),
 			stats.Pct(100*radix.OccupancyRate(addr.PL3)),
@@ -207,19 +163,14 @@ func (r *Runner) Fig8() (*stats.Table, error) {
 // Motivation reproduces the Section IV-A scalar observations on the
 // 4-core NDP system.
 func (r *Runner) Motivation() (*stats.Table, error) {
-	if err := r.prefetch(r.radixPairPlan(4)); err != nil {
+	c, err := r.run(r.radixPairPlan(4))
+	if err != nil {
 		return nil, err
 	}
 	var tlbMiss, pteShare, pteDRAMRatio stats.Mean
 	for _, wl := range r.WorkloadNames() {
-		ndp, err := r.get(r.matrix(memsys.NDP, core.Radix, 4, wl))
-		if err != nil {
-			return nil, err
-		}
-		cpu, err := r.get(r.matrix(memsys.CPU, core.Radix, 4, wl))
-		if err != nil {
-			return nil, err
-		}
+		ndp := c.at(r.matrix(memsys.NDP, core.Radix, 4, wl))
+		cpu := c.at(r.matrix(memsys.CPU, core.Radix, 4, wl))
 		tlbMiss.Add(100 * ndp.TLBMissRate())
 		pteShare.Add(100 * ndp.PTEAccessShare())
 		cpuPTE := cpu.DRAM[1] // access.PTE
@@ -238,15 +189,13 @@ func (r *Runner) Motivation() (*stats.Table, error) {
 // PWCRates reproduces the Section V-C page-walk-cache hit rates on the
 // 4-core NDP Radix system.
 func (r *Runner) PWCRates() (*stats.Table, error) {
-	if err := r.prefetch(r.radixPairPlan(4)); err != nil {
+	c, err := r.run(r.radixPairPlan(4))
+	if err != nil {
 		return nil, err
 	}
 	var pl4, pl3, pl2 stats.Mean
 	for _, wl := range r.WorkloadNames() {
-		res, err := r.get(r.matrix(memsys.NDP, core.Radix, 4, wl))
-		if err != nil {
-			return nil, err
-		}
+		res := c.at(r.matrix(memsys.NDP, core.Radix, 4, wl))
 		pl4.Add(100 * res.PWCHitRate(addr.PL4))
 		pl3.Add(100 * res.PWCHitRate(addr.PL3))
 		pl2.Add(100 * res.PWCHitRate(addr.PL2))
@@ -259,39 +208,47 @@ func (r *Runner) PWCRates() (*stats.Table, error) {
 	return t, nil
 }
 
-// speedupFigure renders one of Figures 12/13/14.
-func (r *Runner) speedupFigure(cores int, title string, notes func(*stats.Table, map[core.Mechanism]float64)) (*stats.Table, error) {
-	if err := r.prefetch(r.speedupPlan(cores)); err != nil {
-		return nil, err
+// speedupTable runs the NDP plan over the plan mechanisms, which
+// include Radix, and tabulates each of mechs' speedup over Radix per
+// workload, geomean last; means holds the geomeans by mechanism.
+func (r *Runner) speedupTable(cores int, plan, mechs []core.Mechanism, title string) (t *stats.Table, means map[core.Mechanism]float64, err error) {
+	c, err := r.run(r.ndpPlan(cores, plan...))
+	if err != nil {
+		return nil, nil, err
 	}
-	mechs := []core.Mechanism{core.ECH, core.HugePage, core.NDPage, core.Ideal}
-	t := stats.NewTable(title, "workload", "ECH", "HugePage", "NDPage", "Ideal")
+	columns := []string{"workload"}
+	for _, m := range mechs {
+		columns = append(columns, m.String())
+	}
+	t = stats.NewTable(title, columns...)
 	perMech := map[core.Mechanism][]float64{}
 	for _, wl := range r.WorkloadNames() {
-		baseRes, err := r.get(r.matrix(memsys.NDP, core.Radix, cores, wl))
-		if err != nil {
-			return nil, err
-		}
-		base := baseRes.Cycles
+		base := c.at(r.matrix(memsys.NDP, core.Radix, cores, wl)).Cycles
 		row := []string{wl}
 		for _, m := range mechs {
-			res, err := r.get(r.matrix(memsys.NDP, m, cores, wl))
-			if err != nil {
-				return nil, err
-			}
-			s := float64(base) / float64(res.Cycles)
+			s := float64(base) / float64(c.at(r.matrix(memsys.NDP, m, cores, wl)).Cycles)
 			perMech[m] = append(perMech[m], s)
 			row = append(row, stats.F3(s))
 		}
 		t.AddRow(row...)
 	}
-	means := map[core.Mechanism]float64{}
+	means = map[core.Mechanism]float64{}
 	row := []string{"geomean"}
 	for _, m := range mechs {
 		means[m] = stats.GeoMean(perMech[m])
 		row = append(row, stats.F3(means[m]))
 	}
 	t.AddRow(row...)
+	return t, means, nil
+}
+
+// speedupFigure renders one of Figures 12/13/14.
+func (r *Runner) speedupFigure(cores int, title string, notes func(*stats.Table, map[core.Mechanism]float64)) (*stats.Table, error) {
+	t, means, err := r.speedupTable(cores, core.Mechanisms,
+		[]core.Mechanism{core.ECH, core.HugePage, core.NDPage, core.Ideal}, title)
+	if err != nil {
+		return nil, err
+	}
 	notes(t, means)
 	return t, nil
 }
@@ -330,41 +287,12 @@ func (r *Runner) Fig14() (*stats.Table, error) {
 // Ablation decomposes NDPage into its two mechanisms (DESIGN.md
 // Section 5) on the 4-core NDP system.
 func (r *Runner) Ablation() (*stats.Table, error) {
-	plan := sweep.Plan{
-		Base:       r.base(),
-		Systems:    []memsys.Kind{memsys.NDP},
-		Mechanisms: core.AblationMechanisms,
-		Cores:      []int{4},
-		Workloads:  r.WorkloadNames(),
-	}
-	if err := r.prefetch(plan); err != nil {
+	t, _, err := r.speedupTable(4, core.AblationMechanisms,
+		[]core.Mechanism{core.BypassOnly, core.FlattenOnly, core.NDPage},
+		"Ablation: NDPage decomposition, 4-core NDP (speedup over Radix)")
+	if err != nil {
 		return nil, err
 	}
-	t := stats.NewTable("Ablation: NDPage decomposition, 4-core NDP (speedup over Radix)",
-		"workload", "BypassOnly", "FlattenOnly", "NDPage")
-	perMech := map[core.Mechanism][]float64{}
-	for _, wl := range r.WorkloadNames() {
-		baseRes, err := r.get(r.matrix(memsys.NDP, core.Radix, 4, wl))
-		if err != nil {
-			return nil, err
-		}
-		base := baseRes.Cycles
-		row := []string{wl}
-		for _, m := range []core.Mechanism{core.BypassOnly, core.FlattenOnly, core.NDPage} {
-			res, err := r.get(r.matrix(memsys.NDP, m, 4, wl))
-			if err != nil {
-				return nil, err
-			}
-			s := float64(base) / float64(res.Cycles)
-			perMech[m] = append(perMech[m], s)
-			row = append(row, stats.F3(s))
-		}
-		t.AddRow(row...)
-	}
-	t.AddRow("geomean",
-		stats.F3(stats.GeoMean(perMech[core.BypassOnly])),
-		stats.F3(stats.GeoMean(perMech[core.FlattenOnly])),
-		stats.F3(stats.GeoMean(perMech[core.NDPage])))
 	t.AddNote("both mechanisms contribute; their combination is NDPage (paper Section V)")
 	return t, nil
 }
@@ -377,43 +305,12 @@ func (r *Runner) Ablation() (*stats.Table, error) {
 // Each mechanism runs with its documented default knobs (DESIGN.md
 // "Mechanism zoo").
 func (r *Runner) MechanismComparison() (*stats.Table, error) {
-	plan := sweep.Plan{
-		Base:       r.base(),
-		Systems:    []memsys.Kind{memsys.NDP},
-		Mechanisms: core.ComparisonMechanisms,
-		Cores:      []int{4},
-		Workloads:  r.WorkloadNames(),
-	}
-	if err := r.prefetch(plan); err != nil {
+	t, _, err := r.speedupTable(4, core.ComparisonMechanisms,
+		[]core.Mechanism{core.ECH, core.HugePage, core.Victima, core.NMT, core.PCAX, core.NDPage, core.Ideal},
+		"Mechanism comparison: speedup over Radix, 4-core NDP")
+	if err != nil {
 		return nil, err
 	}
-	mechs := []core.Mechanism{core.ECH, core.HugePage, core.Victima, core.NMT, core.PCAX, core.NDPage, core.Ideal}
-	t := stats.NewTable("Mechanism comparison: speedup over Radix, 4-core NDP",
-		"workload", "ECH", "HugePage", "Victima", "NMT", "PCAX", "NDPage", "Ideal")
-	perMech := map[core.Mechanism][]float64{}
-	for _, wl := range r.WorkloadNames() {
-		baseRes, err := r.get(r.matrix(memsys.NDP, core.Radix, 4, wl))
-		if err != nil {
-			return nil, err
-		}
-		base := baseRes.Cycles
-		row := []string{wl}
-		for _, m := range mechs {
-			res, err := r.get(r.matrix(memsys.NDP, m, 4, wl))
-			if err != nil {
-				return nil, err
-			}
-			s := float64(base) / float64(res.Cycles)
-			perMech[m] = append(perMech[m], s)
-			row = append(row, stats.F3(s))
-		}
-		t.AddRow(row...)
-	}
-	row := []string{"geomean"}
-	for _, m := range mechs {
-		row = append(row, stats.F3(stats.GeoMean(perMech[m])))
-	}
-	t.AddRow(row...)
 	t.AddNote("Victima: Kanellopoulos et al. (MICRO 2023); NMT: Picorel et al. (MEMSYS 2017); PCAX: PC-indexed translation")
 	t.AddNote("the NDP system has no shared LLC, so Victima's translation blocks live in the tiny L1D and NMT depends on eager population")
 	return t, nil

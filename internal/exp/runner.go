@@ -6,14 +6,14 @@
 //
 // The figure methods are thin table-builders over the sweep subsystem
 // (internal/sweep): each figure declares its configuration cross product
-// as a sweep.Plan, prefetches it through a shared sweep.Runner — which
+// as a sweep.Plan, runs it once through a shared sweep.Runner — which
 // deduplicates runs figures share (e.g. Figure 4 and Figure 6) by
-// content hash, runs misses on a worker pool, and memoizes failures —
-// and then reads the per-cell results back from the Runner's Store.
-// Pointing Store at a sweep.DirStore makes every figure incremental
-// across processes: interrupted or repeated regenerations skip runs
-// whose results are already on disk. Simulation failures propagate as
-// errors from every figure method.
+// content hash against the Cache, runs misses on a worker pool, and
+// memoizes failures — and reads every table cell from that run's
+// results. Pointing Cache at a sweep.DirStore makes every figure
+// incremental across processes: interrupted or repeated regenerations
+// skip runs whose results are already on disk. Simulation failures
+// propagate as errors from every figure method.
 package exp
 
 import (
@@ -29,11 +29,14 @@ import (
 	"ndpage/internal/workload"
 )
 
-// Runner executes and memoizes the evaluation's simulations.
+// Runner regenerates the paper's evaluation. The zero value runs every
+// figure at the default (full) scale over all eleven Table II
+// workloads; the fields trade fidelity for speed. Cache, Parallel and
+// Progress are read when the first figure runs; the other fields are
+// read by every figure.
 type Runner struct {
 	// Instructions and Warmup override the per-core op budgets (0 =
-	// simulator defaults). Experiments and quick benches share all other
-	// configuration with sim.Config defaults.
+	// simulator defaults: 300k / 30k).
 	Instructions uint64
 	Warmup       uint64
 	// Footprint overrides the dataset size (0 = core-scaled default).
@@ -45,10 +48,11 @@ type Runner struct {
 	// Progress, when non-nil, receives one line per run: completed,
 	// served from a persistent cache, or failed.
 	Progress io.Writer
-	// Store caches results across figures — and, for a sweep.DirStore,
+	// Cache shares results across figures — and, for a sweep.DirStore,
 	// across processes (cached figure regeneration). Nil selects a
-	// per-Runner in-memory store.
-	Store sweep.Store
+	// per-Runner in-memory store. A Cache that also implements
+	// sweep.Simulator (a RemoteStore) runs the cold simulations too.
+	Cache sweep.Store
 	// Context cancels in-flight sweeps (nil = context.Background()).
 	Context context.Context
 
@@ -56,69 +60,28 @@ type Runner struct {
 	sweep *sweep.Runner
 }
 
-// runner lazily builds the shared sweep runner. A persistent Store is
-// wrapped in a read-through memo so the per-cell gets that follow each
-// figure's prefetch hit process memory instead of re-reading and
-// re-parsing the on-disk JSON for every table cell. A Store that can
-// also compute (sweep.Simulator — a RemoteStore offloading cold runs
-// to an ndpserve instance) keeps that role through the wrapper.
+// runner lazily builds the sweep runner every figure shares.
 func (r *Runner) runner() *sweep.Runner {
 	r.once.Do(func() {
-		store := r.Store
-		if store != nil {
-			store = &memoStore{mem: sweep.NewMemStore(), back: store}
-		}
-		r.sweep = &sweep.Runner{
-			Store:    store,
-			Parallel: r.Parallel,
-			Progress: r.progress,
-		}
-		if s, ok := r.Store.(sweep.Simulator); ok {
-			r.sweep.Simulate = s.Simulate
+		r.sweep = &sweep.Runner{Store: r.Cache, Parallel: r.Parallel}
+		if w := r.Progress; w != nil {
+			r.sweep.Progress = func(e sweep.Event) { progress(w, e) }
 		}
 	})
 	return r.sweep
 }
 
-// memoStore layers an in-process map over a persistent backing store:
-// reads populate the map, writes go to both. Safe for concurrent use
-// (both layers are).
-type memoStore struct {
-	mem  *sweep.MemStore
-	back sweep.Store
-}
-
-func (s *memoStore) Get(key string) (*sim.Result, bool, error) {
-	if res, ok, _ := s.mem.Get(key); ok {
-		return res, true, nil
-	}
-	res, ok, err := s.back.Get(key)
-	if err != nil || !ok {
-		return nil, false, err
-	}
-	s.mem.Put(key, res)
-	return res, true, nil
-}
-
-func (s *memoStore) Put(key string, res *sim.Result) error {
-	s.mem.Put(key, res)
-	return s.back.Put(key, res)
-}
-
-// progress renders sweep events as lines: fresh runs, cache hits, and —
-// crucially — failures, so a sweep that loses runs says so instead of
-// completing silently thinner.
-func (r *Runner) progress(e sweep.Event) {
-	if r.Progress == nil {
-		return
-	}
+// progress renders a sweep event as a line: fresh runs, cache hits,
+// and — crucially — failures, so a sweep that loses runs says so
+// instead of completing silently thinner.
+func progress(w io.Writer, e sweep.Event) {
 	switch {
 	case e.Err != nil:
-		fmt.Fprintf(r.Progress, "fail %s: %v\n", e.Desc(), e.Err)
+		fmt.Fprintf(w, "fail %s: %v\n", e.Desc(), e.Err)
 	case e.Cached:
-		fmt.Fprintf(r.Progress, "cached %s (%.2fM cycles)\n", e.Desc(), float64(e.Cycles)/1e6)
+		fmt.Fprintf(w, "cached %s (%.2fM cycles)\n", e.Desc(), float64(e.Cycles)/1e6)
 	default:
-		fmt.Fprintf(r.Progress, "done %s (%.2fM cycles)\n", e.Desc(), float64(e.Cycles)/1e6)
+		fmt.Fprintf(w, "done %s (%.2fM cycles)\n", e.Desc(), float64(e.Cycles)/1e6)
 	}
 }
 
@@ -148,22 +111,6 @@ func (r *Runner) base() sim.Config {
 	}
 }
 
-// scale fills cfg's zero budget fields from the Runner's overrides, so
-// sensitivity configurations written against simulator defaults inherit
-// the evaluation's scale.
-func (r *Runner) scale(cfg sim.Config) sim.Config {
-	if cfg.Instructions == 0 {
-		cfg.Instructions = r.Instructions
-	}
-	if cfg.Warmup == 0 {
-		cfg.Warmup = r.Warmup
-	}
-	if cfg.FootprintBytes == 0 {
-		cfg.FootprintBytes = r.Footprint
-	}
-	return cfg
-}
-
 // matrix builds the evaluation-matrix configuration for one cell.
 func (r *Runner) matrix(sys memsys.Kind, mech core.Mechanism, cores int, wl string) sim.Config {
 	cfg := r.base()
@@ -174,34 +121,46 @@ func (r *Runner) matrix(sys memsys.Kind, mech core.Mechanism, cores int, wl stri
 	return cfg
 }
 
-// get returns the result for cfg, simulating it if no store or memo
-// holds it yet. Figure methods call prefetch first so gets are cache
-// hits; a direct get still works (one synchronous run).
-func (r *Runner) get(cfg sim.Config) (*sim.Result, error) {
-	res, err := r.runner().RunOne(r.ctx(), r.scale(cfg))
+// cells holds the results of one figure's plan, keyed by Config.Key().
+type cells map[string]*sim.Result
+
+// run runs the plan once on the shared sweep runner, returning every
+// result by key. Every figure's plan starts from r.base(), so it runs at
+// the Runner's budgets.
+func (r *Runner) run(p sweep.Plan) (cells, error) {
+	cfgs, err := p.Configs()
 	if err != nil {
 		return nil, fmt.Errorf("exp: %w", err)
 	}
-	return res, nil
-}
-
-// prefetch runs every configuration of the plan through the worker
-// pool (deduplicated against the store) and returns the first error.
-func (r *Runner) prefetch(p sweep.Plan) error {
-	p.Base = r.scale(p.Base)
-	if _, err := r.runner().RunPlan(r.ctx(), p); err != nil {
-		return fmt.Errorf("exp: %w", err)
+	results, err := r.runner().Run(r.ctx(), cfgs)
+	if err != nil {
+		return nil, fmt.Errorf("exp: %w", err)
 	}
-	return nil
+	c := make(cells, len(cfgs))
+	for i, cfg := range cfgs {
+		c[cfg.Key()] = results[i]
+	}
+	return c, nil
 }
 
-// speedupPlan enumerates the Figure 12/13/14 matrix for one core count:
-// every mechanism on the NDP system.
-func (r *Runner) speedupPlan(cores int) sweep.Plan {
+// at returns cfg's result. A figure reads only cells its own plan ran,
+// so a missing cell is a bug in the figure.
+func (c cells) at(cfg sim.Config) *sim.Result {
+	res, ok := c[cfg.Key()]
+	if !ok {
+		panic(fmt.Sprintf("exp: %s is not in the figure's plan", cfg.Desc()))
+	}
+	return res
+}
+
+// ndpPlan enumerates the given mechanisms on the NDP system at one core
+// count over the active workloads: the Figure 7/8/12/13/14, ablation
+// and comparison matrices.
+func (r *Runner) ndpPlan(cores int, mechs ...core.Mechanism) sweep.Plan {
 	return sweep.Plan{
 		Base:       r.base(),
 		Systems:    []memsys.Kind{memsys.NDP},
-		Mechanisms: core.Mechanisms,
+		Mechanisms: mechs,
 		Cores:      []int{cores},
 		Workloads:  r.WorkloadNames(),
 	}

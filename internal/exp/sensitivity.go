@@ -29,14 +29,13 @@ func (r *Runner) knobPlan(sys memsys.Kind, mechs []core.Mechanism, cores int, va
 	}
 }
 
-// cell returns the result for one (workload, mechanism) cell with the
-// variant's knobs applied.
-func (r *Runner) cell(sys memsys.Kind, mech core.Mechanism, cores int, wl string, v sweep.Variant) (*sim.Result, error) {
-	cfg := r.matrix(sys, mech, cores, wl)
+// cell returns the result of one matrix cell with the variant's knobs
+// applied.
+func (c cells) cell(cfg sim.Config, v sweep.Variant) *sim.Result {
 	if v.Mutate != nil {
 		v.Mutate(&cfg)
 	}
-	return r.get(cfg)
+	return c.at(cfg)
 }
 
 // PWCSensitivity measures DESIGN.md ablation 2: walks with and without
@@ -46,21 +45,16 @@ func (r *Runner) PWCSensitivity() (*stats.Table, error) {
 	withoutPWC := sweep.Variant{Name: "nopwc", Mutate: func(c *sim.Config) { c.DisablePWC = true }}
 	mechs := []core.Mechanism{core.Radix, core.NDPage}
 	plan := r.knobPlan(memsys.NDP, mechs, 4, []sweep.Variant{withPWC, withoutPWC})
-	if err := r.prefetch(plan); err != nil {
+	c, err := r.run(plan)
+	if err != nil {
 		return nil, err
 	}
 	t := stats.NewTable("Sensitivity: page-walk caches (4-core NDP)",
 		"workload", "mech", "ptw with pwc", "ptw without", "slowdown")
 	for _, wl := range r.WorkloadNames() {
 		for _, mech := range mechs {
-			with, err := r.cell(memsys.NDP, mech, 4, wl, withPWC)
-			if err != nil {
-				return nil, err
-			}
-			without, err := r.cell(memsys.NDP, mech, 4, wl, withoutPWC)
-			if err != nil {
-				return nil, err
-			}
+			with := c.cell(r.matrix(memsys.NDP, mech, 4, wl), withPWC)
+			without := c.cell(r.matrix(memsys.NDP, mech, 4, wl), withoutPWC)
 			t.AddRow(wl, mech.String(),
 				stats.F(with.MeanPTWLatency()),
 				stats.F(without.MeanPTWLatency()),
@@ -84,7 +78,8 @@ func (r *Runner) HBMChannelSensitivity() (*stats.Table, error) {
 		}
 	}
 	plan := r.knobPlan(memsys.NDP, []core.Mechanism{core.Radix}, 8, variants)
-	if err := r.prefetch(plan); err != nil {
+	c, err := r.run(plan)
+	if err != nil {
 		return nil, err
 	}
 	t := stats.NewTable("Sensitivity: HBM channels visible to the NDP cluster (8-core Radix)",
@@ -92,10 +87,7 @@ func (r *Runner) HBMChannelSensitivity() (*stats.Table, error) {
 	for _, wl := range r.WorkloadNames() {
 		row := []string{wl}
 		for _, v := range variants {
-			res, err := r.cell(memsys.NDP, core.Radix, 8, wl, v)
-			if err != nil {
-				return nil, err
-			}
+			res := c.cell(r.matrix(memsys.NDP, core.Radix, 8, wl), v)
 			row = append(row, stats.F(res.MeanPTWLatency()))
 		}
 		t.AddRow(row...)
@@ -121,7 +113,8 @@ func (r *Runner) WalkerWidthSensitivity() (*stats.Table, error) {
 		}
 	}
 	plan := r.knobPlan(memsys.NDP, []core.Mechanism{core.Radix}, 4, variants)
-	if err := r.prefetch(plan); err != nil {
+	c, err := r.run(plan)
+	if err != nil {
 		return nil, err
 	}
 	t := stats.NewTable("Sensitivity: shared-walker width (4-core NDP Radix)",
@@ -130,10 +123,7 @@ func (r *Runner) WalkerWidthSensitivity() (*stats.Table, error) {
 		row := []string{wl}
 		var at4, at1 *sim.Result
 		for i, v := range variants {
-			res, err := r.cell(memsys.NDP, core.Radix, 4, wl, v)
-			if err != nil {
-				return nil, err
-			}
+			res := c.cell(r.matrix(memsys.NDP, core.Radix, 4, wl), v)
 			row = append(row, stats.F(res.MeanPTWLatency()))
 			switch widths[i] {
 			case 1:
@@ -175,7 +165,8 @@ func (r *Runner) MLPSensitivity() (*stats.Table, error) {
 		}
 	}
 	plan := r.knobPlan(memsys.NDP, []core.Mechanism{core.Radix}, 4, variants)
-	if err := r.prefetch(plan); err != nil {
+	c, err := r.run(plan)
+	if err != nil {
 		return nil, err
 	}
 	t := stats.NewTable("Sensitivity: core MLP window (4-core NDP Radix, shared width-2 walker)",
@@ -185,10 +176,7 @@ func (r *Runner) MLPSensitivity() (*stats.Table, error) {
 		row := []string{wl}
 		var at1, at8 *sim.Result
 		for i, v := range variants {
-			res, err := r.cell(memsys.NDP, core.Radix, 4, wl, v)
-			if err != nil {
-				return nil, err
-			}
+			res := c.cell(r.matrix(memsys.NDP, core.Radix, 4, wl), v)
 			row = append(row, fmt.Sprintf("%.2fM", float64(res.Cycles)/1e6))
 			switch mlps[i] {
 			case 1:
@@ -218,21 +206,16 @@ func (r *Runner) PopulationSensitivity() (*stats.Table, error) {
 	demandV := sweep.Variant{Name: "demand", Mutate: func(c *sim.Config) { c.DemandPaging = true }}
 	mechs := []core.Mechanism{core.Radix, core.HugePage}
 	plan := r.knobPlan(memsys.NDP, mechs, 2, []sweep.Variant{eagerV, demandV})
-	if err := r.prefetch(plan); err != nil {
+	c, err := r.run(plan)
+	if err != nil {
 		return nil, err
 	}
 	t := stats.NewTable("Sensitivity: eager vs demand population (2-core NDP)",
 		"workload", "mech", "eager cycles", "demand cycles", "demand faults")
 	for _, wl := range r.WorkloadNames() {
 		for _, mech := range mechs {
-			eager, err := r.cell(memsys.NDP, mech, 2, wl, eagerV)
-			if err != nil {
-				return nil, err
-			}
-			demand, err := r.cell(memsys.NDP, mech, 2, wl, demandV)
-			if err != nil {
-				return nil, err
-			}
+			eager := c.cell(r.matrix(memsys.NDP, mech, 2, wl), eagerV)
+			demand := c.cell(r.matrix(memsys.NDP, mech, 2, wl), demandV)
 			t.AddRow(wl, mech.String(),
 				fmt.Sprintf("%.1fM", float64(eager.Cycles)/1e6),
 				fmt.Sprintf("%.1fM", float64(demand.Cycles)/1e6),
@@ -260,20 +243,15 @@ func (r *Runner) OversubscriptionStudy() (*stats.Table, error) {
 	mechs := []core.Mechanism{core.Radix, core.HugePage, core.NDPage}
 	plan := r.knobPlan(memsys.NDP, mechs, 2, []sweep.Variant{fitsV, overV})
 	plan.Workloads = []string{wl} // fixed benchmark regardless of the active set
-	if err := r.prefetch(plan); err != nil {
+	c, err := r.run(plan)
+	if err != nil {
 		return nil, err
 	}
 	t := stats.NewTable("Extension: dataset larger than memory (2-core NDP, gen)",
 		"mech", "fits (cycles)", "oversubscribed", "slowdown", "reclaims", "faults")
 	for _, mech := range mechs {
-		fits, err := r.cell(memsys.NDP, mech, 2, wl, fitsV)
-		if err != nil {
-			return nil, err
-		}
-		over, err := r.cell(memsys.NDP, mech, 2, wl, overV)
-		if err != nil {
-			return nil, err
-		}
+		fits := c.cell(r.matrix(memsys.NDP, mech, 2, wl), fitsV)
+		over := c.cell(r.matrix(memsys.NDP, mech, 2, wl), overV)
 		t.AddRow(mech.String(),
 			fmt.Sprintf("%.1fM", float64(fits.Cycles)/1e6),
 			fmt.Sprintf("%.1fM", float64(over.Cycles)/1e6),

@@ -11,8 +11,8 @@
 //	GET  /healthz            liveness probe
 //	GET  /statsz             counter snapshot (hits, misses, collapses,
 //	                         queue depth, worker utilization, inventory)
-//	GET  /v1/result/{key}    warm-key fetch; ETag/If-None-Match → 304;
-//	                         404 on a cold key (never schedules work)
+//	GET  /v1/result/{key}    warm-key fetch; 404 on a cold key (never
+//	                         schedules work)
 //	PUT  /v1/result/{key}    client upload of a locally computed result
 //	POST /v1/sim             body sim.Config: warm → result; cold →
 //	                         singleflight-scheduled run (blocks); full
@@ -34,7 +34,6 @@ import (
 	"net/http"
 	"runtime"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -181,7 +180,7 @@ func (s *Server) Close() {
 type Stats struct {
 	UptimeSeconds float64 `json:"uptime_seconds"`
 	// Hits counts requests answered from the store without scheduling
-	// any work (warm GETs, 304 revalidations, and warm POST /v1/sim).
+	// any work (warm GETs and warm POST /v1/sim).
 	Hits uint64 `json:"hits"`
 	// Misses counts requests whose key was not in the store.
 	Misses uint64 `json:"misses"`
@@ -264,29 +263,11 @@ func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
 	enc.Encode(s.Snapshot())
 }
 
-// etagFor returns the strong validator for a key. Results are
-// content-addressed, so the key IS the entity tag: a key's bytes can
-// only ever be one result.
-func etagFor(key string) string { return `"` + key + `"` }
-
-// etagMatch reports whether an If-None-Match header matches etag.
-func etagMatch(header, etag string) bool {
-	for _, part := range strings.Split(header, ",") {
-		part = strings.TrimSpace(strings.TrimPrefix(strings.TrimSpace(part), "W/"))
-		if part == "*" || part == etag {
-			return true
-		}
-	}
-	return false
-}
-
-// writeResult sends a stored result with its validator.
-func writeResult(w http.ResponseWriter, key string, res *sim.Result, xcache string) {
-	w.Header().Set("ETag", etagFor(key))
+// writeResult sends a result, marking whether the store already held
+// it (X-Cache: hit) or a simulation produced it (sim).
+func writeResult(w http.ResponseWriter, res *sim.Result, xcache string) {
 	w.Header().Set("Content-Type", "application/json")
-	if xcache != "" {
-		w.Header().Set("X-Cache", xcache)
-	}
+	w.Header().Set("X-Cache", xcache)
 	json.NewEncoder(w).Encode(res)
 }
 
@@ -325,13 +306,7 @@ func (s *Server) handleResultGet(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.hits.Add(1)
-	etag := etagFor(key)
-	if inm := r.Header.Get("If-None-Match"); inm != "" && etagMatch(inm, etag) {
-		w.Header().Set("ETag", etag)
-		w.WriteHeader(http.StatusNotModified)
-		return
-	}
-	writeResult(w, key, res, "hit")
+	writeResult(w, res, "hit")
 }
 
 // handleResultPut accepts a client-computed result. The body must be a
@@ -362,7 +337,6 @@ func (s *Server) handleResultPut(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.uploads.Add(1)
-	w.Header().Set("ETag", etagFor(key))
 	w.WriteHeader(http.StatusNoContent)
 }
 
@@ -403,7 +377,7 @@ func (s *Server) handleSim(w http.ResponseWriter, r *http.Request) {
 	}
 	if ok {
 		s.hits.Add(1)
-		writeResult(w, key, res, "hit")
+		writeResult(w, res, "hit")
 		return
 	}
 	s.misses.Add(1)
@@ -433,7 +407,7 @@ func (s *Server) handleSim(w http.ResponseWriter, r *http.Request) {
 	if f.cached {
 		xcache = "hit"
 	}
-	writeResult(w, key, f.res, xcache)
+	writeResult(w, f.res, xcache)
 }
 
 // reject writes the backpressure (or shutdown) response for a submit

@@ -189,7 +189,7 @@ func TestSingleflightCollapse(t *testing.T) {
 }
 
 // TestWarmKeyNoScheduling: GETs and warm sims never touch the worker
-// pool, and If-None-Match revalidation answers 304 with no body.
+// pool.
 func TestWarmKeyNoScheduling(t *testing.T) {
 	var calls atomic.Int64
 	store := sweep.NewMemStore()
@@ -207,24 +207,9 @@ func TestWarmKeyNoScheduling(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("warm GET: status %d", resp.StatusCode)
 	}
-	etag := resp.Header.Get("ETag")
-	if etag != `"`+key+`"` {
-		t.Fatalf("ETag %q, want quoted key", etag)
-	}
 	if got := decodeBody(t, resp).Cycles; got != 1001 {
 		t.Fatalf("warm GET cycles %d, want 1001", got)
 	}
-
-	req, _ := http.NewRequest(http.MethodGet, ts.URL+"/v1/result/"+key, nil)
-	req.Header.Set("If-None-Match", etag)
-	resp, err = http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusNotModified {
-		t.Fatalf("revalidation: status %d, want 304", resp.StatusCode)
-	}
-	resp.Body.Close()
 
 	resp = postSim(t, ts.URL, cfg)
 	if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Cache") != "hit" {
@@ -236,8 +221,8 @@ func TestWarmKeyNoScheduling(t *testing.T) {
 	if calls.Load() != 0 || snap.Simulations != 0 || snap.QueueDepth != 0 {
 		t.Errorf("warm path scheduled work: calls %d, sims %d, queue %d", calls.Load(), snap.Simulations, snap.QueueDepth)
 	}
-	if snap.Hits != 3 {
-		t.Errorf("hits = %d, want 3", snap.Hits)
+	if snap.Hits != 2 {
+		t.Errorf("hits = %d, want 2", snap.Hits)
 	}
 
 	// A cold GET is a 404, never a scheduled run.

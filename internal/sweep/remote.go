@@ -24,10 +24,9 @@ import (
 // sweep-result service (internal/serve). It implements three layers of
 // the protocol:
 //
-//   - Get fetches warm results over HTTP, revalidating entries it
-//     already holds with per-key ETag / If-None-Match (a match costs a
-//     304 with no body). Fetched results land in a local write-through
-//     cache, so a key is transferred at most once per process.
+//   - Get fetches warm results over HTTP into a local write-through
+//     cache and serves keys it already holds without a request, so a
+//     key is transferred at most once per process.
 //   - Put writes through: the result is cached locally and uploaded to
 //     the server, except for results the server itself produced or
 //     served (it already has them).
@@ -42,17 +41,15 @@ import (
 // jittered exponential backoff under per-attempt deadlines, and a
 // circuit breaker watches consecutive transport failures. When the
 // server is persistently unreachable the breaker opens and the store
-// degrades instead of failing the sweep: Get serves the local copy or
-// reports a miss, Put keeps the result locally, and Simulate falls back
+// degrades instead of failing the sweep: Get reports a miss for keys it
+// does not hold, Put keeps the result locally, and Simulate falls back
 // to local in-process simulation. While open, the breaker admits one
 // probe per cooldown interval; a probe that succeeds closes it and
 // normal service resumes.
 //
 // Because results are content-addressed by sim.Config.Key(), a locally
-// cached entry can never be stale; revalidation exists to detect a
-// server that re-served a key with a different entity (a corrupted or
-// repopulated store), and a server miss on a locally held key degrades
-// to the local copy. A RemoteStore is safe for concurrent use.
+// cached entry can never be stale: the server could only confirm it.
+// A RemoteStore is safe for concurrent use.
 type RemoteStore struct {
 	// Context, when non-nil, cancels in-flight HTTP requests, backoff
 	// waits, and 429 retry waits (Ctrl-C on the CLI). Set before first
@@ -68,7 +65,6 @@ type RemoteStore struct {
 
 	mu       sync.Mutex
 	local    map[string]*sim.Result
-	etags    map[string]string
 	onServer map[string]bool
 
 	brkMu       sync.Mutex
@@ -77,7 +73,6 @@ type RemoteStore struct {
 	brkOpenedAt time.Time
 
 	hits         atomic.Uint64 // results fetched from the server
-	revalidated  atomic.Uint64 // local copies confirmed by a 304
 	misses       atomic.Uint64 // keys the server does not hold
 	remoteSims   atomic.Uint64 // cold runs delegated via POST /v1/sim
 	uploads      atomic.Uint64 // results uploaded via PUT
@@ -141,7 +136,6 @@ func (s BreakerState) String() string {
 // RemoteStats is a snapshot of a RemoteStore's traffic counters.
 type RemoteStats struct {
 	Hits         uint64 // results fetched from the server
-	Revalidated  uint64 // local copies confirmed by a 304
 	Misses       uint64 // keys the server does not hold
 	RemoteSims   uint64 // cold runs delegated to the server
 	Uploads      uint64 // locally computed results uploaded
@@ -176,7 +170,6 @@ func NewRemoteStore(baseURL string) (*RemoteStore, error) {
 			breakerCooldown: 10 * time.Second,
 		},
 		local:    make(map[string]*sim.Result),
-		etags:    make(map[string]string),
 		onServer: make(map[string]bool),
 	}, nil
 }
@@ -188,7 +181,6 @@ func (s *RemoteStore) BaseURL() string { return s.base }
 func (s *RemoteStore) Stats() RemoteStats {
 	return RemoteStats{
 		Hits:         s.hits.Load(),
-		Revalidated:  s.revalidated.Load(),
 		Misses:       s.misses.Load(),
 		RemoteSims:   s.remoteSims.Load(),
 		Uploads:      s.uploads.Load(),
@@ -289,12 +281,9 @@ func (s *RemoteStore) backoff(attempt int) bool {
 }
 
 // cache records a server-held result in the local write-through cache.
-func (s *RemoteStore) cache(key string, res *sim.Result, etag string) {
+func (s *RemoteStore) cache(key string, res *sim.Result) {
 	s.mu.Lock()
 	s.local[key] = res
-	if etag != "" {
-		s.etags[key] = etag
-	}
 	s.onServer[key] = true
 	s.mu.Unlock()
 }
@@ -357,34 +346,30 @@ func (s *RemoteStore) requestCtx() (context.Context, context.CancelFunc) {
 	return context.WithTimeout(s.ctx(), s.tune.requestTimeout)
 }
 
-// Get implements Store: a warm-key fetch from the server. Keys already
-// held locally are revalidated with If-None-Match; a 304 serves the
-// local copy with no body transferred. Transient failures are retried
-// with backoff; a server that stays unreachable degrades rather than
-// failing the sweep — the local copy if one is held, otherwise a miss,
-// which routes the run to Simulate (and, with the breaker open, to
-// local in-process simulation). Errors are reserved for failures
-// retrying cannot fix: malformed keys, integrity mismatches, 4xx.
+// Get implements Store: a key held locally is served without a
+// request; any other key is fetched from the server. Transient failures
+// are retried with backoff; a server that stays unreachable degrades to
+// a miss rather than failing the sweep, which routes the run to
+// Simulate (and, with the breaker open, to local in-process
+// simulation). Errors are reserved for failures retrying cannot fix:
+// malformed keys, integrity mismatches, 4xx.
 func (s *RemoteStore) Get(key string) (*sim.Result, bool, error) {
 	s.mu.Lock()
-	localRes := s.local[key]
-	etag := s.etags[key]
+	res, ok := s.local[key]
 	s.mu.Unlock()
-
+	if ok {
+		return res, true, nil
+	}
 	degrade := func() (*sim.Result, bool, error) {
 		s.degradedGets.Add(1)
-		if localRes != nil {
-			return localRes, true, nil
-		}
 		return nil, false, nil
 	}
 	if !s.breakerAllow() {
 		return degrade()
 	}
-
 	for attempt := 1; ; attempt++ {
 		ctx, cancel := s.requestCtx()
-		res, ok, err, retryable := s.getOnce(ctx, key, localRes, etag)
+		res, ok, err, retryable := s.getOnce(ctx, key)
 		cancel()
 		if !retryable {
 			return res, ok, err
@@ -398,13 +383,10 @@ func (s *RemoteStore) Get(key string) (*sim.Result, bool, error) {
 // getOnce performs one GET attempt. retryable reports a transient
 // failure the caller may re-attempt; otherwise the first three return
 // values are final.
-func (s *RemoteStore) getOnce(ctx context.Context, key string, localRes *sim.Result, etag string) (*sim.Result, bool, error, bool) {
+func (s *RemoteStore) getOnce(ctx context.Context, key string) (*sim.Result, bool, error, bool) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, s.base+"/v1/result/"+key, nil)
 	if err != nil {
 		return nil, false, fmt.Errorf("sweep: remote get %s: %w", key, err), false
-	}
-	if localRes != nil && etag != "" {
-		req.Header.Set("If-None-Match", etag)
 	}
 	resp, err := s.httpc().Do(req)
 	if err != nil {
@@ -422,9 +404,6 @@ func (s *RemoteStore) getOnce(ctx context.Context, key string, localRes *sim.Res
 	s.breakerReport(true)
 
 	switch resp.StatusCode {
-	case http.StatusNotModified:
-		s.revalidated.Add(1)
-		return localRes, true, nil, false
 	case http.StatusOK:
 		res, err := decodeResult(key, resp.Body)
 		var ie *integrityError
@@ -435,15 +414,10 @@ func (s *RemoteStore) getOnce(ctx context.Context, key string, localRes *sim.Res
 			// The body tore mid-transfer; the server itself is fine.
 			return nil, false, nil, true
 		}
-		s.cache(key, res, resp.Header.Get("ETag"))
+		s.cache(key, res)
 		s.hits.Add(1)
 		return res, true, nil, false
 	case http.StatusNotFound:
-		if localRes != nil {
-			// The server lost (or never had) an entry we hold; the
-			// local copy is still exactly the result for this key.
-			return localRes, true, nil, false
-		}
 		s.misses.Add(1)
 		return nil, false, nil, false
 	default:
@@ -514,9 +488,6 @@ func (s *RemoteStore) putOnce(ctx context.Context, key string, body []byte) (err
 	}
 	s.mu.Lock()
 	s.onServer[key] = true
-	if etag := resp.Header.Get("ETag"); etag != "" {
-		s.etags[key] = etag
-	}
 	s.mu.Unlock()
 	s.uploads.Add(1)
 	return nil, false
@@ -637,7 +608,7 @@ func (s *RemoteStore) simResponse(cfg sim.Config, key string, resp *http.Respons
 			// Truncated mid-body: the next attempt will find the key warm.
 			return true, nil, fmt.Errorf("sweep: remote sim %s: %w", cfg.Desc(), err), true
 		}
-		s.cache(key, res, resp.Header.Get("ETag"))
+		s.cache(key, res)
 		s.remoteSims.Add(1)
 		return true, res, nil, false
 	case resp.StatusCode == http.StatusTooManyRequests:

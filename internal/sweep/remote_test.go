@@ -58,25 +58,19 @@ func TestNewRemoteStoreRejectsBadURLs(t *testing.T) {
 }
 
 // TestRemoteGetFetchRevalidateMiss walks Get's three outcomes: a cold
-// key misses, a warm key transfers once, and re-reads revalidate with
-// If-None-Match and cost a 304 with no body.
+// key misses, a warm key transfers once, and re-reads of a held key
+// make no request at all — the key is the entity, so the server could
+// only confirm it.
 func TestRemoteGetFetchRevalidateMiss(t *testing.T) {
 	cfg := testBaseWithSeed(9)
 	key := cfg.Key()
 	res := fakeResult(cfg)
 	held := false
-	var sawINM atomic.Int64
 	store, fx, _ := newRemote(t, func(fx *remoteFixture, w http.ResponseWriter, r *http.Request) {
 		if !held {
 			http.NotFound(w, r)
 			return
 		}
-		if r.Header.Get("If-None-Match") == `"`+key+`"` {
-			sawINM.Add(1)
-			w.WriteHeader(http.StatusNotModified)
-			return
-		}
-		w.Header().Set("ETag", `"`+key+`"`)
 		json.NewEncoder(w).Encode(res)
 	})
 
@@ -90,17 +84,14 @@ func TestRemoteGetFetchRevalidateMiss(t *testing.T) {
 	}
 	got, ok, err = store.Get(key)
 	if err != nil || !ok || got.Cycles != res.Cycles {
-		t.Fatalf("revalidated Get = %+v, %v, %v", got, ok, err)
-	}
-	if sawINM.Load() != 1 {
-		t.Errorf("If-None-Match requests = %d, want 1", sawINM.Load())
+		t.Fatalf("held Get = %+v, %v, %v", got, ok, err)
 	}
 	stats := store.Stats()
-	if stats.Misses != 1 || stats.Hits != 1 || stats.Revalidated != 1 {
-		t.Errorf("stats = %+v, want 1 miss, 1 hit, 1 revalidation", stats)
+	if stats.Misses != 1 || stats.Hits != 1 {
+		t.Errorf("stats = %+v, want 1 miss, 1 hit", stats)
 	}
-	if fx.gets.Load() != 3 {
-		t.Errorf("server GETs = %d, want 3", fx.gets.Load())
+	if fx.gets.Load() != 2 {
+		t.Errorf("server GETs = %d, want 2 (a held key costs no request)", fx.gets.Load())
 	}
 	if store.Len() != 1 {
 		t.Errorf("local inventory = %d, want 1", store.Len())
@@ -140,7 +131,6 @@ func TestRemotePut(t *testing.T) {
 			}
 			w.WriteHeader(http.StatusNoContent)
 		case http.MethodGet:
-			w.Header().Set("ETag", `"`+servedKey+`"`)
 			json.NewEncoder(w).Encode(served)
 		}
 	})
@@ -172,22 +162,21 @@ func TestRemotePut(t *testing.T) {
 }
 
 // TestRemoteGetDegradesToLocalCopy: once a key is held locally, a
-// server 404 (lost store) and a dead server both serve the local copy
-// — content-addressed entries cannot be stale. A cold key against a
-// dead server degrades to a miss (routing the run to Simulate, and from
-// there to local fallback) instead of failing the sweep, and the
-// failure streak opens the circuit breaker.
+// server that lost it and a dead server both leave the local copy
+// served, without a request — content-addressed entries cannot be
+// stale. A cold key against a dead server degrades to a miss (routing
+// the run to Simulate, and from there to local fallback) instead of
+// failing the sweep, and the failure streak opens the circuit breaker.
 func TestRemoteGetDegradesToLocalCopy(t *testing.T) {
 	cfg := testBaseWithSeed(3)
 	key := cfg.Key()
 	res := fakeResult(cfg)
 	lost := false
-	store, _, ts := newRemote(t, func(fx *remoteFixture, w http.ResponseWriter, r *http.Request) {
+	store, fx, ts := newRemote(t, func(fx *remoteFixture, w http.ResponseWriter, r *http.Request) {
 		if lost {
 			http.NotFound(w, r)
 			return
 		}
-		w.Header().Set("ETag", `"`+key+`"`)
 		json.NewEncoder(w).Encode(res)
 	})
 	tuneRemote(store)
@@ -200,16 +189,21 @@ func TestRemoteGetDegradesToLocalCopy(t *testing.T) {
 	if err != nil || !ok || got.Cycles != res.Cycles {
 		t.Fatalf("Get after server lost the key = %v, %v; want local copy", ok, err)
 	}
+	if fx.gets.Load() != 1 {
+		t.Errorf("server GETs = %d, want 1 (a held key costs no request)", fx.gets.Load())
+	}
 
 	ts.Close()
 	got, ok, err = store.Get(key)
 	if err != nil || !ok || got.Cycles != res.Cycles {
 		t.Fatalf("Get with server down = %v, %v; want local copy", ok, err)
 	}
-	// A key never held degrades to a miss, not an error: the sweep
+	// Keys never held degrade to a miss, not an error: the sweep
 	// re-simulates instead of dying.
-	if _, ok, err := store.Get(testBaseWithSeed(4).Key()); ok || err != nil {
-		t.Fatalf("cold Get with server down = %v, %v; want degraded miss", ok, err)
+	for _, seed := range []uint64{4, 5} {
+		if _, ok, err := store.Get(testBaseWithSeed(seed).Key()); ok || err != nil {
+			t.Fatalf("cold Get with server down = %v, %v; want degraded miss", ok, err)
+		}
 	}
 	stats := store.Stats()
 	if stats.DegradedGets != 2 {
@@ -223,14 +217,14 @@ func TestRemoteGetDegradesToLocalCopy(t *testing.T) {
 	if stats.Breaker != BreakerOpen {
 		t.Errorf("breaker = %v, want open", stats.Breaker)
 	}
-	if _, ok, err := store.Get(testBaseWithSeed(5).Key()); ok || err != nil {
+	if _, ok, err := store.Get(testBaseWithSeed(6).Key()); ok || err != nil {
 		t.Fatalf("breaker-open cold Get = %v, %v; want instant miss", ok, err)
 	}
 }
 
 // TestRemoteSimulate: a cold run posts to /v1/sim, backpressure (429)
 // is retried after Retry-After, and the result is cached so the
-// follow-up Get costs no request body (304).
+// follow-up Get costs no request.
 func TestRemoteSimulate(t *testing.T) {
 	cfg := testBaseWithSeed(8).Normalize()
 	key := cfg.Key()
@@ -247,7 +241,6 @@ func TestRemoteSimulate(t *testing.T) {
 		if err := json.NewDecoder(r.Body).Decode(&got); err != nil || got.Seed != cfg.Seed {
 			t.Errorf("sim request body: seed %d err %v", got.Seed, err)
 		}
-		w.Header().Set("ETag", `"`+key+`"`)
 		json.NewEncoder(w).Encode(res)
 	})
 
@@ -266,12 +259,15 @@ func TestRemoteSimulate(t *testing.T) {
 		t.Errorf("retry did not honor Retry-After: elapsed %v", elapsed)
 	}
 	// The simulated result is locally cached and server-resident: Put
-	// skips the upload, Get revalidates.
+	// skips the upload, Get serves the local copy.
 	if err := store.Put(key, got); err != nil {
 		t.Fatal(err)
 	}
 	if fx.puts.Load() != 0 {
 		t.Errorf("server-produced result was uploaded (%d PUTs)", fx.puts.Load())
+	}
+	if _, ok, err := store.Get(key); !ok || err != nil || fx.gets.Load() != 0 {
+		t.Errorf("Get of a simulated key = %v, %v after %d GETs; want local hit, no request", ok, err, fx.gets.Load())
 	}
 	if got := store.Stats().RemoteSims; got != 1 {
 		t.Errorf("stats.RemoteSims = %d, want 1", got)
@@ -333,14 +329,12 @@ func tuneRemote(s *RemoteStore) {
 // the blips.
 func TestRemoteRetriesTransientFailures(t *testing.T) {
 	cfg := testBaseWithSeed(11).Normalize()
-	key := cfg.Key()
 	res := fakeResult(cfg)
 	store, fx, _ := newRemote(t, func(fx *remoteFixture, w http.ResponseWriter, r *http.Request) {
 		if fx.sims.Load() <= 2 { // first two attempts blow up
 			http.Error(w, "injected gateway error", http.StatusBadGateway)
 			return
 		}
-		w.Header().Set("ETag", `"`+key+`"`)
 		json.NewEncoder(w).Encode(res)
 	})
 	tuneRemote(store)
@@ -436,7 +430,6 @@ func TestRemoteBreakerRecovers(t *testing.T) {
 			http.Error(w, "injected outage", http.StatusServiceUnavailable)
 			return
 		}
-		w.Header().Set("ETag", `"`+key+`"`)
 		json.NewEncoder(w).Encode(res)
 	})
 	tuneRemote(store)

@@ -443,36 +443,65 @@ const CSVHeader = "op,addr"
 // carry a third column: the issuing instruction's PC in hex.
 const CSVHeaderPC = "op,addr,pc"
 
+// CSVWriter streams one op stream in the CSV format, row by row, so a
+// generator's ops need not be collected first. Write errors are sticky:
+// once one occurs, every later Write and Flush returns it.
+type CSVWriter struct {
+	w   *bufio.Writer
+	pcs bool
+	row []byte
+}
+
+// NewCSVWriter writes the header line and returns the row writer. With
+// pcs, the header is CSVHeaderPC and every load/store row carries its PC
+// as a third column; without, the PC is not written.
+func NewCSVWriter(w io.Writer, pcs bool) *CSVWriter {
+	c := &CSVWriter{w: bufio.NewWriter(w), pcs: pcs}
+	header := CSVHeader
+	if pcs {
+		header = CSVHeaderPC
+	}
+	c.w.WriteString(header + "\n") // an error is sticky in c.w
+	return c
+}
+
+// Write appends op's row.
+func (c *CSVWriter) Write(op Op) error {
+	b := c.row[:0]
+	switch op.Kind {
+	case Load, Store:
+		k := byte('L')
+		if op.Kind == Store {
+			k = 'S'
+		}
+		b = strconv.AppendUint(append(b, k, ',', '0', 'x'), op.Addr, 16)
+		if c.pcs {
+			b = strconv.AppendUint(append(b, ",0x"...), op.PC, 16)
+		}
+	case Compute:
+		b = strconv.AppendUint(append(b, "C,"...), uint64(op.Cycles), 10)
+	default:
+		return fmt.Errorf("trace: unknown op kind %d", op.Kind)
+	}
+	c.row = append(b, '\n')
+	_, err := c.w.Write(c.row)
+	return err
+}
+
+// Flush writes any buffered rows to the underlying writer.
+func (c *CSVWriter) Flush() error { return c.w.Flush() }
+
 // EncodeCSV writes a single-stream capture in the CSV format. The pc
 // column is emitted only when some op carries a nonzero PC, so captures
 // without PCs stay byte-identical to the two-column format.
 func EncodeCSV(w io.Writer, ops []Op) error {
-	pcs := carriesPC(ops)
-	bw := bufio.NewWriter(w)
-	if pcs {
-		fmt.Fprintln(bw, CSVHeaderPC)
-	} else {
-		fmt.Fprintln(bw, CSVHeader)
-	}
+	c := NewCSVWriter(w, carriesPC(ops))
 	for _, op := range ops {
-		switch op.Kind {
-		case Load, Store:
-			k := "L"
-			if op.Kind == Store {
-				k = "S"
-			}
-			if pcs {
-				fmt.Fprintf(bw, "%s,%#x,%#x\n", k, op.Addr, op.PC)
-			} else {
-				fmt.Fprintf(bw, "%s,%#x\n", k, op.Addr)
-			}
-		case Compute:
-			fmt.Fprintf(bw, "C,%d\n", op.Cycles)
-		default:
-			return fmt.Errorf("trace: unknown op kind %d", op.Kind)
+		if err := c.Write(op); err != nil {
+			return err
 		}
 	}
-	return bw.Flush()
+	return c.Flush()
 }
 
 // carriesPC reports whether any load or store in ops has a nonzero PC.

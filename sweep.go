@@ -51,8 +51,8 @@ func NewMemStore() *sweep.MemStore { return sweep.NewMemStore() }
 func NewDirStore(dir string) (*sweep.DirStore, error) { return sweep.NewDirStore(dir) }
 
 // RemoteStore is a Store backed by a shared ndpserve instance: warm
-// keys are fetched over HTTP (with per-key ETag revalidation and a
-// local write-through cache), locally computed results are uploaded,
+// keys are fetched over HTTP once into a local write-through cache,
+// which serves them from then on; locally computed results are uploaded,
 // and cold sweep runs are delegated to the server's singleflight
 // scheduler, which collapses identical requests from every client into
 // a single simulation. Point Sweep.Store (or Experiments.Cache) at one

@@ -163,17 +163,26 @@ func TestOutOfRangeCoresRejected(t *testing.T) {
 	}
 }
 
+// TestECHWayPredictionEndToEnd checks what the cuckoo-walk cache
+// promises on every seed: it cuts ECH's PTE traffic. Its cycle effect
+// is not asserted; on rnd it costs cycles on most seeds (EXPERIMENTS.md,
+// "Measured versus paper").
 func TestECHWayPredictionEndToEnd(t *testing.T) {
-	base := testCfg(memsys.NDP, 2, core.ECH, "rnd")
-	plain := run(t, base)
-	base.ECHWayPrediction = true
-	cwc := run(t, base)
-	if cwc.PTEAccesses >= plain.PTEAccesses {
-		t.Errorf("way prediction did not cut PTE traffic: %d vs %d",
-			cwc.PTEAccesses, plain.PTEAccesses)
-	}
-	if cwc.Cycles >= plain.Cycles {
-		t.Errorf("way prediction did not help end-to-end: %d vs %d cycles",
-			cwc.Cycles, plain.Cycles)
+	for seed := uint64(1); seed <= 8; seed++ {
+		base := testCfg(memsys.NDP, 2, core.ECH, "rnd")
+		base.Seed = seed
+		plain := run(t, base)
+		base.ECHWayPrediction = true
+		cwc := run(t, base)
+		t.Logf("seed %d: PTE %d -> %d (%+.2f%%), cycles %d -> %d (%+.2f%%)", seed,
+			plain.PTEAccesses, cwc.PTEAccesses, pct(cwc.PTEAccesses, plain.PTEAccesses),
+			plain.Cycles, cwc.Cycles, pct(cwc.Cycles, plain.Cycles))
+		if cwc.PTEAccesses >= plain.PTEAccesses {
+			t.Errorf("seed %d: way prediction did not cut PTE traffic: %d vs %d",
+				seed, cwc.PTEAccesses, plain.PTEAccesses)
+		}
 	}
 }
+
+// pct is the change from b to a, in percent.
+func pct(a, b uint64) float64 { return 100 * (float64(a) - float64(b)) / float64(b) }

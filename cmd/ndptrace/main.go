@@ -8,6 +8,7 @@
 // Usage:
 //
 //	ndptrace -workload bfs -ops 10000 > bfs.csv
+//	ndptrace -workload bfs -ops 10000 -pc > bfs.csv          # CSV with a pc column
 //	ndptrace -workload dlrm -threads 4 -thread 2 -ops 1000
 //	ndptrace -workload gen -stats            # op-mix summary instead of the trace
 //	ndptrace -workload bfs -ops 200000 -o bfs.ndpt           # binary capture
@@ -231,6 +232,8 @@ func run(opts options, out io.Writer) error {
 		return fmt.Errorf("-all-threads needs -o: the CSV format is single-stream")
 	case opts.stats && opts.out != "":
 		return fmt.Errorf("-stats and -o are mutually exclusive")
+	case opts.stats && opts.pcs:
+		return fmt.Errorf("-stats and -pc are mutually exclusive: the op-mix summary has no PCs")
 	case opts.out != "":
 		return capture(opts)
 	default:
@@ -249,7 +252,7 @@ func main() {
 	flag.BoolVar(&opts.stats, "stats", false, "print an op-mix summary instead of the trace")
 	flag.StringVar(&opts.out, "o", "", "write a binary .ndpt capture to FILE instead of CSV on stdout")
 	flag.BoolVar(&opts.allThreads, "all-threads", false, "capture every thread's stream (requires -o)")
-	flag.BoolVar(&opts.pcs, "pc", false, "record instruction PCs in the capture (format v2, requires -o; v1 without)")
+	flag.BoolVar(&opts.pcs, "pc", false, "record instruction PCs: a pc column in the CSV, or format v2 in the -o capture (v1 without)")
 	flag.StringVar(&opts.verify, "verify", "", "replay capture FILE and check it against its header")
 	flag.Parse()
 

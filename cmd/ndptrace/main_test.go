@@ -44,23 +44,39 @@ func TestStatsModeSummarizesOpMix(t *testing.T) {
 	}
 }
 
+// TestTraceModeEmitsCSV: without -o the trace goes to stdout as CSV,
+// and -pc adds a pc column to every load and store there.
 func TestTraceModeEmitsCSV(t *testing.T) {
-	opts := baseOpts()
-	opts.ops = 50
-	var sb strings.Builder
-	if err := emit(opts, &sb); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimRight(sb.String(), "\n"), "\n")
-	if lines[0] != "op,addr" {
-		t.Fatalf("header = %q", lines[0])
-	}
-	if len(lines) != 51 {
-		t.Fatalf("emitted %d data lines, want 50", len(lines)-1)
-	}
-	for _, l := range lines[1:] {
-		if !strings.HasPrefix(l, "L,") && !strings.HasPrefix(l, "S,") && !strings.HasPrefix(l, "C,") {
-			t.Fatalf("malformed trace line %q", l)
+	for _, pcs := range []bool{false, true} {
+		opts := baseOpts()
+		opts.ops = 50
+		opts.pcs = pcs
+		var sb strings.Builder
+		if err := run(opts, &sb); err != nil {
+			t.Fatal(err)
+		}
+		lines := strings.Split(strings.TrimRight(sb.String(), "\n"), "\n")
+		header, memCols := "op,addr", 2
+		if pcs {
+			header, memCols = "op,addr,pc", 3
+		}
+		if lines[0] != header {
+			t.Fatalf("-pc=%v: header = %q, want %q", pcs, lines[0], header)
+		}
+		if len(lines) != 51 {
+			t.Fatalf("-pc=%v: emitted %d data lines, want 50", pcs, len(lines)-1)
+		}
+		for _, l := range lines[1:] {
+			cols := len(strings.Split(l, ","))
+			switch {
+			case strings.HasPrefix(l, "L,") || strings.HasPrefix(l, "S,"):
+				if cols != memCols {
+					t.Fatalf("-pc=%v: load/store line %q has %d columns, want %d", pcs, l, cols, memCols)
+				}
+			case strings.HasPrefix(l, "C,"):
+			default:
+				t.Fatalf("-pc=%v: malformed trace line %q", pcs, l)
+			}
 		}
 	}
 }
@@ -243,6 +259,12 @@ func TestFlagConflicts(t *testing.T) {
 	opts.out = "x.ndpt"
 	if err := run(opts, &strings.Builder{}); err == nil || !strings.Contains(err.Error(), "mutually exclusive") {
 		t.Errorf("-stats with -o: err = %v", err)
+	}
+	opts = baseOpts()
+	opts.stats = true
+	opts.pcs = true
+	if err := run(opts, &strings.Builder{}); err == nil || !strings.Contains(err.Error(), "-pc") {
+		t.Errorf("-stats with -pc: err = %v", err)
 	}
 	opts = baseOpts()
 	opts.threads = 0

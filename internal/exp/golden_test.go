@@ -5,8 +5,11 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 
+	"ndpage/internal/sim"
 	"ndpage/internal/stats"
 )
 
@@ -29,7 +32,8 @@ func goldenRunner() *Runner {
 // The figures run only the paper's mechanism set — the related-work
 // mechanisms (Victima, NMT, PCAX) stay disabled — so this is the
 // regression gate that adding a mechanism must not move a single byte
-// of the existing evaluation. Regenerate deliberately with
+// of the existing evaluation. Regenerate deliberately, after bumping
+// sim.ModelVersion, with
 //
 //	go test ./internal/exp -run FigureTables -update
 func TestFigureTablesMatchGoldens(t *testing.T) {
@@ -43,6 +47,9 @@ func TestFigureTablesMatchGoldens(t *testing.T) {
 		{"motivation", r.Motivation}, {"pwc", r.PWCRates},
 		{"fig12", r.Fig12}, {"fig13", r.Fig13}, {"fig14", r.Fig14},
 		{"ablation", r.Ablation},
+	}
+	if *updateGoldens {
+		recordModelVersion(t)
 	}
 	for _, f := range figures {
 		t.Run(f.name, func(t *testing.T) {
@@ -67,6 +74,21 @@ func TestFigureTablesMatchGoldens(t *testing.T) {
 					f.name, got, want)
 			}
 		})
+	}
+}
+
+// recordModelVersion guards -update: goldens are rewritten only under a
+// new sim.ModelVersion. It fails t when testdata/model_version already
+// records the current version, and records it otherwise.
+func recordModelVersion(t *testing.T) {
+	t.Helper()
+	path := filepath.Join("testdata", "model_version")
+	cur := strconv.Itoa(sim.ModelVersion)
+	if b, err := os.ReadFile(path); err == nil && strings.TrimSpace(string(b)) == cur {
+		t.Fatalf("-update at sim.ModelVersion %s, the version the goldens were written at; bump it first", cur)
+	}
+	if err := os.WriteFile(path, []byte(cur+"\n"), 0o644); err != nil {
+		t.Fatal(err)
 	}
 }
 

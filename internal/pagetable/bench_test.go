@@ -77,13 +77,16 @@ const heapBase = addr.VPN(1) << 27
 
 // populateHeap reserves chunks 2 MB chunks upward from heapBase and
 // maps them, 512 pages per MapRange, the way the OS model's eager
-// population fills a table.
+// population fills a table. It ends with a read of the table, as the
+// OS model's next reservation does, so ECH has placed the pages its
+// bulk build queued.
 func populateHeap(t Table, chunks int) {
 	t.Reserve(heapBase, uint64(chunks)*addr.EntriesPerTable)
 	for k := 0; k < chunks; k++ {
 		off := uint64(k) * addr.EntriesPerTable
 		t.MapRange(heapBase+addr.VPN(off), addr.EntriesPerTable, addr.PFN(off))
 	}
+	t.MappedPages()
 }
 
 // BenchmarkCuckooPopulate builds an ECH table over a 4 GB heap (1M

@@ -27,16 +27,33 @@ import (
 // index is below the pointer have been rehashed into the new table, so a
 // lookup still needs exactly one probe per way during resizing. Both
 // tables share one slot array that grows in place (see cuckooWay).
+//
+// Map inserts one page at a time along that elastic path: demand
+// faults, and population frame by frame. MapRange, the OS model's eager
+// population, builds in bulk instead: it stores the frames at once and
+// queues the pages, and place gives the queued pages their tags in bulk
+// before anything reads slot state.
 type Cuckoo struct {
 	alloc *phys.Allocator
 	ways  [len(cuckooSalts)]cuckooWay
-	count uint64
+	count uint64 // placed tags
 	// frames holds the frame of every entry the slots tag, so a slot
 	// need hold only its VPN tag, and Lookup, Present, and Map's remap
 	// check read one store record instead of probing d slots.
 	frames frameStore
 
+	// queue holds the runs of pages MapRange mapped fresh, in mapping
+	// order, whose tags place has not yet placed; queued counts them.
+	queue  []cuckooRun
+	queued uint64
+
 	stats CuckooStats
+}
+
+// cuckooRun is n consecutive pages from vpn.
+type cuckooRun struct {
+	vpn addr.VPN
+	n   uint64
 }
 
 // CuckooStats counts structural events.
@@ -148,7 +165,10 @@ func NewCuckoo(alloc *phys.Allocator, initialSlots int) *Cuckoo {
 func (c *Cuckoo) Kind() string { return "cuckoo" }
 
 // Stats returns a copy of the structural counters.
-func (c *Cuckoo) Stats() CuckooStats { return c.stats }
+func (c *Cuckoo) Stats() CuckooStats {
+	c.settle()
+	return c.stats
+}
 
 func (c *Cuckoo) allocFrames(slots int) []addr.P {
 	n := (slots + slotsPerFrame - 1) / slotsPerFrame
@@ -211,6 +231,7 @@ func (c *Cuckoo) Present(vpn addr.VPN) bool { return c.frames.present(vpn) }
 
 // WalkInto implements Table: d parallel probes, one per way.
 func (c *Cuckoo) WalkInto(v addr.V, w *Walk) {
+	c.settle()
 	w.Reset()
 	vpn := v.Page()
 	// Read the frame first: its load then overlaps the tag probes'.
@@ -227,37 +248,196 @@ func (c *Cuckoo) WalkInto(v addr.V, w *Walk) {
 	}
 }
 
-// Reserve implements Table.
-func (c *Cuckoo) Reserve(vpn addr.VPN, pages uint64) { c.frames.reserve(vpn, pages) }
+// Reserve implements Table. It places queued tags first, so a region's
+// build is done by the time the OS model reserves the next one.
+func (c *Cuckoo) Reserve(vpn addr.VPN, pages uint64) {
+	c.settle()
+	c.frames.reserve(vpn, pages)
+}
 
-// Map implements Table.
-func (c *Cuckoo) Map(vpn addr.VPN, pfn addr.PFN) { c.MapRange(vpn, 1, pfn) }
+// Map implements Table: queued tags are placed, then the page, if new,
+// gets its tag along the elastic path. A remapped page needs no tag
+// work: its slot holds only the tag.
+func (c *Cuckoo) Map(vpn addr.VPN, pfn addr.PFN) {
+	c.settle()
+	c.stats.Inserts++
+	if c.frames.mapRange(vpn, 1, pfn) != 0 {
+		c.add(vpn)
+	}
+}
 
-// MapRange implements Table. Frames go into the store a chunk at a
-// time; then every page the chunk did not hold before gets a tag, in
-// page order. A remapped page needs none: its slot holds only the tag.
-// Placement never reads the store, so this places exactly as mapping
-// page by page would.
+// add gives a new page its tag along the elastic path: it advances any
+// gradual resize, inserts the tag, and starts a resize of the way that
+// took it if that way crossed its threshold.
+func (c *Cuckoo) add(vpn addr.VPN) {
+	c.advanceMigrations()
+	way := c.insert(vpn, 0)
+	c.count++
+	c.maybeResize(way)
+}
+
+// MapRange implements Table. Frames go into the store at once, so
+// Lookup and Present see the pages immediately; the pages the store did
+// not hold before are queued for place. A remapped page needs no tag.
 func (c *Cuckoo) MapRange(vpn addr.VPN, count uint64, base addr.PFN) {
+	c.stats.Inserts += count
 	for count > 0 {
 		_, i := chunkOf(vpn)
 		n := min(addr.EntriesPerTable-i, count)
 		was := c.frames.presentMap(vpn)
-		c.frames.mapRange(vpn, n, base)
-		for k := uint64(0); k < n; k++ {
-			c.stats.Inserts++
-			if bitset.TestBit(was[:], i+k) {
-				continue
+		if c.frames.mapRange(vpn, n, base) == n {
+			c.enqueue(vpn, n)
+		} else {
+			for k := uint64(0); k < n; k++ {
+				if !bitset.TestBit(was[:], i+k) {
+					c.enqueue(vpn+addr.VPN(k), 1)
+				}
 			}
-			c.advanceMigrations()
-			way := c.insert(vpn+addr.VPN(k), 0)
-			c.count++
-			c.maybeResize(way)
 		}
 		vpn += addr.VPN(n)
 		base += addr.PFN(n)
 		count -= n
 	}
+}
+
+// enqueue queues pages [vpn, vpn+n), extending the last run when they
+// follow it.
+func (c *Cuckoo) enqueue(vpn addr.VPN, n uint64) {
+	c.queued += n
+	if k := len(c.queue) - 1; k >= 0 && c.queue[k].vpn+addr.VPN(c.queue[k].n) == vpn {
+		c.queue[k].n += n
+		return
+	}
+	c.queue = append(c.queue, cuckooRun{vpn, n})
+}
+
+// settle places any queued tags; every read of slot state calls it
+// first.
+func (c *Cuckoo) settle() {
+	if c.queued != 0 {
+		c.place()
+	}
+}
+
+// place gives every queued page its tag, in bulk:
+//
+//  1. Each way finishes any gradual resize, then grows once to the size
+//     elastic growth would settle at for the whole table: the smallest
+//     power of two whose threshold holds a third of the pages.
+//  2. Each page tries its first-choice way (vpn mod d, where insert
+//     starts), then the next way, then the one after: one pass per
+//     choice and way, each way taking all of a choice's pages before
+//     the next way does. A pass visits the queued pages in mapping order
+//     and places a page when its slot is free, so the first page to
+//     reach a slot wins it.
+//  3. Each way starts a gradual resize if it crossed its threshold, and
+//     the pages that found all d slots taken go through add, Map's
+//     elastic path, in mapping order.
+//
+// Step 1 streams through each way once, and step 2 makes one probe per
+// page and choice with no displacement chain, where inserting the pages
+// one by one would double every way many times over and migrate each
+// tag at every doubling.
+func (c *Cuckoo) place() {
+	total := c.count + c.queued
+	size := slotsPerFrame
+	for uint64(resizeLimit(size)) < (total+2)/3 {
+		size *= 2
+	}
+	for i := range c.ways {
+		way := &c.ways[i]
+		if way.resizing {
+			c.migrate(way, way.size)
+		}
+		c.grow(way, size)
+	}
+	// pending marks the queued pages still without a slot, by position
+	// in the queue.
+	pending := make([]uint64, bitset.WordsFor(c.queued))
+	bitset.SetRun(pending, 0, c.queued)
+	d := uint64(len(c.ways))
+	for choice := uint64(0); choice < d; choice++ {
+		for w := range c.ways {
+			c.placePass(&c.ways[w], (uint64(w)+d-choice)%d, pending)
+		}
+	}
+	for i := range c.ways {
+		c.maybeResize(&c.ways[i])
+	}
+	pos := uint64(0)
+	for _, run := range c.queue {
+		for k := uint64(0); k < run.n; k++ {
+			if bitset.TestBit(pending, pos+k) {
+				c.add(run.vpn + addr.VPN(k))
+			}
+		}
+		pos += run.n
+	}
+	c.queue, c.queued = c.queue[:0], 0
+}
+
+// placePass places the pending queued pages whose VPN is r mod d in
+// their slot of way, where free.
+func (c *Cuckoo) placePass(way *cuckooWay, r uint64, pending []uint64) {
+	d := uint64(len(c.ways))
+	mask := way.size - 1
+	placed, pos := 0, uint64(0)
+	for _, run := range c.queue {
+		for k := (r + d - uint64(run.vpn)%d) % d; k < run.n; k += d {
+			if !bitset.TestBit(pending, pos+k) {
+				continue
+			}
+			vpn := run.vpn + addr.VPN(k)
+			if i := way.hash(vpn) & mask; bitset.SetBit(way.occ, uint64(i)) {
+				way.setTag(i, vpn)
+				placed++
+				bitset.ClearBit(pending, pos+k)
+			}
+		}
+		pos += run.n
+	}
+	way.count += placed
+	c.count += uint64(placed)
+}
+
+// grow doubles way, which is not resizing, until it has size slots, in
+// one sequential pass: it appends the segments and the new frames, and
+// moves each tag from slot i to its slot in the grown table, i plus a
+// multiple of the old size. Those slots lie past the old table, and no
+// two tags share one, since their old slots differ.
+func (c *Cuckoo) grow(way *cuckooWay, size int) {
+	old := way.size
+	if old >= size {
+		return
+	}
+	for s := old; s < size; s *= 2 {
+		way.segs = append(way.segs, make([]uint32, s))
+		c.stats.Resizes++
+	}
+	occ := make([]uint64, bitset.WordsFor(uint64(size)))
+	copy(occ, way.occ)
+	way.occ = occ
+	frames := c.allocFrames(size)
+	for w, word := range occ[:old/64] {
+		for ; word != 0; word &= word - 1 {
+			i := w*64 + bits.TrailingZeros64(word)
+			c.stats.Migrated++
+			vpn := way.tag(i)
+			dst := way.hash(vpn) & (size - 1)
+			if dst == i {
+				continue
+			}
+			bitset.ClearBit(occ, uint64(i))
+			bitset.SetBit(occ, uint64(dst))
+			way.setTag(dst, vpn)
+		}
+	}
+	for _, f := range way.frames {
+		c.alloc.Free(f.Page())
+	}
+	way.frames = frames
+	way.size = size
+	way.resizeAt = resizeLimit(size)
 }
 
 // insert places vpn's tag using cuckoo displacement and returns the way
@@ -301,6 +481,7 @@ func (c *Cuckoo) MapHuge(vpn addr.VPN, base addr.PFN) {
 
 // Unmap implements Table.
 func (c *Cuckoo) Unmap(vpn addr.VPN) (Entry, bool) {
+	c.settle()
 	e, ok := c.frames.unmap(vpn)
 	if !ok {
 		return Entry{}, false
@@ -440,6 +621,7 @@ func (way *cuckooWay) capacity() int {
 // Occupancy implements Table: one pseudo-level row describing overall
 // hash-table load.
 func (c *Cuckoo) Occupancy() []LevelOccupancy {
+	c.settle()
 	var capacity uint64
 	for i := range c.ways {
 		capacity += uint64(c.ways[i].capacity())
@@ -453,12 +635,16 @@ func (c *Cuckoo) Occupancy() []LevelOccupancy {
 }
 
 // MappedPages implements Table.
-func (c *Cuckoo) MappedPages() uint64 { return c.count }
+func (c *Cuckoo) MappedPages() uint64 {
+	c.settle()
+	return c.count
+}
 
 // MetadataBytes implements Table: the host memory every way holds (its
 // 4-byte tags, 2*size slots while it resizes, its occupancy bitmap, and
 // the frame directories of both tables), plus the frame store.
 func (c *Cuckoo) MetadataBytes() uint64 {
+	c.settle()
 	total := c.frames.bytes()
 	for i := range c.ways {
 		way := &c.ways[i]
@@ -472,6 +658,7 @@ func (c *Cuckoo) MetadataBytes() uint64 {
 
 // LoadFactors returns the per-way load factors, for tests and reports.
 func (c *Cuckoo) LoadFactors() []float64 {
+	c.settle()
 	out := make([]float64, len(c.ways))
 	for i := range c.ways {
 		way := &c.ways[i]
@@ -482,5 +669,6 @@ func (c *Cuckoo) LoadFactors() []float64 {
 
 // String summarizes the table state.
 func (c *Cuckoo) String() string {
+	c.settle()
 	return fmt.Sprintf("cuckoo{d=%d, entries=%d, resizes=%d}", len(c.ways), c.count, c.stats.Resizes)
 }

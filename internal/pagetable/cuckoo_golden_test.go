@@ -13,10 +13,11 @@ import (
 )
 
 // cuckooPlacementGolden is the FNV-64a digest of runCuckooPlacement,
-// captured on the table layout that stored {vpn, pfn} pairs in its
-// slots. Any change to slot placement, resize or migration points, or
-// backing frames moves it.
-const cuckooPlacementGolden = 0x7a377d5afa72978e
+// captured when MapRange began to queue its pages for the bulk build
+// (sim.ModelVersion 2); the one-page-at-a-time build before it digested
+// to 0x7a377d5afa72978e. Any change to slot placement, resize or
+// migration points, or backing frames moves it.
+const cuckooPlacementGolden = 0xefa97c269a30c1c4
 
 // runCuckooPlacement drives a cuckoo table from 256 slots per way through
 // a seeded mix of Map, MapRange, remap, Unmap and WalkInto, calling check
@@ -142,19 +143,27 @@ func (c *Cuckoo) liveCount() uint64 {
 	return n
 }
 
-// checkCuckooStore asserts that the slots and the frame store agree: as
-// many live occupied slots as MappedPages and store pages, and
-// Present(vpn) agrees with Lookup(vpn). With full set it also resolves
+// checkCuckooStore places any queued tags, then asserts that the slots
+// and the frame store agree: as many live occupied slots as
+// MappedPages and store pages, and Present(vpn) agrees with
+// Lookup(vpn). No way past its threshold may be left without a resize
+// under way. With full set it also resolves
 // every live tag through Lookup, checks that probe finds it where it
 // sits, and audits the store's layout, which costs time proportional to
 // the table.
 func checkCuckooStore(t *testing.T, c *Cuckoo, vpn addr.VPN, full bool) {
 	t.Helper()
+	c.settle()
 	if n := c.liveCount(); n != c.MappedPages() || n != c.frames.pages() {
 		t.Fatalf("%d live slots, MappedPages %d, store pages %d", n, c.MappedPages(), c.frames.pages())
 	}
 	if _, ok := c.Lookup(vpn); c.Present(vpn) != ok {
 		t.Fatalf("Present(%#x) = %v, Lookup says %v", uint64(vpn), !ok, ok)
+	}
+	for i := range c.ways {
+		if way := &c.ways[i]; !way.resizing && way.count > way.resizeAt {
+			t.Fatalf("way %d holds %d tags, past its threshold %d, and is not resizing", i, way.count, way.resizeAt)
+		}
 	}
 	if !full {
 		return

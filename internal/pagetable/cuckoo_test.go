@@ -1,6 +1,7 @@
 package pagetable
 
 import (
+	"reflect"
 	"runtime"
 	"testing"
 	"testing/quick"
@@ -229,5 +230,144 @@ func TestCuckooPopulateAllocs(t *testing.T) {
 	alloc, meta := after.TotalAlloc-before.TotalAlloc, c.MetadataBytes()
 	if ratio := float64(alloc) / float64(meta); ratio > 1.25 {
 		t.Errorf("populating allocated %d B, %.2fx MetadataBytes %d B; want <= 1.25x", alloc, ratio, meta)
+	}
+}
+
+// TestCuckooMapStartsGradualResize: after a bulk build, Map still grows
+// a way elastically. The Map whose insert crosses the threshold begins
+// one gradual resize without doubling the way at once, and the next Map
+// migrates part of it.
+func TestCuckooMapStartsGradualResize(t *testing.T) {
+	c := reserved(NewCuckoo(newAlloc(), 1024), testSpan)
+	c.MapRange(0, 3000, 0)
+	before := c.Stats()
+	rng := xrand.New(3)
+	fresh := func() addr.VPN { return addr.VPN(4096 + rng.Uint64n(testSpan-4096)) }
+	for c.Stats().Resizes == before.Resizes {
+		c.Map(fresh(), 1)
+	}
+	var way *cuckooWay
+	for i := range c.ways {
+		if c.ways[i].resizing {
+			way = &c.ways[i]
+		}
+	}
+	if way == nil || c.Stats().Resizes != before.Resizes+1 {
+		t.Fatalf("resizes %d -> %d, resizing way %v; want one gradual resize", before.Resizes, c.Stats().Resizes, way)
+	}
+	size := way.size
+	c.Map(fresh(), 1)
+	if way.size != size || way.migPtr <= 0 || way.migPtr >= way.size {
+		t.Errorf("after the next Map: size %d (was %d), migPtr %d; want a partial migration", way.size, size, way.migPtr)
+	}
+}
+
+// TestCuckooBulkBuildEdges holds two bulk builds to refCuckoo slot for
+// slot. In "ceiling" a third of the pages is one past a way's threshold
+// at 1024 slots, so every way must grow to 2048. In "one way" every page
+// prefers way 0, which the first pass fills past its threshold, so the
+// build must leave it resizing.
+func TestCuckooBulkBuildEdges(t *testing.T) {
+	cases := []struct {
+		name string
+		fill func(mapRange func(vpn addr.VPN, n uint64))
+		want func(c *Cuckoo) bool
+	}{
+		{"ceiling", func(m func(addr.VPN, uint64)) { m(0, 3*uint64(resizeLimit(1024))+1) },
+			func(c *Cuckoo) bool { return c.ways[0].size == 2048 }},
+		{"one way", func(m func(addr.VPN, uint64)) {
+			for k := addr.VPN(0); k < 1500; k++ {
+				m(3*k, 1)
+			}
+		}, func(c *Cuckoo) bool { return c.ways[0].resizing }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c := reserved(NewCuckoo(newAlloc(), 1024), testSpan)
+			p := fuzzPair{"cuckoo", new(Walk), new(Walk), c, newRefCuckoo(newAlloc(), 1024)}
+			tc.fill(func(vpn addr.VPN, n uint64) {
+				p.got.MapRange(vpn, n, addr.PFN(vpn))
+				p.want.MapRange(vpn, n, addr.PFN(vpn))
+			})
+			p.checkCounts(t, 0)
+			for vpn := addr.VPN(0); vpn < 4500; vpn++ {
+				p.check(t, 0, vpn)
+			}
+			checkCuckooStore(t, c, 0, true)
+			if !tc.want(c) {
+				t.Errorf("way 0: size %d, resizing %v", c.ways[0].size, c.ways[0].resizing)
+			}
+		})
+	}
+}
+
+// TestCuckooReadsSettleQueuedTags: every call that reads or changes slot
+// state answers, and leaves the table, exactly as it would had
+// MapRange's queued pages been placed before it. Lookup and Present
+// read only the frame store and leave the pages queued.
+func TestCuckooReadsSettleQueuedTags(t *testing.T) {
+	build := func(settled bool) *Cuckoo {
+		c := reserved(NewCuckoo(newAlloc(), 1024), testSpan)
+		for i := addr.VPN(0); i < 50; i++ {
+			c.Map(9000+7*i, addr.PFN(i))
+		}
+		c.MapRange(100, 5000, 7)
+		c.MapRange(9000, 700, 20000)
+		if settled {
+			c.settle()
+		}
+		return c
+	}
+	calls := []struct {
+		name string
+		call func(c *Cuckoo) any
+	}{
+		{"WalkInto", func(c *Cuckoo) any {
+			var w Walk
+			c.WalkInto(addr.VPN(4000).Addr(), &w)
+			return w
+		}},
+		{"Unmap", func(c *Cuckoo) any {
+			e, ok := c.Unmap(4000)
+			return []any{e, ok}
+		}},
+		{"Occupancy", func(c *Cuckoo) any { return c.Occupancy() }},
+		{"LoadFactors", func(c *Cuckoo) any { return c.LoadFactors() }},
+		{"MappedPages", func(c *Cuckoo) any { return c.MappedPages() }},
+		{"MetadataBytes", func(c *Cuckoo) any { return c.MetadataBytes() }},
+		{"Stats", func(c *Cuckoo) any { return c.Stats() }},
+		{"String", func(c *Cuckoo) any { return c.String() }},
+		{"Reserve", func(c *Cuckoo) any {
+			c.Reserve(testSpan, addr.EntriesPerTable)
+			return nil
+		}},
+		{"Map", func(c *Cuckoo) any {
+			c.Map(testSpan-1, 3)
+			return nil
+		}},
+	}
+	for _, tc := range calls {
+		t.Run(tc.name, func(t *testing.T) {
+			queued, placed := build(false), build(true)
+			if queued.queued == 0 || placed.queued != 0 {
+				t.Fatalf("queued %d and %d pages, want some and none", queued.queued, placed.queued)
+			}
+			got, want := tc.call(queued), tc.call(placed)
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s = %v with pages queued, %v with them placed", tc.name, got, want)
+			}
+			if queued.queued != 0 || !reflect.DeepEqual(queued.ways, placed.ways) || queued.stats != placed.stats {
+				t.Errorf("%s left a different table with pages queued than with them placed", tc.name)
+			}
+		})
+	}
+	c := build(false)
+	for vpn, pfn := range map[addr.VPN]addr.PFN{100: 7, 5099: 5006, 9000: 20000, 9001: 20001, 9699: 20699} {
+		if e, ok := c.Lookup(vpn); !ok || e.PFN != pfn || !c.Present(vpn) {
+			t.Errorf("queued page %#x: Lookup %+v, %v, Present %v; want frame %#x", uint64(vpn), e, ok, c.Present(vpn), uint64(pfn))
+		}
+	}
+	if c.queued != 5000+700-50 {
+		t.Errorf("Lookup and Present left %d pages queued, want %d", c.queued, 5000+700-50)
 	}
 }

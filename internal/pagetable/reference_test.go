@@ -403,10 +403,15 @@ func TestRadixDifferentialAgainstReference(t *testing.T) {
 }
 
 // TestCuckooDifferentialAgainstReference does the same for the elastic
-// cuckoo table (no huge mappings there).
+// cuckoo table (no huge mappings there), and also holds it to refCuckoo
+// slot for slot: a walk's probes and the occupancy after every fourth
+// op. Lookup and Present leave MapRange's pages queued, so between two
+// of those checks several MapRanges can queue runs that one bulk build
+// places.
 func TestCuckooDifferentialAgainstReference(t *testing.T) {
 	c := reserved(NewCuckoo(phys.New(1<<30), 4096), differentialSpan)
 	want := newRefFlattened(phys.New(1 << 30))
+	p := fuzzPair{"cuckoo", new(Walk), new(Walk), c, newRefCuckoo(phys.New(1<<30), 4096)}
 	rng := xrand.New(13)
 	for op := 0; op < 20000; op++ {
 		vpn := differentialVPN(rng)
@@ -415,17 +420,20 @@ func TestCuckooDifferentialAgainstReference(t *testing.T) {
 			pfn := addr.PFN(rng.Uint64n(1 << 22))
 			c.Map(vpn, pfn)
 			want.Map(vpn, pfn)
+			p.want.Map(vpn, pfn)
 		case 3:
 			count := rng.Uint64n(512) + 1
 			base := addr.PFN(rng.Uint64n(1 << 22))
 			c.MapRange(vpn, count, base)
 			want.MapRange(vpn, count, base)
+			p.want.MapRange(vpn, count, base)
 		case 4:
 			eg, okg := c.Unmap(vpn)
 			ew, okw := want.Unmap(vpn)
 			if okg != okw || eg != ew {
 				t.Fatalf("op %d: Unmap(%#x) = %+v,%v want %+v,%v", op, uint64(vpn), eg, okg, ew, okw)
 			}
+			p.want.Unmap(vpn)
 		default:
 			eg, okg := c.Lookup(vpn)
 			ew, okw := want.Lookup(vpn)
@@ -436,7 +444,11 @@ func TestCuckooDifferentialAgainstReference(t *testing.T) {
 				t.Fatalf("op %d: Present(%#x) disagrees with Lookup", op, uint64(vpn))
 			}
 		}
-		checkCuckooStore(t, c, vpn, op%1024 == 0)
+		if op%4 == 3 {
+			p.check(t, op, vpn)
+			p.checkCounts(t, op)
+			checkCuckooStore(t, c, vpn, op%1024 == 1023)
+		}
 	}
 	checkCuckooStore(t, c, 0, true)
 	if g, w := c.MappedPages(), want.MappedPages(); g != w {
@@ -652,10 +664,16 @@ type refCuckooWay struct {
 // in the slots, every lookup probing the d ways — kept in behavior
 // (placement, resize and migration points, frame allocation order) as
 // the reference the tag-only table over the frame store must match.
+// MapRange queues its new pages and placeQueued builds them in bulk,
+// at the same calls as Cuckoo, one page at a time per pass.
 type refCuckoo struct {
 	alloc *phys.Allocator
 	ways  [len(cuckooSalts)]refCuckooWay
 	count uint64
+	// queue holds the pages MapRange mapped that have no slot yet, in
+	// mapping order; queued indexes it by VPN.
+	queue  []refSlot
+	queued map[addr.VPN]int
 }
 
 func newRefCuckoo(alloc *phys.Allocator, initialSlots int) *refCuckoo {
@@ -663,7 +681,7 @@ func newRefCuckoo(alloc *phys.Allocator, initialSlots int) *refCuckoo {
 	for size < initialSlots {
 		size *= 2
 	}
-	c := &refCuckoo{alloc: alloc}
+	c := &refCuckoo{alloc: alloc, queued: map[addr.VPN]int{}}
 	for i, salt := range cuckooSalts {
 		c.ways[i] = refCuckooWay{refCuckooTab: c.newTab(size), salt: salt}
 	}
@@ -691,8 +709,11 @@ func (way *refCuckooWay) probe(vpn addr.VPN) (*refCuckooTab, int) {
 	return &way.newTab, h & (len(way.newTab.slots) - 1)
 }
 
-// find returns the slot holding vpn, nil when none does.
+// find returns the slot or queue entry holding vpn, nil when none does.
 func (c *refCuckoo) find(vpn addr.VPN) *refSlot {
+	if k, ok := c.queued[vpn]; ok {
+		return &c.queue[k]
+	}
 	for i := range c.ways {
 		tab, idx := c.ways[i].probe(vpn)
 		if s := &tab.slots[idx]; s.full && s.vpn == vpn {
@@ -712,19 +733,94 @@ func (c *refCuckoo) Lookup(vpn addr.VPN) (Entry, bool) {
 func (c *refCuckoo) Present(vpn addr.VPN) bool { return c.find(vpn) != nil }
 
 func (c *refCuckoo) Map(vpn addr.VPN, pfn addr.PFN) {
+	c.placeQueued()
 	if s := c.find(vpn); s != nil {
 		s.pfn = pfn
 		return
 	}
 	c.advanceMigrations()
-	c.insert(refSlot{vpn, pfn, true}, 0)
+	c.insertOne(refSlot{vpn, pfn, true})
+}
+
+// insertOne inserts e by displacement and starts the resize of any way
+// past its threshold.
+func (c *refCuckoo) insertOne(e refSlot) {
+	c.insert(e, 0)
 	c.count++
+	c.resizeFull()
+}
+
+func (c *refCuckoo) resizeFull() {
 	for i := range c.ways {
 		way := &c.ways[i]
 		if !way.resizing && float64(way.count) > cuckooThreshold*float64(len(way.slots)) {
 			c.beginResize(way)
 		}
 	}
+}
+
+// placeQueued builds the queued pages into the table: every way
+// completes its migration and grows to the smallest power of two whose
+// threshold holds a third of all pages; then each queued page, in
+// queue order, takes its slot in its first-choice way (vpn mod d) if
+// free, then in the next way, then the one after, each way taking all
+// of one choice's pages before the next way does; the rest are
+// inserted one at a time.
+func (c *refCuckoo) placeQueued() {
+	if len(c.queue) == 0 {
+		return
+	}
+	total := c.count + uint64(len(c.queue))
+	size := slotsPerFrame
+	for cuckooThreshold*float64(size) < float64((total+2)/3) {
+		size *= 2
+	}
+	for i := range c.ways {
+		way := &c.ways[i]
+		for way.resizing {
+			c.migrate(way, len(way.slots))
+		}
+		if len(way.slots) >= size {
+			continue
+		}
+		tab := c.newTab(size)
+		for _, s := range way.slots {
+			if s.full {
+				tab.slots[int(xrand.Hash64(uint64(s.vpn)^way.salt))&(size-1)] = s
+			}
+		}
+		for _, f := range way.frames {
+			c.alloc.Free(f.Page())
+		}
+		way.refCuckooTab = tab
+	}
+	d := len(c.ways)
+	placed := make([]bool, len(c.queue))
+	for choice := 0; choice < d; choice++ {
+		for w := range c.ways {
+			way := &c.ways[w]
+			for k, e := range c.queue {
+				if placed[k] || int(uint64(e.vpn)%uint64(d)) != (w+d-choice)%d {
+					continue
+				}
+				if tab, idx := way.probe(e.vpn); !tab.slots[idx].full {
+					tab.slots[idx] = e
+					way.count++
+					c.count++
+					placed[k] = true
+				}
+			}
+		}
+	}
+	c.resizeFull()
+	for k, e := range c.queue {
+		if !placed[k] {
+			c.advanceMigrations()
+			c.insertOne(e)
+		}
+	}
+	c.queue = nil
+	clear(c.queued)
 }
 
 func (c *refCuckoo) insert(e refSlot, attempts int) {
@@ -750,11 +846,18 @@ func (c *refCuckoo) insert(e refSlot, attempts int) {
 
 func (c *refCuckoo) MapRange(vpn addr.VPN, count uint64, base addr.PFN) {
 	for k := uint64(0); k < count; k++ {
-		c.Map(vpn+addr.VPN(k), base+addr.PFN(k))
+		v, pfn := vpn+addr.VPN(k), base+addr.PFN(k)
+		if s := c.find(v); s != nil {
+			s.pfn = pfn
+			continue
+		}
+		c.queued[v] = len(c.queue)
+		c.queue = append(c.queue, refSlot{v, pfn, true})
 	}
 }
 
 func (c *refCuckoo) Unmap(vpn addr.VPN) (Entry, bool) {
+	c.placeQueued()
 	for i := range c.ways {
 		way := &c.ways[i]
 		tab, idx := way.probe(vpn)
@@ -822,6 +925,7 @@ func (c *refCuckoo) migrate(way *refCuckooWay, n int) {
 }
 
 func (c *refCuckoo) WalkInto(v addr.V, w *Walk) {
+	c.placeQueued()
 	w.Reset()
 	vpn := v.Page()
 	for i := range c.ways {
@@ -835,6 +939,7 @@ func (c *refCuckoo) WalkInto(v addr.V, w *Walk) {
 }
 
 func (c *refCuckoo) Occupancy() []LevelOccupancy {
+	c.placeQueued()
 	var capacity uint64
 	for i := range c.ways {
 		capacity += uint64(len(c.ways[i].slots) + len(c.ways[i].newTab.slots))
@@ -842,4 +947,7 @@ func (c *refCuckoo) Occupancy() []LevelOccupancy {
 	return []LevelOccupancy{{Level: HashLevel, Nodes: uint64(len(c.ways)), EntriesUsed: c.count, Capacity: capacity}}
 }
 
-func (c *refCuckoo) MappedPages() uint64 { return c.count }
+func (c *refCuckoo) MappedPages() uint64 {
+	c.placeQueued()
+	return c.count
+}

@@ -140,6 +140,13 @@ func (c Config) Validate() error {
 	return nil
 }
 
+// ModelVersion numbers the simulator's behavior: bump it whenever a
+// fixed Config can produce a different Result, so Key stops matching
+// results stored by the older model. The goldens under testdata/ record
+// the version they were written at, and rewriting them with -update
+// fails until it moves. Version 2 builds ECH's eager regions in bulk.
+const ModelVersion = 2
+
 // Key returns a stable content hash of the fully-normalized
 // configuration: two Configs share a Key exactly when they describe the
 // same simulation, defaults resolved. Sweep stores content-address
@@ -152,7 +159,10 @@ func (c Config) Validate() error {
 // workload's identity material joins the hash: registered workloads
 // contribute their name+params, trace replays a content digest of the
 // capture file (workload.Identity). Built-in Table II names contribute
-// nothing, so their keys are unchanged from earlier schemas.
+// nothing beyond their name.
+//
+// ModelVersion leads the hash, so a result stored by an older model
+// never answers for the current one.
 func (c Config) Key() string {
 	n := c.Normalize()
 	b, err := json.Marshal(n)
@@ -161,6 +171,7 @@ func (c Config) Key() string {
 		panic(fmt.Sprintf("sim: config hash: %v", err))
 	}
 	h := sha256.New()
+	fmt.Fprintf(h, "model %d\n", ModelVersion)
 	h.Write(b)
 	if id := workload.Identity(n.Workload); id != "" {
 		h.Write([]byte{0})

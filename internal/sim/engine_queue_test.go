@@ -14,10 +14,12 @@ import (
 // event queue the calendar wheel replaced. testdata/engine_queue_golden.json
 // holds the heap's full Results for fresh configurations (blocking and
 // MLP, narrow and shared walkers), captured on the last commit that
-// still ran both queues side by side and found them deeply equal. The
-// timing goldens pin two configurations' headline counters; this test
-// pins every counter, so a dispatch-order divergence they miss still
-// fails. The heap itself lives on as internal/engine's test oracle.
+// still ran both queues side by side and found them deeply equal; the
+// ECH entry was re-captured at ModelVersion 2 by a build whose Engine
+// dispatched through the heap. The timing goldens pin two
+// configurations' headline counters; this test pins every counter, so
+// a dispatch-order divergence they miss still fails. The heap itself
+// lives on as internal/engine's test oracle.
 func TestEngineQueueDifferential(t *testing.T) {
 	raw, err := os.ReadFile(filepath.Join("testdata", "engine_queue_golden.json"))
 	if err != nil {

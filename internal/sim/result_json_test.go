@@ -7,6 +7,8 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 
 	"ndpage/internal/addr"
@@ -82,7 +84,7 @@ func TestResultJSONRoundTrip(t *testing.T) {
 // TestResultJSONGolden pins the serialized form: the on-disk sweep
 // cache format is a contract across processes (and PR boundaries).
 // Regenerate with `go test ./internal/sim -run Golden -update` after a
-// deliberate Result or simulator change.
+// deliberate Result or simulator change, which must bump ModelVersion.
 func TestResultJSONGolden(t *testing.T) {
 	r := run(t, jsonCfg())
 	got, err := json.MarshalIndent(r, "", "  ")
@@ -92,9 +94,7 @@ func TestResultJSONGolden(t *testing.T) {
 	got = append(got, '\n')
 	path := filepath.Join("testdata", "result_golden.json")
 	if *updateGolden {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
+		recordModelVersion(t)
 		if err := os.WriteFile(path, got, 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -114,5 +114,20 @@ func TestResultJSONGolden(t *testing.T) {
 	}
 	if !reflect.DeepEqual(r, &back) {
 		t.Error("golden file does not decode to the live result")
+	}
+}
+
+// recordModelVersion guards -update: goldens are rewritten only under a
+// new ModelVersion. It fails t when testdata/model_version already
+// records the current version, and records it otherwise.
+func recordModelVersion(t *testing.T) {
+	t.Helper()
+	path := filepath.Join("testdata", "model_version")
+	cur := strconv.Itoa(ModelVersion)
+	if b, err := os.ReadFile(path); err == nil && strings.TrimSpace(string(b)) == cur {
+		t.Fatalf("-update at ModelVersion %s, the version the goldens were written at; bump sim.ModelVersion first", cur)
+	}
+	if err := os.WriteFile(path, []byte(cur+"\n"), 0o644); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -95,12 +95,25 @@ type fuzzPair struct {
 
 // check compares the pair on vpn's translation and walk.
 func (p fuzzPair) check(t *testing.T, op int, vpn addr.VPN) {
+	p.checkLookup(t, op, vpn)
+	p.checkWalk(t, op, vpn)
+}
+
+// checkLookup compares the pair on vpn's translation. Lookup and
+// Present read the frame store only, so ECH keeps MapRange's pages
+// queued across it.
+func (p fuzzPair) checkLookup(t *testing.T, op int, vpn addr.VPN) {
 	eg, okg := p.got.Lookup(vpn)
 	ew, okw := p.want.Lookup(vpn)
 	if okg != okw || eg != ew || p.got.Present(vpn) != okw {
 		t.Fatalf("%s op %d: Lookup(%#x) = %+v,%v Present %v; want %+v,%v",
 			p.name, op, uint64(vpn), eg, okg, p.got.Present(vpn), ew, okw)
 	}
+}
+
+// checkWalk compares the pair on vpn's walk, which places any queued
+// ECH tags first.
+func (p fuzzPair) checkWalk(t *testing.T, op int, vpn addr.VPN) {
 	wg, ww := p.wg, p.ww
 	v := vpn.Addr() + addr.V(uint64(vpn)%addr.PageSize)
 	p.got.WalkInto(v, wg)
@@ -140,8 +153,12 @@ func sameAccesses(a, b []Access) bool {
 }
 
 // runTableOps applies ops to Radix, Flattened and Cuckoo and to their
-// references, checking every pair after every op, and sweeps every page
-// of every chunk at the end, where it also audits each frame store.
+// references. It compares every pair's translations after every op,
+// walks the op's page on an opWalk, compares walks and whole-table
+// counts after every fourth op, and sweeps every page of every chunk at
+// the end, where it also audits each frame store. Walks and counts read
+// ECH's slot state, which places its queued tags, so the sparser
+// cadence lets several MapRanges queue runs for one bulk build.
 // Each table first reserves the chunks' hull and the three chunks past
 // the last, which a run from it can reach. Radix skips the ops that
 // would panic on it: a 4 KB map under a 2 MB leaf, or a 2 MB map over a
@@ -200,10 +217,15 @@ func runTableOps(t *testing.T, ops []fuzzOp) {
 					}
 				}
 			}
-			p.check(t, i, vpn)
-			p.checkCounts(t, i)
+			p.checkLookup(t, i, vpn)
 			if o.kind == opMapRange || o.kind == opUnmap {
-				p.check(t, i, vpn+addr.VPN(o.count()-1))
+				p.checkLookup(t, i, vpn+addr.VPN(o.count()-1))
+			}
+			if o.kind == opWalk || i%4 == 3 {
+				p.checkWalk(t, i, vpn)
+			}
+			if i%4 == 3 {
+				p.checkCounts(t, i)
 			}
 		}
 	}
@@ -224,7 +246,8 @@ func runTableOps(t *testing.T, ops []fuzzOp) {
 	}
 }
 
-// fuzzSeeds are the frame store's edge cases.
+// fuzzSeeds are the frame store's edge cases, and one multi-run ECH
+// bulk build.
 var fuzzSeeds = [][]fuzzOp{
 	// A remap inside an extent, then walks on and off the remapped page.
 	{{opMapRange, 0, 0, 511}, {opMap, 0, 7, 99}, {opWalk, 0, 7, 0}, {opWalk, 0, 8, 0}},
@@ -241,12 +264,16 @@ var fuzzSeeds = [][]fuzzOp{
 	// into the reserved chunks past it.
 	{{opMapRange, 1, 400, 399}, {opMap, 2, 5, 8}, {opWalk, 2, 6, 0}, {opUnmap, 1, 500, 199},
 		{opWalk, 1, 600, 0}, {opMapRange, 5, 500, 1099}, {opWalk, 5, 511, 0}, {opUnmap, 5, 400, 1099}},
+	// Three MapRanges, the last over a page Map placed, queue four runs
+	// that one ECH bulk build places at the fourth op's walk.
+	{{opMap, 3, 5, 1}, {opMapRange, 0, 10, 99}, {opMapRange, 2, 300, 48}, {opMapRange, 3, 0, 21}, {opWalk, 3, 5, 0}},
 }
 
 // FuzzTableOps decodes its input into Map, MapRange, MapHuge (Radix
 // only), Unmap and WalkInto sequences over a few reserved chunks and
-// requires each table to match its reference after every op: Lookup,
-// Present, WalkInto accesses, MappedPages and Occupancy.
+// requires each table to match its reference on Lookup and Present
+// after every op, and on WalkInto accesses, MappedPages and Occupancy
+// at runTableOps' cadence.
 func FuzzTableOps(f *testing.F) {
 	for _, seed := range fuzzSeeds {
 		var data []byte

@@ -25,7 +25,7 @@ type flight struct {
 	key    string
 	res    *sim.Result
 	err    error
-	cached bool // resolved from the store (raced with an upload), not simulated
+	cached bool // resolved from the store (raced with another run of the key), not simulated
 	done   chan struct{}
 }
 
@@ -64,8 +64,9 @@ func (s *Server) worker() {
 	}
 }
 
-// runFlight resolves one flight: re-check the store (an upload or a
-// sibling's run may have landed the key while this flight queued),
+// runFlight resolves one flight: re-check the store (an earlier
+// flight's run, or a salvaged one, may have landed the key while this
+// flight queued),
 // simulate on a miss, store the result, then release every waiter.
 func (s *Server) runFlight(f *flight) {
 	if res, ok, err := s.store.Get(f.key); err == nil && ok {

@@ -13,13 +13,15 @@
 //	                         queue depth, worker utilization, inventory)
 //	GET  /v1/result/{key}    warm-key fetch; 404 on a cold key (never
 //	                         schedules work)
-//	PUT  /v1/result/{key}    client upload of a locally computed result
 //	POST /v1/sim             body sim.Config: warm → result; cold →
 //	                         singleflight-scheduled run (blocks); full
 //	                         queue → 429 + Retry-After
 //
 // A {key} must have the form sim.Config.Key() produces (32 lowercase
 // hex digits); anything else is a 400 before the store sees it.
+//
+// Only the server writes to its store: results enter it from its own
+// workers, never from clients.
 //
 // The package is transport and scheduling only: simulation semantics,
 // config validation (sim.Config.Normalize/Validate/Key), and storage
@@ -97,7 +99,6 @@ type Server struct {
 	collapses atomic.Uint64
 	sims      atomic.Uint64
 	failures  atomic.Uint64
-	uploads   atomic.Uint64
 	rejected  atomic.Uint64
 	storeErrs atomic.Uint64
 	panics    atomic.Uint64
@@ -146,7 +147,6 @@ func New(opts Options) (*Server, error) {
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /statsz", s.handleStatsz)
 	s.mux.HandleFunc("GET /v1/result/{key}", s.handleResultGet)
-	s.mux.HandleFunc("PUT /v1/result/{key}", s.handleResultPut)
 	s.mux.HandleFunc("POST /v1/sim", s.handleSim)
 	for i := 0; i < workers; i++ {
 		s.wg.Add(1)
@@ -192,8 +192,6 @@ type Stats struct {
 	// that errored.
 	Simulations uint64 `json:"simulations"`
 	Failures    uint64 `json:"failures"`
-	// Uploads counts results written by clients via PUT.
-	Uploads uint64 `json:"uploads"`
 	// Rejected counts runs refused with 429 because the queue was full.
 	Rejected uint64 `json:"rejected"`
 	// StoreErrors counts failed writes of completed results.
@@ -236,7 +234,6 @@ func (s *Server) Snapshot() Stats {
 		Collapses:       s.collapses.Load(),
 		Simulations:     s.sims.Load(),
 		Failures:        s.failures.Load(),
-		Uploads:         s.uploads.Load(),
 		Rejected:        s.rejected.Load(),
 		StoreErrors:     s.storeErrs.Load(),
 		PanicsRecovered: s.panics.Load(),
@@ -307,37 +304,6 @@ func (s *Server) handleResultGet(w http.ResponseWriter, r *http.Request) {
 	}
 	s.hits.Add(1)
 	writeResult(w, res, "hit")
-}
-
-// handleResultPut accepts a client-computed result. The body must be a
-// full sim.Result whose embedded configuration is valid and hashes to
-// the key in the URL — the server re-derives the content address, so a
-// client cannot poison another configuration's cache slot.
-func (s *Server) handleResultPut(w http.ResponseWriter, r *http.Request) {
-	key, ok := resultKey(w, r)
-	if !ok {
-		return
-	}
-	var res sim.Result
-	if err := json.NewDecoder(io.LimitReader(r.Body, 64<<20)).Decode(&res); err != nil {
-		http.Error(w, fmt.Sprintf("decode result: %v", err), http.StatusBadRequest)
-		return
-	}
-	if err := res.Config.Validate(); err != nil {
-		http.Error(w, fmt.Sprintf("result config: %v", err), http.StatusBadRequest)
-		return
-	}
-	if got := res.Config.Key(); got != key {
-		http.Error(w, fmt.Sprintf("content address mismatch: config hashes to %s, not %s", got, key), http.StatusBadRequest)
-		return
-	}
-	if err := s.store.Put(key, &res); err != nil {
-		s.storeErrs.Add(1)
-		http.Error(w, fmt.Sprintf("store: %v", err), http.StatusInternalServerError)
-		return
-	}
-	s.uploads.Add(1)
-	w.WriteHeader(http.StatusNoContent)
 }
 
 // decodeConfig parses and validates a request-body configuration,

@@ -278,9 +278,10 @@ func TestMalformedRequests(t *testing.T) {
 }
 
 // TestMalformedResultKeys: on a DirStore-backed server, a {key} that
-// is not shaped like a content key is the client's error (400) on both
-// GET and PUT — never a store failure (500) — and the store never sees
-// it. A well-formed cold key is still a plain 404.
+// is not shaped like a content key is the client's error (400) on GET —
+// never a store failure (500) — and the store never sees it. A
+// well-formed cold key is still a plain 404, and the route takes no
+// uploads: PUT is 405.
 func TestMalformedResultKeys(t *testing.T) {
 	ds, err := sweep.NewDirStore(t.TempDir())
 	if err != nil {
@@ -301,16 +302,17 @@ func TestMalformedResultKeys(t *testing.T) {
 		return resp.StatusCode
 	}
 	for _, k := range []string{"a.b", "%2e%2e", "x%5Cy", key[:31], key + "0", strings.ToUpper(key)} {
-		for _, method := range []string{http.MethodGet, http.MethodPut} {
-			if got := do(method, k); got != http.StatusBadRequest {
-				t.Errorf("%s /v1/result/%s: status %d, want 400", method, k, got)
-			}
+		if got := do(http.MethodGet, k); got != http.StatusBadRequest {
+			t.Errorf("GET /v1/result/%s: status %d, want 400", k, got)
 		}
 	}
 	if got := do(http.MethodGet, key); got != http.StatusNotFound {
 		t.Errorf("cold well-formed key: status %d, want 404", got)
 	}
-	if snap := s.Snapshot(); snap.Uploads != 0 || snap.StoreErrors != 0 || snap.Stored != 0 {
+	if got := do(http.MethodPut, key); got != http.StatusMethodNotAllowed {
+		t.Errorf("PUT /v1/result/%s: status %d, want 405", key, got)
+	}
+	if snap := s.Snapshot(); snap.StoreErrors != 0 || snap.Stored != 0 {
 		t.Errorf("malformed keys reached the store: %+v", snap)
 	}
 }
@@ -399,46 +401,6 @@ func TestBackpressure(t *testing.T) {
 	resp.Body.Close()
 	if snap := s.Snapshot(); snap.Rejected != 1 {
 		t.Errorf("rejected = %d, want 1", snap.Rejected)
-	}
-}
-
-// TestUploadIntegrity: PUT stores a valid result, and the server
-// re-derives the content address so a mangled upload cannot poison a
-// different key.
-func TestUploadIntegrity(t *testing.T) {
-	store := sweep.NewMemStore()
-	s, ts := newTestServer(t, Options{Store: store})
-
-	cfg := testBase(5)
-	key := cfg.Key()
-	res := fakeResult(cfg)
-	b, _ := json.Marshal(res)
-	put := func(k string, body []byte) int {
-		req, _ := http.NewRequest(http.MethodPut, ts.URL+"/v1/result/"+k, bytes.NewReader(body))
-		req.Header.Set("Content-Type", "application/json")
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		return resp.StatusCode
-	}
-
-	if code := put(key, b); code != http.StatusNoContent {
-		t.Fatalf("upload: status %d, want 204", code)
-	}
-	if got, ok, _ := store.Get(key); !ok || got.Cycles != res.Cycles {
-		t.Fatal("upload did not land in the store")
-	}
-	if code := put(testBase(6).Key(), b); code != http.StatusBadRequest {
-		t.Errorf("mismatched-key upload: status %d, want 400", code)
-	}
-	if code := put(key, []byte(`{"Cycles": `)); code != http.StatusBadRequest {
-		t.Errorf("broken upload: status %d, want 400", code)
-	}
-	if snap := s.Snapshot(); snap.Uploads != 1 {
-		t.Errorf("uploads = %d, want 1", snap.Uploads)
 	}
 }
 
@@ -587,7 +549,7 @@ func TestStatszJSONShape(t *testing.T) {
 	resp.Body.Close()
 	for _, field := range []string{
 		`"hits"`, `"misses"`, `"collapses"`, `"simulations"`, `"failures"`,
-		`"uploads"`, `"rejected"`, `"queue_depth"`, `"workers"`, `"busy_workers"`, `"stored"`,
+		`"rejected"`, `"queue_depth"`, `"workers"`, `"busy_workers"`, `"stored"`,
 	} {
 		if !bytes.Contains(body, []byte(field)) {
 			t.Errorf("statsz missing %s:\n%s", field, body)

@@ -10,7 +10,6 @@ import (
 	"math/rand"
 	"net/http"
 	"net/url"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -21,31 +20,33 @@ import (
 )
 
 // RemoteStore is a Store backed by an ndpserve instance: the shared
-// sweep-result service (internal/serve). It implements three layers of
-// the protocol:
+// sweep-result service (internal/serve). It speaks two requests of the
+// protocol:
 //
-//   - Get fetches warm results over HTTP into a local write-through
-//     cache and serves keys it already holds without a request, so a
-//     key is transferred at most once per process.
-//   - Put writes through: the result is cached locally and uploaded to
-//     the server, except for results the server itself produced or
-//     served (it already has them).
+//   - Get fetches warm results over HTTP (GET /v1/result/{key}) into a
+//     local cache and serves keys it already holds without a request, so
+//     a key is transferred at most once per process.
 //   - Simulate (the Simulator extension) delegates cold runs to the
 //     server's singleflight scheduler via POST /v1/sim: identical
 //     requests from any number of clients collapse into one simulation
-//     server-side. A 429 (queue full) is retried after the server's
-//     Retry-After delay until Context cancels.
+//     server-side, which also stores the result. A 429 (queue full) is
+//     re-posted after the server's Retry-After delay until Context
+//     cancels.
+//
+// Put only records a result in the local cache: every result a sweep
+// stores came from the server or from a degraded local run, and the
+// server recomputes a content-addressed key the next time any client
+// posts it.
 //
 // The store is resilient: transient failures — connection resets,
 // timeouts, 5xx responses, truncated bodies — are retried with capped
-// jittered exponential backoff under per-attempt deadlines, and a
-// circuit breaker watches consecutive transport failures. When the
-// server is persistently unreachable the breaker opens and the store
-// degrades instead of failing the sweep: Get reports a miss for keys it
-// does not hold, Put keeps the result locally, and Simulate falls back
-// to local in-process simulation. While open, the breaker admits one
-// probe per cooldown interval; a probe that succeeds closes it and
-// normal service resumes.
+// jittered exponential backoff, and a circuit breaker watches
+// consecutive transport failures. When the server is persistently
+// unreachable the breaker opens and the store degrades instead of
+// failing the sweep: Get reports a miss for keys it does not hold, and
+// Simulate falls back to local in-process simulation. While open, the
+// breaker admits one probe per cooldown interval; a probe that succeeds
+// closes it and normal service resumes.
 //
 // Because results are content-addressed by sim.Config.Key(), a locally
 // cached entry can never be stale: the server could only confirm it.
@@ -63,9 +64,8 @@ type RemoteStore struct {
 	base string
 	tune remoteTuning
 
-	mu       sync.Mutex
-	local    map[string]*sim.Result
-	onServer map[string]bool
+	mu    sync.Mutex
+	local map[string]*sim.Result
 
 	brkMu       sync.Mutex
 	brkState    BreakerState
@@ -75,12 +75,10 @@ type RemoteStore struct {
 	hits         atomic.Uint64 // results fetched from the server
 	misses       atomic.Uint64 // keys the server does not hold
 	remoteSims   atomic.Uint64 // cold runs delegated via POST /v1/sim
-	uploads      atomic.Uint64 // results uploaded via PUT
 	retries      atomic.Uint64 // HTTP attempts repeated after a transient failure
 	breakerOpens atomic.Uint64 // closed/half-open -> open transitions
 	localSims    atomic.Uint64 // cold runs simulated locally (degraded mode)
 	degradedGets atomic.Uint64 // Gets answered without the server (breaker open or retries exhausted)
-	droppedPuts  atomic.Uint64 // uploads abandoned to an unreachable server
 }
 
 // remoteTuning is a RemoteStore's retry, deadline, and breaker policy.
@@ -94,10 +92,9 @@ type remoteTuning struct {
 	// backoffBase is the first retry delay; it doubles per attempt with
 	// up to 50% additive jitter, capped (before jitter) at backoffCap.
 	backoffBase, backoffCap time.Duration
-	// requestTimeout is the per-attempt deadline for Get and Put.
-	// Simulate attempts have none: a server-side simulation
-	// legitimately runs for minutes, and the server's own watchdog
-	// bounds runaway runs.
+	// requestTimeout is the per-attempt deadline for Get. Simulate
+	// attempts have none: a server-side simulation legitimately runs for
+	// minutes, and the server's own watchdog bounds runaway runs.
 	requestTimeout time.Duration
 	// breakerTrip is the consecutive transport-failure count that opens
 	// the circuit; breakerCooldown is how long it stays open before
@@ -138,12 +135,10 @@ type RemoteStats struct {
 	Hits         uint64 // results fetched from the server
 	Misses       uint64 // keys the server does not hold
 	RemoteSims   uint64 // cold runs delegated to the server
-	Uploads      uint64 // locally computed results uploaded
 	Retries      uint64 // attempts repeated after transient failures
 	BreakerOpens uint64 // circuit open transitions
 	LocalSims    uint64 // cold runs simulated locally in degraded mode
 	DegradedGets uint64 // Gets answered without the server
-	DroppedPuts  uint64 // uploads abandoned to an unreachable server
 
 	Breaker BreakerState // current circuit position
 }
@@ -169,13 +164,9 @@ func NewRemoteStore(baseURL string) (*RemoteStore, error) {
 			breakerTrip:     5,
 			breakerCooldown: 10 * time.Second,
 		},
-		local:    make(map[string]*sim.Result),
-		onServer: make(map[string]bool),
+		local: make(map[string]*sim.Result),
 	}, nil
 }
-
-// BaseURL returns the server address the store talks to.
-func (s *RemoteStore) BaseURL() string { return s.base }
 
 // Stats returns a snapshot of the traffic counters.
 func (s *RemoteStore) Stats() RemoteStats {
@@ -183,12 +174,10 @@ func (s *RemoteStore) Stats() RemoteStats {
 		Hits:         s.hits.Load(),
 		Misses:       s.misses.Load(),
 		RemoteSims:   s.remoteSims.Load(),
-		Uploads:      s.uploads.Load(),
 		Retries:      s.retries.Load(),
 		BreakerOpens: s.breakerOpens.Load(),
 		LocalSims:    s.localSims.Load(),
 		DegradedGets: s.degradedGets.Load(),
-		DroppedPuts:  s.droppedPuts.Load(),
 		Breaker:      s.Breaker(),
 	}
 }
@@ -270,6 +259,11 @@ func (s *RemoteStore) backoff(attempt int) bool {
 	// recovering server does not stampede it in lockstep.
 	d += time.Duration(rand.Int63n(int64(d)/2 + 1))
 	s.retries.Add(1)
+	return s.sleep(d)
+}
+
+// sleep waits d, reporting false when Context cancelled first.
+func (s *RemoteStore) sleep(d time.Duration) bool {
 	t := time.NewTimer(d)
 	defer t.Stop()
 	select {
@@ -278,219 +272,6 @@ func (s *RemoteStore) backoff(attempt int) bool {
 	case <-t.C:
 		return true
 	}
-}
-
-// cache records a server-held result in the local write-through cache.
-func (s *RemoteStore) cache(key string, res *sim.Result) {
-	s.mu.Lock()
-	s.local[key] = res
-	s.onServer[key] = true
-	s.mu.Unlock()
-}
-
-// Len returns the number of locally cached results (Inventory; the
-// server-side inventory is on /statsz).
-func (s *RemoteStore) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.local)
-}
-
-// Keys returns the locally cached keys in sorted order (Inventory).
-func (s *RemoteStore) Keys() []string {
-	s.mu.Lock()
-	keys := make([]string, 0, len(s.local))
-	for k := range s.local {
-		keys = append(keys, k)
-	}
-	s.mu.Unlock()
-	sort.Strings(keys)
-	return keys
-}
-
-// errBody formats an error response, folding in the server's message.
-func errBody(op string, resp *http.Response) error {
-	b, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-	msg := strings.TrimSpace(string(b))
-	if msg == "" {
-		msg = resp.Status
-	}
-	return fmt.Errorf("sweep: remote %s: %s", op, msg)
-}
-
-// integrityError marks a well-formed response whose payload fails
-// content-address verification: the server is reachable but served the
-// wrong bytes. Never retried — the server would serve them again.
-type integrityError struct{ msg string }
-
-func (e *integrityError) Error() string { return e.msg }
-
-// decodeResult decodes a result body and verifies its content address.
-// A decode failure (torn connection, truncated body) is an ordinary
-// retryable error; an entry whose embedded configuration does not hash
-// to key is an integrityError — a server-side integrity failure, not a
-// usable result and not worth a retry.
-func decodeResult(key string, body io.Reader) (*sim.Result, error) {
-	var res sim.Result
-	if err := json.NewDecoder(body).Decode(&res); err != nil {
-		return nil, fmt.Errorf("sweep: remote result %s: %w", key, err)
-	}
-	if got := res.Config.Key(); got != key {
-		return nil, &integrityError{fmt.Sprintf("sweep: remote result %s: content address mismatch (config hashes to %s)", key, got)}
-	}
-	return &res, nil
-}
-
-// requestCtx derives the per-attempt deadline context for Get and Put.
-func (s *RemoteStore) requestCtx() (context.Context, context.CancelFunc) {
-	return context.WithTimeout(s.ctx(), s.tune.requestTimeout)
-}
-
-// Get implements Store: a key held locally is served without a
-// request; any other key is fetched from the server. Transient failures
-// are retried with backoff; a server that stays unreachable degrades to
-// a miss rather than failing the sweep, which routes the run to
-// Simulate (and, with the breaker open, to local in-process
-// simulation). Errors are reserved for failures retrying cannot fix:
-// malformed keys, integrity mismatches, 4xx.
-func (s *RemoteStore) Get(key string) (*sim.Result, bool, error) {
-	s.mu.Lock()
-	res, ok := s.local[key]
-	s.mu.Unlock()
-	if ok {
-		return res, true, nil
-	}
-	degrade := func() (*sim.Result, bool, error) {
-		s.degradedGets.Add(1)
-		return nil, false, nil
-	}
-	if !s.breakerAllow() {
-		return degrade()
-	}
-	for attempt := 1; ; attempt++ {
-		ctx, cancel := s.requestCtx()
-		res, ok, err, retryable := s.getOnce(ctx, key)
-		cancel()
-		if !retryable {
-			return res, ok, err
-		}
-		if attempt >= s.tune.attempts || !s.breakerAllow() || !s.backoff(attempt) {
-			return degrade()
-		}
-	}
-}
-
-// getOnce performs one GET attempt. retryable reports a transient
-// failure the caller may re-attempt; otherwise the first three return
-// values are final.
-func (s *RemoteStore) getOnce(ctx context.Context, key string) (*sim.Result, bool, error, bool) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, s.base+"/v1/result/"+key, nil)
-	if err != nil {
-		return nil, false, fmt.Errorf("sweep: remote get %s: %w", key, err), false
-	}
-	resp, err := s.httpc().Do(req)
-	if err != nil {
-		s.breakerReport(false)
-		return nil, false, nil, true
-	}
-	defer func() {
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-	}()
-	if resp.StatusCode >= 500 {
-		s.breakerReport(false)
-		return nil, false, nil, true
-	}
-	s.breakerReport(true)
-
-	switch resp.StatusCode {
-	case http.StatusOK:
-		res, err := decodeResult(key, resp.Body)
-		var ie *integrityError
-		if errors.As(err, &ie) {
-			return nil, false, err, false
-		}
-		if err != nil {
-			// The body tore mid-transfer; the server itself is fine.
-			return nil, false, nil, true
-		}
-		s.cache(key, res)
-		s.hits.Add(1)
-		return res, true, nil, false
-	case http.StatusNotFound:
-		s.misses.Add(1)
-		return nil, false, nil, false
-	default:
-		return nil, false, errBody("get "+key, resp), false
-	}
-}
-
-// Put implements Store: write-through. The result always lands in the
-// local cache; the upload to the server is retried through transient
-// failures but ultimately best-effort — a server that stays unreachable
-// costs the upload (counted in DroppedPuts), never the sweep, since the
-// server can always recompute a content-addressed entry. Errors are
-// reserved for failures that are not the transport's fault (encoding,
-// 4xx rejections).
-func (s *RemoteStore) Put(key string, res *sim.Result) error {
-	s.mu.Lock()
-	s.local[key] = res
-	known := s.onServer[key]
-	s.mu.Unlock()
-	if known {
-		return nil
-	}
-	b, err := json.Marshal(res)
-	if err != nil {
-		return fmt.Errorf("sweep: remote put %s: %w", key, err)
-	}
-	if !s.breakerAllow() {
-		s.droppedPuts.Add(1)
-		return nil
-	}
-	for attempt := 1; ; attempt++ {
-		ctx, cancel := s.requestCtx()
-		err, retryable := s.putOnce(ctx, key, b)
-		cancel()
-		if !retryable {
-			return err
-		}
-		if attempt >= s.tune.attempts || !s.breakerAllow() || !s.backoff(attempt) {
-			s.droppedPuts.Add(1)
-			return nil
-		}
-	}
-}
-
-// putOnce performs one PUT attempt.
-func (s *RemoteStore) putOnce(ctx context.Context, key string, body []byte) (error, bool) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPut, s.base+"/v1/result/"+key, bytes.NewReader(body))
-	if err != nil {
-		return fmt.Errorf("sweep: remote put %s: %w", key, err), false
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := s.httpc().Do(req)
-	if err != nil {
-		s.breakerReport(false)
-		return nil, true
-	}
-	defer func() {
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-	}()
-	if resp.StatusCode >= 500 {
-		s.breakerReport(false)
-		return nil, true
-	}
-	s.breakerReport(true)
-	if resp.StatusCode != http.StatusNoContent && resp.StatusCode != http.StatusOK {
-		return errBody("put "+key, resp), false
-	}
-	s.mu.Lock()
-	s.onServer[key] = true
-	s.mu.Unlock()
-	s.uploads.Add(1)
-	return nil, false
 }
 
 // retryAfter parses a 429's Retry-After delay, clamped to [1s, 30s].
@@ -507,19 +288,185 @@ func retryAfter(resp *http.Response) time.Duration {
 	return d
 }
 
+// verdict is a response handler's classification of one attempt.
+type verdict int
+
+const (
+	// done: the response settles the request, with the handler's error.
+	done verdict = iota
+	// retry: a transient failure; back off and spend another attempt.
+	retry
+	// pace: backpressure (429); wait out Retry-After and re-post without
+	// spending an attempt — the server is alive, just busy.
+	pace
+)
+
+// errUnreachable reports that the server could not serve a request:
+// the breaker is open, or every attempt failed transiently.
+var errUnreachable = errors.New("sweep: remote server unreachable")
+
+// roundTrip sends one logical request to the server: the store's only
+// attempt loop. Each attempt passes the breaker, carries timeout as its
+// deadline (0 = none), and hands the response to handle. Transport
+// errors, and 5xx responses the server does not mark X-Sim-Permanent,
+// count against the breaker; any other response clears it. roundTrip
+// returns handle's error once it reports done, Context's error once it
+// cancels (never charged to the breaker), and errUnreachable when the
+// breaker is open or the attempts run out.
+func (s *RemoteStore) roundTrip(method, path string, body []byte, timeout time.Duration, handle func(*http.Response) (verdict, error)) error {
+	ctx := s.ctx()
+	var wait time.Duration // a pace verdict's Retry-After
+	send := func() (verdict, error) {
+		actx := ctx
+		if timeout > 0 {
+			var cancel context.CancelFunc
+			actx, cancel = context.WithTimeout(ctx, timeout)
+			defer cancel()
+		}
+		req, err := http.NewRequestWithContext(actx, method, s.base+path, bytes.NewReader(body))
+		if err != nil {
+			return done, fmt.Errorf("sweep: remote %s %s: %w", method, path, err)
+		}
+		if body != nil {
+			req.Header.Set("Content-Type", "application/json")
+		}
+		resp, err := s.httpc().Do(req)
+		if err != nil {
+			if ctx.Err() == nil {
+				s.breakerReport(false)
+			}
+			return retry, nil
+		}
+		defer func() {
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+		}()
+		s.breakerReport(resp.StatusCode < 500 || resp.Header.Get("X-Sim-Permanent") == "true")
+		v, err := handle(resp)
+		if v == pace {
+			wait = retryAfter(resp)
+		}
+		return v, err
+	}
+	if !s.breakerAllow() {
+		return errUnreachable
+	}
+	for attempt := 1; ; {
+		v, err := send()
+		if v == done {
+			return err
+		}
+		if ctx.Err() != nil {
+			return ctx.Err()
+		}
+		if v == pace {
+			if !s.sleep(wait + time.Duration(rand.Int63n(int64(wait)/4+1))) {
+				return ctx.Err()
+			}
+			continue
+		}
+		if attempt >= s.tune.attempts || !s.breakerAllow() {
+			return errUnreachable
+		}
+		if !s.backoff(attempt) {
+			return ctx.Err()
+		}
+		attempt++
+	}
+}
+
+// errBody formats an error response, folding in the server's message.
+func errBody(op string, resp *http.Response) error {
+	b, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
+	msg := strings.TrimSpace(string(b))
+	if msg == "" {
+		msg = resp.Status
+	}
+	return fmt.Errorf("sweep: remote %s: %s", op, msg)
+}
+
+// decodeResult decodes a 200 body and verifies its content address. A
+// body that does not decode (torn connection, truncated transfer) is
+// worth a retry; one whose embedded configuration does not hash to key
+// is a server-side integrity failure, never retried — the server would
+// serve the same bytes again.
+func decodeResult(key string, body io.Reader) (*sim.Result, verdict, error) {
+	var res sim.Result
+	if err := json.NewDecoder(body).Decode(&res); err != nil {
+		return nil, retry, nil
+	}
+	if got := res.Config.Key(); got != key {
+		return nil, done, fmt.Errorf("sweep: remote result %s: content address mismatch (config hashes to %s)", key, got)
+	}
+	return &res, done, nil
+}
+
+// cache records a result in the local cache.
+func (s *RemoteStore) cache(key string, res *sim.Result) {
+	s.mu.Lock()
+	s.local[key] = res
+	s.mu.Unlock()
+}
+
+// Get implements Store: a key held locally is served without a
+// request; any other key is fetched from the server. Transient failures
+// are retried with backoff; a server that stays unreachable degrades to
+// a miss rather than failing the sweep, which routes the run to
+// Simulate (and, with the breaker open, to local in-process
+// simulation). Errors are reserved for failures retrying cannot fix —
+// malformed keys, integrity mismatches, 4xx — and for a cancelled
+// Context.
+func (s *RemoteStore) Get(key string) (*sim.Result, bool, error) {
+	s.mu.Lock()
+	res, ok := s.local[key]
+	s.mu.Unlock()
+	if ok {
+		return res, true, nil
+	}
+	err := s.roundTrip(http.MethodGet, "/v1/result/"+key, nil, s.tune.requestTimeout, func(resp *http.Response) (verdict, error) {
+		switch {
+		case resp.StatusCode == http.StatusOK:
+			r, v, err := decodeResult(key, resp.Body)
+			if r != nil {
+				s.cache(key, r)
+				s.hits.Add(1)
+				res = r
+			}
+			return v, err
+		case resp.StatusCode == http.StatusNotFound:
+			s.misses.Add(1)
+			return done, nil
+		case resp.StatusCode >= 500:
+			return retry, nil
+		default:
+			return done, errBody("get "+key, resp)
+		}
+	})
+	if errors.Is(err, errUnreachable) {
+		s.degradedGets.Add(1)
+		return nil, false, nil
+	}
+	return res, res != nil, err
+}
+
+// Put implements Store by recording res in the local cache; it sends
+// no request. The server already holds every result it simulated, and
+// recomputes any other key the next time a client posts it.
+func (s *RemoteStore) Put(key string, res *sim.Result) error {
+	s.cache(key, res)
+	return nil
+}
+
 // localFallback is degraded-mode Simulate: the server is unreachable,
-// so the configuration runs in-process. The result is cached locally
-// but not marked server-resident, so a later Put retries the upload
-// once the circuit closes.
+// so the configuration runs in-process and its result is cached
+// locally.
 func (s *RemoteStore) localFallback(cfg sim.Config, key string) (*sim.Result, error) {
 	s.localSims.Add(1)
 	res, err := simulateLocal(cfg)
 	if err != nil {
 		return nil, err
 	}
-	s.mu.Lock()
-	s.local[key] = res
-	s.mu.Unlock()
+	s.cache(key, res)
 	return res, nil
 }
 
@@ -527,11 +474,11 @@ func (s *RemoteStore) localFallback(cfg sim.Config, key string) (*sim.Result, er
 // is posted to the server, which either answers warm from its store or
 // schedules the run on its worker pool — collapsing concurrent
 // identical requests (from this client and every other) into a single
-// simulation. Backpressure (429) is retried after the server's
+// simulation. Backpressure (429) is re-posted after the server's
 // Retry-After delay until the run is accepted or Context cancels;
-// transient failures (resets, timeouts, 5xx the server marks
-// retryable) back off and retry, up to four attempts. A server that
-// stays unreachable — or a breaker already open — degrades to local
+// transient failures (resets, 5xx the server marks retryable, torn
+// bodies) back off and retry, up to four attempts. A server that stays
+// unreachable — or a breaker already open — degrades to local
 // in-process simulation, so the sweep completes on client hardware
 // instead of stalling. Permanent server-side failures (the server sets
 // X-Sim-Permanent: true) return a RunError with Permanent set and are
@@ -543,104 +490,36 @@ func (s *RemoteStore) Simulate(cfg sim.Config) (*sim.Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("sweep: remote sim %s: %w", cfg.Desc(), err)
 	}
-	if !s.breakerAllow() {
-		return s.localFallback(cfg, key)
-	}
-	for attempt := 1; ; attempt++ {
-		res, err, retryable := s.simulateOnce(cfg, key, body)
-		if !retryable {
-			return res, err
-		}
-		if attempt >= s.tune.attempts || !s.breakerAllow() || !s.backoff(attempt) {
-			if cerr := s.ctx().Err(); cerr != nil {
-				return nil, cerr
+	var res *sim.Result
+	err = s.roundTrip(http.MethodPost, "/v1/sim", body, 0, func(resp *http.Response) (verdict, error) {
+		switch {
+		case resp.StatusCode == http.StatusOK:
+			r, v, err := decodeResult(key, resp.Body)
+			if r != nil {
+				s.cache(key, r)
+				s.remoteSims.Add(1)
+				res = r
 			}
-			return s.localFallback(cfg, key)
-		}
-	}
-}
-
-// simulateOnce performs one POST /v1/sim attempt, waiting out any 429
-// backpressure inside the attempt (the server is alive when it sends
-// 429, so pacing rounds do not consume retry attempts).
-func (s *RemoteStore) simulateOnce(cfg sim.Config, key string, body []byte) (*sim.Result, error, bool) {
-	for {
-		req, err := http.NewRequestWithContext(s.ctx(), http.MethodPost, s.base+"/v1/sim", bytes.NewReader(body))
-		if err != nil {
-			return nil, fmt.Errorf("sweep: remote sim %s: %w", cfg.Desc(), err), false
-		}
-		req.Header.Set("Content-Type", "application/json")
-		resp, err := s.httpc().Do(req)
-		if err != nil {
-			if cerr := s.ctx().Err(); cerr != nil {
-				return nil, cerr, false
-			}
-			s.breakerReport(false)
-			return nil, fmt.Errorf("sweep: remote sim %s: %w", cfg.Desc(), err), true
-		}
-		done, res, rerr, retryable := s.simResponse(cfg, key, resp)
-		if done {
-			return res, rerr, retryable
-		}
-		// 429: honor the server's pacing (with jitter) and re-post.
-		if cerr := s.ctx().Err(); cerr != nil {
-			return nil, cerr, false
-		}
-	}
-}
-
-// simResponse consumes one /v1/sim response. done is false only for
-// backpressure (429), after the pacing delay has been waited out.
-func (s *RemoteStore) simResponse(cfg sim.Config, key string, resp *http.Response) (done bool, _ *sim.Result, _ error, retryable bool) {
-	defer func() {
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-	}()
-	switch {
-	case resp.StatusCode == http.StatusOK:
-		s.breakerReport(true)
-		res, err := decodeResult(key, resp.Body)
-		var ie *integrityError
-		if errors.As(err, &ie) {
-			return true, nil, err, false
-		}
-		if err != nil {
-			// Truncated mid-body: the next attempt will find the key warm.
-			return true, nil, fmt.Errorf("sweep: remote sim %s: %w", cfg.Desc(), err), true
-		}
-		s.cache(key, res)
-		s.remoteSims.Add(1)
-		return true, res, nil, false
-	case resp.StatusCode == http.StatusTooManyRequests:
-		// The server's queue is full: honor its pacing and retry.
-		s.breakerReport(true)
-		delay := retryAfter(resp)
-		delay += time.Duration(rand.Int63n(int64(delay)/4 + 1))
-		t := time.NewTimer(delay)
-		defer t.Stop()
-		select {
-		case <-s.ctx().Done():
-			return true, nil, s.ctx().Err(), false
-		case <-t.C:
-			return false, nil, nil, false
-		}
-	case resp.StatusCode >= 500:
-		err := errBody("sim "+cfg.Desc(), resp)
-		if resp.Header.Get("X-Sim-Permanent") == "true" {
+			return v, err
+		case resp.StatusCode == http.StatusTooManyRequests:
+			return pace, nil
+		case resp.StatusCode >= 500 && resp.Header.Get("X-Sim-Permanent") == "true":
 			// The server ran the configuration and it failed
 			// deterministically; retrying would reproduce it.
-			s.breakerReport(true)
-			return true, nil, &RunError{Op: "remote-sim", Desc: cfg.Desc(), Permanent: true, Err: err}, false
+			return done, &RunError{Op: "remote-sim", Desc: cfg.Desc(), Permanent: true, Err: errBody("sim "+cfg.Desc(), resp)}
+		case resp.StatusCode >= 500:
+			// Transient server-side failure (watchdog kill, injected
+			// fault) or a gateway error: worth a retry. Only the latter
+			// indicts the transport, but the distinction is invisible
+			// here; roundTrip counts both against the breaker, which errs
+			// toward degrading early — the resilient direction.
+			return retry, nil
+		default:
+			return done, errBody("sim "+cfg.Desc(), resp)
 		}
-		// Transient server-side failure (watchdog kill, injected fault)
-		// or a gateway error: worth a retry. Only the latter indicts the
-		// transport, but the distinction is invisible here; counting both
-		// against the breaker errs toward degrading early, which is the
-		// resilient direction.
-		s.breakerReport(false)
-		return true, nil, err, true
-	default:
-		s.breakerReport(true)
-		return true, nil, errBody("sim "+cfg.Desc(), resp), false
+	})
+	if errors.Is(err, errUnreachable) {
+		return s.localFallback(cfg, key)
 	}
+	return res, err
 }

@@ -3,11 +3,16 @@ package sweep
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"ndpage/internal/sim"
 )
 
 // remoteFixture is a scripted ndpserve stand-in: per-method hit
@@ -52,8 +57,8 @@ func TestNewRemoteStoreRejectsBadURLs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.BaseURL() != "http://host:8947" {
-		t.Errorf("trailing slash not trimmed: %q", s.BaseURL())
+	if s.base != "http://host:8947" {
+		t.Errorf("trailing slash not trimmed: %q", s.base)
 	}
 }
 
@@ -91,73 +96,46 @@ func TestRemoteGetFetchRevalidateMiss(t *testing.T) {
 		t.Errorf("stats = %+v, want 1 miss, 1 hit", stats)
 	}
 	if fx.gets.Load() != 2 {
-		t.Errorf("server GETs = %d, want 2 (a held key costs no request)", fx.gets.Load())
-	}
-	if store.Len() != 1 {
-		t.Errorf("local inventory = %d, want 1", store.Len())
-	}
-	if keys := store.Keys(); len(keys) != 1 || keys[0] != key {
-		t.Errorf("local keys = %v", keys)
+		t.Errorf("server GETs = %d, want 2 (a miss is not cached; a held key costs no request)", fx.gets.Load())
 	}
 }
 
 // TestRemoteGetIntegrityMismatch: a body whose embedded config hashes
-// to a different key is rejected, not cached.
+// to a different key is an error, not retried and not cached — the
+// next Get asks the server again.
 func TestRemoteGetIntegrityMismatch(t *testing.T) {
 	wrong := fakeResult(testBaseWithSeed(2))
-	store, _, _ := newRemote(t, func(fx *remoteFixture, w http.ResponseWriter, r *http.Request) {
+	store, fx, _ := newRemote(t, func(fx *remoteFixture, w http.ResponseWriter, r *http.Request) {
 		json.NewEncoder(w).Encode(wrong)
 	})
 	key := testBaseWithSeed(1).Key()
-	if _, _, err := store.Get(key); err == nil {
-		t.Fatal("mismatched body accepted")
-	}
-	if store.Len() != 0 {
-		t.Error("mismatched body was cached")
+	for i := int64(1); i <= 2; i++ {
+		if _, _, err := store.Get(key); err == nil {
+			t.Fatal("mismatched body accepted")
+		}
+		if fx.gets.Load() != i {
+			t.Fatalf("server GETs after Get %d = %d, want %d (no retry, no cached copy)", i, fx.gets.Load(), i)
+		}
 	}
 }
 
-// TestRemotePut: an upload round-trips, re-uploading the same key is
-// free, and a key first seen via Get is never uploaded at all.
-func TestRemotePut(t *testing.T) {
-	served := fakeResult(testBaseWithSeed(5))
-	servedKey := served.Config.Key()
+// TestRemotePutIsLocal: Put sends no request, and a following Get
+// serves the result from the local cache without one either.
+func TestRemotePutIsLocal(t *testing.T) {
 	store, fx, _ := newRemote(t, func(fx *remoteFixture, w http.ResponseWriter, r *http.Request) {
-		switch r.Method {
-		case http.MethodPut:
-			var res struct{ Cycles uint64 }
-			if err := json.NewDecoder(r.Body).Decode(&res); err != nil {
-				t.Errorf("upload body: %v", err)
-			}
-			w.WriteHeader(http.StatusNoContent)
-		case http.MethodGet:
-			json.NewEncoder(w).Encode(served)
-		}
+		http.NotFound(w, r)
 	})
-
 	mine := fakeResult(testBaseWithSeed(6))
-	mineKey := mine.Config.Key()
-	if err := store.Put(mineKey, mine); err != nil {
+	key := mine.Config.Key()
+	if err := store.Put(key, mine); err != nil {
 		t.Fatal(err)
 	}
-	if err := store.Put(mineKey, mine); err != nil {
-		t.Fatal(err)
+	got, ok, err := store.Get(key)
+	if err != nil || !ok || got != mine {
+		t.Fatalf("Get after Put = %+v, %v, %v; want the local result", got, ok, err)
 	}
-	if fx.puts.Load() != 1 {
-		t.Errorf("uploads for a local result = %d, want 1 (second Put skips)", fx.puts.Load())
-	}
-
-	if _, ok, err := store.Get(servedKey); !ok || err != nil {
-		t.Fatalf("Get served key: %v, %v", ok, err)
-	}
-	if err := store.Put(servedKey, served); err != nil {
-		t.Fatal(err)
-	}
-	if fx.puts.Load() != 1 {
-		t.Errorf("server-resident key was uploaded (%d PUTs)", fx.puts.Load())
-	}
-	if got := store.Stats().Uploads; got != 1 {
-		t.Errorf("stats.Uploads = %d, want 1", got)
+	if n := fx.puts.Load() + fx.gets.Load() + fx.sims.Load(); n != 0 {
+		t.Errorf("Put and Get of a local result made %d requests, want 0", n)
 	}
 }
 
@@ -453,5 +431,110 @@ func TestRemoteBreakerRecovers(t *testing.T) {
 	}
 	if store.Stats().BreakerOpens != 1 {
 		t.Errorf("BreakerOpens = %d, want 1", store.Stats().BreakerOpens)
+	}
+}
+
+// TestRemoteBackpressureSpendsNoAttempts: a 429 is paced, not charged
+// as an attempt — with a single attempt allowed, one 429 and then a 200
+// still yield the server's result, not a local fallback.
+func TestRemoteBackpressureSpendsNoAttempts(t *testing.T) {
+	cfg := testBaseWithSeed(12).Normalize()
+	res := fakeResult(cfg)
+	store, fx, _ := newRemote(t, func(fx *remoteFixture, w http.ResponseWriter, r *http.Request) {
+		if fx.sims.Load() == 1 {
+			w.Header().Set("Retry-After", "1")
+			http.Error(w, "queue full, retry later", http.StatusTooManyRequests)
+			return
+		}
+		json.NewEncoder(w).Encode(res)
+	})
+	tuneRemote(store)
+	store.tune.attempts = 1
+	start := time.Now()
+	got, err := store.Simulate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Cycles != res.Cycles {
+		t.Fatalf("Simulate cycles = %d, want the server's %d", got.Cycles, res.Cycles)
+	}
+	if stats := store.Stats(); stats.RemoteSims != 1 || stats.LocalSims != 0 || fx.sims.Load() != 2 {
+		t.Errorf("stats = {RemoteSims:%d LocalSims:%d} after %d posts, want 1 and 0 after 2",
+			stats.RemoteSims, stats.LocalSims, fx.sims.Load())
+	}
+	if elapsed := time.Since(start); elapsed < time.Second || elapsed > 5*time.Second {
+		t.Errorf("elapsed %v, want about 1s of Retry-After pacing", elapsed)
+	}
+}
+
+// TestRemoteGetCancelIsNotAFailure: cancelling Context mid-Get returns
+// the context's error. The server did nothing wrong, so the cancel is
+// not charged to the breaker and the Get is not a degraded miss.
+func TestRemoteGetCancelIsNotAFailure(t *testing.T) {
+	store, fx, _ := newRemote(t, func(fx *remoteFixture, w http.ResponseWriter, r *http.Request) {
+		<-r.Context().Done()
+	})
+	tuneRemote(store)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	store.Context = ctx
+	go func() {
+		for fx.gets.Load() == 0 {
+			time.Sleep(time.Millisecond)
+		}
+		cancel()
+	}()
+	_, ok, err := store.Get(testBaseWithSeed(1).Key())
+	if ok || !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled Get = %v, %v; want context.Canceled", ok, err)
+	}
+	store.brkMu.Lock()
+	failures := store.brkFailures
+	store.brkMu.Unlock()
+	if stats := store.Stats(); stats.Breaker != BreakerClosed || failures != 0 || stats.DegradedGets != 0 {
+		t.Errorf("after cancel: breaker %v with %d failures, DegradedGets %d; want closed, 0, 0",
+			stats.Breaker, failures, stats.DegradedGets)
+	}
+}
+
+// TestRemoteConcurrentGets: a sweep's workers share one store, its
+// attempt loop and its breaker. Eight concurrent Gets, each of whose
+// keys fails once with a 503 before the server serves it, all succeed
+// after exactly one retry each.
+func TestRemoteConcurrentGets(t *testing.T) {
+	results := map[string]*sim.Result{}
+	for seed := uint64(1); seed <= 8; seed++ {
+		res := fakeResult(testBaseWithSeed(seed))
+		results[res.Config.Key()] = res
+	}
+	var mu sync.Mutex
+	failed := map[string]bool{}
+	store, _, _ := newRemote(t, func(fx *remoteFixture, w http.ResponseWriter, r *http.Request) {
+		key := strings.TrimPrefix(r.URL.Path, "/v1/result/")
+		mu.Lock()
+		first := !failed[key]
+		failed[key] = true
+		mu.Unlock()
+		if first {
+			http.Error(w, "injected outage", http.StatusServiceUnavailable)
+			return
+		}
+		json.NewEncoder(w).Encode(results[key])
+	})
+	tuneRemote(store)
+	store.tune.breakerTrip = 100 // the test checks sharing, not tripping
+	var wg sync.WaitGroup
+	for key := range results {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, ok, err := store.Get(key); !ok || err != nil {
+				t.Errorf("Get %s = %v, %v; want a hit after one retry", key, ok, err)
+			}
+		}()
+	}
+	wg.Wait()
+	if stats := store.Stats(); stats.Hits != 8 || stats.Retries != 8 || stats.Breaker != BreakerClosed {
+		t.Errorf("stats = %+v, want 8 hits, 8 retries, closed breaker", stats)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"sync"
 
@@ -25,16 +24,14 @@ type Store interface {
 	Put(key string, res *sim.Result) error
 }
 
-// Inventory is the optional Store extension for stores that can report
-// their contents cheaply — without a directory walk or network round
-// trip per call. The result server's /statsz endpoint uses it to report
-// stored-result counts on every scrape. MemStore and DirStore both
-// implement it.
+// Inventory is the optional Store extension for stores that can count
+// their contents cheaply — without a directory walk per call. The
+// result server's /statsz endpoint uses it to report the stored-result
+// count on every scrape. MemStore and DirStore implement it; a
+// RemoteStore does not, since no server is backed by one.
 type Inventory interface {
 	// Len returns the number of stored results.
 	Len() int
-	// Keys returns every stored key in sorted order.
-	Keys() []string
 }
 
 // Quarantiner is the optional Store extension for stores that isolate
@@ -93,18 +90,6 @@ func (s *MemStore) Len() int {
 	return len(s.m)
 }
 
-// Keys returns the stored keys in sorted order.
-func (s *MemStore) Keys() []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	keys := make([]string, 0, len(s.m))
-	for k := range s.m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
 // DirStore is an on-disk Store: one JSON file per result, named by the
 // config key. Writes go through a temp file + rename, so an interrupted
 // sweep never leaves a half-written entry — whatever completed before
@@ -113,7 +98,7 @@ func (s *MemStore) Keys() []string {
 //
 // DirStore also keeps an in-memory key inventory: the directory is
 // scanned once at open, then maintained on every Put (and on Get hits
-// for entries another process wrote), so Len and Keys never walk the
+// for entries another process wrote), so Len never walks the
 // directory. A long-lived server scraping /statsz pays map reads, not
 // readdir syscalls, per snapshot.
 //
@@ -133,7 +118,7 @@ type DirStore struct {
 
 // NewDirStore opens (creating if needed) the cache directory. Temp
 // files orphaned by a killed writer are swept out on open, and the
-// existing entries are indexed for Len/Keys.
+// existing entries are indexed for Len.
 func NewDirStore(dir string) (*DirStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("sweep: cache dir: %w", err)
@@ -160,19 +145,6 @@ func (s *DirStore) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return len(s.keys)
-}
-
-// Keys returns the stored keys in sorted order (from the in-memory
-// inventory; no directory walk).
-func (s *DirStore) Keys() []string {
-	s.mu.Lock()
-	keys := make([]string, 0, len(s.keys))
-	for k := range s.keys {
-		keys = append(keys, k)
-	}
-	s.mu.Unlock()
-	sort.Strings(keys)
-	return keys
 }
 
 // index records key in the inventory.

@@ -53,9 +53,6 @@ func (r *RNG) Uint64() uint64 {
 	return x * 0x2545f4914f6cdd1d
 }
 
-// Uint32 returns the next 32 uniformly distributed bits.
-func (r *RNG) Uint32() uint32 { return uint32(r.Uint64() >> 32) }
-
 // Intn returns a uniform integer in [0, n). It panics if n <= 0.
 func (r *RNG) Intn(n int) int {
 	if n <= 0 {

@@ -39,7 +39,7 @@ type SweepEvent = sweep.Event
 type Store = sweep.Store
 
 // StoreInventory is the optional Store extension for stores that can
-// report their contents cheaply (all built-in stores implement it).
+// count their contents cheaply (MemStore and DirStore implement it).
 type StoreInventory = sweep.Inventory
 
 // NewMemStore returns an in-process result store.
@@ -51,11 +51,11 @@ func NewMemStore() *sweep.MemStore { return sweep.NewMemStore() }
 func NewDirStore(dir string) (*sweep.DirStore, error) { return sweep.NewDirStore(dir) }
 
 // RemoteStore is a Store backed by a shared ndpserve instance: warm
-// keys are fetched over HTTP once into a local write-through cache,
-// which serves them from then on; locally computed results are uploaded,
-// and cold sweep runs are delegated to the server's singleflight
-// scheduler, which collapses identical requests from every client into
-// a single simulation. Point Sweep.Store (or Experiments.Cache) at one
+// keys are fetched over HTTP once into a local cache, which serves them
+// from then on, and cold sweep runs are delegated to the server's
+// singleflight scheduler, which collapses identical requests from every
+// client into a single simulation and stores the result. Put only
+// fills the local cache. Point Sweep.Store (or Experiments.Cache) at one
 // to share the run cache across users and machines.
 type RemoteStore = sweep.RemoteStore
 

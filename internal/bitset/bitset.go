@@ -139,3 +139,21 @@ func Count(words []uint64) uint64 {
 	}
 	return total
 }
+
+// NextSet returns the index of the first set bit at or after i, and
+// false if there is none.
+func NextSet(words []uint64, i uint64) (uint64, bool) {
+	w := i >> 6
+	if w >= uint64(len(words)) {
+		return 0, false
+	}
+	if word := words[w] >> (i & 63); word != 0 {
+		return i + uint64(bits.TrailingZeros64(word)), true
+	}
+	for w++; w < uint64(len(words)); w++ {
+		if words[w] != 0 {
+			return w<<6 + uint64(bits.TrailingZeros64(words[w])), true
+		}
+	}
+	return 0, false
+}

@@ -93,3 +93,23 @@ func TestMatchesMapReference(t *testing.T) {
 		t.Fatalf("Len = %d, reference %d", p.Len(), len(ref))
 	}
 }
+
+func TestNextSet(t *testing.T) {
+	words := make([]uint64, 4)
+	set := []uint64{0, 5, 63, 64, 190, 255}
+	for _, i := range set {
+		SetBit(words, i)
+	}
+	for from := uint64(0); from <= 260; from++ {
+		want, wantOK := uint64(0), false
+		for _, i := range set {
+			if i >= from {
+				want, wantOK = i, true
+				break
+			}
+		}
+		if got, ok := NextSet(words, from); got != want || ok != wantOK {
+			t.Fatalf("NextSet(%d) = %d, %v; want %d, %v", from, got, ok, want, wantOK)
+		}
+	}
+}

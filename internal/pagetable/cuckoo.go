@@ -327,9 +327,11 @@ func (c *Cuckoo) settle() {
 //  2. Each page tries its first-choice way (vpn mod d, where insert
 //     starts), then the next way, then the one after: one pass per
 //     choice and way, each way taking all of a choice's pages before
-//     the next way does. A pass visits the queued pages in mapping order
-//     and places a page when its slot is free, so the first page to
-//     reach a slot wins it.
+//     the next way does. A pass visits the pages still without a slot
+//     in mapping order and places a page when its slot is free, so the
+//     first page to reach a slot wins it. The first-choice pass reads
+//     the queue's runs and records the pages it could not place; the
+//     later passes visit only those.
 //  3. Each way starts a gradual resize if it crossed its threshold, and
 //     the pages that found all d slots taken go through add, Map's
 //     elastic path, in mapping order.
@@ -351,53 +353,167 @@ func (c *Cuckoo) place() {
 		}
 		c.grow(way, size)
 	}
-	// pending marks the queued pages still without a slot, by position
-	// in the queue.
-	pending := make([]uint64, bitset.WordsFor(c.queued))
-	bitset.SetRun(pending, 0, c.queued)
-	d := uint64(len(c.ways))
+	pending := c.pendingSets()
+	const d = uint64(len(cuckooSalts))
 	for choice := uint64(0); choice < d; choice++ {
 		for w := range c.ways {
-			c.placePass(&c.ways[w], (uint64(w)+d-choice)%d, pending)
+			r := (uint64(w) + d - choice) % d
+			if choice == 0 {
+				c.placeFirst(&c.ways[w], r, pending[r])
+			} else {
+				c.placePending(&c.ways[w], r, pending[r])
+			}
 		}
 	}
 	for i := range c.ways {
 		c.maybeResize(&c.ways[i])
 	}
-	pos := uint64(0)
-	for _, run := range c.queue {
-		for k := uint64(0); k < run.n; k++ {
-			if bitset.TestBit(pending, pos+k) {
-				c.add(run.vpn + addr.VPN(k))
-			}
-		}
-		pos += run.n
-	}
+	c.addLeftovers(pending)
 	c.queue, c.queued = c.queue[:0], 0
 }
 
-// placePass places the pending queued pages whose VPN is r mod d in
-// their slot of way, where free.
-func (c *Cuckoo) placePass(way *cuckooWay, r uint64, pending []uint64) {
-	d := uint64(len(c.ways))
+// pendingSets returns empty sets of the queued pages, one per residue
+// r (VPN mod d), of a bit per page by its rank among the residue's
+// pages in mapping order; place marks in them the pages no way has
+// taken yet. A residue holds at most ceil(n/d) of a run's n pages, so
+// together the sets take about one bit per queued page.
+func (c *Cuckoo) pendingSets() (pending [len(cuckooSalts)][]uint64) {
+	n := bitset.WordsFor(c.queued/uint64(len(pending)) + uint64(len(c.queue)))
+	bitmap := make([]uint64, len(pending)*n)
+	for r := range pending {
+		pending[r] = bitmap[r*n : (r+1)*n : (r+1)*n]
+	}
+	return pending
+}
+
+// residueSpan returns where run's pages of residue r (VPN mod d) lie:
+// n of them, at offsets k, k+d, k+2d, ... into run.
+func residueSpan(run cuckooRun, r uint64) (k, n uint64) {
+	const d = uint64(len(cuckooSalts))
+	k = (r + d - uint64(run.vpn)%d) % d
+	if k >= run.n {
+		return k, 0
+	}
+	return k, (run.n - k + d - 1) / d
+}
+
+// placeFirst places the queued pages of residue r in their slot of
+// way, where free, and marks the rest in pending.
+func (c *Cuckoo) placeFirst(way *cuckooWay, r uint64, pending []uint64) {
+	const d = uint64(len(cuckooSalts))
 	mask := way.size - 1
-	placed, pos := 0, uint64(0)
+	placed, rank := 0, uint64(0)
 	for _, run := range c.queue {
-		for k := (r + d - uint64(run.vpn)%d) % d; k < run.n; k += d {
-			if !bitset.TestBit(pending, pos+k) {
-				continue
-			}
-			vpn := run.vpn + addr.VPN(k)
+		k, n := residueSpan(run, r)
+		vpn := run.vpn + addr.VPN(k)
+		for range n {
 			if i := way.hash(vpn) & mask; bitset.SetBit(way.occ, uint64(i)) {
 				way.setTag(i, vpn)
 				placed++
-				bitset.ClearBit(pending, pos+k)
+			} else {
+				pending[rank>>6] |= 1 << (rank & 63)
 			}
+			vpn += addr.VPN(d)
+			rank++
 		}
-		pos += run.n
 	}
 	way.count += placed
 	c.count += uint64(placed)
+}
+
+// placePending places residue r's pending pages in their slot of way,
+// where free, and clears their bits.
+func (c *Cuckoo) placePending(way *cuckooWay, r uint64, pending []uint64) {
+	mask := way.size - 1
+	cur := newRankCursor(c.queue, r)
+	placed := 0
+	for w, word := range pending {
+		left := word
+		for ; word != 0; word &= word - 1 {
+			_, vpn := cur.page(uint64(w)<<6 + uint64(bits.TrailingZeros64(word)))
+			if i := way.hash(vpn) & mask; bitset.SetBit(way.occ, uint64(i)) {
+				way.setTag(i, vpn)
+				placed++
+				left &^= word & -word
+			}
+		}
+		pending[w] = left
+	}
+	way.count += placed
+	c.count += uint64(placed)
+}
+
+// addLeftovers gives the pages still pending their tags through add,
+// in mapping order: it merges the residues' pending pages by queue
+// position.
+func (c *Cuckoo) addLeftovers(pending [len(cuckooSalts)][]uint64) {
+	var left [len(pending)]leftovers
+	for r := range left {
+		left[r] = leftovers{set: pending[r], cur: newRankCursor(c.queue, uint64(r))}
+		left[r].seek(0)
+	}
+	for {
+		l := &left[0]
+		for k := 1; k < len(left); k++ {
+			if left[k].pos < l.pos {
+				l = &left[k]
+			}
+		}
+		if l.pos == noPos {
+			return
+		}
+		c.add(l.vpn)
+		l.seek(l.rank + 1)
+	}
+}
+
+// leftovers walks one residue's pending pages in mapping order.
+type leftovers struct {
+	set       []uint64
+	cur       rankCursor
+	rank, pos uint64 // the current page's rank and queue position, or pos noPos past the last
+	vpn       addr.VPN
+}
+
+const noPos = ^uint64(0)
+
+// seek moves to the first pending page of rank from or above.
+func (l *leftovers) seek(from uint64) {
+	rank, ok := bitset.NextSet(l.set, from)
+	if !ok {
+		l.pos = noPos
+		return
+	}
+	l.rank = rank
+	l.pos, l.vpn = l.cur.page(rank)
+}
+
+// rankCursor finds the queued pages of residue r by their rank among
+// them, for ranks asked in increasing order.
+type rankCursor struct {
+	queue []cuckooRun
+	r     uint64
+	run   int    // the queue run holding the last rank asked
+	k, n  uint64 // that run's residue span (residueSpan)
+	rank  uint64 // the rank of the span's first page
+	pos   uint64 // the queue position of the run's first page
+}
+
+func newRankCursor(queue []cuckooRun, r uint64) rankCursor {
+	k, n := residueSpan(queue[0], r)
+	return rankCursor{queue: queue, r: r, k: k, n: n}
+}
+
+// page returns the queue position and VPN of the page of rank j.
+func (rc *rankCursor) page(j uint64) (pos uint64, vpn addr.VPN) {
+	for j >= rc.rank+rc.n {
+		rc.rank += rc.n
+		rc.pos += rc.queue[rc.run].n
+		rc.run++
+		rc.k, rc.n = residueSpan(rc.queue[rc.run], rc.r)
+	}
+	k := rc.k + uint64(len(cuckooSalts))*(j-rc.rank)
+	return rc.pos + k, rc.queue[rc.run].vpn + addr.VPN(k)
 }
 
 // grow doubles way, which is not resizing, until it has size slots, in

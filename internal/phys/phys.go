@@ -15,13 +15,15 @@
 //
 // Determinism: free blocks are managed as LIFO stacks with lazy deletion,
 // so allocation order is a pure function of the call sequence and the
-// injected RNG — no map-iteration nondeterminism.
+// injected RNG. Whether a block is free or allocated is kept in bitmaps
+// (see Allocator), which the stacks' entries are checked against.
 package phys
 
 import (
 	"fmt"
 
 	"ndpage/internal/addr"
+	"ndpage/internal/bitset"
 	"ndpage/internal/xrand"
 )
 
@@ -41,21 +43,51 @@ type Stats struct {
 
 // Allocator is a buddy allocator over a fixed number of physical frames.
 // It is not safe for concurrent use; the simulator is single-threaded.
+//
+// Block state lives in bitmaps, not maps: one free and one allocated
+// bit per 2 MB block for order-MaxOrder blocks, and a buddyTree for
+// the smaller blocks inside each 2 MB block, made on the block's first
+// split. A 2 MB block with neither bit set is split. Beyond a pointer
+// and two bits per 2 MB block, host memory grows with the blocks that
+// have been split, not with the frames.
 type Allocator struct {
 	totalFrames uint64
 	// free[o] is a LIFO stack of candidate block starts at order o.
-	// Entries may be stale; freeOrder is the source of truth.
+	// Entries may be stale; the free bits are the source of truth.
 	free [MaxOrder + 1][]uint64
-	// freeOrder maps a block start to its order iff the block is free.
-	freeOrder map[uint64]int
-	// allocOrder maps a block start to its order iff the block is
-	// allocated (needed by Free to know how much to return).
-	allocOrder map[uint64]int
+	// free2M and alloc2M hold one bit per 2 MB block: set iff the
+	// block is free, or allocated, as one order-MaxOrder block.
+	free2M, alloc2M []uint64
+	// trees[b] records the blocks below MaxOrder inside 2 MB block b;
+	// nil until b is first split. A tree outlives the split that made
+	// it, empty while b is whole. New trees come from slab, treeSlab
+	// at a time, so a split costs no host allocation of its own.
+	trees []*buddyTree
+	slab  []buddyTree
 	// hugeFree counts free blocks of exactly MaxOrder, maintained
 	// incrementally so the OS model can read contiguity pressure on
 	// every fault without scanning.
 	hugeFree int
 	stats    Stats
+}
+
+// buddyTree holds one bit per block of order 0 to MaxOrder-1 inside a
+// 2 MB block, at index node(start, order): free's is set iff the block
+// is free, alloc's iff it is allocated (Free needs its order).
+type buddyTree struct {
+	free, alloc [treeWords]uint64
+}
+
+// treeSlab is how many buddyTrees one slab allocation holds (16 KB).
+const treeSlab = 64
+
+// treeWords covers the 2<<MaxOrder node indices: order o's blocks sit
+// at [1<<(MaxOrder-o), 2<<(MaxOrder-o)), so bits 0 and 1 go unused.
+const treeWords = 2 << MaxOrder / 64
+
+// node returns the buddyTree bit of the order-order block at start.
+func node(start uint64, order int) uint64 {
+	return 1<<(MaxOrder-order) + start&(1<<MaxOrder-1)>>order
 }
 
 // New returns an allocator managing totalBytes of physical memory.
@@ -64,10 +96,12 @@ func New(totalBytes uint64) *Allocator {
 	if totalBytes == 0 || totalBytes%addr.HugePageSize != 0 {
 		panic(fmt.Sprintf("phys: total memory %d is not a positive multiple of 2 MB", totalBytes))
 	}
+	blocks := totalBytes / addr.HugePageSize
 	a := &Allocator{
 		totalFrames: totalBytes / addr.PageSize,
-		freeOrder:   make(map[uint64]int),
-		allocOrder:  make(map[uint64]int),
+		free2M:      make([]uint64, bitset.WordsFor(blocks)),
+		alloc2M:     make([]uint64, bitset.WordsFor(blocks)),
+		trees:       make([]*buddyTree, blocks),
 	}
 	for start := uint64(0); start < a.totalFrames; start += 1 << MaxOrder {
 		a.push(start, MaxOrder)
@@ -103,19 +137,77 @@ func (a *Allocator) ContiguityRatio() float64 {
 
 func (a *Allocator) push(start uint64, order int) {
 	a.free[order] = append(a.free[order], start)
-	a.freeOrder[start] = order
+	b := start >> MaxOrder
 	if order == MaxOrder {
+		bitset.SetBit(a.free2M, b)
 		a.hugeFree++
+		return
 	}
+	t := a.trees[b]
+	if t == nil {
+		if len(a.slab) == 0 {
+			a.slab = make([]buddyTree, treeSlab)
+		}
+		t, a.slab = &a.slab[0], a.slab[1:]
+		a.trees[b] = t
+	}
+	bitset.SetBit(t.free[:], node(start, order))
 }
 
-// removeFree drops a block from the free set (lazy stack entries are
-// skipped later), maintaining the huge-block counter.
-func (a *Allocator) removeFree(start uint64, order int) {
-	delete(a.freeOrder, start)
+// isFree reports whether the block of the given order at start is free.
+func (a *Allocator) isFree(start uint64, order int) bool {
+	b := start >> MaxOrder
 	if order == MaxOrder {
-		a.hugeFree--
+		return bitset.TestBit(a.free2M, b)
 	}
+	t := a.trees[b]
+	return t != nil && bitset.TestBit(t.free[:], node(start, order))
+}
+
+// removeFree drops a free block from the free set (lazy stack entries
+// are skipped later), maintaining the huge-block counter.
+func (a *Allocator) removeFree(start uint64, order int) {
+	if order == MaxOrder {
+		bitset.ClearBit(a.free2M, start>>MaxOrder)
+		a.hugeFree--
+		return
+	}
+	bitset.ClearBit(a.trees[start>>MaxOrder].free[:], node(start, order))
+}
+
+// markAllocated records the block of the given order at start as
+// allocated. A block below MaxOrder lies in a split 2 MB block, which
+// has its tree.
+func (a *Allocator) markAllocated(start uint64, order int) {
+	if order == MaxOrder {
+		bitset.SetBit(a.alloc2M, start>>MaxOrder)
+	} else {
+		bitset.SetBit(a.trees[start>>MaxOrder].alloc[:], node(start, order))
+	}
+	a.stats.AllocatedFrames += 1 << order
+}
+
+// allocatedOrder returns the order of the allocated block that starts
+// at start, and false if no allocated block starts there.
+func (a *Allocator) allocatedOrder(start uint64) (int, bool) {
+	if start >= a.totalFrames {
+		return 0, false
+	}
+	b := start >> MaxOrder
+	if bitset.TestBit(a.alloc2M, b) {
+		return MaxOrder, start&(1<<MaxOrder-1) == 0
+	}
+	t := a.trees[b]
+	if t == nil {
+		return 0, false
+	}
+	// Blocks of order o start on multiples of 1<<o.
+	for o := 0; o < MaxOrder && start&(1<<o-1) == 0; o++ {
+		if bitset.TestBit(t.alloc[:], node(start, o)) {
+			return o, true
+		}
+	}
+	return 0, false
 }
 
 // pop returns a valid free block of exactly the given order, skipping
@@ -125,7 +217,7 @@ func (a *Allocator) pop(order int) (uint64, bool) {
 	for len(stack) > 0 {
 		start := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		if o, ok := a.freeOrder[start]; ok && o == order {
+		if a.isFree(start, order) {
 			a.removeFree(start, order)
 			a.free[order] = stack
 			return start, true
@@ -153,8 +245,7 @@ func (a *Allocator) AllocOrder(order int) (addr.PFN, bool) {
 			o--
 			a.push(start+1<<o, o)
 		}
-		a.allocOrder[start] = order
-		a.stats.AllocatedFrames += 1 << order
+		a.markAllocated(start, order)
 		return addr.PFN(start), true
 	}
 	return 0, false
@@ -187,17 +278,21 @@ func (a *Allocator) AllocHuge() (addr.PFN, bool) {
 // it is a simulator bug, not a recoverable condition.
 func (a *Allocator) Free(pfn addr.PFN) {
 	start := uint64(pfn)
-	order, ok := a.allocOrder[start]
+	order, ok := a.allocatedOrder(start)
 	if !ok {
 		panic(fmt.Sprintf("phys: Free of unallocated frame %#x", start))
 	}
-	delete(a.allocOrder, start)
+	if order == MaxOrder {
+		bitset.ClearBit(a.alloc2M, start>>MaxOrder)
+	} else {
+		bitset.ClearBit(a.trees[start>>MaxOrder].alloc[:], node(start, order))
+	}
 	a.stats.AllocatedFrames -= 1 << order
 	a.stats.Frees++
 	// Coalesce with free buddies as far as possible.
 	for order < MaxOrder {
 		buddy := start ^ (1 << order)
-		if o, free := a.freeOrder[buddy]; !free || o != order {
+		if !a.isFree(buddy, order) {
 			break
 		}
 		a.removeFree(buddy, order) // lazy deletion from the stack
@@ -221,8 +316,7 @@ func (a *Allocator) AllocAt(pfn addr.PFN) bool {
 	// Find the free block containing the frame.
 	for o := 0; o <= MaxOrder; o++ {
 		start := frame &^ (1<<o - 1)
-		fo, ok := a.freeOrder[start]
-		if !ok || fo != o {
+		if !a.isFree(start, o) {
 			continue
 		}
 		a.removeFree(start, o)
@@ -237,8 +331,7 @@ func (a *Allocator) AllocAt(pfn addr.PFN) bool {
 				a.push(upper, o)
 			}
 		}
-		a.allocOrder[frame] = 0
-		a.stats.AllocatedFrames++
+		a.markAllocated(frame, 0)
 		return true
 	}
 	return false

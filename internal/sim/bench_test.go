@@ -105,22 +105,25 @@ func TestStepAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkMachineConstruction measures setup cost (allocator,
-// fragmentation, dataset population, table build).
+// constructionConfigs are the machines BenchmarkMachineConstruction
+// builds: 4 NDP cores at the default footprint and memory, the shape
+// zoo-sweep builds, one per set-up cost. Radix/rnd is the allocator
+// and the radix build, NDPage/bfs the flattened build, ECH/pr the
+// cuckoo bulk build over two eager regions.
+var constructionConfigs = []Config{
+	{System: memsys.NDP, Cores: 4, Mechanism: core.Radix, Workload: "rnd"},
+	{System: memsys.NDP, Cores: 4, Mechanism: core.NDPage, Workload: "bfs"},
+	{System: memsys.NDP, Cores: 4, Mechanism: core.ECH, Workload: "pr"},
+}
+
+// BenchmarkMachineConstruction measures New (allocator, fragmentation,
+// dataset population, table build) for each of constructionConfigs.
 func BenchmarkMachineConstruction(b *testing.B) {
-	for _, mech := range []core.Mechanism{core.Radix, core.NDPage, core.ECH} {
-		b.Run(mech.String(), func(b *testing.B) {
+	for _, cfg := range constructionConfigs {
+		b.Run(cfg.Mechanism.String()+"/"+cfg.Workload, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				_, err := New(Config{
-					System:         memsys.NDP,
-					Cores:          2,
-					Mechanism:      mech,
-					Workload:       "rnd",
-					FootprintBytes: 512 << 20,
-					MemoryBytes:    4 << 30,
-				})
-				if err != nil {
+				if _, err := New(cfg); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -128,22 +131,43 @@ func BenchmarkMachineConstruction(b *testing.B) {
 	}
 }
 
-// TestECHLiveHeap bounds the host heap a 4-core ECH machine on pr at
-// the default footprint keeps live once built, to 36 MB. Its cuckoo
-// ways' 4-byte tags are most of it; with 8-byte tags it kept 51.5 MB.
-func TestECHLiveHeap(t *testing.T) {
+// liveHeapMB returns the host heap, in MB, that cfg's machine keeps
+// live once New has built it.
+func liveHeapMB(t *testing.T, cfg Config) float64 {
+	t.Helper()
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	m, err := New(Config{System: memsys.NDP, Cores: 4, Mechanism: core.ECH, Workload: "pr"})
+	m, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	runtime.GC()
 	runtime.ReadMemStats(&after)
 	runtime.KeepAlive(m)
-	live := float64(after.HeapAlloc-before.HeapAlloc) / (1 << 20)
-	if live > 36 {
+	return float64(after.HeapAlloc-before.HeapAlloc) / (1 << 20)
+}
+
+// TestECHLiveHeap bounds the host heap a 4-core ECH machine on pr at
+// the default footprint keeps live once built, to 36 MB. Its cuckoo
+// ways' 4-byte tags are most of it; with 8-byte tags it kept 51.5 MB.
+func TestECHLiveHeap(t *testing.T) {
+	if live := liveHeapMB(t, constructionConfigs[2]); live > 36 {
 		t.Errorf("ECH/pr machine holds %.1f MB of live heap after New, want <= 36", live)
+	}
+}
+
+// TestMachineLiveHeap bounds the live host heap after New for the
+// 4-core Radix/rnd and NDPage/bfs machines, at 10% over what they kept
+// while the buddy allocator held its free and allocated sets in Go maps
+// (2.0 and 3.05 MB; the bitmap allocator keeps 1.5 and 2.7). Its state
+// must grow with the 2 MB blocks that have been split: one bitmap per
+// order over all frames would add ~1 MB.
+func TestMachineLiveHeap(t *testing.T) {
+	for i, bound := range []float64{2.2, 3.35} {
+		cfg := constructionConfigs[i]
+		if live := liveHeapMB(t, cfg); live > bound {
+			t.Errorf("%s/%s machine holds %.2f MB of live heap after New, want <= %.2f", cfg.Mechanism, cfg.Workload, live, bound)
+		}
 	}
 }

@@ -8,11 +8,14 @@
 // low-bit entropy.
 //
 // The storage is structure-of-arrays: tags and values live in two
-// parallel set-major slices, and each set keeps two packed words side by
-// side — an occupancy bitmask and a recency order. Lookup scans a dense
-// run of bare uint64 tags instead of striding over full entry structs.
-// Validity lives in the occupancy word, so invalid ways cost a bit test,
-// and the free-way probe is a single trailing-zeros instruction.
+// parallel set-major slices, and each set keeps packed words beside
+// them — a fingerprint word per 8 ways and a recency order. Byte w of a
+// fingerprint word is 0x80 plus 7 bits of the key's hash while way w is
+// valid, and zero while it is invalid. Lookup matches all eight bytes of
+// a word at once (SWAR, as Go's own map matches its control bytes) and
+// compares full tags only for the flagged ways, so a miss usually loads
+// no tag at all. The free-way probe is a trailing-zeros instruction over
+// the bytes whose high bit is clear.
 //
 // Replacement is exact true LRU with O(1) bookkeeping. The recency word
 // holds the set's way numbers as 4-bit nibbles ordered from most to
@@ -42,26 +45,35 @@ type Table[V any] struct {
 	mask uint64
 	// Parallel set-major arrays, sets*ways entries each: way w of set s
 	// is index s*ways+w in both. A tag or value is meaningful only while
-	// the way's occupancy bit is set; clearing the bit is the only
-	// invalidation (stale tags never match because the bit gates them).
+	// the way's fingerprint byte is nonzero; zeroing the byte is the only
+	// invalidation (stale tags never match because no zero byte is
+	// flagged).
 	tags []uint64
 	vals []V
 	meta []setMeta
+	// hi holds each set's fingerprint word for ways 8..15, laid out as
+	// setMeta.fp is for ways 0..7. It is nil in tables of at most 8 ways.
+	hi []uint64
 }
 
 // setMeta is one set's packed bookkeeping.
 type setMeta struct {
-	occ uint64 // bit w = way w valid
+	// fp holds one byte per way 0..7: 0x80|fingerprint while the way is
+	// valid, 0 while it is invalid. Bytes at and above ways are zero.
+	fp uint64
 	// order lists every way number of the set, one nibble each, from
 	// most recently used (nibble 0) to least (nibble ways-1). Nibbles at
 	// and above ways are zero.
 	order uint64
 }
 
-// Nibble-parallel constants for the zero-nibble search.
+// Nibble- and byte-parallel constants for the zero-nibble and zero-byte
+// searches.
 const (
 	nibbleOnes = 0x1111111111111111
 	nibbleHigh = 0x8888888888888888
+	byteOnes   = 0x0101010101010101
+	byteHigh   = 0x8080808080808080
 )
 
 // New creates a table with the given number of sets (must be a power of
@@ -83,7 +95,7 @@ func New[V any](sets, ways int) *Table[V] {
 	for i := range meta {
 		meta[i].order = identity
 	}
-	return &Table[V]{
+	t := &Table[V]{
 		sets: sets,
 		ways: ways,
 		mask: uint64(sets - 1),
@@ -91,6 +103,10 @@ func New[V any](sets, ways int) *Table[V] {
 		vals: make([]V, sets*ways),
 		meta: meta,
 	}
+	if ways > 8 {
+		t.hi = make([]uint64, sets)
+	}
+	return t
 }
 
 // Sets returns the number of sets.
@@ -102,26 +118,70 @@ func (t *Table[V]) Ways() int { return t.ways }
 // Capacity returns sets*ways.
 func (t *Table[V]) Capacity() int { return t.sets * t.ways }
 
-// mix spreads key entropy into the set-index bits. Fibonacci hashing; keys
-// such as sequential VPNs stay conflict-free, pathological strides do not
-// all land in one set.
-func mix(key uint64) uint64 {
-	return key * 0x9e3779b97f4a7c15 >> 17
+// golden is 2^64 divided by the golden ratio. A key's hash is the key
+// times golden (Fibonacci hashing), which spreads key entropy into the
+// high bits of the product: keys such as sequential VPNs stay
+// conflict-free, and pathological strides do not all land in one set.
+// The set index is the hash's bits 17 and up, masked to the set count.
+const golden = 0x9e3779b97f4a7c15
+
+// fpByte returns the fingerprint byte of a key with hash h: the valid
+// bit 0x80 over the hash's top 7 bits, which lie clear of the set index
+// bits for up to 2^40 sets.
+func fpByte(h uint64) uint64 { return 0x80 | h>>57 }
+
+// match flags (bit 7 of byte w) every byte of fingerprint word fp that
+// equals fb. The lowest flag is exact; a higher one can be false, from a
+// fingerprint collision or from the zero-byte test's borrow, so callers
+// confirm each flagged way against its full tag. A zero (invalid) byte is
+// never flagged: XORed with fb it keeps the high bit that the test masks
+// out.
+func match(fp, fb uint64) uint64 {
+	x := fp ^ fb*byteOnes
+	return (x - byteOnes) &^ x & byteHigh
 }
 
-// find returns the set of key and the way holding it (-1 if absent).
-// The tag scan runs over the dense tag run for the set; the occupancy
-// bit gates stale tags.
+// find returns the set of key and the way holding it among ways 0..7 (-1
+// if absent there). One multiply yields both the set index and the
+// fingerprint, and full tags are loaded only for the ways whose byte
+// matches. In tables of more than 8 ways every caller continues a miss
+// in findHi. Kept out of find, that search leaves find within the
+// inliner's budget, as do spelling match out and assigning way rather
+// than returning it.
 func (t *Table[V]) find(key uint64) (s, way int) {
-	s = int(mix(key) & t.mask)
-	base := s * t.ways
-	occ := t.meta[s].occ
-	for w, tag := range t.tags[base : base+t.ways] {
-		if tag == key && occ&(1<<uint(w)) != 0 {
-			return s, w
+	h := key * golden
+	s = int(h >> 17 & t.mask)
+	x := t.meta[s].fp ^ fpByte(h)*byteOnes
+	for z := (x - byteOnes) &^ x & byteHigh; z != 0; z &= z - 1 {
+		way = bits.TrailingZeros64(z) >> 3
+		if t.tags[s*t.ways+way] == key {
+			return
 		}
 	}
 	return s, -1
+}
+
+// findHi returns the way among 8..15 of set s holding key, or -1 if it
+// is absent there. Only tables of more than 8 ways have those ways.
+func (t *Table[V]) findHi(s int, key uint64) (way int) {
+	for z := match(t.hi[s], fpByte(key*golden)); z != 0; z &= z - 1 {
+		way = 8 + bits.TrailingZeros64(z)>>3
+		if t.tags[s*t.ways+way] == key {
+			return
+		}
+	}
+	return -1
+}
+
+// setFP writes b (a fingerprint byte, or 0 to invalidate) as way w's
+// byte of set s.
+func (t *Table[V]) setFP(s, w int, b uint64) {
+	p := &t.meta[s].fp
+	if w >= 8 {
+		p, w = &t.hi[s], w-8
+	}
+	sh := uint(w) * 8
+	*p = *p&^(0xFF<<sh) | b<<sh
 }
 
 // touch moves way w of the set to the front of its recency order.
@@ -143,6 +203,9 @@ func (m *setMeta) touch(w int) {
 // valid until the next Insert, Invalidate or Flush.
 func (t *Table[V]) Ref(key uint64) *V {
 	s, w := t.find(key)
+	if w < 0 && t.hi != nil {
+		w = t.findHi(s, key)
+	}
 	if w < 0 {
 		return nil
 	}
@@ -162,7 +225,11 @@ func (t *Table[V]) Lookup(key uint64) (V, bool) {
 
 // Peek finds key without updating recency.
 func (t *Table[V]) Peek(key uint64) (V, bool) {
-	if s, w := t.find(key); w >= 0 {
+	s, w := t.find(key)
+	if w < 0 && t.hi != nil {
+		w = t.findHi(s, key)
+	}
+	if w >= 0 {
 		return t.vals[s*t.ways+w], true
 	}
 	var zero V
@@ -172,7 +239,11 @@ func (t *Table[V]) Peek(key uint64) (V, bool) {
 // Update replaces the value of an existing key without changing recency.
 // It reports whether the key was present.
 func (t *Table[V]) Update(key uint64, v V) bool {
-	if s, w := t.find(key); w >= 0 {
+	s, w := t.find(key)
+	if w < 0 && t.hi != nil {
+		w = t.findHi(s, key)
+	}
+	if w >= 0 {
 		t.vals[s*t.ways+w] = v
 		return true
 	}
@@ -185,6 +256,9 @@ func (t *Table[V]) Update(key uint64, v V) bool {
 // dirty write-backs.
 func (t *Table[V]) Insert(key uint64, v V) (evictedKey uint64, evictedVal V, evicted bool) {
 	s, w := t.find(key)
+	if w < 0 && t.hi != nil {
+		w = t.findHi(s, key)
+	}
 	m := &t.meta[s]
 	base := s * t.ways
 	// Hit: replace in place.
@@ -193,11 +267,17 @@ func (t *Table[V]) Insert(key uint64, v V) (evictedKey uint64, evictedVal V, evi
 		m.touch(w)
 		return 0, evictedVal, false
 	}
-	// Free way: the lowest invalid one.
-	if w := bits.TrailingZeros64(^m.occ); w < t.ways {
+	fb := fpByte(key * golden)
+	// Free way: the lowest invalid one, whose byte has its high bit clear
+	// (bytes at and above ways are zero too, hence the bound).
+	w = bits.TrailingZeros64(^m.fp&byteHigh) >> 3
+	if w == 8 && t.hi != nil {
+		w += bits.TrailingZeros64(^t.hi[s]&byteHigh) >> 3
+	}
+	if w < t.ways {
 		t.tags[base+w] = key
 		t.vals[base+w] = v
-		m.occ |= 1 << uint(w)
+		t.setFP(s, w, fb)
 		m.touch(w)
 		return 0, evictedVal, false
 	}
@@ -210,13 +290,18 @@ func (t *Table[V]) Insert(key uint64, v V) (evictedKey uint64, evictedVal V, evi
 	evictedKey, evictedVal = t.tags[i], t.vals[i]
 	t.tags[i] = key
 	t.vals[i] = v
+	t.setFP(s, victim, fb)
 	return evictedKey, evictedVal, true
 }
 
 // Invalidate removes key, reporting whether it was present.
 func (t *Table[V]) Invalidate(key uint64) bool {
-	if s, w := t.find(key); w >= 0 {
-		t.meta[s].occ &^= 1 << uint(w)
+	s, w := t.find(key)
+	if w < 0 && t.hi != nil {
+		w = t.findHi(s, key)
+	}
+	if w >= 0 {
+		t.setFP(s, w, 0)
 		return true
 	}
 	return false
@@ -225,15 +310,20 @@ func (t *Table[V]) Invalidate(key uint64) bool {
 // Flush removes every entry.
 func (t *Table[V]) Flush() {
 	for i := range t.meta {
-		t.meta[i].occ = 0
+		t.meta[i].fp = 0
 	}
+	clear(t.hi)
 }
 
-// Len returns the number of valid entries.
+// Len returns the number of valid entries: the set high bits of the
+// fingerprint words.
 func (t *Table[V]) Len() int {
 	n := 0
 	for i := range t.meta {
-		n += bits.OnesCount64(t.meta[i].occ)
+		n += bits.OnesCount64(t.meta[i].fp & byteHigh)
+	}
+	for _, fp := range t.hi {
+		n += bits.OnesCount64(fp & byteHigh)
 	}
 	return n
 }
@@ -241,16 +331,24 @@ func (t *Table[V]) Len() int {
 // Range calls fn for every valid entry; if fn returns false iteration
 // stops. Iteration order is internal array order (deterministic).
 func (t *Table[V]) Range(fn func(key uint64, v V) bool) {
-	for s := 0; s < t.sets; s++ {
-		occ := t.meta[s].occ
-		if occ == 0 {
-			continue
-		}
+	for s := range t.meta {
 		base := s * t.ways
-		for w := 0; w < t.ways; w++ {
-			if occ&(1<<uint(w)) != 0 && !fn(t.tags[base+w], t.vals[base+w]) {
-				return
-			}
+		if !t.rangeWord(t.meta[s].fp, base, fn) ||
+			t.hi != nil && !t.rangeWord(t.hi[s], base+8, fn) {
+			return
 		}
 	}
+}
+
+// rangeWord calls fn for each valid way of fingerprint word fp, in way
+// order, where the word's way 0 is index base of tags and vals. It
+// reports whether fn asked to go on.
+func (t *Table[V]) rangeWord(fp uint64, base int, fn func(key uint64, v V) bool) bool {
+	for z := fp & byteHigh; z != 0; z &= z - 1 {
+		i := base + bits.TrailingZeros64(z)>>3
+		if !fn(t.tags[i], t.vals[i]) {
+			return false
+		}
+	}
+	return true
 }

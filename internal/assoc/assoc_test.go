@@ -206,6 +206,11 @@ type refLine[V any] struct {
 	lru   uint64
 }
 
+// mix returns the bits of a key's hash that the set index is taken from.
+func mix(key uint64) uint64 {
+	return key * golden >> 17
+}
+
 func newRef[V any](sets, ways int) *refTable[V] {
 	return &refTable[V]{ways: ways, mask: uint64(sets - 1), lines: make([]refLine[V], sets*ways)}
 }
@@ -422,6 +427,257 @@ func diffAgainstReference(t *testing.T, sets, ways, ops int) {
 	}
 }
 
+// fingerprint returns key's 7-bit fingerprint, the byte find matches
+// without its valid bit.
+func fingerprint(key uint64) uint64 { return key * golden >> 57 }
+
+// xorshift returns a deterministic pseudo-random byte stream.
+func xorshift(seed uint64, n int) []byte {
+	state := seed | 1
+	out := make([]byte, n)
+	for i := range out {
+		state ^= state << 13
+		state ^= state >> 7
+		state ^= state << 17
+		out[i] = byte(state >> 32)
+	}
+	return out
+}
+
+// runOps decodes ops as (kind, key index) byte pairs over keys and
+// applies each to the packed table and to the reference, failing on the
+// first difference in hits, values, victims, Len or Range order.
+func runOps(tb testing.TB, sets, ways int, keys []uint64, ops []byte) {
+	tb.Helper()
+	got := New[uint64](sets, ways)
+	want := newRef[uint64](sets, ways)
+	for i := 0; i+1 < len(ops); i += 2 {
+		key := keys[int(ops[i+1])%len(keys)]
+		val := uint64(i)
+		switch kind := ops[i] % 16; {
+		case kind < 5:
+			gk, gv, ge := got.Insert(key, val)
+			wk, wv, we := want.Insert(key, val)
+			if gk != wk || gv != wv || ge != we {
+				tb.Fatalf("op %d: Insert(%#x) = (%#x,%d,%v), reference (%#x,%d,%v)",
+					i/2, key, gk, gv, ge, wk, wv, we)
+			}
+		case kind < 8:
+			gv, gok := got.Lookup(key)
+			wv, wok := want.Lookup(key)
+			if gv != wv || gok != wok {
+				tb.Fatalf("op %d: Lookup(%#x) = (%d,%v), reference (%d,%v)", i/2, key, gv, gok, wv, wok)
+			}
+		case kind < 10:
+			gp, wp := got.Ref(key), want.Ref(key)
+			if (gp == nil) != (wp == nil) || gp != nil && *gp != *wp {
+				tb.Fatalf("op %d: Ref(%#x) differs from the reference", i/2, key)
+			}
+			if gp != nil {
+				*gp, *wp = val, val
+			}
+		case kind < 11:
+			gv, gok := got.Peek(key)
+			wv, wok := want.Peek(key)
+			if gv != wv || gok != wok {
+				tb.Fatalf("op %d: Peek(%#x) = (%d,%v), reference (%d,%v)", i/2, key, gv, gok, wv, wok)
+			}
+		case kind < 12:
+			if g, w := got.Update(key, val), want.Update(key, val); g != w {
+				tb.Fatalf("op %d: Update(%#x) = %v, reference %v", i/2, key, g, w)
+			}
+		case kind < 15:
+			if g, w := got.Invalidate(key), want.Invalidate(key); g != w {
+				tb.Fatalf("op %d: Invalidate(%#x) = %v, reference %v", i/2, key, g, w)
+			}
+		default:
+			got.Flush()
+			want.Flush()
+		}
+		g, w := rangeSeq(got.Range, sets*ways), rangeSeq(want.Range, sets*ways)
+		if fmt.Sprint(g) != fmt.Sprint(w) {
+			tb.Fatalf("op %d: Range = %v, reference %v", i/2, g, w)
+		}
+		if got.Len() != len(w)/2 {
+			tb.Fatalf("op %d: Len %d, reference holds %d", i/2, got.Len(), len(w)/2)
+		}
+	}
+}
+
+// collidingKeys returns n keys that fall in set 0 of a table with the
+// given number of sets and whose fingerprint is one of fps.
+func collidingKeys(sets, n int, fps ...uint64) []uint64 {
+	var keys []uint64
+	for k := uint64(1); len(keys) < n; k++ {
+		if mix(k)&uint64(sets-1) != 0 {
+			continue
+		}
+		for _, fp := range fps {
+			if fingerprint(k) == fp {
+				keys = append(keys, k)
+				break
+			}
+		}
+	}
+	return keys
+}
+
+// TestFingerprintCollisions drives sets whose keys all share one
+// fingerprint byte (every valid way is flagged, so only the full tag
+// compare tells them apart), and sets whose fingerprints differ only in
+// the lowest bit (a true match below such a way makes the zero-byte
+// test's borrow flag it), against the reference.
+func TestFingerprintCollisions(t *testing.T) {
+	for _, ways := range []int{4, 8, 12, 16} {
+		for _, tc := range []struct {
+			name string
+			fps  []uint64
+		}{
+			{"same", []uint64{0x2a}},
+			{"lowbit", []uint64{0x2a, 0x2b}},
+			{"lowbit-mixed", []uint64{0x2a, 0x2b, 0x00, 0x7f}},
+		} {
+			t.Run(fmt.Sprintf("ways=%d/%s", ways, tc.name), func(t *testing.T) {
+				const sets = 4
+				keys := collidingKeys(sets, 2*ways, tc.fps...)
+				runOps(t, sets, ways, keys, xorshift(uint64(ways)<<8|uint64(len(tc.fps)), 40_000))
+			})
+		}
+	}
+}
+
+// TestLowBitBorrowFlagsAreRejected pins the false flag the borrow
+// raises: way 1 holds a key whose fingerprint differs from the probe's
+// only in the lowest bit, above a way whose byte matches exactly.
+func TestLowBitBorrowFlagsAreRejected(t *testing.T) {
+	tab := New[int](1, 8)
+	same := collidingKeys(1, 2, 0x40)
+	other := collidingKeys(1, 1, 0x41)[0]
+	tab.Insert(same[0], 0)
+	tab.Insert(other, 1)
+	if z := match(tab.meta[0].fp, fpByte(same[1]*golden)); z != 0x8080 {
+		t.Fatalf("match flags %#x, want ways 0 and 1 (0x8080)", z)
+	}
+	if _, ok := tab.Peek(same[1]); ok {
+		t.Error("absent key with a colliding fingerprint hit")
+	}
+	if v, ok := tab.Peek(other); !ok || v != 1 {
+		t.Errorf("Peek(other) = %d, %v", v, ok)
+	}
+	if v, ok := tab.Peek(same[0]); !ok || v != 0 {
+		t.Errorf("Peek(same) = %d, %v", v, ok)
+	}
+}
+
+// wayOf returns the way of tab holding key, or -1.
+func wayOf[V any](tab *Table[V], key uint64) int {
+	s, w := tab.find(key)
+	if w < 0 && tab.hi != nil {
+		w = tab.findHi(s, key)
+	}
+	return w
+}
+
+// TestStaleTagsNeverMatch checks that an invalidated or flushed way
+// keeps no match: its tag stays in the array but its fingerprint byte
+// is cleared, and a refill takes the lowest free way.
+func TestStaleTagsNeverMatch(t *testing.T) {
+	for _, ways := range []int{4, 8, 12, 16} {
+		t.Run(fmt.Sprintf("ways=%d", ways), func(t *testing.T) {
+			tab := New[int](1, ways)
+			keys := collidingKeys(1, ways+1, 0x11)
+			for i, k := range keys[:ways] {
+				tab.Insert(k, i)
+			}
+			for _, w := range []int{ways - 1, ways / 2, 0} {
+				if !tab.Invalidate(keys[w]) {
+					t.Fatalf("Invalidate(way %d) missed", w)
+				}
+				if _, ok := tab.Lookup(keys[w]); ok {
+					t.Fatalf("way %d hit after Invalidate", w)
+				}
+			}
+			// Refills take the lowest free way first.
+			for _, w := range []int{0, ways / 2, ways - 1} {
+				if _, _, ev := tab.Insert(keys[ways], w); ev {
+					t.Fatal("refill evicted with free ways left")
+				}
+				if got := wayOf(tab, keys[ways]); got != w {
+					t.Fatalf("refill took way %d, want %d", got, w)
+				}
+				tab.Invalidate(keys[ways])
+				tab.Insert(keys[w], w)
+			}
+			tab.Flush()
+			for i, k := range keys[:ways] {
+				if _, ok := tab.Lookup(k); ok {
+					t.Fatalf("key %d hit after Flush", i)
+				}
+			}
+			if tab.Len() != 0 {
+				t.Fatalf("Len %d after Flush", tab.Len())
+			}
+			tab.Insert(keys[ways], 0)
+			if got := wayOf(tab, keys[ways]); got != 0 {
+				t.Fatalf("insert after Flush took way %d, want 0", got)
+			}
+		})
+	}
+}
+
+// TestFingerprintSpread requires the fingerprints of keys in one set to
+// cover all 128 values evenly. A fingerprint correlated with the set
+// index bits would stay correct but flag most ways on every probe.
+func TestFingerprintSpread(t *testing.T) {
+	const sets = 64
+	for _, stride := range []uint64{1, 64, 4096} {
+		t.Run(fmt.Sprintf("stride=%d", stride), func(t *testing.T) {
+			const n = 128 * 64
+			var count [128]int
+			seen := 0
+			for k := uint64(0); seen < n; k += stride {
+				if mix(k)&(sets-1) != sets/2 {
+					continue
+				}
+				count[fingerprint(k)]++
+				seen++
+			}
+			for fp, c := range count {
+				if c == 0 || c > 2*n/128 {
+					t.Errorf("fingerprint %#x taken by %d of %d keys (share %d)", fp, c, n, n/128)
+				}
+			}
+		})
+	}
+}
+
+// FuzzAssoc decodes a geometry and an operation sequence from bytes and
+// requires the packed table to match the reference after every op. Half
+// of the key pool shares one set-0 fingerprint or its low-bit neighbour,
+// so the fuzzer reaches collisions and borrow flags quickly.
+func FuzzAssoc(f *testing.F) {
+	f.Add([]byte{0, 7, 0, 1, 0, 2, 1, 1, 13, 1, 15, 0})
+	f.Add(xorshift(1, 64))
+	f.Add(append([]byte{2, 15}, xorshift(2, 256)...))
+	f.Add(append([]byte{1, 11}, xorshift(3, 256)...))
+	pools := map[int][]uint64{}
+	for _, sets := range []int{1, 2, 4} {
+		pool := collidingKeys(sets, 16, 0x55, 0x54)
+		for k := uint64(0); k < 16; k++ {
+			pool = append(pool, k)
+		}
+		pools[sets] = pool
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 {
+			return
+		}
+		sets := 1 << (data[0] % 3)
+		ways := int(data[1]%maxWays) + 1
+		runOps(t, sets, ways, pools[sets], data[2:])
+	})
+}
+
 func BenchmarkLookupHit(b *testing.B) {
 	t := New[uint64](64, 8)
 	t.Insert(42, 42)
@@ -440,37 +696,53 @@ func BenchmarkInsertEvict(b *testing.B) {
 }
 
 // BenchmarkLookupInsert is the cache/TLB access pattern — Lookup, and
-// Insert on a miss — over a uniform random key stream sized for about a
-// 70/30 hit/miss mix, at each associativity the simulator's tables use.
+// Insert on a miss — over a uniform random key stream. The ways=N cases
+// hit about 70% of the time in 64 sets at each associativity the
+// simulator's tables use. The geometry cases are the simulator's own
+// arrays — the L1 data TLB (16 sets x 4 ways), the L1D (64 x 8) and the
+// L2 TLB (128 x 12) — each at about 70% and, miss-heavy, 30% hits.
 func BenchmarkLookupInsert(b *testing.B) {
 	for _, ways := range []int{4, 8, 12, 16} {
 		b.Run(fmt.Sprintf("ways=%d", ways), func(b *testing.B) {
-			const sets = 64
-			t := New[uint64](sets, ways)
-			// LRU over uniform keys hits about capacity/keys of the time.
-			keys := uint64(sets*ways) * 10 / 7
-			stream := make([]uint64, 1<<12)
-			state := uint64(0x9E3779B97F4A7C15)
-			for i := range stream {
-				state ^= state << 13
-				state ^= state >> 7
-				state ^= state << 17
-				stream[i] = state % keys
-			}
-			for _, k := range stream {
-				t.Insert(k, k)
-			}
-			hits := 0
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				k := stream[i&(len(stream)-1)]
-				if _, ok := t.Lookup(k); ok {
-					hits++
-				} else {
-					t.Insert(k, k)
-				}
-			}
-			b.ReportMetric(float64(hits)/float64(b.N), "hit/op")
+			benchLookupInsert(b, 64, ways, 70)
 		})
 	}
+	for _, g := range []struct {
+		name       string
+		sets, ways int
+	}{{"l1dtlb", 16, 4}, {"l1d", 64, 8}, {"l2tlb", 128, 12}} {
+		for _, hitPct := range []int{70, 30} {
+			b.Run(fmt.Sprintf("%s=%dx%d/hits=%d", g.name, g.sets, g.ways, hitPct), func(b *testing.B) {
+				benchLookupInsert(b, g.sets, g.ways, hitPct)
+			})
+		}
+	}
+}
+
+func benchLookupInsert(b *testing.B, sets, ways, hitPct int) {
+	t := New[uint64](sets, ways)
+	// LRU over uniform keys hits about capacity/keys of the time.
+	keys := uint64(sets * ways * 100 / hitPct)
+	stream := make([]uint64, 1<<12)
+	state := uint64(0x9E3779B97F4A7C15)
+	for i := range stream {
+		state ^= state << 13
+		state ^= state >> 7
+		state ^= state << 17
+		stream[i] = state % keys
+	}
+	for _, k := range stream {
+		t.Insert(k, k)
+	}
+	hits := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := stream[i&(len(stream)-1)]
+		if _, ok := t.Lookup(k); ok {
+			hits++
+		} else {
+			t.Insert(k, k)
+		}
+	}
+	b.ReportMetric(float64(hits)/float64(b.N), "hit/op")
 }

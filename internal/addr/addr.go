@@ -122,9 +122,6 @@ func (v V) HugePage() VPN { return VPN(v>>HugePageShift) << (HugePageShift - Pag
 // Offset returns the byte offset of v within its 4 KB page.
 func (v V) Offset() uint64 { return uint64(v) & PageMask }
 
-// HugeOffset returns the byte offset of v within its 2 MB page.
-func (v V) HugeOffset() uint64 { return uint64(v) & HugePageMask }
-
 // Line returns the index of the 64 B cache line containing v.
 func (v V) Line() uint64 { return uint64(v) >> LineShift }
 
@@ -202,9 +199,4 @@ func Canonical(v V) bool {
 // AlignUp rounds n up to the next multiple of align (a power of two).
 func AlignUp(n, align uint64) uint64 {
 	return (n + align - 1) &^ (align - 1)
-}
-
-// AlignDown rounds n down to a multiple of align (a power of two).
-func AlignDown(n, align uint64) uint64 {
-	return n &^ (align - 1)
 }

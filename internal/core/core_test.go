@@ -97,7 +97,7 @@ func TestIdealIsFree(t *testing.T) {
 	if done != 12345 {
 		t.Fatalf("Ideal translation took %d cycles", done-12345)
 	}
-	if mmu.Stats().PTEAccesses != 0 || mmu.Stats().Walks != 0 {
+	if mmu.Walker().Stats().PTEAccesses != 0 || mmu.Walker().Stats().Walks != 0 {
 		t.Error("Ideal issued PTE traffic")
 	}
 }
@@ -141,7 +141,7 @@ func TestWalkDepthPerMechanism(t *testing.T) {
 	for mech, n := range want {
 		mmu, base := rig(t, mech)
 		mmu.TranslatePC(0, base, access.Read, 0)
-		if got := mmu.Stats().PTEAccesses.Value(); got != n {
+		if got := mmu.Walker().Stats().PTEAccesses.Value(); got != n {
 			t.Errorf("%v: first walk issued %d PTE accesses, want %d", mech, got, n)
 		}
 	}
@@ -150,11 +150,11 @@ func TestWalkDepthPerMechanism(t *testing.T) {
 func TestPWCShortensSecondWalk(t *testing.T) {
 	mmu, base := rig(t, Radix)
 	mmu.TranslatePC(0, base, access.Read, 0) // fills PL4/PL3/PL2 PWC entries
-	before := mmu.Stats().PTEAccesses.Value()
+	before := mmu.Walker().Stats().PTEAccesses.Value()
 	// Different page, same 2 MB region: PL2 PWC hit -> only the PL1
 	// PTE is read.
 	mmu.TranslatePC(100000, base+7*addr.PageSize, access.Read, 0)
-	if got := mmu.Stats().PTEAccesses.Value() - before; got != 1 {
+	if got := mmu.Walker().Stats().PTEAccesses.Value() - before; got != 1 {
 		t.Errorf("PWC-assisted walk issued %d accesses, want 1", got)
 	}
 }
@@ -162,20 +162,20 @@ func TestPWCShortensSecondWalk(t *testing.T) {
 func TestNDPageWalkIsSingleAccessAfterPWC(t *testing.T) {
 	mmu, base := rig(t, NDPage)
 	mmu.TranslatePC(0, base, access.Read, 0)
-	before := mmu.Stats().PTEAccesses.Value()
+	before := mmu.Walker().Stats().PTEAccesses.Value()
 	// Page in a *different 2 MB region* of the same GB: radix would need
 	// 2 accesses (PL2 PWC tags don't reach); NDPage needs 1 flattened
 	// access after its PL3 PWC hit.
 	mmu.TranslatePC(100000, base+3*addr.HugePageSize, access.Read, 0)
-	if got := mmu.Stats().PTEAccesses.Value() - before; got != 1 {
+	if got := mmu.Walker().Stats().PTEAccesses.Value() - before; got != 1 {
 		t.Errorf("NDPage cross-region walk = %d accesses, want 1", got)
 	}
 	// The same scenario under Radix costs 2 accesses.
 	rmmu, rbase := rig(t, Radix)
 	rmmu.TranslatePC(0, rbase, access.Read, 0)
-	before = rmmu.Stats().PTEAccesses.Value()
+	before = rmmu.Walker().Stats().PTEAccesses.Value()
 	rmmu.TranslatePC(100000, rbase+3*addr.HugePageSize, access.Read, 0)
-	if got := rmmu.Stats().PTEAccesses.Value() - before; got != 2 {
+	if got := rmmu.Walker().Stats().PTEAccesses.Value() - before; got != 2 {
 		t.Errorf("Radix cross-region walk = %d accesses, want 2", got)
 	}
 }
@@ -184,7 +184,7 @@ func TestECHWalkLatencyIsMaxNotSum(t *testing.T) {
 	mmu, base := rig(t, ECH)
 	start := uint64(0)
 	_, end := mmu.TranslatePC(start, base, access.Read, 0)
-	walk := mmu.Stats().WalkCycles.Value()
+	walk := mmu.Walker().Stats().WalkCycles.Value()
 	// Three parallel HBM accesses from idle banks complete in roughly
 	// one access time (plus possible bus serialization), far less than
 	// 3x. One access ~ 4+110+4+4 = 122.
@@ -225,8 +225,7 @@ func TestRadixPTEsDoEnterL1(t *testing.T) {
 	// Baseline: PTE lookups hit the L1 cache path (pollution).
 	// Access the hierarchy through the MMU's walks only.
 	// The L1 must have seen PTE-class traffic.
-	stats := mmu.Stats()
-	if stats.PTEAccesses.Value() == 0 {
+	if mmu.Walker().Stats().PTEAccesses.Value() == 0 {
 		t.Fatal("no walks happened")
 	}
 }
@@ -242,8 +241,8 @@ func TestHugePageTLBReach(t *testing.T) {
 	if s.Misses.Value() != 1 {
 		t.Errorf("huge-page sweep: %d DTLB misses, want 1", s.Misses.Value())
 	}
-	if mmu.Stats().Walks.Value() != 1 {
-		t.Errorf("huge-page sweep: %d walks, want 1", mmu.Stats().Walks.Value())
+	if mmu.Walker().Stats().Walks.Value() != 1 {
+		t.Errorf("huge-page sweep: %d walks, want 1", mmu.Walker().Stats().Walks.Value())
 	}
 }
 
@@ -272,8 +271,8 @@ func TestResetStats(t *testing.T) {
 	mmu, base := rig(t, Radix)
 	mmu.TranslatePC(0, base, access.Read, 0)
 	mmu.ResetStats()
-	s := mmu.Stats()
-	if s.Walks != 0 || s.TranslationCycles != 0 {
+	s := mmu.Walker().Stats()
+	if s.Walks != 0 || s.WalkCycles != 0 || mmu.Stats().Translations != 0 {
 		t.Error("MMU stats not reset")
 	}
 	if mmu.DTLB().Stats().Total() != 0 {
@@ -289,10 +288,10 @@ func TestResetStats(t *testing.T) {
 func TestMeanWalkLatency(t *testing.T) {
 	mmu, base := rig(t, Radix)
 	mmu.TranslatePC(0, base, access.Read, 0)
-	if mmu.Stats().MeanWalkLatency() <= 0 {
+	if mmu.Walker().Stats().MeanWalkLatency() <= 0 {
 		t.Error("MeanWalkLatency not recorded")
 	}
-	if mmu.Stats().MaxWalkCycles < uint64(mmu.Stats().MeanWalkLatency()) {
+	if mmu.Walker().Stats().MaxWalkCycles < uint64(mmu.Walker().Stats().MeanWalkLatency()) {
 		t.Error("max walk < mean walk")
 	}
 }
@@ -331,13 +330,13 @@ func TestECHWayPredictionReducesProbes(t *testing.T) {
 		plain.TranslatePC(tp, v, access.Read, 0)
 		predicted.TranslatePC(tq, v, access.Read, 0)
 	}
-	plainProbes := plain.Stats().PTEAccesses.Value()
-	predProbes := predicted.Stats().PTEAccesses.Value()
+	plainProbes := plain.Walker().Stats().PTEAccesses.Value()
+	predProbes := predicted.Walker().Stats().PTEAccesses.Value()
 	if predProbes >= plainProbes {
 		t.Errorf("way prediction did not reduce probes: %d vs %d", predProbes, plainProbes)
 	}
 	// Sanity: prediction must not fall below 1 probe per walk.
-	if predProbes < predicted.Stats().Walks.Value() {
-		t.Errorf("fewer probes (%d) than walks (%d)", predProbes, predicted.Stats().Walks.Value())
+	if predProbes < predicted.Walker().Stats().Walks.Value() {
+		t.Errorf("fewer probes (%d) than walks (%d)", predProbes, predicted.Walker().Stats().Walks.Value())
 	}
 }

@@ -13,28 +13,17 @@ import (
 	"ndpage/internal/walker"
 )
 
-// Stats aggregates one MMU's translation activity. The walk counters
-// mirror the MMU's walker (cluster-wide when the walker is shared); they
-// are refreshed on every Stats call.
+// Stats counts one MMU's translations. Walk activity lives in the
+// MMU's walker (Walker().Stats(), cluster-wide when the walker is
+// shared), and translation cycles in the core's clock.
 type Stats struct {
-	Translations      stats.Counter
-	TranslationCycles stats.Counter
-	Walks             stats.Counter
-	WalkCycles        stats.Counter
-	MaxWalkCycles     uint64
-	PTEAccesses       stats.Counter // PTE memory requests actually issued
+	Translations stats.Counter
 	// IdentityHits and IdentityMisses count the NMT identity-segment
 	// range check: hits resolve at identityCheckLat with no TLB or walk
 	// activity; misses fall through to the conventional path. Zero
 	// unless Options.Identity was set.
 	IdentityHits   stats.Counter
 	IdentityMisses stats.Counter
-}
-
-// MeanWalkLatency returns the average page-table-walk latency in cycles
-// (Figure 4's metric).
-func (s *Stats) MeanWalkLatency() float64 {
-	return stats.Ratio(s.WalkCycles.Value(), s.Walks.Value())
 }
 
 // IdentityMapper is the OS-side contract for the NMT mechanism (Picorel
@@ -227,16 +216,8 @@ func NewMMUWithOptions(mech Mechanism, coreID int, table pagetable.Table, mem *m
 // Mechanism returns the translation mechanism this MMU implements.
 func (m *MMU) Mechanism() Mechanism { return m.mech }
 
-// Stats returns the live translation counters, with the walk counters
-// refreshed from the walker.
-func (m *MMU) Stats() *Stats {
-	ws := m.unit.Walker.Stats()
-	m.stats.Walks = stats.Counter(ws.Walks)
-	m.stats.WalkCycles = stats.Counter(ws.WalkCycles)
-	m.stats.MaxWalkCycles = ws.MaxWalkCycles
-	m.stats.PTEAccesses = stats.Counter(ws.PTEAccesses)
-	return &m.stats
-}
+// Stats returns the live translation counters.
+func (m *MMU) Stats() *Stats { return &m.stats }
 
 // Walker returns the hardware page-table walker serving this MMU's
 // misses (shared across MMUs when Options.SharedUnit was used).
@@ -327,28 +308,24 @@ func (m *MMU) probe(now uint64, v addr.V, pc uint64) (pa addr.P, t uint64, hit b
 	}
 	if m.identity != nil {
 		if pa, ok := m.identityTranslate(v); ok {
-			m.stats.TranslationCycles.Add(identityCheckLat)
 			return pa, now + identityCheckLat, true
 		}
 	}
 	vpn := v.Page()
 	t = now + m.dtlbLat
 	if e, ok := m.dtlb.Lookup(vpn); ok {
-		m.stats.TranslationCycles.Add(t - now)
 		return physical(pagetable.Entry(e), v), t, true
 	}
 	if m.pcx != nil && pc != 0 {
 		t += m.pcxLat
 		if e, ok := m.pcx.Lookup(pc, vpn); ok {
 			m.dtlb.Insert(vpn, e)
-			m.stats.TranslationCycles.Add(t - now)
 			return physical(pagetable.Entry(e), v), t, true
 		}
 	}
 	t += m.stlbLat
 	if e, ok := m.stlb.Lookup(vpn); ok {
 		m.dtlb.Insert(vpn, e)
-		m.stats.TranslationCycles.Add(t - now)
 		return physical(pagetable.Entry(e), v), t, true
 	}
 	return 0, t, false
@@ -369,7 +346,6 @@ func (m *MMU) fill(now uint64, v addr.V, pc uint64, resp walker.Response) addr.P
 	if m.pcx != nil && pc != 0 {
 		m.pcx.Insert(pc, vpn, te)
 	}
-	m.stats.TranslationCycles.Add(resp.Done - now)
 	return physical(resp.Entry, v)
 }
 

@@ -189,19 +189,3 @@ func (m *Memory) Access(now uint64, pa addr.P, op access.Op, class access.Class)
 	m.stats.ServiceCycles.Add(done - now)
 	return done
 }
-
-// Idle reports whether every bank and bus is free at time now — useful
-// for tests asserting the queueing model drains.
-func (m *Memory) Idle(now uint64) bool {
-	for i := range m.banks {
-		if !m.banks[i].slots.IdleAt(now) {
-			return false
-		}
-	}
-	for i := range m.buses {
-		if !m.buses[i].IdleAt(now) {
-			return false
-		}
-	}
-	return true
-}

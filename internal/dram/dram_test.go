@@ -139,17 +139,6 @@ func TestPerClassCounting(t *testing.T) {
 	}
 }
 
-func TestIdleDrains(t *testing.T) {
-	m := New(testCfg())
-	done := m.Access(0, addr.P(0), access.Read, access.Data)
-	if m.Idle(0) {
-		t.Error("device idle while request in flight")
-	}
-	if !m.Idle(done) {
-		t.Error("device not idle after completion time")
-	}
-}
-
 // TestLoadLatencyGrowth is the Fig 6(a) mechanism in miniature: mean
 // latency under 8 concurrent random-access streams must exceed mean
 // latency under 1 stream.

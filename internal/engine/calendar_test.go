@@ -2,12 +2,13 @@ package engine
 
 import "testing"
 
-// Calendar-queue-specific behavior: same-tick batching, window rebase
+// Calendar-queue-specific behavior: same-tick runs, window rebase
 // through the far list, width adaptation, and the Rewind bucket reset.
 
-// TestSameTickBatchDrainsWithoutReprobe pins the batch fast path: a run
-// of events at one timestamp is extracted once and drained without
-// probing the wheel again, which Batched() counts.
+// TestSameTickBatchDrainsWithoutReprobe pins a run of events at one
+// timestamp: they share a bucket with a later event and dispatch in
+// actor order before it. (The name predates the engine's single
+// dispatch path, when such a run drained as one extracted batch.)
 func TestSameTickBatchDrainsWithoutReprobe(t *testing.T) {
 	e := New()
 	r := &recorder{}
@@ -24,10 +25,8 @@ func TestSameTickBatchDrainsWithoutReprobe(t *testing.T) {
 			t.Fatalf("dispatch %d = %+v, want time 42 payload %d", i, r.got[i], i)
 		}
 	}
-	// 8 events at t=42: one wheel probe extracts the batch, 7 dispatch
-	// as same-tick continuations; the t=50 event probes again.
-	if e.Batched() != 7 {
-		t.Errorf("Batched = %d, want 7", e.Batched())
+	if r.got[8].now != 50 || r.got[8].payload != 99 {
+		t.Fatalf("dispatch 8 = %+v, want time 50 payload 99", r.got[8])
 	}
 	if e.Dispatched() != 9 {
 		t.Errorf("Dispatched = %d, want 9", e.Dispatched())
@@ -102,8 +101,8 @@ func TestCrowdedBucketRebuckets(t *testing.T) {
 	}
 }
 
-// TestRewindAfterBatchedRun pins the Rewind satellite: after a run that
-// drained through same-tick batches (including mid-batch inserts), the
+// TestRewindAfterBatchedRun pins Rewind after a run of same-tick events
+// (including one scheduled mid-dispatch at the current tick): the
 // engine rewinds cleanly — clock and window base return to zero and a
 // new phase scheduled below the old horizon runs in order.
 func TestRewindAfterBatchedRun(t *testing.T) {
@@ -111,7 +110,8 @@ func TestRewindAfterBatchedRun(t *testing.T) {
 	r := &recorder{}
 	r.hook = func(now uint64, kind uint8, payload uint64) {
 		if kind == 1 {
-			// Mid-batch same-tick insert: joins the in-flight batch.
+			// Mid-dispatch same-tick insert: actor 5 sorts after the
+			// tick's remaining actors 1-3.
 			e.Schedule(now, 5, r, 0, 1000)
 		}
 	}
@@ -123,17 +123,22 @@ func TestRewindAfterBatchedRun(t *testing.T) {
 	if got := len(r.got); got != 6 {
 		t.Fatalf("phase 1 dispatched %d events, want 6", got)
 	}
+	for i, want := range []uint64{0, 100, 1, 2, 3, 1000} {
+		if r.got[i].now != 700 || r.got[i].payload != want {
+			t.Fatalf("phase 1 dispatch %d = %+v, want time 700 payload %d", i, r.got[i], want)
+		}
+	}
 
 	e.Rewind()
 	if e.Now() != 0 || e.base != 0 {
 		t.Fatalf("Rewind left now=%d base=%d, want 0/0", e.Now(), e.base)
 	}
-	if e.Len() != 0 || e.batchPos != len(e.batch) {
-		t.Fatal("Rewind left pending or batched events")
+	if e.Len() != 0 {
+		t.Fatal("Rewind left pending events")
 	}
 
 	// The next phase re-seeds below the previous horizon and must
-	// dispatch in order, including a fresh same-tick batch.
+	// dispatch in order, including a fresh same-tick pair.
 	r.hook = nil
 	r.got = r.got[:0]
 	e.Schedule(5, 1, r, 0, 1)
@@ -143,13 +148,10 @@ func TestRewindAfterBatchedRun(t *testing.T) {
 	if len(r.got) != 3 || r.got[0].payload != 2 || r.got[1].payload != 0 || r.got[2].payload != 1 {
 		t.Fatalf("post-Rewind order wrong: %+v", r.got)
 	}
-	if e.Batched() == 0 {
-		t.Error("batched runs recorded no same-tick continuations")
-	}
 }
 
-// TestLenCountsAllRegions checks Len across the wheel, the far list,
-// and a partially drained batch.
+// TestLenCountsAllRegions checks Len across the wheel and the far list,
+// including a partially drained tick.
 func TestLenCountsAllRegions(t *testing.T) {
 	e := New()
 	r := &recorder{}
@@ -160,11 +162,11 @@ func TestLenCountsAllRegions(t *testing.T) {
 	if e.Len() != 4 {
 		t.Fatalf("Len = %d, want 4", e.Len())
 	}
-	if !e.Step() { // extracts the t=1 batch, dispatches one of two
+	if !e.Step() { // dispatches one of the two t=1 events
 		t.Fatal("Step found no work")
 	}
 	if e.Len() != 3 {
-		t.Fatalf("Len after one Step = %d, want 3 (one batched event pending)", e.Len())
+		t.Fatalf("Len after one Step = %d, want 3 (one t=1 event pending)", e.Len())
 	}
 	e.Run()
 	if e.Len() != 0 {

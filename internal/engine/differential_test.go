@@ -45,9 +45,9 @@ func (r *diffRecorder) OnEvent(now uint64, kind uint8, payload uint64) {
 		return
 	}
 	// A third of dispatches schedule one or two follow-on events, at
-	// deltas that heavily collide on the current time (exercising the
-	// mid-batch same-tick merge) and occasionally jump far ahead
-	// (exercising the overflow list and rebase).
+	// deltas that heavily collide on the current time (exercising
+	// same-tick inserts during dispatch) and occasionally jump far
+	// ahead (exercising the overflow list and rebase).
 	switch r.rng.next() % 3 {
 	case 0:
 		n := 1 + int(r.rng.next()%2)
@@ -55,7 +55,7 @@ func (r *diffRecorder) OnEvent(now uint64, kind uint8, payload uint64) {
 			var delta uint64
 			switch r.rng.next() % 4 {
 			case 0:
-				delta = 0 // same tick as the in-flight batch
+				delta = 0 // same tick as the event being dispatched
 			case 1:
 				delta = r.rng.next() % 8
 			case 2:
@@ -69,11 +69,16 @@ func (r *diffRecorder) OnEvent(now uint64, kind uint8, payload uint64) {
 }
 
 // runDiffScenario drives one engine through a deterministic randomized
-// scenario: a seed batch of events, then Run with reactive scheduling.
+// scenario: 1-300 initial events, then Run with reactive scheduling.
 func runDiffScenario(e queue, seed uint64, react bool) []delivered {
-	r := &diffRecorder{e: e, rng: xorshift(seed), react: react}
 	rng := xorshift(seed * 0x9E3779B97F4A7C15)
-	n := int(rng.next()%300) + 1
+	return runDiffEvents(e, seed, &rng, int(rng.next()%300)+1, react)
+}
+
+// runDiffEvents schedules n initial events drawn from rng, then Runs e
+// with a recorder whose reactions draw from seed.
+func runDiffEvents(e queue, seed uint64, rng *xorshift, n int, react bool) []delivered {
+	r := &diffRecorder{e: e, rng: xorshift(seed), react: react}
 	for i := 0; i < n; i++ {
 		// Small time/actor ranges force heavy same-(time, actor)
 		// collisions so every tie-break tier is exercised.
@@ -135,4 +140,40 @@ func TestDifferentialMultiPhase(t *testing.T) {
 			t.Fatalf("dispatch %d diverged: calendar %+v, heap %+v", i, cal[i], hp[i])
 		}
 	}
+}
+
+// FuzzEngineVsHeap runs fuzzed multi-phase scenarios through the
+// calendar queue and the heap oracle: each phase seeds a fuzzed number
+// of events, runs them with reactive scheduling, and Rewinds. The two
+// dispatch sequences must be identical.
+func FuzzEngineVsHeap(f *testing.F) {
+	f.Add(uint64(11), uint16(300), uint8(1))
+	f.Add(uint64(0x5DEECE66D), uint16(1), uint8(3))
+	f.Add(uint64(7), uint16(1000), uint8(2))
+	f.Fuzz(func(t *testing.T, seed uint64, events uint16, phases uint8) {
+		if seed == 0 {
+			t.Skip("xorshift is stuck at zero: every reaction would reschedule forever")
+		}
+		n := int(events%1024) + 1
+		run := func(q queue) []delivered {
+			var all []delivered
+			phaseSeeds := xorshift(seed) // never yields zero from a nonzero state
+			for p := 0; p <= int(phases%4); p++ {
+				s := phaseSeeds.next()
+				rng := xorshift(s * 0x9E3779B97F4A7C15)
+				all = append(all, runDiffEvents(q, s, &rng, n, true)...)
+				q.Rewind()
+			}
+			return all
+		}
+		cal, hp := run(New()), run(&heapQueue{})
+		if len(cal) != len(hp) {
+			t.Fatalf("calendar dispatched %d events, heap %d", len(cal), len(hp))
+		}
+		for i := range cal {
+			if cal[i] != hp[i] {
+				t.Fatalf("dispatch %d diverged: calendar %+v, heap %+v", i, cal[i], hp[i])
+			}
+		}
+	})
 }

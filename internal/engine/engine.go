@@ -25,14 +25,12 @@
 //     cheap.
 //   - The bucket width adapts: observed schedule deltas are averaged
 //     and each rebase re-picks the width so a typical delta spans
-//     about an eighth of the window (see adapt), keeping buckets at
+//     about an eighth of the window (see pickShift), keeping buckets at
 //     O(1) occupancy without overflowing everything to the far list.
-//   - Dispatch extracts the earliest bucket's full batch of
-//     same-timestamp events at once, sorted by (actor, seq), and
-//     drains the batch without re-probing the wheel; events scheduled
-//     mid-batch at the batch's own timestamp merge into the remaining
-//     batch in sorted position, reproducing the heap's semantics
-//     exactly.
+//   - Dispatch scans the earliest non-empty bucket for its (time,
+//     actor, seq) minimum and swap-removes it. Buckets are unordered,
+//     so the scan is the whole ordering rule, and an event scheduled
+//     at the current tick is just another bucket entry.
 //
 // The binary min-heap the wheel replaced lives on in the package's
 // tests (heap_test.go) as the oracle for differential tests: randomized
@@ -101,23 +99,14 @@ type Engine struct {
 	// far holds events at or beyond the window's horizon, unordered.
 	far []event
 
-	// batch is the current same-timestamp dispatch batch, sorted by
-	// (actor, seq) from batchPos on; everything before batchPos has
-	// been dispatched.
-	batch    []event
-	batchPos int
-
 	// Observed schedule deltas (time - now), for width adaptation.
 	deltaSum uint64
 	deltaCnt uint64
 
 	seq uint64
 	now uint64
-	// dispatched counts events executed over the engine's lifetime;
-	// batched counts the subset delivered from an already-extracted
-	// batch, i.e. without re-probing the wheel.
+	// dispatched counts events executed over the engine's lifetime.
 	dispatched uint64
-	batched    uint64
 }
 
 // bucketSeedCap is the per-bucket capacity carved from the construction
@@ -143,18 +132,10 @@ func New() *Engine {
 func (e *Engine) Now() uint64 { return e.now }
 
 // Len returns the number of pending events.
-func (e *Engine) Len() int {
-	return e.wheelN + len(e.far) + (len(e.batch) - e.batchPos)
-}
+func (e *Engine) Len() int { return e.wheelN + len(e.far) }
 
 // Dispatched returns the number of events executed so far.
 func (e *Engine) Dispatched() uint64 { return e.dispatched }
-
-// Batched returns how many dispatches were served from an
-// already-extracted same-timestamp batch — that is, without probing the
-// wheel at all. The ratio Batched/Dispatched is the same-tick batching
-// rate.
-func (e *Engine) Batched() uint64 { return e.batched }
 
 // Rewind moves the clock back to zero between event horizons: the
 // simulator's warmup and measurement phases each drain the queue, and
@@ -171,8 +152,6 @@ func (e *Engine) Rewind() {
 	}
 	e.now = 0
 	e.base = 0
-	e.batch = e.batch[:0]
-	e.batchPos = 0
 }
 
 // Schedule enqueues a (kind, payload) event for target at absolute time
@@ -195,14 +174,6 @@ func (e *Engine) Schedule(t uint64, actor int, target Actor, kind uint8, payload
 		e.deltaSum >>= 1
 		e.deltaCnt >>= 1
 	}
-	if t == e.now && e.batchPos < len(e.batch) {
-		// The event joins the in-flight batch at its own timestamp: it
-		// must dispatch in (actor, seq) order against the batch's
-		// remaining events, exactly as a heap insert at the current
-		// time would.
-		e.batchInsert(ev)
-		return
-	}
 	e.enqueue(ev)
 }
 
@@ -219,36 +190,22 @@ func (e *Engine) enqueue(ev event) {
 	e.far = append(e.far, ev)
 }
 
-// batchInsert merges ev into the remaining (undispatched) batch, which
-// is sorted by (actor, seq). ev carries the largest seq issued, so its
-// slot is immediately before the first remaining event with a greater
-// actor id.
-func (e *Engine) batchInsert(ev event) {
-	i := e.batchPos
-	for i < len(e.batch) && e.batch[i].actor <= ev.actor {
-		i++
-	}
-	e.batch = append(e.batch, event{})
-	copy(e.batch[i+1:], e.batch[i:len(e.batch)-1])
-	e.batch[i] = ev
-}
-
 // Step dispatches the earliest pending event. It returns false when the
 // queue is empty.
 func (e *Engine) Step() bool {
-	// Drain the extracted same-timestamp batch first: its events are
-	// already sorted by (actor, seq), so they need no wheel probe. Only
-	// an exhausted batch falls through to the wheel (next).
-	if e.batchPos < len(e.batch) {
-		e.batched++ // same-tick continuation: no wheel probe
-		i := e.batchPos
-		ev := e.batch[i]
-		e.batch[i] = event{} // drop the vacated slot's Actor reference
-		e.batchPos++
-		e.dispatched++
-		ev.target.OnEvent(ev.time, ev.kind, ev.payload)
-		return true
-	}
+	// The call to next must stay 14 lines below Step's func line.
+	// Profile-guided optimization finds a hot call site by its caller,
+	// its callee and its line offset inside the caller, and the
+	// committed profile (cmd/ndpsim/default.pgo) recorded this call at
+	// offset 14, from an older Step with a second dispatch path above
+	// it. At that offset the profile marks the call hot, next (too
+	// large for the default budget) inlines into Step, and Step inlines
+	// into Run; at any other offset next stays an out-of-line call, and
+	// the ndpage-bfs benchmark measured slower for it. Regenerating
+	// default.pgo from this code lifts the constraint: then close up
+	// this comment. Check the inline decisions with
+	//   go build -pgo=cmd/ndpsim/default.pgo \
+	//     -gcflags='ndpage/internal/engine=-m -d=pgodebug=1' ./cmd/ndpsim
 	ev, ok := e.next()
 	if !ok {
 		return false
@@ -259,20 +216,16 @@ func (e *Engine) Step() bool {
 }
 
 // Run dispatches events in order until none remain. Events scheduled
-// during dispatch are folded into the same run; runs of events at one
-// timestamp drain from a single extracted batch.
+// during dispatch are folded into the same run.
 func (e *Engine) Run() {
 	for e.Step() {
 	}
 }
 
-// next advances the clock to the earliest pending timestamp and
-// returns its first event, rebasing the window from the far list when
-// the wheel is empty. A timestamp with a single event — the common
-// case — dispatches straight out of its bucket; ties extract the whole
-// same-timestamp batch at once, sorted by (actor, seq), which Step then
-// drains without re-probing the wheel. The second result is false when
-// no events remain anywhere.
+// next removes and returns the earliest pending event in (time, actor,
+// seq) order and advances the clock to its time, rebasing the window
+// from the far list when the wheel is empty. The second result is
+// false when no events remain anywhere.
 func (e *Engine) next() (event, bool) {
 	if e.wheelN == 0 {
 		if len(e.far) == 0 {
@@ -292,55 +245,26 @@ func (e *Engine) next() (event, bool) {
 			bkt = e.buckets[b]
 		}
 	}
-	tmin, argmin, ties := bkt[0].time, 0, 1
+	// The earliest bucket holds the earliest event; bucket order is
+	// arbitrary, so scan it for the (time, actor, seq) minimum and
+	// swap-remove that.
+	m := 0
 	for i := 1; i < len(bkt); i++ {
-		switch t := bkt[i].time; {
-		case t < tmin:
-			tmin, argmin, ties = t, i, 1
-		case t == tmin:
-			ties++
+		a, best := &bkt[i], &bkt[m]
+		if a.time < best.time || a.time == best.time && (a.actor < best.actor || a.actor == best.actor && a.seq < best.seq) {
+			m = i
 		}
 	}
-	e.now = tmin
-	if ties == 1 {
-		// Singleton fast path: no batch round-trip. Bucket order is
-		// not semantically meaningful (ties sort at extraction), so a
-		// swap-remove suffices.
-		ev := bkt[argmin]
-		last := len(bkt) - 1
-		bkt[argmin] = bkt[last]
-		bkt[last] = event{} // drop the vacated slot's Actor reference
-		e.buckets[b] = bkt[:last]
-		e.wheelN--
-		if last == 0 {
-			e.occ[b>>6] &^= 1 << (uint(b) & 63)
-		}
-		return ev, true
-	}
-	// Extract the full batch at tmin, compacting the bucket in place.
-	e.batch = e.batch[:0]
-	e.batchPos = 0
-	w := 0
-	for i := range bkt {
-		if bkt[i].time == tmin {
-			e.batch = append(e.batch, bkt[i])
-		} else {
-			bkt[w] = bkt[i]
-			w++
-		}
-	}
-	for i := w; i < len(bkt); i++ {
-		bkt[i] = event{} // drop vacated slots' Actor references
-	}
-	e.buckets[b] = bkt[:w]
-	e.wheelN -= len(e.batch)
-	if w == 0 {
+	ev := bkt[m]
+	last := len(bkt) - 1
+	bkt[m] = bkt[last]
+	bkt[last] = event{} // drop the vacated slot's Actor reference
+	e.buckets[b] = bkt[:last]
+	e.wheelN--
+	if last == 0 {
 		e.occ[b>>6] &^= 1 << (uint(b) & 63)
 	}
-	sortBatch(e.batch)
-	ev := e.batch[0]
-	e.batch[0] = event{}
-	e.batchPos = 1
+	e.now = ev.time
 	return ev, true
 }
 
@@ -444,19 +368,4 @@ func (e *Engine) pickShift() uint {
 		s++
 	}
 	return s
-}
-
-// sortBatch insertion-sorts a same-timestamp batch by (actor, seq).
-// Batches are a handful of events, and bucket extraction preserves
-// per-actor seq order, so the sort is near-linear in practice.
-func sortBatch(b []event) {
-	for i := 1; i < len(b); i++ {
-		ev := b[i]
-		j := i
-		for j > 0 && (ev.actor < b[j-1].actor || (ev.actor == b[j-1].actor && ev.seq < b[j-1].seq)) {
-			b[j] = b[j-1]
-			j--
-		}
-		b[j] = ev
-	}
 }

@@ -289,8 +289,8 @@ func TestScheduleDoesNotAllocate(t *testing.T) {
 	r := &recorder{}
 	r.got = make([]delivered, 0, 4096)
 	// Reach steady-state capacity first: spin the clock across several
-	// window spans so every calendar bucket, the far list, and the
-	// batch buffer hit their high-water capacities.
+	// window spans so every calendar bucket and the far list hit their
+	// high-water capacities.
 	for round := 0; round < 3*nBuckets; round++ {
 		base := e.Now()
 		for i := 0; i < 8; i++ {

@@ -18,8 +18,10 @@ import (
 // ECH entry was re-captured at ModelVersion 2 by a build whose Engine
 // dispatched through the heap. The timing goldens pin two
 // configurations' headline counters; this test pins every counter, so
-// a dispatch-order divergence they miss still fails. The heap itself
-// lives on as internal/engine's test oracle.
+// a dispatch-order divergence they miss still fails, and it pins each
+// run's dispatched-event count, so a change that adds or drops events
+// fails even when every counter agrees. The heap itself lives on as
+// internal/engine's test oracle.
 func TestEngineQueueDifferential(t *testing.T) {
 	raw, err := os.ReadFile(filepath.Join("testdata", "engine_queue_golden.json"))
 	if err != nil {
@@ -38,36 +40,29 @@ func TestEngineQueueDifferential(t *testing.T) {
 	mlp.SharedWalker = true
 	mlp.WalkerWidth = 4
 	cfgs["mlp8-4core-dlrm"] = mlp
+	dispatched := map[string]uint64{
+		"blocking-2core-bfs": 61845,
+		"blocking-4core-rnd": 101340,
+		"mlp8-4core-dlrm":    173347,
+	}
 	if len(want) != len(cfgs) {
 		t.Fatalf("golden holds %d results, want %d", len(want), len(cfgs))
 	}
 
 	for name, cfg := range cfgs {
 		t.Run(name, func(t *testing.T) {
-			got := run(t, cfg)
+			m, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := m.Run()
 			if !reflect.DeepEqual(got, want[name]) {
 				t.Errorf("result diverges from the heap queue's:\ncalendar: %+v\nheap:     %+v",
 					got, want[name])
 			}
+			if d := m.eng.Dispatched(); d != dispatched[name] {
+				t.Errorf("dispatched %d events, want %d", d, dispatched[name])
+			}
 		})
 	}
-}
-
-// TestEngineBatchesSameTickEvents checks the wheel's same-tick batching
-// actually engages on a real simulation: a multi-core run dispatches a
-// measurable fraction of its events as batch continuations.
-func TestEngineBatchesSameTickEvents(t *testing.T) {
-	m, err := New(goldenCfg(4, core.NDPage, "bfs"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.Run()
-	d, b := m.eng.Dispatched(), m.eng.Batched()
-	if d == 0 {
-		t.Fatal("no events dispatched")
-	}
-	if b == 0 {
-		t.Error("no same-tick batch continuations on a 4-core run; batching never engaged")
-	}
-	t.Logf("dispatched %d events, %d batched (%.2f%%)", d, b, 100*float64(b)/float64(d))
 }

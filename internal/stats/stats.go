@@ -83,12 +83,6 @@ func (m *Mean) Add(x float64) {
 	m.Count++
 }
 
-// AddN folds n identical observations into the mean.
-func (m *Mean) AddN(x float64, n uint64) {
-	m.Sum += x * float64(n)
-	m.Count += n
-}
-
 // Value returns the arithmetic mean, or 0 when no observations were added.
 func (m Mean) Value() float64 {
 	if m.Count == 0 {
@@ -112,9 +106,6 @@ func Ratio(a, b uint64) float64 {
 	}
 	return float64(a) / float64(b)
 }
-
-// Percent returns 100*a/b, or 0 when b is zero.
-func Percent(a, b uint64) float64 { return 100 * Ratio(a, b) }
 
 // GeoMean returns the geometric mean of xs, ignoring non-positive entries
 // (a speedup of 0 means "run did not execute" and must not zero the mean).
@@ -143,32 +134,4 @@ func ArithMean(xs []float64) float64 {
 		sum += x
 	}
 	return sum / float64(len(xs))
-}
-
-// Min returns the minimum of xs, or 0 for an empty slice.
-func Min(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Max returns the maximum of xs, or 0 for an empty slice.
-func Max(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
 }

@@ -161,17 +161,6 @@ func (c *Cache) FillXlat(vpn addr.VPN) (Eviction, bool) {
 	return c.Fill(xlatKey(vpn), access.Read, access.Xlat)
 }
 
-// Access is the common probe-then-fill sequence: Lookup, and on a miss,
-// Fill. It returns whether the access hit and any eviction caused by the
-// fill. Callers that bypass this cache call neither (see Stats.Bypassed).
-func (c *Cache) Access(line uint64, op access.Op, class access.Class) (hit bool, ev Eviction, evicted bool) {
-	if c.Lookup(line, op, class) {
-		return true, Eviction{}, false
-	}
-	ev, evicted = c.Fill(line, op, class)
-	return false, ev, evicted
-}
-
 // Contains reports whether the line is present, without touching LRU state
 // or statistics. For tests and introspection.
 func (c *Cache) Contains(line uint64) bool {
@@ -208,23 +197,4 @@ func (c *Cache) Invalidate(line uint64) (wasDirty, wasPresent bool) {
 	}
 	c.table.Invalidate(line)
 	return st.dirty, true
-}
-
-// Flush empties the cache (counters are preserved).
-func (c *Cache) Flush() { c.table.Flush() }
-
-// Occupancy returns the fraction of lines currently valid.
-func (c *Cache) Occupancy() float64 {
-	return float64(c.table.Len()) / float64(c.table.Capacity())
-}
-
-// ClassLines returns how many valid lines currently hold each class, for
-// pollution introspection.
-func (c *Cache) ClassLines() [access.NumClasses]int {
-	var counts [access.NumClasses]int
-	c.table.Range(func(_ uint64, st lineState) bool {
-		counts[st.class]++
-		return true
-	})
-	return counts
 }

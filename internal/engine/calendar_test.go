@@ -3,7 +3,7 @@ package engine
 import "testing"
 
 // Calendar-queue-specific behavior: same-tick runs, window rebase
-// through the far list, width adaptation, and the Rewind bucket reset.
+// through the far list, crowded buckets, and the Rewind bucket reset.
 
 // TestSameTickBatchDrainsWithoutReprobe pins a run of events at one
 // timestamp: they share a bucket with a later event and dispatch in
@@ -38,7 +38,7 @@ func TestSameTickBatchDrainsWithoutReprobe(t *testing.T) {
 func TestFarEventsRebaseIntoWindow(t *testing.T) {
 	e := New()
 	r := &recorder{}
-	horizon := uint64(nBuckets) << e.shift
+	horizon := uint64(nBuckets) << bucketShift
 	times := []uint64{1, horizon * 3, horizon * 3, horizon*10 + 5, horizon * 42}
 	for i, at := range times {
 		e.Schedule(at, i, r, 0, uint64(i))
@@ -57,47 +57,28 @@ func TestFarEventsRebaseIntoWindow(t *testing.T) {
 	}
 }
 
-// TestWidthAdaptsToLargeDeltas drives the engine with deltas far wider
-// than the initial bucket width and checks a rebase widens the buckets
-// (the adaptation policy: mean delta spans at most an eighth of the
-// window).
-func TestWidthAdaptsToLargeDeltas(t *testing.T) {
+// TestCrowdedBucketDispatchesInOrder piles 128 events into one bucket,
+// far past its seed capacity, at every tick the bucket spans and in
+// reverse of dispatch order, and checks they dispatch in (time, actor)
+// order: the in-bucket scan alone orders a crowded bucket.
+func TestCrowdedBucketDispatchesInOrder(t *testing.T) {
 	e := New()
 	r := &recorder{}
-	for i := 1; i <= 64; i++ {
-		e.Schedule(uint64(i)<<20, 0, r, 0, uint64(i)) // megacycle spacing, all beyond the window
+	const n = 128
+	for i := n - 1; i >= 0; i-- {
+		e.Schedule(uint64(i>>4), i&15, r, 0, uint64(i)) // ticks 0-7, one bucket
 	}
-	e.Run()
-	if len(r.got) != 64 {
-		t.Fatalf("dispatched %d events, want 64", len(r.got))
-	}
-	if e.shift <= initShift {
-		t.Errorf("shift = %d after 1M-cycle deltas, want > %d (width did not adapt up)", e.shift, initShift)
-	}
-}
-
-// TestCrowdedBucketRebuckets forces many distinct timestamps into one
-// bucket (a learned-too-wide width) and checks dispatch stays correct
-// and the width re-adapts downward.
-func TestCrowdedBucketRebuckets(t *testing.T) {
-	e := New()
-	e.shift = 20 // pretend a previous phase learned 1M-cycle buckets
-	r := &recorder{}
-	n := crowdLimit * 2
-	for i := 0; i < n; i++ {
-		e.Schedule(uint64(i), 0, r, 0, uint64(i)) // n distinct ticks, one bucket
+	if got := len(e.buckets[0]); got != n {
+		t.Fatalf("bucket 0 holds %d events, want %d; bucket width changed?", got, n)
 	}
 	e.Run()
 	if len(r.got) != n {
 		t.Fatalf("dispatched %d events, want %d", len(r.got), n)
 	}
 	for i, d := range r.got {
-		if d.now != uint64(i) {
-			t.Fatalf("dispatch %d at time %d, want %d", i, d.now, i)
+		if d.now != uint64(i>>4) || d.payload != uint64(i) {
+			t.Fatalf("dispatch %d = %+v, want time %d payload %d", i, d, i>>4, i)
 		}
-	}
-	if e.shift >= 20 {
-		t.Errorf("shift = %d after crowded bucket, want re-adapted below 20", e.shift)
 	}
 }
 
@@ -158,7 +139,7 @@ func TestLenCountsAllRegions(t *testing.T) {
 	e.Schedule(1, 0, r, 0, 0)
 	e.Schedule(1, 1, r, 0, 0)
 	e.Schedule(2, 0, r, 0, 0)
-	e.Schedule(uint64(nBuckets)<<e.shift+12345, 0, r, 0, 0) // far
+	e.Schedule(uint64(nBuckets)<<bucketShift+12345, 0, r, 0, 0) // far
 	if e.Len() != 4 {
 		t.Fatalf("Len = %d, want 4", e.Len())
 	}

@@ -142,6 +142,40 @@ func TestDifferentialMultiPhase(t *testing.T) {
 	}
 }
 
+// TestDifferentialFullPendingSet pins the queues to each other at the
+// largest pending set the simulator's Validate accepts: 64 cores × MLP
+// 64 = 4,096 initial events, half inside the first 64 cycles (eight
+// 8-cycle buckets of ~256 events each) and half spread over 100k cycles
+// (a far list of ~2,000 that every rebase rescans), then Run with
+// reactive scheduling.
+func TestDifferentialFullPendingSet(t *testing.T) {
+	const cores, mlp = 64, 64
+	for round := uint64(1); round <= 3; round++ {
+		run := func(q queue) []delivered {
+			rng := xorshift(round * 0x9E3779B97F4A7C15)
+			r := &diffRecorder{e: q, rng: xorshift(round), react: true}
+			for i := 0; i < cores*mlp; i++ {
+				at := rng.next() % 64
+				if i%2 == 1 {
+					at = rng.next() % 100_000
+				}
+				q.Schedule(at, i%cores, r, uint8(rng.next()), rng.next())
+			}
+			q.Run()
+			return r.got
+		}
+		cal, hp := run(New()), run(&heapQueue{})
+		if len(cal) != len(hp) {
+			t.Fatalf("round %d: calendar dispatched %d events, heap %d", round, len(cal), len(hp))
+		}
+		for i := range cal {
+			if cal[i] != hp[i] {
+				t.Fatalf("round %d: dispatch %d diverged: calendar %+v, heap %+v", round, i, cal[i], hp[i])
+			}
+		}
+	}
+}
+
 // FuzzEngineVsHeap runs fuzzed multi-phase scenarios through the
 // calendar queue and the heap oracle: each phase seeds a fuzzed number
 // of events, runs them with reactive scheduling, and Rewinds. The two

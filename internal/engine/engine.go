@@ -15,18 +15,19 @@
 // regular — exactly the simulator's regime, where deltas are cache,
 // DRAM, and mesh latencies of tens to hundreds of cycles:
 //
-//   - nBuckets buckets of power-of-two width cover the sliding window
-//     [base, base + nBuckets<<shift). Scheduling is O(1): index the
-//     bucket, append, set an occupancy bit.
+//   - nBuckets buckets of one fixed width, 2^bucketShift = 8 cycles,
+//     cover the sliding window [base, base + nBuckets<<bucketShift).
+//     Scheduling is O(1): index the bucket, append, set an occupancy
+//     bit.
 //   - Events beyond the window land in an unsorted far list. When the
 //     wheel drains, the window rebases onto the earliest far event and
 //     the far list redistributes — the far list is bounded by the
 //     pending-event count (O(cores × MLP)), so the occasional scan is
-//     cheap.
-//   - The bucket width adapts: observed schedule deltas are averaged
-//     and each rebase re-picks the width so a typical delta spans
-//     about an eighth of the window (see pickShift), keeping buckets at
-//     O(1) occupancy without overflowing everything to the far list.
+//     cheap. Fault-sized deltas (thousands to hundreds of thousands of
+//     cycles) take this path.
+//   - The width is fixed. It decides how many events a dispatch scans,
+//     never the dispatch order (see the next bullet), so a crowded
+//     bucket costs a longer scan, not a wrong one.
 //   - Dispatch scans the earliest non-empty bucket for its (time,
 //     actor, seq) minimum and swap-removes it. Buckets are unordered,
 //     so the scan is the whole ordering rule, and an event scheduled
@@ -67,41 +68,29 @@ type event struct {
 }
 
 const (
-	// nBuckets is the wheel size. 256 buckets at the adaptive width
-	// cover several typical event-time spans, so rebases are rare
-	// relative to dispatches.
+	// nBuckets is the wheel size. 256 buckets of 8 cycles span 2,048
+	// cycles, several cache, DRAM and mesh latencies, so rebases are
+	// rare relative to dispatches.
 	nBuckets = 256
 	occWords = nBuckets / 64
-	// initShift is the pre-adaptation bucket width (2^6 = 64 cycles),
-	// sized for the simulator's cache/DRAM latency deltas.
-	initShift = 6
-	// maxShift caps the adaptive width so the window arithmetic stays
-	// comfortably inside uint64.
-	maxShift = 48
-	// crowdLimit triggers a re-bucketing when one bucket accumulates
-	// this many events: the width is too coarse for the observed
-	// deltas, and rebases alone would not shrink it (a huge window
-	// never drains to the far list).
-	crowdLimit = 64
+	// bucketShift is the log2 bucket width: 8-cycle buckets hold about
+	// one event each at the simulator's cache and DRAM latency deltas.
+	bucketShift = 3
 )
 
 // Engine is a deterministic discrete-event scheduler. Not safe for
 // concurrent use; one simulation drives one engine from one goroutine.
 type Engine struct {
-	// Calendar wheel: buckets[i] holds events with
-	// time in [base + i<<shift, base + (i+1)<<shift), unordered; occ is
-	// the non-empty-bucket bitmap; wheelN counts wheel-resident events.
+	// Calendar wheel: buckets[i] holds events with time in
+	// [base + i<<bucketShift, base + (i+1)<<bucketShift), unordered;
+	// occ is the non-empty-bucket bitmap; wheelN counts wheel-resident
+	// events.
 	buckets [nBuckets][]event
 	occ     [occWords]uint64
 	wheelN  int
 	base    uint64
-	shift   uint
 	// far holds events at or beyond the window's horizon, unordered.
 	far []event
-
-	// Observed schedule deltas (time - now), for width adaptation.
-	deltaSum uint64
-	deltaCnt uint64
 
 	seq uint64
 	now uint64
@@ -119,7 +108,7 @@ const bucketSeedCap = 4
 // reaches its steady no-allocation state without 256 first-touch
 // growths.
 func New() *Engine {
-	e := &Engine{shift: initShift}
+	e := &Engine{}
 	arena := make([]event, nBuckets*bucketSeedCap)
 	for i := range e.buckets {
 		e.buckets[i] = arena[i*bucketSeedCap : i*bucketSeedCap : (i+1)*bucketSeedCap]
@@ -141,11 +130,9 @@ func (e *Engine) Dispatched() uint64 { return e.dispatched }
 // simulator's warmup and measurement phases each drain the queue, and
 // the next phase re-seeds it from per-actor clocks that may lie before
 // the previous phase's final event. Rewinding resets the calendar
-// queue's window too — the bucket base returns to zero alongside the
-// clock, while the adaptively learned bucket width carries over to the
-// next phase (the deltas that tuned it are a property of the machine,
-// not the phase). Rewinding with events still pending would reorder
-// them and panics.
+// queue's window too: the bucket base returns to zero alongside the
+// clock. Rewinding with events still pending would reorder them and
+// panics.
 func (e *Engine) Rewind() {
 	if e.Len() != 0 {
 		panic("engine: Rewind with pending events")
@@ -168,19 +155,13 @@ func (e *Engine) Schedule(t uint64, actor int, target Actor, kind uint8, payload
 	}
 	ev := event{time: t, seq: e.seq, payload: payload, target: target, actor: int32(actor), kind: kind}
 	e.seq++
-	e.deltaSum += t - e.now
-	e.deltaCnt++
-	if e.deltaCnt == 1<<20 { // decay: recent deltas dominate the average
-		e.deltaSum >>= 1
-		e.deltaCnt >>= 1
-	}
 	e.enqueue(ev)
 }
 
 // enqueue places ev in its wheel bucket, or in the far list when it
 // lies beyond the window's horizon. Callers guarantee ev.time >= base.
 func (e *Engine) enqueue(ev event) {
-	if d := (ev.time - e.base) >> e.shift; d < nBuckets {
+	if d := (ev.time - e.base) >> bucketShift; d < nBuckets {
 		b := int(d)
 		e.buckets[b] = append(e.buckets[b], ev)
 		e.occ[b>>6] |= 1 << (uint(b) & 63)
@@ -235,16 +216,6 @@ func (e *Engine) next() (event, bool) {
 	}
 	b := e.nextBucket()
 	bkt := e.buckets[b]
-	if len(bkt) >= crowdLimit {
-		// The bucket width is too coarse for the observed deltas (and
-		// a too-wide window may never rebase on its own): re-pick the
-		// width now and re-spread the wheel.
-		if s := e.pickShift(); s < e.shift {
-			e.rebucket(s)
-			b = e.nextBucket()
-			bkt = e.buckets[b]
-		}
-	}
 	// The earliest bucket holds the earliest event; bucket order is
 	// arbitrary, so scan it for the (time, actor, seq) minimum and
 	// swap-remove that.
@@ -275,7 +246,7 @@ func (e *Engine) next() (event, bool) {
 func (e *Engine) nextBucket() int {
 	cur := 0
 	if e.now > e.base {
-		if d := (e.now - e.base) >> e.shift; d < nBuckets {
+		if d := (e.now - e.base) >> bucketShift; d < nBuckets {
 			cur = int(d)
 		} else {
 			cur = nBuckets - 1
@@ -295,77 +266,21 @@ func (e *Engine) nextBucket() int {
 	}
 }
 
-// rebase slides the window onto the earliest far event: the width
-// re-adapts to the deltas observed since the last rebase, base moves to
-// the far minimum (guaranteeing at least one event lands in the wheel),
-// and the far list redistributes.
+// rebase slides the window onto the earliest far event and re-enqueues
+// the far list: base moves to the far minimum, so at least one event
+// lands in the wheel, and events still beyond the horizon stay far.
 func (e *Engine) rebase() {
-	minT := e.far[0].time
-	for i := 1; i < len(e.far); i++ {
-		if e.far[i].time < minT {
-			minT = e.far[i].time
-		}
+	far := e.far
+	minT := far[0].time
+	for i := 1; i < len(far); i++ {
+		minT = min(minT, far[i].time)
 	}
-	e.shift = e.pickShift()
 	e.base = minT
-	e.spreadFar()
-}
-
-// spreadFar moves every far event inside the current window into its
-// bucket, keeping the remainder in the far list.
-func (e *Engine) spreadFar() {
-	keep := e.far[:0]
-	for _, ev := range e.far {
-		if d := (ev.time - e.base) >> e.shift; d < nBuckets {
-			b := int(d)
-			e.buckets[b] = append(e.buckets[b], ev)
-			e.occ[b>>6] |= 1 << (uint(b) & 63)
-			e.wheelN++
-		} else {
-			keep = append(keep, ev)
-		}
+	// Survivors are appended in place: the write index never passes the
+	// read index, and the capacity is already there.
+	e.far = far[:0]
+	for _, ev := range far {
+		e.enqueue(ev)
 	}
-	for i := len(keep); i < len(e.far); i++ {
-		e.far[i] = event{}
-	}
-	e.far = keep
-}
-
-// rebucket re-spreads the whole wheel at a new bucket width, keeping
-// base (which is at or below every pending event's time).
-func (e *Engine) rebucket(shift uint) {
-	for b := 0; b < nBuckets && e.wheelN > 0; b++ {
-		bkt := e.buckets[b]
-		if len(bkt) == 0 {
-			continue
-		}
-		e.far = append(e.far, bkt...)
-		for i := range bkt {
-			bkt[i] = event{}
-		}
-		e.buckets[b] = bkt[:0]
-		e.wheelN -= len(bkt)
-	}
-	e.occ = [occWords]uint64{}
-	e.wheelN = 0
-	e.shift = shift
-	e.spreadFar()
-}
-
-// pickShift chooses the bucket width from the observed mean schedule
-// delta: the smallest power-of-two width at which the mean delta spans
-// no more than an eighth of the window. Small regular deltas get
-// fine-grained buckets (O(1) occupancy); rare huge deltas (fault
-// penalties) widen the window instead of overflowing every event to
-// the far list.
-func (e *Engine) pickShift() uint {
-	if e.deltaCnt == 0 {
-		return e.shift
-	}
-	avg := e.deltaSum / e.deltaCnt
-	var s uint
-	for avg>>s > nBuckets/8 && s < maxShift {
-		s++
-	}
-	return s
+	clear(far[len(e.far):]) // drop the vacated slots' Actor references
 }

@@ -288,26 +288,24 @@ func TestScheduleDoesNotAllocate(t *testing.T) {
 	e := New()
 	r := &recorder{}
 	r.got = make([]delivered, 0, 4096)
-	// Reach steady-state capacity first: spin the clock across several
-	// window spans so every calendar bucket and the far list hit their
-	// high-water capacities.
-	for round := 0; round < 3*nBuckets; round++ {
-		base := e.Now()
-		for i := 0; i < 8; i++ {
-			e.Schedule(base+uint64(i*37), i, r, 0, 0)
-		}
-		e.Run()
-		r.got = r.got[:0]
-	}
-
-	allocs := testing.AllocsPerRun(100, func() {
+	// The measured pattern: 32 consecutive ticks, which puts 8 events
+	// in each of four 8-cycle buckets, above the seed capacity.
+	pattern := func() {
 		base := e.Now()
 		for i := 0; i < 32; i++ {
 			e.Schedule(base+uint64(i), i, r, 0, uint64(i))
 		}
 		e.Run()
 		r.got = r.got[:0]
-	})
+	}
+	// Reach steady-state capacity first: run the pattern until the base
+	// has swept the wheel several times, so every bucket has grown to
+	// hold it.
+	for round := 0; round < 3*nBuckets; round++ {
+		pattern()
+	}
+
+	allocs := testing.AllocsPerRun(100, pattern)
 	if allocs != 0 {
 		t.Errorf("schedule+dispatch allocated %.1f times per run, want 0", allocs)
 	}

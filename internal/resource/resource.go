@@ -34,9 +34,6 @@
 //     front interval, and the placement scan skips the prefix of
 //     intervals whose ends cannot constrain the request via binary
 //     search, leaving only the short out-of-order frontier to walk.
-//   - IdleAt is an O(1) comparison against the high-water end, valid
-//     because eviction removes a minimum end and so never forgets the
-//     interval holding the maximum.
 package resource
 
 // window is the number of busy intervals remembered. It bounds how far
@@ -175,14 +172,6 @@ func (s *Slots) insertAt(idx int, iv interval) {
 	}
 	*s.at(idx) = iv
 	s.n++
-}
-
-// IdleAt reports whether no booked interval covers or follows t. This is
-// an O(1) maxEnd comparison: eviction always removes a minimum end, so
-// the interval holding maxEnd is never forgotten while the book is
-// non-empty, and an empty book has maxEnd zero.
-func (s *Slots) IdleAt(t uint64) bool {
-	return t >= s.maxEnd
 }
 
 // Reset clears all reservations and the eviction floor.

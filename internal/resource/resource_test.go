@@ -12,9 +12,6 @@ func TestReserveIdle(t *testing.T) {
 	if got := s.Reserve(100, 10); got != 100 {
 		t.Fatalf("idle reserve = %d, want 100", got)
 	}
-	if !s.IdleAt(110) || s.IdleAt(105) {
-		t.Error("IdleAt wrong")
-	}
 }
 
 func TestReserveQueuesBehindConflict(t *testing.T) {
@@ -236,15 +233,6 @@ func (s *refSlots) insert(idx int, iv interval) {
 	s.n++
 }
 
-func (s *refSlots) IdleAt(t uint64) bool {
-	for i := 0; i < s.n; i++ {
-		if s.busy[i].end > t {
-			return false
-		}
-	}
-	return true
-}
-
 func (s *refSlots) NextFree(now, dur uint64) uint64 {
 	candidate := now
 	if s.floor > candidate {
@@ -298,12 +286,6 @@ func TestReserveMatchesReferenceImplementation(t *testing.T) {
 				g, w := got.NextFree(now, dur), want.NextFree(now, dur)
 				if g != w {
 					t.Fatalf("round %d op %d: NextFree(%d, %d) = %d, reference %d", round, i, now, dur, g, w)
-				}
-			}
-			if next()%4 == 0 {
-				at := now + next()%200
-				if g, w := got.IdleAt(at), want.IdleAt(at); g != w {
-					t.Fatalf("round %d op %d: IdleAt(%d) = %v, reference %v", round, i, at, g, w)
 				}
 			}
 			g, w := got.Reserve(now, dur), want.Reserve(now, dur)

@@ -27,8 +27,8 @@
 // last nibble is always the way least recently filled or promoted —
 // the same way a per-way timestamp scan would pick. One nibble per way
 // in one word bounds associativity at 16. Free-way choice (lowest
-// invalid way), Peek/Update (no promotion) and Range order (set-major,
-// way order) do not depend on the recency word.
+// invalid way) and Peek/Update (no promotion) do not depend on the
+// recency word.
 package assoc
 
 import "math/bits"
@@ -108,15 +108,6 @@ func New[V any](sets, ways int) *Table[V] {
 	}
 	return t
 }
-
-// Sets returns the number of sets.
-func (t *Table[V]) Sets() int { return t.sets }
-
-// Ways returns the associativity.
-func (t *Table[V]) Ways() int { return t.ways }
-
-// Capacity returns sets*ways.
-func (t *Table[V]) Capacity() int { return t.sets * t.ways }
 
 // golden is 2^64 divided by the golden ratio. A key's hash is the key
 // times golden (Fibonacci hashing), which spreads key entropy into the
@@ -326,29 +317,4 @@ func (t *Table[V]) Len() int {
 		n += bits.OnesCount64(fp & byteHigh)
 	}
 	return n
-}
-
-// Range calls fn for every valid entry; if fn returns false iteration
-// stops. Iteration order is internal array order (deterministic).
-func (t *Table[V]) Range(fn func(key uint64, v V) bool) {
-	for s := range t.meta {
-		base := s * t.ways
-		if !t.rangeWord(t.meta[s].fp, base, fn) ||
-			t.hi != nil && !t.rangeWord(t.hi[s], base+8, fn) {
-			return
-		}
-	}
-}
-
-// rangeWord calls fn for each valid way of fingerprint word fp, in way
-// order, where the word's way 0 is index base of tags and vals. It
-// reports whether fn asked to go on.
-func (t *Table[V]) rangeWord(fp uint64, base int, fn func(key uint64, v V) bool) bool {
-	for z := fp & byteHigh; z != 0; z &= z - 1 {
-		i := base + bits.TrailingZeros64(z)>>3
-		if !fn(t.tags[i], t.vals[i]) {
-			return false
-		}
-	}
-	return true
 }

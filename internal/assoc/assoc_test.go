@@ -2,9 +2,36 @@ package assoc
 
 import (
 	"fmt"
+	"math/bits"
 	"testing"
 	"testing/quick"
 )
+
+// rangeAll calls fn for every valid entry in array order (set-major,
+// way order within a set) until fn returns false: the content walk the
+// differential tests diff against refTable.rangeAll.
+func (t *Table[V]) rangeAll(fn func(key uint64, v V) bool) {
+	for s := range t.meta {
+		base := s * t.ways
+		if !t.rangeWord(t.meta[s].fp, base, fn) ||
+			t.hi != nil && !t.rangeWord(t.hi[s], base+8, fn) {
+			return
+		}
+	}
+}
+
+// rangeWord calls fn for each valid way of fingerprint word fp, in way
+// order, where the word's way 0 is index base of tags and vals. It
+// reports whether fn asked to go on.
+func (t *Table[V]) rangeWord(fp uint64, base int, fn func(key uint64, v V) bool) bool {
+	for z := fp & byteHigh; z != 0; z &= z - 1 {
+		i := base + bits.TrailingZeros64(z)>>3
+		if !fn(t.tags[i], t.vals[i]) {
+			return false
+		}
+	}
+	return true
+}
 
 func TestNewValidation(t *testing.T) {
 	for _, bad := range []struct{ sets, ways int }{{0, 1}, {3, 1}, {4, 0}, {-4, 2}, {4, 17}, {1, 64}} {
@@ -18,8 +45,8 @@ func TestNewValidation(t *testing.T) {
 		}()
 	}
 	tab := New[int](8, 2)
-	if tab.Sets() != 8 || tab.Ways() != 2 || tab.Capacity() != 16 {
-		t.Error("geometry accessors wrong")
+	if tab.sets != 8 || tab.ways != 2 || len(tab.tags) != 16 || len(tab.vals) != 16 {
+		t.Error("geometry wrong")
 	}
 }
 
@@ -123,7 +150,7 @@ func TestRange(t *testing.T) {
 		tab.Insert(k, int(k)*10)
 	}
 	sum := 0
-	tab.Range(func(k uint64, v int) bool {
+	tab.rangeAll(func(k uint64, v int) bool {
 		sum += v
 		return true
 	})
@@ -131,7 +158,7 @@ func TestRange(t *testing.T) {
 		t.Errorf("Range sum = %d", sum)
 	}
 	count := 0
-	tab.Range(func(k uint64, v int) bool {
+	tab.rangeAll(func(k uint64, v int) bool {
 		count++
 		return false // early stop
 	})
@@ -151,7 +178,7 @@ func TestCapacityProperty(t *testing.T) {
 				return false
 			}
 		}
-		return tab.Len() <= tab.Capacity()
+		return tab.Len() <= tab.sets*tab.ways
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -189,7 +216,7 @@ func TestSetDistribution(t *testing.T) {
 
 // refTable is the array-of-structs implementation with a global clock
 // and a per-way LRU stamp, kept as the differential oracle: the packed
-// table must make identical hit, free-way, victim, and Range-order
+// table must make identical hit, free-way, victim, and content-order
 // decisions for any operation mix, because table decisions feed
 // simulated timing and the golden tests pin that timing bit for bit.
 type refTable[V any] struct {
@@ -306,7 +333,7 @@ func (t *refTable[V]) Flush() {
 	}
 }
 
-func (t *refTable[V]) Range(fn func(key uint64, v V) bool) {
+func (t *refTable[V]) rangeAll(fn func(key uint64, v V) bool) {
 	for i := range t.lines {
 		if t.lines[i].valid && !fn(t.lines[i].key, t.lines[i].value) {
 			return
@@ -314,7 +341,7 @@ func (t *refTable[V]) Range(fn func(key uint64, v V) bool) {
 	}
 }
 
-// rangeSeq flattens a Range walk (optionally stopped after limit
+// rangeSeq flattens a rangeAll walk (optionally stopped after limit
 // entries) into key, value pairs.
 func rangeSeq(rng func(func(uint64, uint64) bool), limit int) []uint64 {
 	var seq []uint64
@@ -329,7 +356,7 @@ func rangeSeq(rng func(func(uint64, uint64) bool), limit int) []uint64 {
 // AoS reference through long pseudo-random operation mixes at every
 // supported associativity, on hot tables (heavy eviction and
 // invalidation), and requires identical results: hits, values, eviction
-// victims, lengths, and Range order.
+// victims, lengths, and content order (rangeAll).
 func TestSoAMatchesAoSReference(t *testing.T) {
 	const ops = 100_000
 	for ways := 1; ways <= maxWays; ways++ {
@@ -399,9 +426,9 @@ func diffAgainstReference(t *testing.T, sets, ways, ops int) {
 				t.Fatalf("op %d: Invalidate(%d) = %v, reference %v", op, key, g, w)
 			}
 		case r < 99:
-			// A stopped Range must visit the same prefix.
+			// A stopped walk must visit the same prefix.
 			limit := int(next()%8) + 1
-			if g, w := rangeSeq(got.Range, limit), rangeSeq(want.Range, limit); fmt.Sprint(g) != fmt.Sprint(w) {
+			if g, w := rangeSeq(got.rangeAll, limit), rangeSeq(want.rangeAll, limit); fmt.Sprint(g) != fmt.Sprint(w) {
 				t.Fatalf("op %d: Range(limit %d) = %v, reference %v", op, limit, g, w)
 			}
 		default:
@@ -411,7 +438,7 @@ func diffAgainstReference(t *testing.T, sets, ways, ops int) {
 			}
 		}
 		if op%500 == 0 {
-			g, w := rangeSeq(got.Range, sets*ways), rangeSeq(want.Range, sets*ways)
+			g, w := rangeSeq(got.rangeAll, sets*ways), rangeSeq(want.rangeAll, sets*ways)
 			if len(g) != len(w) {
 				t.Fatalf("op %d: Range visited %d entries, reference %d", op, len(g)/2, len(w)/2)
 			}
@@ -446,7 +473,7 @@ func xorshift(seed uint64, n int) []byte {
 
 // runOps decodes ops as (kind, key index) byte pairs over keys and
 // applies each to the packed table and to the reference, failing on the
-// first difference in hits, values, victims, Len or Range order.
+// first difference in hits, values, victims, Len or content order.
 func runOps(tb testing.TB, sets, ways int, keys []uint64, ops []byte) {
 	tb.Helper()
 	got := New[uint64](sets, ways)
@@ -494,7 +521,7 @@ func runOps(tb testing.TB, sets, ways int, keys []uint64, ops []byte) {
 			got.Flush()
 			want.Flush()
 		}
-		g, w := rangeSeq(got.Range, sets*ways), rangeSeq(want.Range, sets*ways)
+		g, w := rangeSeq(got.rangeAll, sets*ways), rangeSeq(want.rangeAll, sets*ways)
 		if fmt.Sprint(g) != fmt.Sprint(w) {
 			tb.Fatalf("op %d: Range = %v, reference %v", i/2, g, w)
 		}

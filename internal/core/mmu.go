@@ -6,6 +6,7 @@ import (
 	"ndpage/internal/access"
 	"ndpage/internal/addr"
 	"ndpage/internal/memsys"
+	"ndpage/internal/osmm"
 	"ndpage/internal/pagetable"
 	"ndpage/internal/pwc"
 	"ndpage/internal/stats"
@@ -26,54 +27,34 @@ type Stats struct {
 	IdentityMisses stats.Counter
 }
 
-// IdentityMapper is the OS-side contract for the NMT mechanism (Picorel
-// et al., MEMSYS 2017): IdentityCovered reports whether v lies in an
-// identity-mapped segment, where physical = virtual and the MMU may
-// skip TLBs and walker entirely. osmm.AddressSpace satisfies it.
-type IdentityMapper interface {
-	IdentityCovered(v addr.V) bool
-}
-
 // identityCheckLat is the NMT range check's cost in cycles: a pair of
 // bound registers compared in parallel with decode.
 const identityCheckLat = 1
 
-// WalkUnit bundles a hardware page-table walker with the page-walk
-// caches it probes. One unit normally serves one MMU; a shared unit
+// NewWalkUnit assembles the hardware page-table walker for mech over
+// table, with the page-walk caches it probes (Walker.Cache), issuing
+// PTE traffic to mem. One walker normally serves one MMU; a shared one
 // models a cluster-level walker serving every core's misses, which is
 // where MSHR coalescing and slot contention appear.
-type WalkUnit struct {
-	Walker *walker.Walker
-	PWCs   *pwc.PWC // nil when the mechanism has none (or disabled)
-}
-
-// NewWalkUnit assembles the walker and page-walk caches for mech over
-// table, issuing PTE traffic to mem.
-func NewWalkUnit(mech Mechanism, table pagetable.Table, mem *memsys.Hierarchy, opts Options) *WalkUnit {
-	u := &WalkUnit{}
+func NewWalkUnit(mech Mechanism, table pagetable.Table, mem *memsys.Hierarchy, opts Options) *walker.Walker {
 	wcfg := walker.Config{
 		Width:         opts.WalkerWidth,
 		WayPrediction: opts.ECHWayPrediction && mech == ECH,
 	}
 	if cfg, ok := mech.PWCConfig(); ok && !opts.DisablePWC {
-		u.PWCs = pwc.New(cfg)
-		wcfg.Cache = u.PWCs
+		wcfg.Cache = pwc.New(cfg)
 	}
 	if mech == Victima && mem != nil {
 		// The hierarchy owns the translation-block store (built when its
-		// VictimaGate is set); the guard keeps the interface nil — not
-		// typed-nil — when the store is absent.
-		if v := mem.Victima(); v != nil {
-			wcfg.Xlat = v
-		}
+		// VictimaGate is set; nil otherwise).
+		wcfg.Xlat = mem.Victima()
 	}
-	u.Walker = walker.New(table, mem, wcfg)
-	return u
+	return walker.New(table, mem, wcfg)
 }
 
 // MMU is one core's memory-management unit: L1 D/I TLBs, a unified L2
-// TLB, and a walk unit (page-walk caches plus a hardware walker) over
-// the mechanism's page table. The MMU itself is a thin TLB front-end;
+// TLB, and a hardware walker (with its page-walk caches) over the
+// mechanism's page table. The MMU itself is a thin TLB front-end;
 // every miss is delegated to the walker. Not safe for concurrent use.
 type MMU struct {
 	mech   Mechanism
@@ -81,13 +62,13 @@ type MMU struct {
 	dtlb   *tlb.TLB
 	itlb   *tlb.TLB
 	stlb   *tlb.TLB
-	unit   *WalkUnit
+	walker *walker.Walker
 	table  pagetable.Table
 
 	// identity is the NMT identity-segment range check (nil unless
 	// Options.Identity was set); pcx is the PCAX PC-indexed table (nil
 	// unless Options.PCXEntries was set).
-	identity IdentityMapper
+	identity *osmm.AddressSpace
 	pcx      *tlb.PCX
 
 	// dtlbLat/stlbLat cache the constant probe latencies: probe runs
@@ -171,14 +152,15 @@ type Options struct {
 	// conventional blocking walker — Table I's implied default).
 	WalkerWidth int
 	// SharedUnit, when non-nil, makes the MMU delegate its misses to a
-	// pre-built (typically cluster-shared) walk unit instead of owning
-	// one; DisablePWC, ECHWayPrediction, and WalkerWidth are then
-	// properties of that unit.
-	SharedUnit *WalkUnit
+	// pre-built (typically cluster-shared) walker from NewWalkUnit
+	// instead of owning one; DisablePWC, ECHWayPrediction, and
+	// WalkerWidth are then properties of that walker.
+	SharedUnit *walker.Walker
 	// Identity, when non-nil, enables the NMT identity-segment fast
-	// path: covered addresses translate in identityCheckLat cycles with
-	// no TLB or walker activity.
-	Identity IdentityMapper
+	// path (Picorel et al., MEMSYS 2017): addresses the OS model keeps
+	// identity-mapped (physical = virtual) translate in identityCheckLat
+	// cycles with no TLB or walker activity.
+	Identity *osmm.AddressSpace
 	// PCXEntries, when > 0, builds a PC-indexed translation table of
 	// that many entries (the PCAX mechanism), probed on L1-TLB miss.
 	PCXEntries int
@@ -200,15 +182,13 @@ func NewMMUWithOptions(mech Mechanism, coreID int, table pagetable.Table, mem *m
 	m.stlbLat = m.stlb.Latency()
 	m.identity = opts.Identity
 	if opts.PCXEntries > 0 {
-		pcfg := tlb.DefaultPCX()
-		pcfg.Entries = opts.PCXEntries
-		m.pcx = tlb.NewPCX(pcfg)
+		m.pcx = tlb.NewPCX(opts.PCXEntries)
 		m.pcxLat = m.pcx.Latency()
 	}
 	if opts.SharedUnit != nil {
-		m.unit = opts.SharedUnit
+		m.walker = opts.SharedUnit
 	} else {
-		m.unit = NewWalkUnit(mech, table, mem, opts)
+		m.walker = NewWalkUnit(mech, table, mem, opts)
 	}
 	return m
 }
@@ -221,7 +201,7 @@ func (m *MMU) Stats() *Stats { return &m.stats }
 
 // Walker returns the hardware page-table walker serving this MMU's
 // misses (shared across MMUs when Options.SharedUnit was used).
-func (m *MMU) Walker() *walker.Walker { return m.unit.Walker }
+func (m *MMU) Walker() *walker.Walker { return m.walker }
 
 // DTLB returns the L1 data TLB (for statistics).
 func (m *MMU) DTLB() *tlb.TLB { return m.dtlb }
@@ -233,7 +213,7 @@ func (m *MMU) ITLB() *tlb.TLB { return m.itlb }
 func (m *MMU) STLB() *tlb.TLB { return m.stlb }
 
 // PWC returns the page-walk caches, or nil.
-func (m *MMU) PWC() *pwc.PWC { return m.unit.PWCs }
+func (m *MMU) PWC() *pwc.PWC { return m.walker.Cache() }
 
 // PCXTable returns the PC-indexed translation table, or nil when
 // Options.PCXEntries was zero.
@@ -246,9 +226,9 @@ func (m *MMU) ResetStats() {
 	m.dtlb.ResetStats()
 	m.itlb.ResetStats()
 	m.stlb.ResetStats()
-	m.unit.Walker.ResetStats()
-	if m.unit.PWCs != nil {
-		m.unit.PWCs.ResetStats()
+	m.walker.ResetStats()
+	if p := m.walker.Cache(); p != nil {
+		p.ResetStats()
 	}
 	if m.pcx != nil {
 		m.pcx.ResetStats()
@@ -267,7 +247,7 @@ func (m *MMU) TranslatePC(now uint64, v addr.V, op access.Op, pc uint64) (addr.P
 	if hit {
 		return pa, t
 	}
-	resp := m.unit.Walker.Walk(walker.Request{Core: m.coreID, V: v, Time: t})
+	resp := m.walker.Walk(walker.Request{Core: m.coreID, V: v, Time: t})
 	return m.fill(now, v, pc, resp), resp.Done
 }
 
@@ -276,7 +256,7 @@ func (m *MMU) TranslatePC(now uint64, v addr.V, op access.Op, pc uint64) (addr.P
 // physical address and the absolute completion time. It shares
 // TranslatePC's TLB front end — hits resolve inline, since their
 // few-cycle latency is known immediately — while misses go through the
-// walk unit's event-scheduled path, so concurrent translations contend
+// walker's event-scheduled path, so concurrent translations contend
 // for real walk slots, coalesce in the MSHRs, and fill the TLBs only
 // when their walk's completion event fires. The miss context rides a
 // pooled record registered with the walker, so the path allocates
@@ -288,7 +268,7 @@ func (m *MMU) TranslateAsyncPC(s walker.Scheduler, now uint64, v addr.V, op acce
 		client.OnTranslated(pa, t)
 		return
 	}
-	m.unit.Walker.WalkAsync(s, walker.Request{Core: m.coreID, V: v, Time: t}, m.getXlat(v, now, pc, client))
+	m.walker.WalkAsync(s, walker.Request{Core: m.coreID, V: v, Time: t}, m.getXlat(v, now, pc, client))
 }
 
 // probe runs the TLB front end both core models share: Ideal's
@@ -314,19 +294,19 @@ func (m *MMU) probe(now uint64, v addr.V, pc uint64) (pa addr.P, t uint64, hit b
 	vpn := v.Page()
 	t = now + m.dtlbLat
 	if e, ok := m.dtlb.Lookup(vpn); ok {
-		return physical(pagetable.Entry(e), v), t, true
+		return physical(e, v), t, true
 	}
 	if m.pcx != nil && pc != 0 {
 		t += m.pcxLat
 		if e, ok := m.pcx.Lookup(pc, vpn); ok {
 			m.dtlb.Insert(vpn, e)
-			return physical(pagetable.Entry(e), v), t, true
+			return physical(e, v), t, true
 		}
 	}
 	t += m.stlbLat
 	if e, ok := m.stlb.Lookup(vpn); ok {
 		m.dtlb.Insert(vpn, e)
-		return physical(pagetable.Entry(e), v), t, true
+		return physical(e, v), t, true
 	}
 	return 0, t, false
 }
@@ -340,11 +320,10 @@ func (m *MMU) fill(now uint64, v addr.V, pc uint64, resp walker.Response) addr.P
 		panic(unmapped(v))
 	}
 	vpn := v.Page()
-	te := tlb.Entry{PFN: resp.Entry.PFN, Huge: resp.Entry.Huge}
-	m.dtlb.Insert(vpn, te)
-	m.stlb.Insert(vpn, te)
+	m.dtlb.Insert(vpn, resp.Entry)
+	m.stlb.Insert(vpn, resp.Entry)
 	if m.pcx != nil && pc != 0 {
-		m.pcx.Insert(pc, vpn, te)
+		m.pcx.Insert(pc, vpn, resp.Entry)
 	}
 	return physical(resp.Entry, v)
 }
@@ -374,11 +353,11 @@ func (m *MMU) TranslateCode(v addr.V) addr.P {
 	vpn := v.Page()
 	if m.mech != Ideal {
 		if e, ok := m.itlb.Lookup(vpn); ok {
-			return physical(pagetable.Entry(e), v)
+			return physical(e, v)
 		}
 		if e, ok := m.stlb.Lookup(vpn); ok {
 			m.itlb.Insert(vpn, e)
-			return physical(pagetable.Entry(e), v)
+			return physical(e, v)
 		}
 	}
 	e, ok := m.table.Lookup(vpn)
@@ -386,9 +365,8 @@ func (m *MMU) TranslateCode(v addr.V) addr.P {
 		panic(unmapped(v))
 	}
 	if m.mech != Ideal {
-		te := tlb.Entry{PFN: e.PFN, Huge: e.Huge}
-		m.itlb.Insert(vpn, te)
-		m.stlb.Insert(vpn, te)
+		m.itlb.Insert(vpn, e)
+		m.stlb.Insert(vpn, e)
 	}
 	return physical(e, v)
 }

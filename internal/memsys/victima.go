@@ -28,8 +28,8 @@ func (s *VictimaStats) HitRate() float64 {
 // al., MICRO 2023): the last-level cache accepts leaf translation
 // blocks alongside data lines, so PTE reach scales with cache capacity
 // instead of with dedicated TLB entries. It adapts the hierarchy's
-// shared last-level cache into a translation-block cache satisfying
-// walker.XlatCache — the walker probes it before walking, and a hit
+// shared last-level cache into the walker's translation-block cache
+// (walker.Config.Xlat) — the walker probes it before walking, and a hit
 // supplies the leaf PTE at cache latency with zero PTE traffic, while
 // insertion is gated by a TLB-miss predictor so translation blocks
 // displace data only where they will be reused. On CPU systems the
@@ -61,8 +61,9 @@ func (s *VictimaStore) target(core int) *cache.Cache {
 	return s.h.l1d[core]
 }
 
-// Probe implements walker.XlatCache: check for the translation block
-// covering v at the target cache's latency.
+// Probe checks for the translation block covering v, starting at
+// absolute time t, at the target cache's latency; it returns the probe's
+// completion time either way.
 func (s *VictimaStore) Probe(core int, t uint64, v addr.V) (uint64, bool) {
 	s.st.Probes.Inc()
 	c := s.target(core)
@@ -74,10 +75,10 @@ func (s *VictimaStore) Probe(core int, t uint64, v addr.V) (uint64, bool) {
 	return t, false
 }
 
-// Fill implements walker.XlatCache: offer the block covering v after a
-// completed walk. The predictor admits it only once gate walks have
-// demanded the block; an admitted fill that displaces a dirty data line
-// writes the victim back to memory.
+// Fill offers the block covering v after a walk completing at t. The
+// predictor admits it only once gate walks have demanded the block; an
+// admitted fill that displaces a dirty data line writes the victim back
+// to memory.
 func (s *VictimaStore) Fill(core int, t uint64, v addr.V) {
 	key := uint64(v.Page()) / cache.XlatBlockPages
 	n, _ := s.pred.Lookup(key)

@@ -40,34 +40,23 @@ type flatNode struct {
 }
 
 // Flattened is NDPage's page table: PL4 -> PL3 -> flattened L2/L1 leaf.
+// The PL4 and PL3 levels are the radix directory Radix uses.
 type Flattened struct {
-	alloc *phys.Allocator
-	// root is the PL4 node; mid maps PL4 index -> PL3 node; flat maps
-	// (PL4,PL3) prefix -> flattened node. Node structures mirror the
-	// radix layout for the two upper levels.
-	root *radixNode
+	radixDir
 	// flats holds the flattened nodes indexed densely by the PL3 child
 	// slot (the 18-bit PL4+PL3 prefix), grown on demand. The simulator's
 	// address spaces bump-allocate from a fixed base, so occupied slots
 	// are a short dense run and the slice stays small, and WalkInto
 	// indexes it with no map-bucket probe.
 	flats []*flatNode
-	// frames holds every mapped entry's frame; Lookup, Present and
-	// Unmap read only it.
-	frames frameStore
 
-	nodes      levelCounts
-	used       levelCounts
-	mapped     uint64
 	hugeBacked uint64 // flattened nodes that got a contiguous 2 MB block
 	chunkFalls uint64 // flattened nodes that fell back to chunked frames
 }
 
 // NewFlattened builds an empty NDPage table backed by alloc.
 func NewFlattened(alloc *phys.Allocator) *Flattened {
-	f := &Flattened{alloc: alloc}
-	f.root = f.newUpperNode(addr.PL4)
-	return f
+	return &Flattened{radixDir: newRadixDir(alloc)}
 }
 
 // flatAt returns the flattened node at slot, nil when absent.
@@ -88,16 +77,6 @@ func (f *Flattened) setFlat(slot uint64, fn *flatNode) {
 
 // Kind implements Table.
 func (f *Flattened) Kind() string { return "flattened" }
-
-func (f *Flattened) newUpperNode(level addr.Level) *radixNode {
-	pfn, ok := f.alloc.AllocFrame()
-	if !ok {
-		panic("pagetable: out of physical memory for a flattened upper node")
-	}
-	n := &radixNode{basePA: pfn.Addr(), level: level, children: make([]*radixNode, addr.EntriesPerTable)}
-	f.nodes[level]++
-	return n
-}
 
 // newFlatNode allocates the 1 GB-span leaf node.
 func (f *Flattened) newFlatNode() *flatNode {
@@ -138,19 +117,12 @@ func pl3Slot(v addr.V) uint64 { return uint64(v >> 30) }
 
 // buildPath creates the PL3 node and flattened node covering v.
 func (f *Flattened) buildPath(v addr.V) {
-	i4 := addr.Index(v, addr.PL4)
-	if f.root.children[i4] == nil {
-		f.root.children[i4] = f.newUpperNode(addr.PL3)
-		f.used[addr.PL4]++
-	}
+	f.child(f.root, addr.Index(v, addr.PL4))
 	if slot := pl3Slot(v); f.flatAt(slot) == nil {
 		f.setFlat(slot, f.newFlatNode())
 		f.used[addr.PL3]++
 	}
 }
-
-// Reserve implements Table.
-func (f *Flattened) Reserve(vpn addr.VPN, pages uint64) { f.frames.reserve(vpn, pages) }
 
 // Map implements Table.
 func (f *Flattened) Map(vpn addr.VPN, pfn addr.PFN) { f.MapRange(vpn, 1, pfn) }
@@ -180,13 +152,6 @@ func (f *Flattened) MapHuge(vpn addr.VPN, base addr.PFN) {
 	f.MapRange(vpn, addr.EntriesPerTable, base)
 }
 
-// Lookup implements Table.
-func (f *Flattened) Lookup(vpn addr.VPN) (Entry, bool) { return f.frames.lookup(vpn) }
-
-// Present implements Table: the demand-paging fast predicate, one frame
-// store read.
-func (f *Flattened) Present(vpn addr.VPN) bool { return f.frames.present(vpn) }
-
 // Unmap implements Table.
 func (f *Flattened) Unmap(vpn addr.VPN) (Entry, bool) {
 	e, ok := f.frames.unmap(vpn)
@@ -202,13 +167,10 @@ func (f *Flattened) Unmap(vpn addr.VPN) (Entry, bool) {
 // of the radix table's 4 (paper Figure 9).
 func (f *Flattened) WalkInto(v addr.V, w *Walk) {
 	w.Reset()
-	i4 := addr.Index(v, addr.PL4)
-	w.Seq = append(w.Seq, Access{addr.PL4, pteAddr(f.root.basePA, i4)})
-	n3 := f.root.children[i4]
-	if n3 == nil {
+	i4, i3 := addr.Index(v, addr.PL4), addr.Index(v, addr.PL3)
+	if f.walkUpper(w, i4, i3) == nil {
 		return
 	}
-	w.Seq = append(w.Seq, Access{addr.PL3, pteAddr(n3.basePA, addr.Index(v, addr.PL3))})
 	fn := f.flatAt(pl3Slot(v))
 	if fn == nil {
 		return
@@ -220,34 +182,25 @@ func (f *Flattened) WalkInto(v addr.V, w *Walk) {
 // Occupancy implements Table. The L2L1 row reports the paper's "combined
 // PL2/PL1" occupancy over 2^18-entry nodes.
 func (f *Flattened) Occupancy() []LevelOccupancy {
-	out := []LevelOccupancy{
-		{Level: addr.PL4, Nodes: f.nodes[addr.PL4], EntriesUsed: f.used[addr.PL4],
-			Capacity: f.nodes[addr.PL4] * addr.EntriesPerTable},
-		{Level: addr.PL3, Nodes: f.nodes[addr.PL3], EntriesUsed: f.used[addr.PL3],
-			Capacity: f.nodes[addr.PL3] * addr.EntriesPerTable},
-		{Level: addr.L2L1, Nodes: f.nodes[addr.L2L1], EntriesUsed: f.used[addr.L2L1],
-			Capacity: f.nodes[addr.L2L1] * addr.FlatEntries},
+	return []LevelOccupancy{
+		f.occupancy(addr.PL4, addr.EntriesPerTable),
+		f.occupancy(addr.PL3, addr.EntriesPerTable),
+		f.occupancy(addr.L2L1, addr.FlatEntries),
 	}
-	return out
 }
 
-// MappedPages implements Table.
-func (f *Flattened) MappedPages() uint64 { return f.mapped }
-
 // MetadataBytes implements Table: the simulator-side resident metadata —
-// the upper nodes' child directories, the dense node index, each
-// flattened node's backing directory, and the frame store.
+// the radix directory (upper nodes and frame store), the dense node
+// index, and each flattened node's backing directory.
 func (f *Flattened) MetadataBytes() uint64 {
 	const ptr = uint64(unsafe.Sizeof((*flatNode)(nil)))
-	total := (f.nodes[addr.PL4] + f.nodes[addr.PL3]) *
-		(uint64(unsafe.Sizeof(radixNode{})) + addr.EntriesPerTable*ptr)
-	total += uint64(len(f.flats)) * ptr
+	total := f.radixDir.MetadataBytes() + uint64(len(f.flats))*ptr
 	for _, fn := range f.flats {
 		if fn != nil {
 			total += uint64(unsafe.Sizeof(*fn)) + uint64(len(fn.chunks)+len(fn.chunkOK))*8
 		}
 	}
-	return total + f.frames.bytes()
+	return total
 }
 
 // HugeBackedNodes returns how many flattened nodes obtained a contiguous

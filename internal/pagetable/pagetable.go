@@ -3,9 +3,10 @@
 //
 //   - Radix: the conventional x86-64 4-level radix tree (baseline), also
 //     supporting 2 MB leaf entries at PL2 for the Huge Page mechanism.
-//   - Flattened: NDPage's tailored table — PL4 and PL3 as usual, with the
-//     PL2 and PL1 levels merged into single 2 MB nodes of 2^18 entries
-//     indexed by 18 virtual-address bits (paper Section V-B).
+//   - Flattened: NDPage's tailored table — Radix's PL4/PL3 directory
+//     (the same type, radixDir), with the PL2 and PL1 levels merged into
+//     one 2 MB node of 2^18 entries indexed by 18 virtual-address bits
+//     (paper Section V-B).
 //   - Cuckoo: an elastic cuckoo hash table (Skarlatos et al., ASPLOS'20),
 //     the paper's strongest baseline (ECH): d=3 independent ways probed
 //     in parallel, with gradual (elastic) resizing.

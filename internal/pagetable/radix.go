@@ -24,30 +24,32 @@ type radixNode struct {
 // bucket probe per mapped page is measurable at population scale.
 type levelCounts [addr.L2L1 + 1]uint64
 
-// Radix is the conventional x86-64 4-level page table. It also serves the
-// Huge Page mechanism via MapHuge (2 MB leaves at PL2).
-type Radix struct {
+// radixDir is the radix directory Radix and Flattened share: the PL4
+// root and the nodes hung below it, each backed by a frame from alloc,
+// the per-level node and used-entry counts, and the frame store that
+// holds every mapped entry. Radix grows it down to PL1; Flattened stops
+// at PL3 and hangs its merged PL2+PL1 nodes off the PL3 entries.
+type radixDir struct {
 	alloc  *phys.Allocator
 	root   *radixNode
 	nodes  levelCounts
 	used   levelCounts
 	mapped uint64
+	// frames holds every mapped entry's frame; Lookup, Present and
+	// Unmap read only it.
 	frames frameStore
 }
 
-// NewRadix builds an empty 4-level table whose nodes are backed by frames
-// from alloc.
-func NewRadix(alloc *phys.Allocator) *Radix {
-	r := &Radix{alloc: alloc}
-	r.root = r.newNode(addr.PL4)
-	return r
+// newRadixDir builds an empty directory: a PL4 root backed by the
+// first frame it takes from alloc.
+func newRadixDir(alloc *phys.Allocator) radixDir {
+	d := radixDir{alloc: alloc}
+	d.root = d.newNode(addr.PL4)
+	return d
 }
 
-// Kind implements Table.
-func (r *Radix) Kind() string { return "radix" }
-
-func (r *Radix) newNode(level addr.Level) *radixNode {
-	pfn, ok := r.alloc.AllocFrame()
+func (d *radixDir) newNode(level addr.Level) *radixNode {
+	pfn, ok := d.alloc.AllocFrame()
 	if !ok {
 		panic("pagetable: out of physical memory for a radix node")
 	}
@@ -55,12 +57,12 @@ func (r *Radix) newNode(level addr.Level) *radixNode {
 	if level != addr.PL1 {
 		n.children = make([]*radixNode, addr.EntriesPerTable)
 	}
-	r.nodes[level]++
+	d.nodes[level]++
 	return n
 }
 
 // child returns the child node under n at idx, creating it if needed.
-func (r *Radix) child(n *radixNode, idx uint64) *radixNode {
+func (d *radixDir) child(n *radixNode, idx uint64) *radixNode {
 	if c := n.children[idx]; c != nil {
 		return c
 	}
@@ -75,11 +77,71 @@ func (r *Radix) child(n *radixNode, idx uint64) *radixNode {
 	default:
 		panic("pagetable: child of leaf level")
 	}
-	c := r.newNode(lvl)
+	c := d.newNode(lvl)
 	n.children[idx] = c
-	r.used[n.level]++
+	d.used[n.level]++
 	return c
 }
+
+// walkUpper appends a walk's PL4 read, entry i4 of the root, and, when
+// that entry points to a PL3 node, its PL3 read, entry i3 of that node.
+// It returns the PL3 node, or nil when the walk ends at PL4. Callers
+// compute the indices: addr.Index is over the plain inlining budget and
+// inlines only at the hot call sites cmd/ndpsim/default.pgo records in
+// Flattened.WalkInto.
+func (d *radixDir) walkUpper(w *Walk, i4, i3 uint64) *radixNode {
+	w.Seq = append(w.Seq, Access{addr.PL4, pteAddr(d.root.basePA, i4)})
+	n3 := d.root.children[i4]
+	if n3 != nil {
+		w.Seq = append(w.Seq, Access{addr.PL3, pteAddr(n3.basePA, i3)})
+	}
+	return n3
+}
+
+// occupancy returns level l's Occupancy row for nodes of perNode
+// entries.
+func (d *radixDir) occupancy(l addr.Level, perNode uint64) LevelOccupancy {
+	return LevelOccupancy{Level: l, Nodes: d.nodes[l], EntriesUsed: d.used[l], Capacity: d.nodes[l] * perNode}
+}
+
+// Reserve implements Table.
+func (d *radixDir) Reserve(vpn addr.VPN, pages uint64) { d.frames.reserve(vpn, pages) }
+
+// Lookup implements Table.
+func (d *radixDir) Lookup(vpn addr.VPN) (Entry, bool) { return d.frames.lookup(vpn) }
+
+// Present implements Table: the demand-paging fast predicate, one frame
+// store read instead of a descent.
+func (d *radixDir) Present(vpn addr.VPN) bool { return d.frames.present(vpn) }
+
+// MappedPages implements Table.
+func (d *radixDir) MappedPages() uint64 { return d.mapped }
+
+// MetadataBytes implements Table: the simulator-side resident metadata,
+// computed from the per-level node counts (interior nodes carry a
+// 512-pointer child directory, PL1 leaves only their header) plus the
+// frame store. Flattened adds its merged nodes.
+func (d *radixDir) MetadataBytes() uint64 {
+	const ptr = uint64(unsafe.Sizeof((*radixNode)(nil)))
+	node := uint64(unsafe.Sizeof(radixNode{}))
+	interior := d.nodes[addr.PL4] + d.nodes[addr.PL3] + d.nodes[addr.PL2]
+	return interior*(node+addr.EntriesPerTable*ptr) + d.nodes[addr.PL1]*node + d.frames.bytes()
+}
+
+// Radix is the conventional x86-64 4-level page table. It also serves the
+// Huge Page mechanism via MapHuge (2 MB leaves at PL2).
+type Radix struct {
+	radixDir
+}
+
+// NewRadix builds an empty 4-level table whose nodes are backed by frames
+// from alloc.
+func NewRadix(alloc *phys.Allocator) *Radix {
+	return &Radix{newRadixDir(alloc)}
+}
+
+// Kind implements Table.
+func (r *Radix) Kind() string { return "radix" }
 
 // buildPath creates the nodes down to the PL1 node covering vpn.
 func (r *Radix) buildPath(vpn addr.VPN) {
@@ -91,9 +153,6 @@ func (r *Radix) buildPath(vpn addr.VPN) {
 	n = r.child(n, addr.Index(v, addr.PL3))
 	r.child(n, addr.Index(v, addr.PL2))
 }
-
-// Reserve implements Table.
-func (r *Radix) Reserve(vpn addr.VPN, pages uint64) { r.frames.reserve(vpn, pages) }
 
 // Map implements Table.
 func (r *Radix) Map(vpn addr.VPN, pfn addr.PFN) { r.MapRange(vpn, 1, pfn) }
@@ -129,13 +188,6 @@ func (r *Radix) MapHuge(vpn addr.VPN, base addr.PFN) {
 	}
 }
 
-// Lookup implements Table.
-func (r *Radix) Lookup(vpn addr.VPN) (Entry, bool) { return r.frames.lookup(vpn) }
-
-// Present implements Table: the demand-paging fast predicate, one frame
-// store read instead of a four-level descent.
-func (r *Radix) Present(vpn addr.VPN) bool { return r.frames.present(vpn) }
-
 // Unmap implements Table.
 func (r *Radix) Unmap(vpn addr.VPN) (Entry, bool) {
 	e, ok := r.frames.unmap(vpn)
@@ -160,15 +212,12 @@ func (r *Radix) WalkInto(v addr.V, w *Walk) {
 	w.Reset()
 	// Read the translation first: its load then overlaps the descent's.
 	e, ok := r.frames.lookup(v.Page())
-	n := r.root
-	w.Seq = append(w.Seq, Access{addr.PL4, pteAddr(n.basePA, addr.Index(v, addr.PL4))})
-	n = n.children[addr.Index(v, addr.PL4)]
+	i4, i3 := addr.Index(v, addr.PL4), addr.Index(v, addr.PL3)
+	n := r.walkUpper(w, i4, i3)
 	if n == nil {
 		return
 	}
-	w.Seq = append(w.Seq, Access{addr.PL3, pteAddr(n.basePA, addr.Index(v, addr.PL3))})
-	n = n.children[addr.Index(v, addr.PL3)]
-	if n == nil {
+	if n = n.children[i3]; n == nil {
 		return
 	}
 	i2 := addr.Index(v, addr.PL2)
@@ -190,29 +239,10 @@ func pteAddr(base addr.P, idx uint64) addr.P {
 
 // Occupancy implements Table.
 func (r *Radix) Occupancy() []LevelOccupancy {
-	levels := []addr.Level{addr.PL4, addr.PL3, addr.PL2, addr.PL1}
-	out := make([]LevelOccupancy, 0, len(levels))
-	for _, l := range levels {
-		out = append(out, LevelOccupancy{
-			Level:       l,
-			Nodes:       r.nodes[l],
-			EntriesUsed: r.used[l],
-			Capacity:    r.nodes[l] * addr.EntriesPerTable,
-		})
+	return []LevelOccupancy{
+		r.occupancy(addr.PL4, addr.EntriesPerTable),
+		r.occupancy(addr.PL3, addr.EntriesPerTable),
+		r.occupancy(addr.PL2, addr.EntriesPerTable),
+		r.occupancy(addr.PL1, addr.EntriesPerTable),
 	}
-	return out
-}
-
-// MappedPages implements Table.
-func (r *Radix) MappedPages() uint64 { return r.mapped }
-
-// MetadataBytes implements Table: the simulator-side resident metadata,
-// computed from the per-level node counts (interior nodes carry a
-// 512-pointer child directory, PL1 leaves only their header) plus the
-// frame store.
-func (r *Radix) MetadataBytes() uint64 {
-	const ptr = uint64(unsafe.Sizeof((*radixNode)(nil)))
-	node := uint64(unsafe.Sizeof(radixNode{}))
-	interior := r.nodes[addr.PL4] + r.nodes[addr.PL3] + r.nodes[addr.PL2]
-	return interior*(node+addr.EntriesPerTable*ptr) + r.nodes[addr.PL1]*node + r.frames.bytes()
 }

@@ -43,31 +43,17 @@ func NDPage() Config {
 	return Config{Levels: []addr.Level{addr.PL4, addr.PL3}, Entries: 32, Ways: 4, Latency: 1}
 }
 
-// Cache is the walker-facing interface of a page-walk cache: one
-// parallel probe before the walk issues (its cost is Latency) and one
-// fill after the walk resolves. The hardware walker depends only on this
-// interface; the concrete PWC stays visible to the MMU for statistics.
-type Cache interface {
-	// Latency is the cost of one parallel probe of all levels.
-	Latency() uint64
-	// Probe returns the deepest level whose cache holds the walk prefix
-	// of v; ok is false when every level missed.
-	Probe(v addr.V) (deepest addr.Level, ok bool)
-	// Fill records the upper-level entries a completed walk traversed.
-	Fill(v addr.V, walked []addr.Level)
-}
-
-// PWC is a set of per-level page-walk caches. The per-level tables and
-// counters are dense arrays indexed by addr.Level — Probe runs before
-// every sequential walk and Fill after it, so the per-level lookups
-// must touch no map buckets. Not safe for concurrent use.
+// PWC is a set of per-level page-walk caches: the hardware walker
+// probes all levels in parallel before a sequential walk (one probe
+// costs Latency) and fills them after it resolves. The per-level tables
+// and counters are dense arrays indexed by addr.Level — Probe runs
+// before every sequential walk and Fill after it, so the per-level
+// lookups must touch no map buckets. Not safe for concurrent use.
 type PWC struct {
 	cfg    Config
 	tables [addr.L2L1 + 1]*assoc.Table[struct{}]
 	stats  [addr.L2L1 + 1]*stats.HitMiss
 }
-
-var _ Cache = (*PWC)(nil)
 
 // New builds the per-level caches.
 func New(cfg Config) *PWC {

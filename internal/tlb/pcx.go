@@ -5,23 +5,16 @@ import (
 
 	"ndpage/internal/addr"
 	"ndpage/internal/assoc"
+	"ndpage/internal/pagetable"
 	"ndpage/internal/stats"
 )
 
-// PCXConfig describes the PC-indexed translation table of the PCAX
-// mechanism.
-type PCXConfig struct {
-	Name    string
-	Entries int
-	Ways    int
-	Latency uint64 // cycles
-}
-
-// DefaultPCX returns the evaluated PCAX geometry: 512 entries, 4-way,
-// probed in one cycle alongside the L2 TLB path.
-func DefaultPCX() PCXConfig {
-	return PCXConfig{Name: "PCX", Entries: 512, Ways: 4, Latency: 1}
-}
+// The PCX table is 4-way and probed in one cycle alongside the L2 TLB
+// path; only its entry count varies (the evaluated PCAX table has 512).
+const (
+	pcxWays    = 4
+	pcxLatency = 1 // cycles
+)
 
 // pcxEntry pairs the cached translation with the page it was learned
 // for: a static instruction tends to keep touching the same page, and
@@ -29,7 +22,7 @@ func DefaultPCX() PCXConfig {
 // page.
 type pcxEntry struct {
 	vpn addr.VPN
-	e   Entry
+	e   pagetable.Entry
 }
 
 // PCX is a PC-indexed translation table (the PCAX mechanism): entries
@@ -38,22 +31,21 @@ type pcxEntry struct {
 // instruction touches. Consulted on L1-TLB miss; filled on walk
 // completion. Not safe for concurrent use.
 type PCX struct {
-	cfg   PCXConfig
 	table *assoc.Table[pcxEntry]
 	stats stats.HitMiss
 }
 
-// NewPCX builds the table; Entries/Ways must give a power-of-two set
-// count.
-func NewPCX(cfg PCXConfig) *PCX {
-	if cfg.Entries <= 0 || cfg.Ways <= 0 || cfg.Entries%cfg.Ways != 0 {
-		panic(fmt.Sprintf("tlb %q: invalid PCX geometry %+v", cfg.Name, cfg))
+// NewPCX builds a table of entries entries; entries/4 must be a power
+// of two.
+func NewPCX(entries int) *PCX {
+	if entries <= 0 || entries%pcxWays != 0 {
+		panic(fmt.Sprintf("tlb: invalid PCX size %d (must be a positive multiple of %d)", entries, pcxWays))
 	}
-	return &PCX{cfg: cfg, table: assoc.New[pcxEntry](cfg.Entries/cfg.Ways, cfg.Ways)}
+	return &PCX{table: assoc.New[pcxEntry](entries/pcxWays, pcxWays)}
 }
 
 // Latency returns the probe latency in cycles.
-func (p *PCX) Latency() uint64 { return p.cfg.Latency }
+func (p *PCX) Latency() uint64 { return pcxLatency }
 
 // Stats returns the live hit/miss counters.
 func (p *PCX) Stats() *stats.HitMiss { return &p.stats }
@@ -64,18 +56,18 @@ func (p *PCX) ResetStats() { p.stats = stats.HitMiss{} }
 // Lookup probes the entry for pc and returns its translation when it
 // still covers vpn; a stored entry for a different page is a miss (the
 // instruction moved on).
-func (p *PCX) Lookup(pc uint64, vpn addr.VPN) (Entry, bool) {
+func (p *PCX) Lookup(pc uint64, vpn addr.VPN) (pagetable.Entry, bool) {
 	ent, ok := p.table.Lookup(pc)
 	if ok && ent.vpn == vpn {
 		p.stats.Hit()
 		return ent.e, true
 	}
 	p.stats.Miss()
-	return Entry{}, false
+	return pagetable.Entry{}, false
 }
 
 // Insert caches pc's latest translation.
-func (p *PCX) Insert(pc uint64, vpn addr.VPN, e Entry) {
+func (p *PCX) Insert(pc uint64, vpn addr.VPN, e pagetable.Entry) {
 	p.table.Insert(pc, pcxEntry{vpn: vpn, e: e})
 }
 

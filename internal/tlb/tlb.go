@@ -4,10 +4,10 @@
 // 64-entry/4-way, unified L2 TLB 1536-entry).
 //
 // A huge-page entry covers 512 base pages, which is how the Huge Page
-// mechanism multiplies TLB reach. Both page sizes share the same physical
-// array; a lookup probes the 4 KB tag and the 2 MB tag (in hardware these
-// are parallel sub-arrays probed in the same cycle, so a single latency is
-// charged).
+// mechanism multiplies TLB reach. 2 MB entries live in a separate huge
+// sub-array; a lookup probes the 4 KB array and the huge sub-array (in
+// hardware they are probed in the same cycle, so a single latency is
+// charged). Entries are the page table's own pagetable.Entry values.
 package tlb
 
 import (
@@ -15,25 +15,22 @@ import (
 
 	"ndpage/internal/addr"
 	"ndpage/internal/assoc"
+	"ndpage/internal/pagetable"
 	"ndpage/internal/stats"
 )
 
-// Config describes one TLB level.
+// Config describes one TLB level. A TLB holds 2 MB entries only in a
+// huge sub-array: with HugeEntries zero it caches 4 KB translations
+// alone and drops huge ones.
 type Config struct {
 	Name    string
 	Entries int
 	Ways    int
 	Latency uint64 // cycles
-	// NoHuge marks a TLB that holds only 4 KB entries. Many x86 second-
-	// level TLBs do not cache 2 MB translations (e.g. Sandy-Bridge-class
-	// STLBs), which bounds the Huge Page mechanism's reach to the small
-	// first-level array — one of the reasons huge pages underdeliver in
-	// the paper's evaluation.
-	NoHuge bool
-	// HugeEntries, when positive, gives 2 MB translations their own
-	// sub-array of this many entries (HugeWays-associative) instead of
-	// sharing the main array — the usual x86 first-level organization
-	// (e.g. 32-entry 2M DTLBs on Haswell-class cores).
+	// HugeEntries, when positive, gives 2 MB translations a sub-array of
+	// this many entries (HugeWays-associative) — the usual x86
+	// first-level organization (e.g. 32-entry 2M DTLBs on Haswell-class
+	// cores).
 	HugeEntries int
 	HugeWays    int
 }
@@ -53,34 +50,21 @@ func L1I() Config {
 // L2 returns the Table I unified L2 TLB: 1536-entry, 12-way, 12 cycles,
 // 4 KB entries only.
 func L2() Config {
-	return Config{Name: "L2-TLB", Entries: 1536, Ways: 12, Latency: 12, NoHuge: true}
+	return Config{Name: "L2-TLB", Entries: 1536, Ways: 12, Latency: 12}
 }
 
-// Entry is a cached translation. For Huge entries, PFN is the frame of the
-// first 4 KB page of the 2 MB region.
-type Entry struct {
-	PFN  addr.PFN
-	Huge bool
-}
-
-// Translate applies the entry to a specific VPN, resolving the frame for
-// that page (identity for 4 KB entries; base+offset within huge regions).
-func (e Entry) Translate(vpn addr.VPN) addr.PFN {
-	if !e.Huge {
-		return e.PFN
-	}
-	return e.PFN + addr.PFN(uint64(vpn)&(addr.EntriesPerTable-1))
-}
-
-// key4 and keyHuge embed the page size in the tag so both sizes coexist.
+// key4 and keyHuge tag the 4 KB array and the huge sub-array. The
+// page-size bit they embed is hashed with the rest of the key, so it
+// takes part in set indexing: dropping it would move entries between
+// sets and change every hit and eviction.
 func key4(vpn addr.VPN) uint64    { return uint64(vpn) << 1 }
 func keyHuge(vpn addr.VPN) uint64 { return uint64(vpn)>>addr.LevelBits<<1 | 1 }
 
 // TLB is one translation cache level. Not safe for concurrent use.
 type TLB struct {
 	cfg   Config
-	table *assoc.Table[Entry]
-	huge  *assoc.Table[Entry] // separate 2M sub-array, nil when shared
+	table *assoc.Table[pagetable.Entry]
+	huge  *assoc.Table[pagetable.Entry] // 2M sub-array, nil when 4K-only
 	stats stats.HitMiss
 }
 
@@ -89,12 +73,12 @@ func New(cfg Config) *TLB {
 	if cfg.Entries <= 0 || cfg.Ways <= 0 || cfg.Entries%cfg.Ways != 0 {
 		panic(fmt.Sprintf("tlb %q: invalid geometry %+v", cfg.Name, cfg))
 	}
-	t := &TLB{cfg: cfg, table: assoc.New[Entry](cfg.Entries/cfg.Ways, cfg.Ways)}
+	t := &TLB{cfg: cfg, table: assoc.New[pagetable.Entry](cfg.Entries/cfg.Ways, cfg.Ways)}
 	if cfg.HugeEntries > 0 {
 		if cfg.HugeWays <= 0 || cfg.HugeEntries%cfg.HugeWays != 0 {
 			panic(fmt.Sprintf("tlb %q: invalid huge sub-array geometry %+v", cfg.Name, cfg))
 		}
-		t.huge = assoc.New[Entry](cfg.HugeEntries/cfg.HugeWays, cfg.HugeWays)
+		t.huge = assoc.New[pagetable.Entry](cfg.HugeEntries/cfg.HugeWays, cfg.HugeWays)
 	}
 	return t
 }
@@ -111,49 +95,40 @@ func (t *TLB) Stats() *stats.HitMiss { return &t.stats }
 // ResetStats zeroes the counters (array contents are preserved).
 func (t *TLB) ResetStats() { t.stats = stats.HitMiss{} }
 
-// Lookup probes for vpn at both page sizes (parallel sub-arrays in
-// hardware, one latency), recording one hit or miss.
-func (t *TLB) Lookup(vpn addr.VPN) (Entry, bool) {
+// Lookup probes for vpn at both page sizes, recording one hit or miss.
+func (t *TLB) Lookup(vpn addr.VPN) (pagetable.Entry, bool) {
 	if e, ok := t.table.Lookup(key4(vpn)); ok {
 		t.stats.Hit()
 		return e, true
 	}
-	if !t.cfg.NoHuge {
-		arr := t.table
-		if t.huge != nil {
-			arr = t.huge
-		}
-		if e, ok := arr.Lookup(keyHuge(vpn)); ok {
-			t.stats.Hit()
-			return e, true
-		}
+	if t.huge == nil {
+		t.stats.Miss()
+		return pagetable.Entry{}, false
 	}
-	t.stats.Miss()
-	return Entry{}, false
+	// Hardware probes the huge sub-array in parallel: no added latency.
+	e, ok := t.huge.Lookup(keyHuge(vpn))
+	t.stats.Record(ok)
+	return e, ok
 }
 
-// Insert caches a translation for the page containing vpn. Huge entries
-// are tagged by their 2 MB region and go to the huge sub-array when one
-// exists; a NoHuge TLB silently drops them.
-func (t *TLB) Insert(vpn addr.VPN, e Entry) {
+// Insert caches a translation for the page containing vpn.
+func (t *TLB) Insert(vpn addr.VPN, e pagetable.Entry) {
 	if e.Huge {
-		if t.cfg.NoHuge {
-			return
-		}
+		// A 2 MB entry is tagged by its region and lives only in the huge
+		// sub-array. A TLB without one drops it, as many x86 second-level
+		// TLBs do (e.g. Sandy-Bridge-class STLBs), which bounds the Huge
+		// Page mechanism's reach to the small first-level arrays.
 		if t.huge != nil {
 			t.huge.Insert(keyHuge(vpn), e)
-		} else {
-			t.table.Insert(keyHuge(vpn), e)
 		}
-	} else {
-		t.table.Insert(key4(vpn), e)
+		return
 	}
+	t.table.Insert(key4(vpn), e)
 }
 
 // Invalidate removes any entry covering vpn (both page sizes).
 func (t *TLB) Invalidate(vpn addr.VPN) {
 	t.table.Invalidate(key4(vpn))
-	t.table.Invalidate(keyHuge(vpn))
 	if t.huge != nil {
 		t.huge.Invalidate(keyHuge(vpn))
 	}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"ndpage/internal/addr"
+	"ndpage/internal/pagetable"
 )
 
 func TestGeometryValidation(t *testing.T) {
@@ -40,7 +41,7 @@ func TestMissThenHit(t *testing.T) {
 	if _, ok := tl.Lookup(100); ok {
 		t.Fatal("cold lookup hit")
 	}
-	tl.Insert(100, Entry{PFN: 555})
+	tl.Insert(100, pagetable.Entry{PFN: 555})
 	e, ok := tl.Lookup(100)
 	if !ok || e.PFN != 555 {
 		t.Fatalf("Lookup = %+v, %v", e, ok)
@@ -56,7 +57,7 @@ func TestHugeEntryCovers512Pages(t *testing.T) {
 	// A huge entry inserted for any vpn in the region serves the whole
 	// 2 MB region.
 	base := addr.VPN(4096) // 2MB-aligned (4096 = 8*512)
-	tl.Insert(base+17, Entry{PFN: 9000, Huge: true})
+	tl.Insert(base+17, pagetable.Entry{PFN: 9000, Huge: true})
 	for _, off := range []addr.VPN{0, 1, 17, 255, 511} {
 		e, ok := tl.Lookup(base + off)
 		if !ok {
@@ -73,7 +74,7 @@ func TestHugeEntryCovers512Pages(t *testing.T) {
 }
 
 func Test4KTranslateIdentity(t *testing.T) {
-	e := Entry{PFN: 77}
+	e := pagetable.Entry{PFN: 77}
 	if e.Translate(12345) != 77 {
 		t.Error("4K Translate must return the stored PFN")
 	}
@@ -81,8 +82,8 @@ func Test4KTranslateIdentity(t *testing.T) {
 
 func TestMixedSizesCoexist(t *testing.T) {
 	tl := New(L1D())
-	tl.Insert(1000, Entry{PFN: 1})
-	tl.Insert(addr.VPN(512*9), Entry{PFN: 2, Huge: true})
+	tl.Insert(1000, pagetable.Entry{PFN: 1})
+	tl.Insert(addr.VPN(512*9), pagetable.Entry{PFN: 2, Huge: true})
 	if _, ok := tl.Lookup(1000); !ok {
 		t.Error("4K entry lost")
 	}
@@ -91,22 +92,22 @@ func TestMixedSizesCoexist(t *testing.T) {
 	}
 }
 
-func TestNoHugeTLBDropsHugeEntries(t *testing.T) {
+func TestTLBWithoutHugeSubArrayDropsHugeEntries(t *testing.T) {
 	tl := New(L2())
-	if !New(L2()).cfg.NoHuge {
+	if tl.huge != nil {
 		t.Fatal("Table I L2 TLB must be 4K-only in this model")
 	}
-	tl.Insert(addr.VPN(512*3), Entry{PFN: 9, Huge: true})
+	tl.Insert(addr.VPN(512*3), pagetable.Entry{PFN: 9, Huge: true})
 	if tl.Len() != 0 {
-		t.Error("NoHuge TLB stored a huge entry")
+		t.Error("4K-only TLB stored a huge entry")
 	}
 	if _, ok := tl.Lookup(addr.VPN(512*3 + 1)); ok {
-		t.Error("NoHuge TLB hit a huge translation")
+		t.Error("4K-only TLB hit a huge translation")
 	}
 	// 4K entries still work.
-	tl.Insert(7, Entry{PFN: 1})
+	tl.Insert(7, pagetable.Entry{PFN: 1})
 	if _, ok := tl.Lookup(7); !ok {
-		t.Error("NoHuge TLB lost a 4K entry")
+		t.Error("4K-only TLB lost a 4K entry")
 	}
 }
 
@@ -120,7 +121,7 @@ func TestReachExceededCausesMisses(t *testing.T) {
 		vpn := addr.VPN(i * 977) // stride sweep, no reuse
 		if _, ok := tl.Lookup(vpn); !ok {
 			misses++
-			tl.Insert(vpn, Entry{PFN: addr.PFN(i)})
+			tl.Insert(vpn, pagetable.Entry{PFN: addr.PFN(i)})
 		}
 	}
 	if rate := float64(misses) / n; rate < 0.99 {
@@ -133,7 +134,7 @@ func TestSmallWorkingSetHits(t *testing.T) {
 	for pass := 0; pass < 4; pass++ {
 		for vpn := addr.VPN(0); vpn < 32; vpn++ {
 			if _, ok := tl.Lookup(vpn); !ok {
-				tl.Insert(vpn, Entry{PFN: addr.PFN(vpn)})
+				tl.Insert(vpn, pagetable.Entry{PFN: addr.PFN(vpn)})
 			}
 		}
 	}
@@ -145,8 +146,8 @@ func TestSmallWorkingSetHits(t *testing.T) {
 
 func TestInvalidate(t *testing.T) {
 	tl := New(L1D())
-	tl.Insert(5, Entry{PFN: 1})
-	tl.Insert(addr.VPN(512*2), Entry{PFN: 2, Huge: true})
+	tl.Insert(5, pagetable.Entry{PFN: 1})
+	tl.Insert(addr.VPN(512*2), pagetable.Entry{PFN: 2, Huge: true})
 	tl.Invalidate(5)
 	tl.Invalidate(addr.VPN(512*2 + 7))
 	if tl.Len() != 0 {
@@ -156,7 +157,7 @@ func TestInvalidate(t *testing.T) {
 
 func TestFlushAndResetStats(t *testing.T) {
 	tl := New(L1D())
-	tl.Insert(1, Entry{PFN: 1})
+	tl.Insert(1, pagetable.Entry{PFN: 1})
 	tl.Lookup(1)
 	tl.Flush()
 	if tl.Len() != 0 {
@@ -173,7 +174,7 @@ func TestFlushAndResetStats(t *testing.T) {
 
 func BenchmarkTLBLookupHit(b *testing.B) {
 	tl := New(L2())
-	tl.Insert(7, Entry{PFN: 1})
+	tl.Insert(7, pagetable.Entry{PFN: 1})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tl.Lookup(7)

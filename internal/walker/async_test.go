@@ -1,6 +1,7 @@
 package walker_test
 
 import (
+	"reflect"
 	"testing"
 
 	"ndpage/internal/addr"
@@ -160,6 +161,89 @@ func TestAsyncOverlapAndHistogram(t *testing.T) {
 	// still in flight.
 	if len(s.InFlightHist) != 3 || s.InFlightHist[1] != 1 || s.InFlightHist[2] != 2 {
 		t.Errorf("InFlightHist = %v, want [_ 1 2]", s.InFlightHist)
+	}
+}
+
+// TestWalkAndWalkAsyncRecordEqualStats drives one request schedule
+// through Walk and through WalkAsync on twin rigs and requires the two
+// execution models to record the same Stats: both start every walk
+// through one routine, so queue delay, overlap, in-flight histogram and
+// latency accounting must agree field for field.
+func TestWalkAndWalkAsyncRecordEqualStats(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		width int
+		pwc   bool
+		// reqs are (time, page offset) pairs in nondecreasing time order,
+		// one core each.
+		reqs  [][2]uint64
+		check func(t *testing.T, s *walker.Stats)
+	}{
+		{
+			name:  "width1-queued",
+			width: 1,
+			reqs:  [][2]uint64{{0, 0}, {100, 1}},
+			check: func(t *testing.T, s *walker.Stats) {
+				// The second walk waits [100, 400) for the slot, then walks
+				// [400, 800].
+				if s.QueuedWalks.Value() != 1 || s.QueueCycles.Value() != 300 || s.MaxWalkCycles != 700 {
+					t.Errorf("queued=%d cycles=%d max=%d, want 1/300/700",
+						s.QueuedWalks.Value(), s.QueueCycles.Value(), s.MaxWalkCycles)
+				}
+			},
+		},
+		{
+			name:  "width2-overlap",
+			width: 2,
+			pwc:   true,
+			reqs:  [][2]uint64{{0, 0}, {100, 1}, {150, 2}},
+			check: func(t *testing.T, s *walker.Stats) {
+				// The second walk overlaps the first; the third queues for
+				// the first's slot and overlaps the second.
+				if s.OverlappedWalks.Value() != 2 || s.MaxInFlight != 2 || s.QueuedWalks.Value() != 1 {
+					t.Errorf("overlapped=%d max=%d queued=%d, want 2/2/1",
+						s.OverlappedWalks.Value(), s.MaxInFlight, s.QueuedWalks.Value())
+				}
+			},
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := func() walker.Config {
+				c := walker.Config{Width: tc.width}
+				if tc.pwc {
+					c.Cache = pwc.New(pwc.Default())
+				}
+				return c
+			}
+			blocking, base := radixRig(t, cfg())
+			evented, _ := radixRig(t, cfg())
+			eng := engine.New()
+			wi := newIssuer(eng, evented)
+			outs := make([]asyncResp, len(tc.reqs))
+			for i, r := range tc.reqs {
+				v := base + addr.V(r[1]*addr.PageSize)
+				resp := blocking.Walk(walker.Request{Core: i, V: v, Time: r[0]})
+				if !resp.Found {
+					t.Fatalf("sync walk %d did not find its page", i)
+				}
+				wi.walkAt(r[0], i, v, &outs[i])
+			}
+			eng.Run()
+			for i := range outs {
+				if !outs[i].done || !outs[i].Found {
+					t.Fatalf("async walk %d did not complete with a mapping", i)
+				}
+			}
+			ss, as := blocking.Stats(), evented.Stats()
+			if !reflect.DeepEqual(ss, as) {
+				t.Errorf("Walk stats %+v\nWalkAsync stats %+v", *ss, *as)
+			}
+			if ss.Walks.Value() != uint64(len(tc.reqs)) {
+				t.Errorf("walks = %d, want %d", ss.Walks.Value(), len(tc.reqs))
+			}
+			tc.check(t, ss)
+			tc.check(t, as)
+		})
 	}
 }
 

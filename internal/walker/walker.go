@@ -45,6 +45,7 @@ import (
 	"ndpage/internal/addr"
 	"ndpage/internal/assoc"
 	"ndpage/internal/engine"
+	"ndpage/internal/memsys"
 	"ndpage/internal/pagetable"
 	"ndpage/internal/pwc"
 	"ndpage/internal/stats"
@@ -136,20 +137,6 @@ type Memory interface {
 	Access(core int, now uint64, pa addr.P, op access.Op, class access.Class) uint64
 }
 
-// XlatCache is an optional cache of leaf translation blocks probed
-// before a sequential walk (the Victima mechanism: PTE blocks living in
-// the shared data cache). A hit resolves the walk at the probe's
-// completion time with zero PTE traffic; a completed walk offers its
-// block back via Fill, where the implementation's predictor decides
-// admission. memsys.VictimaStore satisfies it.
-type XlatCache interface {
-	// Probe checks for the translation block covering v, starting at
-	// absolute time t; done is the probe's completion time either way.
-	Probe(core int, t uint64, v addr.V) (done uint64, hit bool)
-	// Fill offers the block covering v after a walk completing at t.
-	Fill(core int, t uint64, v addr.V)
-}
-
 // Config tunes a walker.
 type Config struct {
 	// Width is the number of concurrent walk slots (Table-I-style knob).
@@ -157,10 +144,14 @@ type Config struct {
 	Width int
 	// Cache is the optional page-walk cache probed before sequential
 	// walks and filled after them. nil disables.
-	Cache pwc.Cache
+	Cache *pwc.PWC
 	// Xlat is the optional translation-block cache probed before
-	// sequential walks (Victima). nil disables.
-	Xlat XlatCache
+	// sequential walks (the Victima mechanism: leaf PTE blocks living in
+	// the data caches). A hit resolves the walk at the probe's
+	// completion time with zero PTE traffic; a completed walk offers its
+	// block back, and the store's predictor decides admission. nil
+	// disables.
+	Xlat *memsys.VictimaStore
 	// WayPrediction adds the ECH paper's cuckoo-walk cache for parallel
 	// (hashed) walks: most walks probe one predicted way instead of d,
 	// with a full second round on misprediction.
@@ -260,7 +251,7 @@ func New(table pagetable.Table, mem Memory, cfg Config) *Walker {
 func (w *Walker) Width() int { return w.width }
 
 // Cache returns the page-walk cache the walker probes, or nil.
-func (w *Walker) Cache() pwc.Cache { return w.cfg.Cache }
+func (w *Walker) Cache() *pwc.PWC { return w.cfg.Cache }
 
 // Stats returns the live counters.
 func (w *Walker) Stats() *Stats { return &w.stats }
@@ -314,23 +305,8 @@ func (w *Walker) Walk(req Request) Response {
 			start = next
 			busy, next, _ = w.occupancy(start, vpn)
 		}
-		if start > req.Time {
-			w.stats.QueuedWalks.Inc()
-			w.stats.QueueCycles.Add(start - req.Time)
-		}
 	}
-	w.stats.noteStart(busy + 1)
-
-	end := w.issue(start, req.Core, req.V)
-
-	w.stats.Walks.Inc()
-	// Walk latency is measured from the request, so slot-queue delay is
-	// part of it — what a stalled core actually experiences.
-	lat := end - req.Time
-	w.stats.WalkCycles.Add(lat)
-	if lat > w.stats.MaxWalkCycles {
-		w.stats.MaxWalkCycles = lat
-	}
+	end := w.perform(req, start, busy+1)
 	w.inflight = append(w.inflight, mshr{
 		vpn: vpn, start: start, end: end,
 		entry: w.walk.Entry, found: w.walk.Found,
@@ -472,23 +448,8 @@ func (w *Walker) startAsync(lw *liveWalk, at uint64) {
 	if at < lw.req.Time {
 		at = lw.req.Time
 	}
-	if at > lw.req.Time {
-		w.stats.QueuedWalks.Inc()
-		w.stats.QueueCycles.Add(at - lw.req.Time)
-	}
 	w.busy++
-	w.stats.noteStart(w.busy)
-
-	end := w.issue(at, lw.req.Core, lw.req.V)
-
-	w.stats.Walks.Inc()
-	// Walk latency is measured from the request, so slot-queue delay is
-	// part of it — what the stalled load actually experiences.
-	lat := end - lw.req.Time
-	w.stats.WalkCycles.Add(lat)
-	if lat > w.stats.MaxWalkCycles {
-		w.stats.MaxWalkCycles = lat
-	}
+	end := w.perform(lw.req, at, w.busy)
 	lw.end = end
 	lw.entry = w.walk.Entry
 	lw.found = w.walk.Found
@@ -538,6 +499,28 @@ func (w *Walker) release(slot int) {
 		w.startAsync(next, lw.end)
 	}
 	w.putWalkRecord(lw)
+}
+
+// perform starts req's walk at start (at or after req.Time, with
+// inFlight walks in flight counting itself) and records it: both the
+// synchronous and the event-scheduled path begin every walk here. It
+// returns the completion time, leaving the outcome in w.walk.
+func (w *Walker) perform(req Request, start uint64, inFlight int) uint64 {
+	if start > req.Time {
+		w.stats.QueuedWalks.Inc()
+		w.stats.QueueCycles.Add(start - req.Time)
+	}
+	w.stats.noteStart(inFlight)
+	end := w.issue(start, req.Core, req.V)
+	w.stats.Walks.Inc()
+	// Walk latency is measured from the request, so slot-queue delay is
+	// part of it — what the stalled requester actually experiences.
+	lat := end - req.Time
+	w.stats.WalkCycles.Add(lat)
+	if lat > w.stats.MaxWalkCycles {
+		w.stats.MaxWalkCycles = lat
+	}
+	return end
 }
 
 // issue performs the table's access sequence for v starting at t0 and

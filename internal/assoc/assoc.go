@@ -40,7 +40,6 @@ const maxWays = 16
 // Table is a set-associative array mapping uint64 keys to values of type V
 // with true-LRU replacement within each set.
 type Table[V any] struct {
-	sets int
 	ways int
 	mask uint64
 	// Parallel set-major arrays, sets*ways entries each: way w of set s
@@ -96,7 +95,6 @@ func New[V any](sets, ways int) *Table[V] {
 		meta[i].order = identity
 	}
 	t := &Table[V]{
-		sets: sets,
 		ways: ways,
 		mask: uint64(sets - 1),
 		tags: make([]uint64, sets*ways),

@@ -45,7 +45,7 @@ func TestNewValidation(t *testing.T) {
 		}()
 	}
 	tab := New[int](8, 2)
-	if tab.sets != 8 || tab.ways != 2 || len(tab.tags) != 16 || len(tab.vals) != 16 {
+	if len(tab.meta) != 8 || tab.ways != 2 || len(tab.tags) != 16 || len(tab.vals) != 16 {
 		t.Error("geometry wrong")
 	}
 }
@@ -178,7 +178,7 @@ func TestCapacityProperty(t *testing.T) {
 				return false
 			}
 		}
-		return tab.Len() <= tab.sets*tab.ways
+		return tab.Len() <= len(tab.meta)*tab.ways
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -288,11 +288,11 @@ func TestResetStats(t *testing.T) {
 func TestMeanWalkLatency(t *testing.T) {
 	mmu, base := rig(t, Radix)
 	mmu.TranslatePC(0, base, access.Read, 0)
-	if mmu.Walker().Stats().MeanWalkLatency() <= 0 {
-		t.Error("MeanWalkLatency not recorded")
-	}
-	if mmu.Walker().Stats().MaxWalkCycles < uint64(mmu.Walker().Stats().MeanWalkLatency()) {
-		t.Error("max walk < mean walk")
+	// One walk: its latency is both the walk-cycle total and the max.
+	s := mmu.Walker().Stats()
+	if s.Walks.Value() != 1 || s.WalkCycles.Value() == 0 || s.MaxWalkCycles != s.WalkCycles.Value() {
+		t.Errorf("walks=%d cycles=%d max=%d, want one walk with its latency recorded",
+			s.Walks.Value(), s.WalkCycles.Value(), s.MaxWalkCycles)
 	}
 }
 
@@ -306,16 +306,14 @@ func TestECHWayPredictionReducesProbes(t *testing.T) {
 	predicted := NewMMUWithOptions(ECH, 0, table, memsys.New(memsys.Default(memsys.NDP, 1)),
 		Options{ECHWayPrediction: true})
 
-	// Walk the same 32KB region repeatedly: the CWC learns the way.
+	// Translate one 32KB region three times: the first pass walks and
+	// the CWC learns the way; later passes hit the TLB. Each MMU's clock
+	// advances to the previous translation's end, as a blocking core's.
 	tp, tq := uint64(0), uint64(0)
 	var paP, paQ addr.P
 	for pass := 0; pass < 3; pass++ {
 		for i := 0; i < 8; i++ {
 			v := base + addr.V(i*addr.PageSize)
-			// Evict TLB entries between passes by using fresh MMock...
-			// simpler: fresh addresses per pass beyond TLB reach are
-			// not needed: first pass walks; later passes TLB-hit. So
-			// compare first-pass traffic on many distinct regions.
 			paP, tp = plain.TranslatePC(tp, v, access.Read, 0)
 			paQ, tq = predicted.TranslatePC(tq, v, access.Read, 0)
 			if paP != paQ {
@@ -327,8 +325,8 @@ func TestECHWayPredictionReducesProbes(t *testing.T) {
 	// predicted issues ~1 after each region's first walk.
 	for i := 0; i < 512; i++ {
 		v := base + addr.V(8<<20) + addr.V(i*addr.PageSize)
-		plain.TranslatePC(tp, v, access.Read, 0)
-		predicted.TranslatePC(tq, v, access.Read, 0)
+		_, tp = plain.TranslatePC(tp, v, access.Read, 0)
+		_, tq = predicted.TranslatePC(tq, v, access.Read, 0)
 	}
 	plainProbes := plain.Walker().Stats().PTEAccesses.Value()
 	predProbes := predicted.Walker().Stats().PTEAccesses.Value()

@@ -236,8 +236,9 @@ func (m *MMU) ResetStats() {
 }
 
 // TranslatePC resolves the data-side virtual address v at absolute time
-// now on the blocking core's path and returns the physical address
-// plus the absolute completion time. The page must already be mapped
+// now on the serial path (a blocking core on its private walker, through
+// walker.Walk) and returns the physical address plus the absolute
+// completion time. The page must already be mapped
 // (the OS model faults before translation, as a real OS resolves the
 // fault and restarts the access). pc is the issuing instruction's PC,
 // zero when unknown: it feeds the PCAX table, and every other mechanism
@@ -260,8 +261,9 @@ func (m *MMU) TranslatePC(now uint64, v addr.V, op access.Op, pc uint64) (addr.P
 // for real walk slots, coalesce in the MSHRs, and fill the TLBs only
 // when their walk's completion event fires. The miss context rides a
 // pooled record registered with the walker, so the path allocates
-// nothing in steady state. Used by the non-blocking core model
-// (sim.Config.MLP > 1).
+// nothing in steady state. Used by the simulator's staged front-end:
+// non-blocking cores (sim.Config.MLP > 1) and any core on a shared
+// walker.
 func (m *MMU) TranslateAsyncPC(s walker.Scheduler, now uint64, v addr.V, op access.Op, pc uint64, client TranslationClient) {
 	pa, t, hit := m.probe(now, v, pc)
 	if hit {

@@ -49,9 +49,6 @@ type Flattened struct {
 	// are a short dense run and the slice stays small, and WalkInto
 	// indexes it with no map-bucket probe.
 	flats []*flatNode
-
-	hugeBacked uint64 // flattened nodes that got a contiguous 2 MB block
-	chunkFalls uint64 // flattened nodes that fell back to chunked frames
 }
 
 // NewFlattened builds an empty NDPage table backed by alloc.
@@ -84,11 +81,9 @@ func (f *Flattened) newFlatNode() *flatNode {
 	if base, ok := f.alloc.AllocHuge(); ok {
 		n.huge = true
 		n.base = base.Addr()
-		f.hugeBacked++
 	} else {
 		n.chunks = make([]addr.P, flatChunks)
 		n.chunkOK = make([]uint64, bitset.WordsFor(flatChunks))
-		f.chunkFalls++
 	}
 	f.nodes[addr.L2L1]++
 	return n
@@ -201,10 +196,4 @@ func (f *Flattened) MetadataBytes() uint64 {
 		}
 	}
 	return total
-}
-
-// HugeBackedNodes returns how many flattened nodes obtained a contiguous
-// 2 MB physical block versus falling back to chunked frames.
-func (f *Flattened) HugeBackedNodes() (huge, chunked uint64) {
-	return f.hugeBacked, f.chunkFalls
 }

@@ -129,9 +129,8 @@ func TestFlattenedMapHugeExpandsTo512(t *testing.T) {
 func TestFlattenedHugeBackingPreferred(t *testing.T) {
 	f := reserved(NewFlattened(newAlloc()), addr.EntriesPerTable)
 	f.Map(1, 1)
-	huge, chunked := f.HugeBackedNodes()
-	if huge != 1 || chunked != 0 {
-		t.Errorf("fresh allocator: huge=%d chunked=%d, want 1/0", huge, chunked)
+	if n := f.flatAt(pl3Slot(addr.VPN(1).Addr())); n == nil || !n.huge {
+		t.Error("fresh allocator: flattened node not backed by a 2 MB block")
 	}
 }
 
@@ -147,9 +146,8 @@ func TestFlattenedChunkFallbackWhenFragmented(t *testing.T) {
 	}
 	f := reserved(NewFlattened(alloc), addr.EntriesPerTable)
 	f.Map(1, 1)
-	huge, chunked := f.HugeBackedNodes()
-	if chunked != 1 || huge != 0 {
-		t.Fatalf("fragmented allocator: huge=%d chunked=%d, want 0/1", huge, chunked)
+	if n := f.flatAt(pl3Slot(addr.VPN(1).Addr())); n == nil || n.huge || n.chunks == nil {
+		t.Fatal("fragmented allocator: flattened node not backed by chunked frames")
 	}
 	// Walks still produce valid, distinct PTE addresses.
 	var w Walk

@@ -38,11 +38,9 @@ type refFlattened struct {
 	root  *radixNode
 	flats []*refFlatNode
 
-	nodes      levelCounts
-	used       levelCounts
-	mapped     uint64
-	hugeBacked uint64
-	chunkFalls uint64
+	nodes  levelCounts
+	used   levelCounts
+	mapped uint64
 }
 
 func newRefFlattened(alloc *phys.Allocator) *refFlattened {
@@ -69,11 +67,9 @@ func (f *refFlattened) newFlatNode() *refFlatNode {
 	if base, ok := f.alloc.AllocHuge(); ok {
 		n.huge = true
 		n.base = base.Addr()
-		f.hugeBacked++
 	} else {
 		n.chunks = make([]addr.P, addr.EntriesPerTable)
 		n.chunkOK = make([]bool, addr.EntriesPerTable)
-		f.chunkFalls++
 	}
 	f.nodes[addr.L2L1]++
 	return n

@@ -144,8 +144,9 @@ func (c Config) Validate() error {
 // fixed Config can produce a different Result, so Key stops matching
 // results stored by the older model. The goldens under testdata/ record
 // the version they were written at, and rewriting them with -update
-// fails until it moves. Version 2 builds ECH's eager regions in bulk.
-const ModelVersion = 2
+// fails until it moves. Version 2 builds ECH's eager regions in bulk;
+// version 3 runs shared walkers under blocking cores on the event path.
+const ModelVersion = 3
 
 // Key returns a stable content hash of the fully-normalized
 // configuration: two Configs share a Key exactly when they describe the

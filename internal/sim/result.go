@@ -189,10 +189,10 @@ func (m *Machine) collect() *Result {
 	r.CompactionCycles = os.CompactionCycles
 	r.ReclaimedChunks = os.ReclaimedChunks
 
-	// The blocking core issues exactly one memory op at a time; its
+	// The serial path issues exactly one memory op at a time; its
 	// window histogram is synthesized rather than tracked in the hot
 	// loop.
-	if m.cfg.MLP == 1 && r.Loads+r.Stores > 0 {
+	if m.serial && r.Loads+r.Stores > 0 {
 		r.InFlightHist = []uint64{0, r.Loads + r.Stores}
 	}
 	return r

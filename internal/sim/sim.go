@@ -4,22 +4,26 @@
 // cross-core queueing in DRAM banks, channel buses, and the mesh emerges
 // naturally from the schedule.
 //
-// Two core models share the engine:
+// Two front-ends share the engine:
 //
-//   - Config.MLP = 1 (default) is the in-order blocking core: each op
-//     runs to completion inside one event and the core's next event is
+//   - The serial path runs Config.MLP = 1 (default), the in-order
+//     blocking core, when every core has a private walker: each op runs
+//     to completion inside one event and the core's next event is
 //     scheduled at the op's completion. Event dispatch order
 //     (time, core, seq) reproduces the old per-step min-clock scan
-//     exactly, so blocking timing is bit-identical to the step-driven
-//     engine it replaced — without the O(cores) scan per instruction.
+//     exactly, so its timing is bit-identical to the step-driven engine
+//     it replaced — without the O(cores) scan per instruction. Only
+//     private walkers under blocking cores take this path.
 //
-//   - Config.MLP > 1 is the non-blocking front-end: a core may keep up
-//     to MLP loads/stores in flight. Translation becomes a
-//     request/completion pair on the engine (MMU.TranslateAsyncPC), walks
-//     contend for real walker slots, the data access issues inside the
-//     translation's completion event, and a window-release event retires
-//     each op. The front-end stalls only on faults, compute bursts, and
-//     a full window.
+//   - The staged front-end runs everything else: a core may keep up
+//     to MLP loads/stores in flight (Config.MLP > 1, the non-blocking
+//     core; a window of one for a blocking core on a shared walker).
+//     Translation becomes a request/completion pair on the engine
+//     (MMU.TranslateAsyncPC), walks contend for real walker slots in
+//     global time order, the data access issues inside the
+//     translation's completion event, and a window-release event
+//     retires each op. The front-end stalls only on faults, compute
+//     bursts, and a full window.
 //
 // One simulation = one machine (CPU or NDP, Table I), one translation
 // mechanism, one multithreaded workload sharing an address space across
@@ -105,12 +109,15 @@ type Config struct {
 	// cluster-level walk unit (walker + page-walk caches) instead of a
 	// private unit per MMU. Concurrent walks then contend for the
 	// walker's slots and duplicate walks coalesce in its MSHRs — the
-	// walker-width sensitivity study's configuration.
+	// walker-width sensitivity study's configuration. Blocking cores
+	// (MLP = 1) on a shared walker run the staged front-end with a
+	// window of one, so their misses reach it in global time order.
 	SharedWalker bool
 	// MLP is the per-core memory-level-parallelism window: how many
 	// loads/stores one core may have in flight. 0 or 1 (the default)
-	// models the conventional in-order blocking core and reproduces the
-	// pre-engine step-driven timing bit for bit. Values above 1 switch
+	// models the conventional in-order blocking core; with private
+	// walkers it reproduces the pre-engine step-driven timing bit for
+	// bit (see SharedWalker for the shared case). Values above 1 switch
 	// the core to a non-blocking front-end whose translations and data
 	// accesses overlap on the event engine — the regime where walker
 	// slots contend, MSHRs coalesce, and the in-flight histograms in
@@ -145,9 +152,15 @@ type Machine struct {
 	eng    *engine.Engine
 	cores  []*simCore
 	target uint64 // per-core instruction budget of the current phase
+	// serial selects the blocking model's serial path (stepEvent,
+	// MMU.TranslatePC, walker.Walk), taken only by private walkers
+	// under blocking cores. A shared walker must see every core's
+	// misses in global time order, so blocking cores on one run the
+	// staged front-end with a window of one, on the event path.
+	serial bool
 	// opFree heads the free list of pooled in-flight memory-op records
-	// (MLP > 1), so issuing a load/store allocates nothing in steady
-	// state.
+	// (staged front-end), so issuing a load/store allocates nothing in
+	// steady state.
 	opFree *memOp
 }
 
@@ -156,15 +169,15 @@ type Machine struct {
 // completion, delivered as the event's `now`.
 const (
 	evFrontEnd  uint8 = iota // run the core's front-end (stepEvent or issueStaged)
-	evMemOpDone              // retire one in-flight memory op (MLP > 1)
+	evMemOpDone              // retire one in-flight memory op (staged front-end)
 )
 
 // simCore is one simulated core: its op stream, MMU, and local clock.
-// The clock is the front-end's time; with MLP > 1 completions of
-// in-flight ops may trail it (maxDone tracks the latest). The core is
-// an engine.Actor: its front-end and op-retirement events are typed
-// (kind, payload) pairs, so the per-instruction path schedules without
-// allocating.
+// The clock is the front-end's time; on the staged front-end,
+// completions of in-flight ops may trail it (maxDone tracks the
+// latest). The core is an engine.Actor: its front-end and op-retirement
+// events are typed (kind, payload) pairs, so the per-instruction path
+// schedules without allocating.
 type simCore struct {
 	id    int
 	m     *Machine
@@ -177,7 +190,7 @@ type simCore struct {
 	codePos  uint64
 	fetchCnt int
 
-	// Non-blocking front-end state (Config.MLP > 1). The staged issue
+	// Staged front-end state (unused on the serial path). The issue
 	// pipeline (issueStaged) resumes at stage after fault reschedules;
 	// stalled marks a front-end waiting for a window slot.
 	inFlight int
@@ -197,8 +210,8 @@ type simCore struct {
 	dataCycles        uint64
 	faultCycles       uint64
 	// windowHist[k] counts memory-op issues that brought the in-flight
-	// window to k ops (index 0 unused; MLP > 1 only — the blocking
-	// model's histogram is synthesized at collection).
+	// window to k ops (index 0 unused; staged front-end only — the
+	// serial path's histogram is synthesized at collection).
 	windowHist []uint64
 }
 
@@ -245,7 +258,8 @@ func New(cfg Config) (*Machine, error) {
 	w := spec.New()
 	w.Init(space, rng, cfg.FootprintBytes, cfg.Cores)
 
-	m := &Machine{cfg: cfg, alloc: alloc, hier: hier, space: space, eng: engine.New()}
+	m := &Machine{cfg: cfg, alloc: alloc, hier: hier, space: space, eng: engine.New(),
+		serial: cfg.MLP == 1 && !cfg.SharedWalker}
 	opts := core.Options{
 		DisablePWC:       cfg.DisablePWC,
 		ECHWayPrediction: cfg.ECHWayPrediction,
@@ -275,7 +289,7 @@ func New(cfg Config) (*Machine, error) {
 func (c *simCore) OnEvent(now uint64, kind uint8, payload uint64) {
 	switch kind {
 	case evFrontEnd:
-		if c.m.cfg.MLP == 1 {
+		if c.m.serial {
 			c.m.stepEvent(c)
 		} else {
 			c.m.issueStaged(c)
@@ -351,7 +365,7 @@ func (m *Machine) stepMem(c *simCore) {
 // the event engine. Cores seed the queue at their local clocks; the
 // engine's (time, core, seq) dispatch order interleaves them in global
 // time order. The phase ends when the queue drains: every core has
-// issued its budget and (MLP > 1) retired its in-flight window.
+// issued its budget and (staged front-end) retired its in-flight window.
 func (m *Machine) run(target uint64) {
 	m.target = target
 	m.eng.Rewind() // cores may re-enter before the last phase's horizon
@@ -362,7 +376,7 @@ func (m *Machine) run(target uint64) {
 	}
 	m.eng.Run()
 	for _, c := range m.cores {
-		// Drain: a non-blocking core is done when its last in-flight op
+		// Drain: a staged front-end is done when its last in-flight op
 		// retires, which may trail the front-end clock.
 		if c.clock < c.maxDone {
 			c.clock = c.maxDone
@@ -375,7 +389,7 @@ func (m *Machine) scheduleFrontEnd(c *simCore, t uint64) {
 	m.eng.Schedule(t, c.id, c, evFrontEnd, 0)
 }
 
-// stepEvent is the blocking model's event (Config.MLP = 1), which
+// stepEvent is the serial path's event (Machine.serial), which
 // reproduces the pre-engine min-clock step loop bit for bit. It
 // executes the memory op this event was scheduled for (if one is
 // pending), then decodes ahead: runs of compute ops execute inline — a
@@ -385,7 +399,7 @@ func (m *Machine) scheduleFrontEnd(c *simCore, t uint64) {
 // exactly the dispatch time an event per op would give it. Every shared-structure access therefore
 // keeps its pre-fusion (time, core) dispatch slot while the engine
 // round-trips for compute ops disappear. c.opValid marks the deferred
-// op between the two events (the staged MLP > 1 front-end owns the same
+// op between the two events (the staged front-end owns the same
 // flag; the paths are mutually exclusive per configuration).
 func (m *Machine) stepEvent(c *simCore) {
 	if c.opValid {
@@ -409,7 +423,7 @@ func (m *Machine) stepEvent(c *simCore) {
 	}
 }
 
-// Stages of the non-blocking front-end's per-op pipeline. A stage that
+// Stages of the staged front-end's per-op pipeline (issueStaged). A stage that
 // advances the clock (a fault, a compute burst) reschedules the
 // front-end at the new time so other actors' earlier events dispatch
 // first and every memory-system request is issued in global time order.
@@ -420,11 +434,11 @@ const (
 	stIssue              // translation request + data access issue
 )
 
-// issueStaged is the non-blocking front-end (Config.MLP > 1): decode and
-// issue ops until the window fills, the op stream needs sim time
-// (compute, faults), or the phase budget is reached. Memory ops enter
-// the window and complete via engine events; the front-end does not wait
-// for them unless the window is full.
+// issueStaged is the staged front-end (Config.MLP > 1, or any core on a
+// shared walker): decode and issue ops until the window fills, the op
+// stream needs sim time (compute, faults), or the phase budget is
+// reached. Memory ops enter the window and complete via engine events;
+// the front-end does not wait for them unless the window is full.
 func (m *Machine) issueStaged(c *simCore) {
 	for {
 		if !c.opValid {
@@ -503,8 +517,8 @@ func (m *Machine) issueStaged(c *simCore) {
 	}
 }
 
-// memOp is one in-flight load/store (MLP > 1): the context needed when
-// its translation completes. Records are pooled on the machine's free
+// memOp is one in-flight load/store of the staged front-end: the
+// context needed when its translation completes. Records are pooled on the machine's free
 // list and handed to the MMU as TranslationClients, so issuing an op
 // allocates nothing in steady state.
 type memOp struct {

@@ -164,11 +164,12 @@ func TestAsyncOverlapAndHistogram(t *testing.T) {
 	}
 }
 
-// TestWalkAndWalkAsyncRecordEqualStats drives one request schedule
-// through Walk and through WalkAsync on twin rigs and requires the two
-// execution models to record the same Stats: both start every walk
-// through one routine, so queue delay, overlap, in-flight histogram and
-// latency accounting must agree field for field.
+// TestWalkAndWalkAsyncRecordEqualStats: both paths start every walk
+// through one routine, so on a serial schedule — each request at or
+// after the previous walk's end, the only one Walk accepts — Walk and
+// WalkAsync on twin rigs must record the same Stats field for field.
+// Schedules whose walks overlap or queue run on WalkAsync alone, against
+// hand-computed counts.
 func TestWalkAndWalkAsyncRecordEqualStats(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -176,9 +177,31 @@ func TestWalkAndWalkAsyncRecordEqualStats(t *testing.T) {
 		pwc   bool
 		// reqs are (time, page offset) pairs in nondecreasing time order,
 		// one core each.
-		reqs  [][2]uint64
-		check func(t *testing.T, s *walker.Stats)
+		reqs [][2]uint64
+		// serial schedules also run through Walk.
+		serial bool
+		check  func(t *testing.T, s *walker.Stats)
 	}{
+		{
+			name:   "serial",
+			width:  1,
+			pwc:    true,
+			serial: true,
+			reqs:   [][2]uint64{{0, 0}, {500, 1}, {1000, 0}, {2000, 2}},
+			check: func(t *testing.T, s *walker.Stats) {
+				// A cold walk (1-cycle PWC probe + 4 accesses) ends at 401;
+				// the other three hit the PL2 entry it filled and read only
+				// the leaf. Nothing overlaps or queues.
+				if s.PTEAccesses.Value() != 4+3 || s.WalkCycles.Value() != 401+3*101 || s.MaxWalkCycles != 401 {
+					t.Errorf("pte=%d cycles=%d max=%d, want 7/704/401",
+						s.PTEAccesses.Value(), s.WalkCycles.Value(), s.MaxWalkCycles)
+				}
+				if s.QueuedWalks != 0 || s.OverlappedWalks != 0 || s.MSHRHits != 0 || s.MaxInFlight != 1 {
+					t.Errorf("queued=%d overlapped=%d mshr=%d max=%d, want 0/0/0/1",
+						s.QueuedWalks.Value(), s.OverlappedWalks.Value(), s.MSHRHits.Value(), s.MaxInFlight)
+				}
+			},
+		},
 		{
 			name:  "width1-queued",
 			width: 1,
@@ -215,18 +238,12 @@ func TestWalkAndWalkAsyncRecordEqualStats(t *testing.T) {
 				}
 				return c
 			}
-			blocking, base := radixRig(t, cfg())
-			evented, _ := radixRig(t, cfg())
+			evented, base := radixRig(t, cfg())
 			eng := engine.New()
 			wi := newIssuer(eng, evented)
 			outs := make([]asyncResp, len(tc.reqs))
 			for i, r := range tc.reqs {
-				v := base + addr.V(r[1]*addr.PageSize)
-				resp := blocking.Walk(walker.Request{Core: i, V: v, Time: r[0]})
-				if !resp.Found {
-					t.Fatalf("sync walk %d did not find its page", i)
-				}
-				wi.walkAt(r[0], i, v, &outs[i])
+				wi.walkAt(r[0], i, base+addr.V(r[1]*addr.PageSize), &outs[i])
 			}
 			eng.Run()
 			for i := range outs {
@@ -234,15 +251,24 @@ func TestWalkAndWalkAsyncRecordEqualStats(t *testing.T) {
 					t.Fatalf("async walk %d did not complete with a mapping", i)
 				}
 			}
-			ss, as := blocking.Stats(), evented.Stats()
-			if !reflect.DeepEqual(ss, as) {
+			as := evented.Stats()
+			if as.Walks.Value() != uint64(len(tc.reqs)) {
+				t.Errorf("walks = %d, want %d", as.Walks.Value(), len(tc.reqs))
+			}
+			tc.check(t, as)
+			if !tc.serial {
+				return
+			}
+			serial, _ := radixRig(t, cfg())
+			for i, r := range tc.reqs {
+				resp := serial.Walk(walker.Request{Core: i, V: base + addr.V(r[1]*addr.PageSize), Time: r[0]})
+				if resp != outs[i].Response {
+					t.Errorf("request %d: Walk %+v, WalkAsync %+v", i, resp, outs[i].Response)
+				}
+			}
+			if ss := serial.Stats(); !reflect.DeepEqual(ss, as) {
 				t.Errorf("Walk stats %+v\nWalkAsync stats %+v", *ss, *as)
 			}
-			if ss.Walks.Value() != uint64(len(tc.reqs)) {
-				t.Errorf("walks = %d, want %d", ss.Walks.Value(), len(tc.reqs))
-			}
-			tc.check(t, ss)
-			tc.check(t, as)
 		})
 	}
 }

@@ -10,34 +10,27 @@
 //
 // The walker serves two execution models:
 //
-//   - Walk is the synchronous path for the blocking core model
-//     (sim.Config.MLP = 1). Blocking cores advance on a min-clock
-//     schedule that can deliver requests with out-of-order timestamps
-//     (a fault-delayed core's walk carries a far-future time), so this
-//     path keeps interval-based slot occupancy and a retained-MSHR table
-//     that tolerate such skew. A per-core width-1 walker under a
-//     blocking core reproduces the conventional blocking-walk timing
-//     exactly. The walker keeps the latest end of any recorded walk; a
-//     request at or after it finds nothing in flight and starts at once
-//     in O(1) — always the case for a private walker under a blocking
-//     core. Other requests take one fused pass over the MSHR table that
-//     checks for a coalescing match, counts occupied slots, and finds
-//     the earliest retirement, rescanning only while every slot is busy.
+//   - Walk is the serial path, taken only by a blocking core
+//     (sim.Config.MLP = 1) on its private walker: one requester whose
+//     next miss never comes before its previous walk completed. Nothing
+//     is ever in flight when a request arrives, so the walk starts at
+//     req.Time with nothing to coalesce onto or queue behind; a request
+//     timestamped before the previous walk's end breaks that contract
+//     and panics.
 //
-//   - WalkAsync is the event-scheduled path for the non-blocking core
-//     model (sim.Config.MLP > 1). Requests arrive in global time order
-//     from the engine, so slots are really acquired and released: a busy
-//     counter gates admission, blocked requests wait on a FIFO, a typed
-//     release event scheduled at each walk's completion frees the slot
-//     and starts the next queued walk, and duplicate requests attach to
-//     the in-flight walk's waiter list. MSHR coalescing and slot
-//     queueing then emerge from the schedule instead of being
-//     reconstructed from intervals — the concurrent-walk contention the
-//     NDPage paper measures as its motivation. The path allocates
-//     nothing in steady state: waiters are interface values over
-//     caller-owned request records, in-flight walk records are pooled,
-//     and the release event is a (kind, payload) pair whose payload is
-//     the walk's slot index.
+//   - WalkAsync is the event-scheduled path for everything else: the
+//     non-blocking core (sim.Config.MLP > 1) and any shared walker,
+//     whose requests arrive in global time order from the engine. Slots
+//     are really acquired and released: a busy counter gates admission,
+//     blocked requests wait on a FIFO, a typed release event scheduled
+//     at each walk's completion frees the slot and starts the next
+//     queued walk, and duplicate requests attach to the in-flight walk's
+//     waiter list. MSHR coalescing and slot queueing emerge from the
+//     schedule — the concurrent-walk contention the NDPage paper
+//     measures as its motivation. The path allocates nothing in steady
+//     state: waiters are interface values over caller-owned request
+//     records, in-flight walk records are pooled, and the release event
+//     is a (kind, payload) pair whose payload is the walk's slot index.
 package walker
 
 import (
@@ -119,17 +112,6 @@ func (s *Stats) noteStart(n int) {
 	s.InFlightHist[n]++
 }
 
-// MeanWalkLatency returns the average performed-walk latency in cycles.
-func (s *Stats) MeanWalkLatency() float64 {
-	return stats.Ratio(s.WalkCycles.Value(), s.Walks.Value())
-}
-
-// MSHRHitRate returns the fraction of walk requests satisfied by an
-// in-flight walk.
-func (s *Stats) MSHRHitRate() float64 {
-	return stats.Ratio(s.MSHRHits.Value(), s.MSHRHits.Value()+s.Walks.Value())
-}
-
 // Memory is the walker's view of the memory hierarchy: issue one request
 // at an absolute time and learn when it completes. *memsys.Hierarchy
 // satisfies it.
@@ -156,15 +138,6 @@ type Config struct {
 	// (hashed) walks: most walks probe one predicted way instead of d,
 	// with a full second round on misprediction.
 	WayPrediction bool
-}
-
-// mshr is one miss-status holding register: an in-flight (or just
-// retired) walk whose result later duplicate requests can share.
-type mshr struct {
-	vpn        addr.VPN
-	start, end uint64
-	entry      pagetable.Entry
-	found      bool
 }
 
 // Scheduler is the walker's view of the event engine: schedule a typed
@@ -209,22 +182,19 @@ type liveWalk struct {
 // requests in global time order.
 type Walker struct {
 	cfg   Config
-	width int
 	table pagetable.Table
 	mem   Memory
 
-	inflight []mshr
-	maxEnd   uint64              // latest end of any walk ever in inflight
+	end      uint64              // completion time of the last Walk
 	walk     pagetable.Walk      // scratch reused across walks
 	fillBuf  []addr.Level        // scratch for PWC fills
 	wayCache *assoc.Table[uint8] // ECH cuckoo-walk cache (optional)
 	stats    Stats
 
 	// Event-scheduled (WalkAsync) state: live walks hold real slots
-	// (slots[i] != nil, counted by busy), releases are typed engine
+	// (slots[i] != nil, counted by busy; len(slots) is the width), releases are typed engine
 	// events whose payload is the slot index, blocked requests wait in
-	// FIFO order, and retired records return to a free pool. Disjoint
-	// from the synchronous path's interval bookkeeping.
+	// FIFO order, and retired records return to a free pool.
 	sched   Scheduler
 	busy    int
 	slots   []*liveWalk
@@ -236,10 +206,7 @@ var _ engine.Actor = (*Walker)(nil)
 
 // New builds a walker over table, issuing PTE requests to mem.
 func New(table pagetable.Table, mem Memory, cfg Config) *Walker {
-	w := &Walker{cfg: cfg, width: cfg.Width, table: table, mem: mem}
-	if w.width < 1 {
-		w.width = 1
-	}
+	w := &Walker{cfg: cfg, table: table, mem: mem, slots: make([]*liveWalk, max(cfg.Width, 1))}
 	if cfg.WayPrediction {
 		// 64 entries x 4-way over 32 KB regions (8 pages per entry).
 		w.wayCache = assoc.New[uint8](16, 4)
@@ -247,116 +214,30 @@ func New(table pagetable.Table, mem Memory, cfg Config) *Walker {
 	return w
 }
 
-// Width returns the number of concurrent walk slots.
-func (w *Walker) Width() int { return w.width }
-
 // Cache returns the page-walk cache the walker probes, or nil.
 func (w *Walker) Cache() *pwc.PWC { return w.cfg.Cache }
 
 // Stats returns the live counters.
 func (w *Walker) Stats() *Stats { return &w.stats }
 
-// ResetStats zeroes the counters (MSHR and cache contents persist).
+// ResetStats zeroes the counters (in-flight walks and cache contents
+// persist).
 func (w *Walker) ResetStats() { w.stats = Stats{} }
 
 // cwcRegion is the way-prediction granularity: one entry covers 8 pages.
 func cwcRegion(v addr.V) uint64 { return uint64(v.Page()) >> 3 }
 
-// Walk resolves one walk request: coalesce onto an in-flight walk for
-// the same page if one exists, otherwise claim a walk slot (waiting for
-// one to free when all Width slots are busy) and perform the table's
-// access sequence.
+// Walk performs req's walk at req.Time and returns its outcome. It is
+// the serial path (see the package doc): the caller is the walker's one
+// requester and never asks again before the previous walk's Done, so no
+// walk is in flight to coalesce onto or queue behind. A back-dated
+// request is a caller bug; concurrent requesters use WalkAsync.
 func (w *Walker) Walk(req Request) Response {
-	w.prune(req.Time)
-
-	// Slot allocation: the walk begins at the earliest time at or after
-	// the request when fewer than Width walks occupy their [start, end)
-	// interval. Occupancy is interval-based rather than arrival-order-
-	// based because the simulator's min-clock stepping can deliver a
-	// request timestamped *before* a walk another core issued after a
-	// long page fault; that future walk must not block this one. (A
-	// walk's duration is unknown until issued, so occupancy is checked
-	// at the start instant only; a walk overrunning into a
-	// future-started one is tolerated — the model is cycle-approximate.)
-	//
-	// A request at or after every recorded walk's end finds no walk in
-	// flight: no MSHR can match and a slot is free, so it starts at once.
-	// That is every walk of a private walker under a blocking core.
-	vpn := req.V.Page()
-	start, busy := req.Time, 0
-	if req.Time < w.maxEnd {
-		var next uint64
-		var hit *mshr
-		busy, next, hit = w.occupancy(start, vpn)
-		// MSHR check: a duplicate in-flight walk supplies the result
-		// with no new PTE traffic; the request completes when that walk
-		// does. Only walks already started by req.Time qualify —
-		// coalescing onto a walk another core issued in this request's
-		// future (timestamp skew from a long page fault) would stall the
-		// requester for the whole skew when its own walk would finish
-		// far sooner.
-		if hit != nil {
-			w.stats.MSHRHits.Inc()
-			return Response{Entry: hit.entry, Found: hit.found, Done: hit.end, Coalesced: true}
-		}
-		// Each full candidate advances to the earliest retirement among
-		// the walks occupying it.
-		for busy >= w.width {
-			start = next
-			busy, next, _ = w.occupancy(start, vpn)
-		}
+	if req.Time < w.end {
+		panic("walker: Walk request predates the previous walk's end; Walk serves one serial requester (use WalkAsync)")
 	}
-	end := w.perform(req, start, busy+1)
-	w.inflight = append(w.inflight, mshr{
-		vpn: vpn, start: start, end: end,
-		entry: w.walk.Entry, found: w.walk.Found,
-	})
-	if end > w.maxEnd {
-		w.maxEnd = end
-	}
-	return Response{Entry: w.walk.Entry, Found: w.walk.Found, Done: end}
-}
-
-// occupancy scans the MSHR table once at time t: busy counts the walks
-// whose [start, end) interval covers t, next is the earliest end among
-// them (0 if none), and hit is the first of them walking vpn, or nil.
-func (w *Walker) occupancy(t uint64, vpn addr.VPN) (busy int, next uint64, hit *mshr) {
-	for i := range w.inflight {
-		f := &w.inflight[i]
-		if f.start <= t && f.end > t {
-			if hit == nil && f.vpn == vpn {
-				hit = f
-			}
-			busy++
-			if next == 0 || f.end < next {
-				next = f.end
-			}
-		}
-	}
-	return busy, next, hit
-}
-
-// retainedMSHRs bounds the MSHR table. Retired entries are invisible to
-// every check (all filter on end > time), but they are kept around until
-// the table exceeds this bound: a later-arriving request can carry an
-// *earlier* timestamp (min-clock stepping delivers a fault-delayed
-// core's walk first), and for that request a recently-retired walk is
-// still in flight and must coalesce and occupy its slot.
-const retainedMSHRs = 64
-
-// prune drops MSHRs retired at or before now, but only once the table
-// outgrows retainedMSHRs — see the constant's comment.
-func (w *Walker) prune(now uint64) {
-	if len(w.inflight) <= retainedMSHRs {
-		return
-	}
-	live := w.inflight[:0]
-	for _, f := range w.inflight {
-		if f.end > now {
-			live = append(live, f)
-		}
-	}
-	w.inflight = live
+	w.end = w.perform(req, req.Time, 1)
+	return Response{Entry: w.walk.Entry, Found: w.walk.Found, Done: w.end}
 }
 
 // WalkAsync resolves one walk request on the event schedule: wt's
@@ -367,7 +248,7 @@ func (w *Walker) prune(now uint64) {
 // the FIFO until a release event frees a slot. Callers must deliver
 // requests in nondecreasing time order (the engine's dispatch order
 // guarantees this), which is what lets slots be held by a simple busy
-// counter instead of the synchronous path's interval bookkeeping.
+// counter.
 func (w *Walker) WalkAsync(s Scheduler, req Request, wt Waiter) {
 	// Release events for parked walks fire through w.sched, so
 	// switching schedulers while walks are in flight would strand them
@@ -399,7 +280,7 @@ func (w *Walker) WalkAsync(s Scheduler, req Request, wt Waiter) {
 	lw := w.getWalkRecord(req, wt)
 	// Park when saturated — or when earlier requests are already parked,
 	// so a request arriving as a slot frees cannot jump the FIFO.
-	if w.busy >= w.width || len(w.pending) > 0 {
+	if w.busy >= len(w.slots) || len(w.pending) > 0 {
 		w.pending = append(w.pending, lw)
 		return
 	}
@@ -438,8 +319,7 @@ func (w *Walker) putWalkRecord(lw *liveWalk) {
 }
 
 // startAsync acquires a slot at time at and performs lw's walk,
-// scheduling the release event at its completion. The walker lazily
-// sizes its slot table to Width on first use.
+// scheduling the release event at its completion.
 func (w *Walker) startAsync(lw *liveWalk, at uint64) {
 	// A slot can free before the request's own timestamp: requests are
 	// issued at their event time but stamped after the TLB lookups, so a
@@ -454,18 +334,9 @@ func (w *Walker) startAsync(lw *liveWalk, at uint64) {
 	lw.entry = w.walk.Entry
 	lw.found = w.walk.Found
 
-	if w.slots == nil {
-		w.slots = make([]*liveWalk, w.width)
-	}
-	slot := -1
-	for i, s := range w.slots {
-		if s == nil {
-			slot = i
-			break
-		}
-	}
-	if slot < 0 {
-		panic("walker: no free slot despite busy < width")
+	slot := 0 // fewer than len(slots) walks held a slot, so one is free
+	for w.slots[slot] != nil {
+		slot++
 	}
 	w.slots[slot] = lw
 	w.sched.Schedule(end, lw.req.Core, w, evRelease, uint64(slot))
@@ -491,7 +362,7 @@ func (w *Walker) release(slot int) {
 	for i, wt := range lw.waiters {
 		wt.OnWalkDone(Response{Entry: lw.entry, Found: lw.found, Done: lw.end, Coalesced: i > 0})
 	}
-	if len(w.pending) > 0 && w.busy < w.width {
+	if len(w.pending) > 0 && w.busy < len(w.slots) {
 		next := w.pending[0]
 		copy(w.pending, w.pending[1:])
 		w.pending[len(w.pending)-1] = nil
@@ -503,7 +374,7 @@ func (w *Walker) release(slot int) {
 
 // perform starts req's walk at start (at or after req.Time, with
 // inFlight walks in flight counting itself) and records it: both the
-// synchronous and the event-scheduled path begin every walk here. It
+// serial and the event-scheduled path begin every walk here. It
 // returns the completion time, leaving the outcome in w.walk.
 func (w *Walker) perform(req Request, start uint64, inFlight int) uint64 {
 	if start > req.Time {

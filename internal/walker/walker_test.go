@@ -56,142 +56,20 @@ func TestBlockingWalkTiming(t *testing.T) {
 	}
 }
 
-func TestMSHRCoalescesDuplicateInFlightVPN(t *testing.T) {
-	w, base := radixRig(t, walker.Config{Width: 4})
-	a := w.Walk(walker.Request{Core: 0, V: base, Time: 0})
-	// A second request for the same page while the first walk is still in
-	// flight coalesces: same completion time, no new PTE traffic.
-	b := w.Walk(walker.Request{Core: 1, V: base + 64, Time: 50})
-	if !b.Coalesced {
-		t.Fatal("duplicate in-flight walk was not coalesced")
-	}
-	if b.Done != a.Done || b.Entry != a.Entry {
-		t.Errorf("coalesced response (%d, %+v) differs from walk (%d, %+v)",
-			b.Done, b.Entry, a.Done, a.Entry)
-	}
-	s := w.Stats()
-	if s.Walks.Value() != 1 || s.MSHRHits.Value() != 1 {
-		t.Errorf("walks=%d mshrHits=%d, want 1/1", s.Walks.Value(), s.MSHRHits.Value())
-	}
-	if s.PTEAccesses.Value() != 4 {
-		t.Errorf("coalesced request issued PTE traffic: %d accesses", s.PTEAccesses.Value())
-	}
-	if got := s.MSHRHitRate(); got != 0.5 {
-		t.Errorf("MSHRHitRate = %v, want 0.5", got)
-	}
-
-	// After the walk retires it no longer coalesces: a fresh request for
-	// the same page walks again.
-	c := w.Walk(walker.Request{Core: 0, V: base, Time: a.Done + 10})
-	if c.Coalesced {
-		t.Error("retired walk still coalescing")
-	}
-	if w.Stats().Walks.Value() != 2 {
-		t.Errorf("walks = %d, want 2", w.Stats().Walks.Value())
-	}
-}
-
-func TestWidthOneQueuesConcurrentWalks(t *testing.T) {
-	w, base := radixRig(t, walker.Config{Width: 1})
-	a := w.Walk(walker.Request{Core: 0, V: base, Time: 0}) // ends at 400
-	b := w.Walk(walker.Request{Core: 1, V: base + addr.PageSize, Time: 100})
-	if a.Done != 400 {
-		t.Fatalf("first walk ends at %d, want 400", a.Done)
-	}
-	// The single slot is busy until 400; the second walk starts there.
-	if b.Done != 400+400 {
-		t.Errorf("queued walk completed at %d, want 800", b.Done)
-	}
-	s := w.Stats()
-	if s.QueuedWalks.Value() != 1 || s.QueueCycles.Value() != 300 {
-		t.Errorf("queued=%d queueCycles=%d, want 1/300", s.QueuedWalks.Value(), s.QueueCycles.Value())
-	}
-	if s.OverlappedWalks != 0 {
-		t.Error("width-1 walker overlapped walks")
-	}
-}
-
-func TestWidthTwoOverlapsConcurrentWalks(t *testing.T) {
+// TestWalkRejectsBackdatedRequest: Walk serves one serial requester, so
+// a request timestamped before the previous walk's end is a caller bug.
+// It panics instead of coalescing onto or queueing behind that walk.
+func TestWalkRejectsBackdatedRequest(t *testing.T) {
 	w, base := radixRig(t, walker.Config{Width: 2})
 	a := w.Walk(walker.Request{Core: 0, V: base, Time: 0})
-	b := w.Walk(walker.Request{Core: 1, V: base + addr.PageSize, Time: 100})
-	if a.Done != 400 || b.Done != 500 {
-		t.Errorf("walks ended at %d/%d, want 400/500 (overlapped)", a.Done, b.Done)
-	}
-	s := w.Stats()
-	if s.OverlappedWalks.Value() != 1 {
-		t.Errorf("overlapped = %d, want 1", s.OverlappedWalks.Value())
-	}
-	if s.QueuedWalks != 0 {
-		t.Error("width-2 walker queued with a free slot")
-	}
-	if s.MaxInFlight != 2 {
-		t.Errorf("MaxInFlight = %d, want 2", s.MaxInFlight)
-	}
-
-	// A third concurrent walk exceeds the two slots and queues until the
-	// earliest in-flight walk (a, at 400) frees its slot.
-	c := w.Walk(walker.Request{Core: 2, V: base + 2*addr.PageSize, Time: 150})
-	if c.Done != 400+400 {
-		t.Errorf("third walk completed at %d, want 800", c.Done)
-	}
-	if got := w.Stats().QueuedWalks.Value(); got != 1 {
-		t.Errorf("queued = %d, want 1", got)
-	}
-}
-
-func TestOutOfOrderRequestNotBlockedByFutureWalk(t *testing.T) {
-	// The simulator's min-clock stepping can deliver a request
-	// timestamped before a walk another core issued after paying a long
-	// page fault. A walk that has not started yet must not hold a slot
-	// against the earlier request.
-	w, base := radixRig(t, walker.Config{Width: 1})
-	a := w.Walk(walker.Request{Core: 0, V: base, Time: 20_100}) // [20100, 20500]
-	if a.Done != 20_500 {
-		t.Fatalf("first walk ends at %d, want 20500", a.Done)
-	}
-	b := w.Walk(walker.Request{Core: 1, V: base + addr.PageSize, Time: 150})
-	if b.Done != 150+400 {
-		t.Errorf("earlier-timestamped walk completed at %d, want 550 (not queued behind the future walk)", b.Done)
-	}
-	if got := w.Stats().QueuedWalks.Value(); got != 0 {
-		t.Errorf("queued = %d, want 0", got)
-	}
-}
-
-func TestOutOfOrderRequestNotCoalescedOntoFutureWalk(t *testing.T) {
-	// Same skew, same page: a request must not coalesce onto a walk that
-	// starts in its future — it would inherit the whole fault delay when
-	// walking itself finishes far sooner.
-	w, base := radixRig(t, walker.Config{Width: 1})
-	a := w.Walk(walker.Request{Core: 0, V: base, Time: 20_100})
-	b := w.Walk(walker.Request{Core: 1, V: base + 64, Time: 150})
-	if b.Coalesced {
-		t.Error("request coalesced onto a future-started walk")
-	}
-	if b.Done != 150+400 {
-		t.Errorf("earlier-timestamped duplicate completed at %d, want 550", b.Done)
-	}
-	if a.Entry != b.Entry {
-		t.Error("duplicate walks disagree on the translation")
-	}
-}
-
-func TestRetiredMSHRServesEarlierTimestampedRequest(t *testing.T) {
-	// A fault-delayed core's request can arrive (in execution order)
-	// between a walk and a later request timestamped inside that walk's
-	// lifetime. The intervening high-timestamp request must not flush
-	// the MSHR the earlier-timestamped one needs.
-	w, base := radixRig(t, walker.Config{Width: 4})
-	w.Walk(walker.Request{Core: 0, V: base, Time: 0}) // [0, 400)
-	w.Walk(walker.Request{Core: 1, V: base + addr.PageSize, Time: 50_000})
-	d := w.Walk(walker.Request{Core: 2, V: base + 64, Time: 100})
-	if !d.Coalesced {
-		t.Error("retired-by-50000 MSHR no longer served the request timestamped 100")
-	}
-	if d.Done != 400 {
-		t.Errorf("coalesced completion %d, want 400", d.Done)
-	}
+	// A request at the previous walk's end is serial: accepted.
+	b := w.Walk(walker.Request{Core: 0, V: base + addr.PageSize, Time: a.Done})
+	defer func() {
+		if recover() == nil {
+			t.Error("Walk accepted a request timestamped before the previous walk's end")
+		}
+	}()
+	w.Walk(walker.Request{Core: 1, V: base + addr.PageSize + 64, Time: b.Done - 1})
 }
 
 func TestPWCSkipShortensWalk(t *testing.T) {
@@ -288,21 +166,6 @@ func TestWayPredictionMispredictFallback(t *testing.T) {
 	}
 }
 
-func TestResetStatsPreservesMSHRs(t *testing.T) {
-	w, base := radixRig(t, walker.Config{Width: 2})
-	a := w.Walk(walker.Request{Core: 0, V: base, Time: 0})
-	w.ResetStats()
-	s := w.Stats()
-	if s.Walks != 0 || s.PTEAccesses != 0 {
-		t.Error("stats not reset")
-	}
-	// The in-flight walk survives the reset and still coalesces.
-	b := w.Walk(walker.Request{Core: 1, V: base, Time: a.Done - 1})
-	if !b.Coalesced || s.MSHRHits.Value() != 1 {
-		t.Error("MSHR contents lost by ResetStats")
-	}
-}
-
 func TestUnmappedWalkReportsNotFound(t *testing.T) {
 	w, _ := radixRig(t, walker.Config{})
 	resp := w.Walk(walker.Request{Core: 0, V: addr.V(0x7000_0000_0000), Time: 0})
@@ -311,36 +174,22 @@ func TestUnmappedWalkReportsNotFound(t *testing.T) {
 	}
 }
 
-// BenchmarkWalk is one synchronous walk over a populated 64 MB radix
-// table with a PWC, under the blocking core model's min-clock schedule:
-// each core requests a random page when its previous walk is done. The
-// private case is a per-core width-1 walker (one core); the shared case
-// is one width-2 walker serving four cores, whose walks overlap and
-// queue.
+// BenchmarkWalk is one serial walk over a populated 64 MB radix table
+// with a PWC: one core on its private width-1 walker requests a random
+// page 50 cycles after its previous walk is done. Walkers shared by
+// several cores run on the event schedule (BenchmarkWalkAsync).
 func BenchmarkWalk(b *testing.B) {
-	for _, bc := range []struct {
-		name         string
-		cores, width int
-	}{{"private-w1", 1, 1}, {"shared-w2", 4, 2}} {
-		b.Run(bc.name, func(b *testing.B) {
-			w, base := radixRig(b, walker.Config{Width: bc.width, Cache: pwc.New(pwc.Default())})
-			rng := xrand.New(5)
-			pages := make([]addr.V, 1<<12)
-			for i := range pages {
-				pages[i] = base + addr.V(rng.Uint64n(64<<20/addr.PageSize)*addr.PageSize)
-			}
-			clock := make([]uint64, bc.cores)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				c := 0
-				for k := range clock {
-					if clock[k] < clock[c] {
-						c = k
-					}
-				}
-				resp := w.Walk(walker.Request{Core: c, V: pages[i&(len(pages)-1)], Time: clock[c]})
-				clock[c] = resp.Done + 50
-			}
-		})
-	}
+	b.Run("private-w1", func(b *testing.B) {
+		w, base := radixRig(b, walker.Config{Cache: pwc.New(pwc.Default())})
+		rng := xrand.New(5)
+		pages := make([]addr.V, 1<<12)
+		for i := range pages {
+			pages[i] = base + addr.V(rng.Uint64n(64<<20/addr.PageSize)*addr.PageSize)
+		}
+		var clock uint64
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			clock = w.Walk(walker.Request{V: pages[i&(len(pages)-1)], Time: clock}).Done + 50
+		}
+	})
 }

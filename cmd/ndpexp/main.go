@@ -36,6 +36,7 @@ import (
 	"time"
 
 	"ndpage"
+	"ndpage/internal/sweep"
 )
 
 func main() {
@@ -66,7 +67,7 @@ func main() {
 		fatal(err)
 	}
 	if *cacheDir != "" {
-		store, err := openCache(ctx, *cacheDir)
+		store, err := sweep.OpenStore(ctx, *cacheDir)
 		if err != nil {
 			fatal(err)
 		}
@@ -165,25 +166,6 @@ func selectFigures(arg string, e *ndpage.Experiments) ([]figure, error) {
 		problem = "unknown figure " + strings.Join(unknown, ", ")
 	}
 	return nil, fmt.Errorf("-figs %q: %s (valid: all, %s)", arg, problem, strings.Join(names, ", "))
-}
-
-// openCache resolves the -cache argument: an http(s):// URL selects a
-// shared ndpserve instance (cold runs execute server-side, deduplicated
-// across every client), anything else a local cache directory.
-func openCache(ctx context.Context, arg string) (ndpage.Store, error) {
-	if strings.HasPrefix(arg, "http://") || strings.HasPrefix(arg, "https://") {
-		store, err := ndpage.NewRemoteStore(arg)
-		if err != nil {
-			return nil, err
-		}
-		store.Context = ctx // Ctrl-C aborts in-flight requests and 429 retry waits
-		return store, nil
-	}
-	ds, err := ndpage.NewDirStore(arg)
-	if err != nil {
-		return nil, err
-	}
-	return ds, nil
 }
 
 func fatal(err error) {

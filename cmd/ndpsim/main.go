@@ -37,11 +37,11 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"strings"
 
 	"ndpage"
 	"ndpage/internal/addr"
 	"ndpage/internal/sim"
+	"ndpage/internal/sweep"
 )
 
 // errFlagParse marks a flag-parsing failure the FlagSet has already
@@ -142,7 +142,15 @@ func run(args []string, out io.Writer) error {
 		m   *sim.Machine // kept live until the heap profile is written
 	)
 	if *cache != "" {
-		res, err = runCached(*cache, cfg)
+		// The Sweep runner supplies the cache discipline ndpexp uses: key
+		// the normalized config, serve warm keys without simulating, store
+		// fresh results — and delegate cold runs to a store that can
+		// compute (the remote case).
+		ctx := context.Background()
+		var store ndpage.Store
+		if store, err = sweep.OpenStore(ctx, *cache); err == nil {
+			res, err = (&ndpage.Sweep{Store: store, Parallel: 1}).RunOne(ctx, cfg)
+		}
 	} else if m, err = sim.New(cfg); err == nil {
 		res = m.Run()
 	}
@@ -171,33 +179,6 @@ func run(args []string, out io.Writer) error {
 
 	printSummary(out, *system, mech, *cores, *wl, *shared, *width, *mlp, res)
 	return nil
-}
-
-// runCached runs cfg through the content-addressed run cache named by
-// arg: a directory (DirStore) serves repeats from disk; an http(s)://
-// URL (RemoteStore over ndpserve) serves warm keys from the shared
-// store and runs cold configurations server-side.
-func runCached(arg string, cfg ndpage.Config) (*ndpage.Result, error) {
-	var store ndpage.Store
-	if strings.HasPrefix(arg, "http://") || strings.HasPrefix(arg, "https://") {
-		remote, err := ndpage.NewRemoteStore(arg)
-		if err != nil {
-			return nil, err
-		}
-		store = remote
-	} else {
-		dir, err := ndpage.NewDirStore(arg)
-		if err != nil {
-			return nil, err
-		}
-		store = dir
-	}
-	// The Sweep runner supplies the cache discipline ndpexp uses: key
-	// the normalized config, serve warm keys without simulating, store
-	// fresh results — and delegate cold runs to a store that can
-	// compute (the remote case).
-	runner := &ndpage.Sweep{Store: store, Parallel: 1}
-	return runner.RunOne(context.Background(), cfg)
 }
 
 // printSummary renders the human-readable metric summary.

@@ -2,18 +2,18 @@
 // dumps the virtual-address instruction stream of any workload as CSV
 // (inspectable, single-stream) or as a compact binary .ndpt capture
 // (gzip-framed, varint-delta encoded, multi-stream) that the simulator
-// replays via Config.Workload = "trace:<file>". See WORKLOADS.md for
-// the format specification.
+// replays via Config.Workload = "trace:<file>". Both forms record each
+// load and store's instruction PC (the CSV pc column, binary format
+// version 2), so a replay drives PC-indexed mechanisms such as PCAX.
+// See WORKLOADS.md for the format specification.
 //
 // Usage:
 //
 //	ndptrace -workload bfs -ops 10000 > bfs.csv
-//	ndptrace -workload bfs -ops 10000 -pc > bfs.csv          # CSV with a pc column
 //	ndptrace -workload dlrm -threads 4 -thread 2 -ops 1000
 //	ndptrace -workload gen -stats            # op-mix summary instead of the trace
 //	ndptrace -workload bfs -ops 200000 -o bfs.ndpt           # binary capture
 //	ndptrace -workload bfs -threads 4 -all-threads -o bfs4.ndpt
-//	ndptrace -workload bfs -ops 200000 -pc -o bfs.ndpt       # v2: with instruction PCs
 //	ndptrace -verify bfs4.ndpt               # replay + check against the header
 package main
 
@@ -67,7 +67,6 @@ type options struct {
 	stats      bool
 	out        string // -o: binary capture file
 	allThreads bool   // capture every thread's stream (-o only)
-	pcs        bool   // -pc: capture instruction PCs (format v2)
 	verify     string // -verify: replay a capture and check its header
 }
 
@@ -120,7 +119,7 @@ func emit(opts options, w io.Writer) error {
 		return out.Flush()
 	}
 
-	csv := trace.NewCSVWriter(w, opts.pcs)
+	csv := trace.NewCSVWriter(w)
 	for i := uint64(0); i < opts.ops; i++ {
 		gen.Next(&op)
 		if err := csv.Write(trace.Op{Kind: trace.Kind(op.Kind), Addr: uint64(op.Addr), PC: op.PC, Cycles: op.Cycles}); err != nil {
@@ -142,9 +141,6 @@ func capture(opts options) error {
 		first, streams = 0, opts.threads
 	}
 	w := trace.NewWriter(opts.workload, opts.seed, streams)
-	if opts.pcs {
-		w = trace.NewWriterPC(opts.workload, opts.seed, streams)
-	}
 	var op workload.Op
 	for s := 0; s < streams; s++ {
 		gen := wl.Thread(first+s, threadSeed(opts.seed, first+s))
@@ -232,8 +228,6 @@ func run(opts options, out io.Writer) error {
 		return fmt.Errorf("-all-threads needs -o: the CSV format is single-stream")
 	case opts.stats && opts.out != "":
 		return fmt.Errorf("-stats and -o are mutually exclusive")
-	case opts.stats && opts.pcs:
-		return fmt.Errorf("-stats and -pc are mutually exclusive: the op-mix summary has no PCs")
 	case opts.out != "":
 		return capture(opts)
 	default:
@@ -252,7 +246,6 @@ func main() {
 	flag.BoolVar(&opts.stats, "stats", false, "print an op-mix summary instead of the trace")
 	flag.StringVar(&opts.out, "o", "", "write a binary .ndpt capture to FILE instead of CSV on stdout")
 	flag.BoolVar(&opts.allThreads, "all-threads", false, "capture every thread's stream (requires -o)")
-	flag.BoolVar(&opts.pcs, "pc", false, "record instruction PCs: a pc column in the CSV, or format v2 in the -o capture (v1 without)")
 	flag.StringVar(&opts.verify, "verify", "", "replay capture FILE and check it against its header")
 	flag.Parse()
 

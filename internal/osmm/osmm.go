@@ -299,12 +299,6 @@ func (as *AddressSpace) ResetFaultStats() {
 	as.stats.CompactionCycles = 0
 }
 
-// Regions returns the reserved regions in allocation order.
-func (as *AddressSpace) Regions() []Region { return as.regions }
-
-// HeapBytes returns the total reserved heap span.
-func (as *AddressSpace) HeapBytes() uint64 { return uint64(as.brk - vaBase) }
-
 // Alloc reserves size bytes (2 MB-aligned, 2 MB-granular) and populates
 // them eagerly — dataset memory that exists before the measurement
 // window. It implements the workload Mem interface. Under the

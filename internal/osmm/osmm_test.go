@@ -136,7 +136,7 @@ func TestRegionsAreAlignedAndDisjoint(t *testing.T) {
 	as.Alloc(3<<20+5, "a") // odd size rounds up
 	as.AllocLazy(1<<20, "b")
 	as.Alloc(2<<20, "c")
-	regions := as.Regions()
+	regions := as.regions
 	if len(regions) != 3 {
 		t.Fatalf("regions = %d", len(regions))
 	}
@@ -152,10 +152,13 @@ func TestRegionsAreAlignedAndDisjoint(t *testing.T) {
 		}
 	}
 	// 3MB+5 -> 4MB, 1MB -> 2MB, 2MB -> 2MB.
-	if as.HeapBytes() != 4<<20+2<<20+2<<20 {
-		t.Errorf("HeapBytes = %d", as.HeapBytes())
+	if heapBytes(as) != 4<<20+2<<20+2<<20 {
+		t.Errorf("heap span = %d", heapBytes(as))
 	}
 }
+
+// heapBytes returns the total reserved heap span.
+func heapBytes(as *AddressSpace) uint64 { return uint64(as.brk - vaBase) }
 
 func TestTranslateMatchesMapping(t *testing.T) {
 	as, _ := newAS(Base4K)
@@ -480,7 +483,7 @@ func TestReserveBeforeMap(t *testing.T) {
 			if log.maps == 0 || len(log.outside) > 0 {
 				t.Fatalf("%d of %d mappings outside the reserved ranges, first pages %#x", len(log.outside), log.maps, log.outside)
 			}
-			regions := as.Regions()
+			regions := as.regions
 			if len(log.reserved) != len(regions) {
 				t.Fatalf("%d Reserve calls for %d regions", len(log.reserved), len(regions))
 			}

@@ -772,17 +772,6 @@ func (c *Cuckoo) MetadataBytes() uint64 {
 	return total
 }
 
-// LoadFactors returns the per-way load factors, for tests and reports.
-func (c *Cuckoo) LoadFactors() []float64 {
-	c.settle()
-	out := make([]float64, len(c.ways))
-	for i := range c.ways {
-		way := &c.ways[i]
-		out[i] = float64(way.count) / float64(way.capacity())
-	}
-	return out
-}
-
 // String summarizes the table state.
 func (c *Cuckoo) String() string {
 	c.settle()

@@ -22,7 +22,7 @@ const cuckooPlacementGolden = 0xefa97c269a30c1c4
 // runCuckooPlacement drives a cuckoo table from 256 slots per way through
 // a seeded mix of Map, MapRange, remap, Unmap and WalkInto, calling check
 // with the op's VPN after every op, and returns a digest of every Unmap
-// and walk result plus the final Stats, LoadFactors, Occupancy and
+// and walk result plus the final Stats, load factors, Occupancy and
 // allocator Stats. The sequence forces a resize (forceResize) once.
 // Keys lie below 2^20 and runs reach at most 511 pages past them, so the
 // table reserves [0, 2^20+512) first; reserving takes no frames.
@@ -88,7 +88,7 @@ func runCuckooPlacement(check func(op int, c *Cuckoo, vpn addr.VPN)) uint64 {
 	put(s.Kicks)
 	put(s.Resizes)
 	put(s.Migrated)
-	for _, lf := range c.LoadFactors() {
+	for _, lf := range loadFactors(c) {
 		put(math.Float64bits(lf))
 	}
 	for _, o := range c.Occupancy() {

@@ -327,6 +327,15 @@ func TestWrapSimPanicIsTransient(t *testing.T) {
 	}
 }
 
+// simulatingStore hands a Runner's cold runs to run: the sweep.Simulator
+// route a Runner takes for any Store that can compute.
+type simulatingStore struct {
+	sweep.Store
+	run func(sim.Config) (*sim.Result, error)
+}
+
+func (s simulatingStore) Simulate(cfg sim.Config) (*sim.Result, error) { return s.run(cfg) }
+
 // TestRunnerSurvivesChaos drives a whole sweep through a tearing store
 // and a panicking simulator: every fault is transient, so retried Runs
 // converge to complete, correct results with zero process crashes.
@@ -336,10 +345,10 @@ func TestRunnerSurvivesChaos(t *testing.T) {
 		chaosRule{op: opSim, kind: kindPanic, every: 3, count: 1},
 	)
 	cfgs := []sim.Config{testBase(1), testBase(2), testBase(3), testBase(4)}
-	r := &sweep.Runner{
-		Store:    newTornStore(t, plan),
-		Simulate: plan.wrapSim(func(cfg sim.Config) (*sim.Result, error) { return fakeResult(cfg), nil }),
-	}
+	r := &sweep.Runner{Store: simulatingStore{
+		newTornStore(t, plan),
+		plan.wrapSim(func(cfg sim.Config) (*sim.Result, error) { return fakeResult(cfg), nil }),
+	}}
 	// Retry until clean: transient faults may fail individual Runs, but
 	// the chaos budget is finite (both rules have count caps).
 	var out []*sim.Result
@@ -504,7 +513,7 @@ func TestChaosEndToEnd(t *testing.T) {
 		return run("sweep under chaos", &sweep.Runner{Store: remote, Parallel: 1})
 	}
 
-	clean := run("fault-free sweep", &sweep.Runner{Simulate: sim.RunConfig, Parallel: 1})
+	clean := run("fault-free sweep", &sweep.Runner{Parallel: 1})
 	first := pass()  // rides out the injected panic; its first write is torn
 	second := pass() // fresh client; re-reads the torn entry from disk and heals it
 	if first != clean {

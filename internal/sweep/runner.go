@@ -66,17 +66,13 @@ type Runner struct {
 	// Store caches results across Run calls — and, for DirStore, across
 	// processes. Nil selects a fresh in-memory store. A Store that also
 	// implements Simulator (RemoteStore) additionally takes over cold
-	// runs unless Simulate overrides it.
+	// runs; otherwise they run in-process with sim.RunConfig.
 	Store Store
 	// Parallel bounds concurrent simulations (0 = min(4, GOMAXPROCS)).
 	Parallel int
 	// Progress, when non-nil, receives one Event per run: simulated,
 	// cached (first service only), or failed. Called serially.
 	Progress func(Event)
-	// Simulate overrides the simulation function (tests, remote
-	// offload). Nil selects the Store's Simulate when it implements
-	// Simulator, else sim.RunConfig.
-	Simulate func(sim.Config) (*sim.Result, error)
 
 	mu       sync.Mutex
 	store    Store
@@ -118,9 +114,6 @@ func (r *Runner) parallel() int {
 }
 
 func (r *Runner) sim(cfg sim.Config) (*sim.Result, error) {
-	if r.Simulate != nil {
-		return Guard(r.Simulate)(cfg)
-	}
 	if s, ok := r.store.(Simulator); ok {
 		return Guard(s.Simulate)(cfg)
 	}

@@ -11,13 +11,27 @@ import (
 	"ndpage/internal/sim"
 )
 
-// fakeSim returns a Simulate stub that counts invocations and fabricates
+// fakeSim returns a simulator stub that counts invocations and fabricates
 // a result derived from the config.
 func fakeSim(calls *atomic.Int64) func(sim.Config) (*sim.Result, error) {
 	return func(cfg sim.Config) (*sim.Result, error) {
 		calls.Add(1)
 		return &sim.Result{Config: cfg, Cycles: 1000 + cfg.Seed}, nil
 	}
+}
+
+// simStore is a Store whose cold runs go to run: the Simulator route a
+// Runner takes for any Store that can compute.
+type simStore struct {
+	Store
+	run func(sim.Config) (*sim.Result, error)
+}
+
+func (s simStore) Simulate(cfg sim.Config) (*sim.Result, error) { return s.run(cfg) }
+
+// simulating returns a fresh in-memory store whose cold runs go to run.
+func simulating(run func(sim.Config) (*sim.Result, error)) Store {
+	return simStore{NewMemStore(), run}
 }
 
 func seedPlan(seeds ...uint64) []sim.Config {
@@ -30,7 +44,7 @@ func seedPlan(seeds ...uint64) []sim.Config {
 
 func TestRunnerDedupesWithinRun(t *testing.T) {
 	var calls atomic.Int64
-	r := &Runner{Simulate: fakeSim(&calls)}
+	r := &Runner{Store: simulating(fakeSim(&calls))}
 	cfg := testBase()
 	out, err := r.Run(context.Background(), []sim.Config{cfg, cfg, cfg})
 	if err != nil {
@@ -48,7 +62,7 @@ func TestRunnerDedupesWithinRun(t *testing.T) {
 
 func TestRunnerMemoizesAcrossRuns(t *testing.T) {
 	var calls atomic.Int64
-	r := &Runner{Simulate: fakeSim(&calls)}
+	r := &Runner{Store: simulating(fakeSim(&calls))}
 	cfgs := seedPlan(1, 2)
 	if _, err := r.Run(context.Background(), cfgs); err != nil {
 		t.Fatal(err)
@@ -67,7 +81,7 @@ func TestRunnerMemoizesAcrossRuns(t *testing.T) {
 
 func TestRunnerResultsInInputOrder(t *testing.T) {
 	var calls atomic.Int64
-	r := &Runner{Parallel: 4, Simulate: fakeSim(&calls)}
+	r := &Runner{Parallel: 4, Store: simulating(fakeSim(&calls))}
 	cfgs := seedPlan(1, 2, 3, 4, 5, 6, 7, 8)
 	out, err := r.Run(context.Background(), cfgs)
 	if err != nil {
@@ -86,14 +100,14 @@ func TestRunnerNegativeCachesFailures(t *testing.T) {
 	var events []Event
 	r := &Runner{
 		Progress: func(e Event) { events = append(events, e) },
-		Simulate: func(cfg sim.Config) (*sim.Result, error) {
+		Store: simulating(func(cfg sim.Config) (*sim.Result, error) {
 			calls.Add(1)
 			if cfg.Seed == 2 {
 				// Permanent: only deterministic failures are memoized.
 				return nil, &RunError{Op: "simulate", Permanent: true, Err: boom}
 			}
 			return &sim.Result{Config: cfg, Cycles: cfg.Seed}, nil
-		},
+		}),
 	}
 	cfgs := seedPlan(1, 2, 3)
 	out, err := r.Run(context.Background(), cfgs)
@@ -139,10 +153,10 @@ func TestRunnerNegativeCacheBounded(t *testing.T) {
 		// One worker records failures in input order, so the eviction
 		// order is the seed order.
 		Parallel: 1,
-		Simulate: func(cfg sim.Config) (*sim.Result, error) {
+		Store: simulating(func(cfg sim.Config) (*sim.Result, error) {
 			calls.Add(1)
 			return nil, &RunError{Op: "simulate", Permanent: true, Err: fmt.Errorf("seed %d: %w", cfg.Seed, boom)}
-		},
+		}),
 	}
 	ctx := context.Background()
 	seeds := func(from, n int) []sim.Config {
@@ -193,13 +207,12 @@ func TestRunnerCachedEventsOnlyForForeignResults(t *testing.T) {
 	// memo hits are silent: cached events mean reuse of foreign work.
 	var ownCached int
 	r1 := &Runner{
-		Store: store,
+		Store: simStore{store, fakeSim(&calls)},
 		Progress: func(e Event) {
 			if e.Cached {
 				ownCached++
 			}
 		},
-		Simulate: fakeSim(&calls),
 	}
 	for i := 0; i < 3; i++ {
 		if _, err := r1.Run(context.Background(), seedPlan(1, 2)); err != nil {
@@ -214,7 +227,7 @@ func TestRunnerCachedEventsOnlyForForeignResults(t *testing.T) {
 	// exactly once, however often it is re-served.
 	var cached, done int
 	r2 := &Runner{
-		Store: store,
+		Store: simStore{store, fakeSim(&calls)},
 		Progress: func(e Event) {
 			if e.Err == nil && e.Cached {
 				cached++
@@ -222,7 +235,6 @@ func TestRunnerCachedEventsOnlyForForeignResults(t *testing.T) {
 				done++
 			}
 		},
-		Simulate: fakeSim(&calls),
 	}
 	for i := 0; i < 3; i++ {
 		if _, err := r2.Run(context.Background(), seedPlan(1, 2, 3)); err != nil {
@@ -236,7 +248,7 @@ func TestRunnerCachedEventsOnlyForForeignResults(t *testing.T) {
 
 func TestRunnerCancelledContext(t *testing.T) {
 	var calls atomic.Int64
-	r := &Runner{Simulate: fakeSim(&calls)}
+	r := &Runner{Store: simulating(fakeSim(&calls))}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	out, err := r.Run(ctx, seedPlan(1, 2, 3))
@@ -254,7 +266,7 @@ func TestRunnerCancelledContext(t *testing.T) {
 }
 
 func TestRunnerValidatesConfigs(t *testing.T) {
-	r := &Runner{Simulate: fakeSim(new(atomic.Int64))}
+	r := &Runner{Store: simulating(fakeSim(new(atomic.Int64)))}
 	bad := testBase()
 	bad.Workload = "no-such"
 	if _, err := r.Run(context.Background(), []sim.Config{bad}); err == nil {
@@ -264,7 +276,7 @@ func TestRunnerValidatesConfigs(t *testing.T) {
 
 func TestRunPlanEndToEnd(t *testing.T) {
 	var calls atomic.Int64
-	r := &Runner{Parallel: 2, Simulate: fakeSim(&calls)}
+	r := &Runner{Parallel: 2, Store: simulating(fakeSim(&calls))}
 	out, err := r.RunPlan(context.Background(), Plan{Base: testBase(), Seeds: []uint64{1, 2, 3, 4}})
 	if err != nil {
 		t.Fatal(err)
@@ -304,12 +316,12 @@ func TestRunnerTransientFailuresNotCached(t *testing.T) {
 	var calls atomic.Int64
 	blip := errors.New("connection reset")
 	r := &Runner{
-		Simulate: func(cfg sim.Config) (*sim.Result, error) {
+		Store: simulating(func(cfg sim.Config) (*sim.Result, error) {
 			if calls.Add(1) == 1 {
 				return nil, &RunError{Op: "remote-sim", Err: blip} // transient
 			}
 			return &sim.Result{Config: cfg, Cycles: cfg.Seed}, nil
-		},
+		}),
 	}
 	cfgs := seedPlan(1)
 	if _, err := r.Run(context.Background(), cfgs); !errors.Is(err, blip) {
@@ -332,12 +344,12 @@ func TestRunnerTransientFailuresNotCached(t *testing.T) {
 // — not the process — and healthy runs in the same sweep complete.
 func TestRunnerRecoversSimulatorPanics(t *testing.T) {
 	r := &Runner{
-		Simulate: func(cfg sim.Config) (*sim.Result, error) {
+		Store: simulating(func(cfg sim.Config) (*sim.Result, error) {
 			if cfg.Seed == 2 {
 				panic("poisoned page table state")
 			}
 			return &sim.Result{Config: cfg, Cycles: cfg.Seed}, nil
-		},
+		}),
 	}
 	out, err := r.Run(context.Background(), seedPlan(1, 2, 3))
 	if err == nil {

@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -48,9 +49,8 @@ type Quarantiner interface {
 // a missing result themselves — a RemoteStore backed by an ndpserve
 // instance runs the simulation server-side, where a singleflight
 // scheduler collapses identical requests from every client into one
-// run. When a Runner's store implements Simulator (and no explicit
-// Simulate override is set), cold keys are delegated to it instead of
-// simulated in-process.
+// run. When a Runner's store implements Simulator, cold keys are
+// delegated to it instead of simulated in-process.
 type Simulator interface {
 	Simulate(cfg sim.Config) (*sim.Result, error)
 }
@@ -88,6 +88,27 @@ func (s *MemStore) Len() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return len(s.m)
+}
+
+// OpenStore resolves a -cache argument: an http(s):// URL selects a
+// RemoteStore over a shared ndpserve instance (cold runs execute
+// server-side, deduplicated across every client; ctx aborts its
+// in-flight requests and retry waits), anything else a DirStore in that
+// directory.
+func OpenStore(ctx context.Context, arg string) (Store, error) {
+	if strings.HasPrefix(arg, "http://") || strings.HasPrefix(arg, "https://") {
+		rs, err := NewRemoteStore(arg)
+		if err != nil {
+			return nil, err
+		}
+		rs.Context = ctx
+		return rs, nil
+	}
+	ds, err := NewDirStore(arg)
+	if err != nil {
+		return nil, err
+	}
+	return ds, nil
 }
 
 // DirStore is an on-disk Store: one JSON file per result, named by the

@@ -239,14 +239,13 @@ func TestSweepResumesFromDisk(t *testing.T) {
 	defer cancel()
 	var firstCalls atomic.Int64
 	r1 := &Runner{
-		Store:    store1,
-		Parallel: 1,
-		Simulate: func(cfg sim.Config) (*sim.Result, error) {
+		Store: simStore{store1, func(cfg sim.Config) (*sim.Result, error) {
 			if firstCalls.Add(1) == 2 {
 				cancel() // the "kill": no new runs dispatch after this
 			}
 			return fakeResult(cfg), nil
-		},
+		}},
+		Parallel: 1,
 	}
 	if _, err := r1.Run(ctx, cfgs); !errors.Is(err, context.Canceled) {
 		t.Fatalf("interrupted sweep error = %v, want context.Canceled", err)
@@ -267,12 +266,11 @@ func TestSweepResumesFromDisk(t *testing.T) {
 	}
 	var secondCalls atomic.Int64
 	r2 := &Runner{
-		Store:    store2,
-		Parallel: 1,
-		Simulate: func(cfg sim.Config) (*sim.Result, error) {
+		Store: simStore{store2, func(cfg sim.Config) (*sim.Result, error) {
 			secondCalls.Add(1)
 			return fakeResult(cfg), nil
-		},
+		}},
+		Parallel: 1,
 	}
 	out, err := r2.Run(context.Background(), cfgs)
 	if err != nil {
@@ -332,10 +330,10 @@ func TestDirStoreCrashRecovery(t *testing.T) {
 		t.Error("orphaned temp file survived reopen")
 	}
 	var resims atomic.Int64
-	r := &Runner{Store: store2, Simulate: func(cfg sim.Config) (*sim.Result, error) {
+	r := &Runner{Store: simStore{store2, func(cfg sim.Config) (*sim.Result, error) {
 		resims.Add(1)
 		return sim.RunConfig(cfg)
-	}}
+	}}}
 	if _, err := r.Run(ctx, cfgs); err != nil {
 		t.Fatal(err)
 	}

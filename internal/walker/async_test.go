@@ -113,9 +113,6 @@ func TestAsyncCoalescesOntoLiveWalk(t *testing.T) {
 	wi.walkAt(0, 0, base, &a)
 	wi.walkAt(50, 1, base+64, &b) // same page, in flight
 	eng.Run()
-	if !b.Coalesced {
-		t.Fatal("duplicate in-flight walk was not coalesced")
-	}
 	if b.Done != a.Done || b.firedAt != a.Done || b.Entry != a.Entry {
 		t.Errorf("coalesced response done=%d fired=%d entry=%+v, want walk's %d/%+v",
 			b.Done, b.firedAt, b.Entry, a.Done, a.Entry)
@@ -125,15 +122,17 @@ func TestAsyncCoalescesOntoLiveWalk(t *testing.T) {
 		t.Errorf("walks=%d mshr=%d pte=%d, want 1/1/4", s.Walks.Value(), s.MSHRHits.Value(), s.PTEAccesses.Value())
 	}
 
-	// After the release event the walk no longer coalesces.
+	// After the release event the walk no longer coalesces: the
+	// request performs a walk of its own.
 	var c asyncResp
 	wi.walkAt(a.Done+10, 0, base, &c)
 	eng.Run()
-	if c.Coalesced {
-		t.Error("retired walk still coalescing")
+	s = w.Stats()
+	if s.MSHRHits.Value() != 1 || c.Done <= a.Done+10 {
+		t.Errorf("retired walk still coalescing: mshr=%d done=%d", s.MSHRHits.Value(), c.Done)
 	}
-	if w.Stats().Walks.Value() != 2 {
-		t.Errorf("walks = %d, want 2", w.Stats().Walks.Value())
+	if s.Walks.Value() != 2 {
+		t.Errorf("walks = %d, want 2", s.Walks.Value())
 	}
 }
 
@@ -318,9 +317,6 @@ func TestAsyncPendingDuplicateCoalesces(t *testing.T) {
 	wi.walkAt(50, 1, base+addr.PageSize, &b)    // parked
 	wi.walkAt(60, 2, base+addr.PageSize+64, &c) // duplicate of parked b
 	eng.Run()
-	if !c.Coalesced {
-		t.Fatal("duplicate of a pending walk was not coalesced")
-	}
 	if c.Done != b.Done || c.Entry != b.Entry {
 		t.Errorf("coalesced completion (%d, %+v) differs from walk (%d, %+v)",
 			c.Done, c.Entry, b.Done, b.Entry)

@@ -60,9 +60,6 @@ type Response struct {
 	Found bool
 	// Done is the absolute completion time of the walk.
 	Done uint64
-	// Coalesced reports that the request was satisfied by an MSHR hit on
-	// an in-flight walk for the same page, issuing no PTE traffic.
-	Coalesced bool
 }
 
 // Stats counts the walker's activity.
@@ -359,8 +356,8 @@ func (w *Walker) release(slot int) {
 	lw := w.slots[slot]
 	w.slots[slot] = nil
 	w.busy--
-	for i, wt := range lw.waiters {
-		wt.OnWalkDone(Response{Entry: lw.entry, Found: lw.found, Done: lw.end, Coalesced: i > 0})
+	for _, wt := range lw.waiters {
+		wt.OnWalkDone(Response{Entry: lw.entry, Found: lw.found, Done: lw.end})
 	}
 	if len(w.pending) > 0 && w.busy < len(w.slots) {
 		next := w.pending[0]

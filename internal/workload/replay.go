@@ -125,76 +125,91 @@ func (g *replayGen) Next(op *Op) {
 	}
 }
 
-// mtimeGuard is the staleness window for the file caches below: a
-// cache entry is trusted only when the file's mtime is at least this
-// old, because a same-size rewrite within the filesystem's timestamp
+// mtimeGuard is the staleness window for the file memos below: a memo
+// entry is trusted only when the file's mtime is at least this old,
+// because a same-size rewrite within the filesystem's timestamp
 // granularity would otherwise revalidate against stale content (the
-// classic racy-stat problem). Recently-modified captures are simply
+// classic racy-stat problem). Recently-modified files are simply
 // re-read/re-hashed until they age past the guard.
 const mtimeGuard = 2 * time.Second
 
-// captureCache memoizes decoded captures by path, revalidated by
-// size+mtime. Decoded streams are immutable (replay only reads them),
-// so every machine of a parallel sweep over one capture shares a
-// single in-memory copy, and validation's decode is the run's decode.
-// Bounded to a few entries since streams can be large.
-var (
-	captureMu    sync.Mutex
-	captureCache = map[string]*captureEntry{}
-)
+// fileMemo memoizes a value derived from a file's content, by path,
+// revalidated by size+mtime. Only files aged past mtimeGuard are
+// memoized. A positive max bounds the entry count (a store into a full
+// memo drops an arbitrary entry); zero leaves it unbounded.
+type fileMemo[T any] struct {
+	mu      sync.Mutex
+	max     int
+	entries map[string]fileEntry[T]
+}
 
-const captureCacheMax = 4
+type fileEntry[T any] struct {
+	size  int64
+	mtime time.Time
+	val   T
+}
 
-type captureEntry struct {
-	size    int64
-	mtime   time.Time
+// get returns path's memoized value, or computes it with load and
+// memoizes it.
+func (m *fileMemo[T]) get(path string, load func() (T, error)) (T, error) {
+	var zero T
+	st, err := os.Stat(path)
+	if err != nil {
+		return zero, fmt.Errorf("trace: %w", err)
+	}
+	cacheable := time.Since(st.ModTime()) >= mtimeGuard
+	if cacheable {
+		m.mu.Lock()
+		e, ok := m.entries[path]
+		m.mu.Unlock()
+		if ok && e.size == st.Size() && e.mtime.Equal(st.ModTime()) {
+			return e.val, nil
+		}
+	}
+	v, err := load()
+	if err != nil {
+		return zero, err
+	}
+	if cacheable {
+		m.mu.Lock()
+		if m.entries == nil {
+			m.entries = map[string]fileEntry[T]{}
+		}
+		if m.max > 0 && len(m.entries) >= m.max {
+			for k := range m.entries { // drop an arbitrary entry
+				delete(m.entries, k)
+				break
+			}
+		}
+		m.entries[path] = fileEntry[T]{size: st.Size(), mtime: st.ModTime(), val: v}
+		m.mu.Unlock()
+	}
+	return v, nil
+}
+
+// captures memoizes decoded captures. Decoded streams are immutable
+// (replay only reads them), so every machine of a parallel sweep over
+// one capture shares a single in-memory copy, and validation's decode
+// is the run's decode. Bounded to a few entries since streams can be
+// large.
+var captures = fileMemo[capture]{max: 4}
+
+type capture struct {
 	hdr     trace.Header
 	streams [][]trace.Op
 }
 
 // loadCapture reads and decodes a capture, memoized.
 func loadCapture(path string) (trace.Header, [][]trace.Op, error) {
-	st, err := os.Stat(path)
-	if err != nil {
-		return trace.Header{}, nil, fmt.Errorf("trace: %w", err)
-	}
-	cacheable := time.Since(st.ModTime()) >= mtimeGuard
-	if cacheable {
-		captureMu.Lock()
-		e, ok := captureCache[path]
-		captureMu.Unlock()
-		if ok && e.size == st.Size() && e.mtime.Equal(st.ModTime()) {
-			return e.hdr, e.streams, nil
-		}
-	}
-	hdr, streams, err := trace.ReadFile(path)
-	if err != nil {
-		return trace.Header{}, nil, err
-	}
-	if cacheable {
-		captureMu.Lock()
-		if len(captureCache) >= captureCacheMax {
-			for k := range captureCache { // drop an arbitrary entry
-				delete(captureCache, k)
-				break
-			}
-		}
-		captureCache[path] = &captureEntry{size: st.Size(), mtime: st.ModTime(), hdr: hdr, streams: streams}
-		captureMu.Unlock()
-	}
-	return hdr, streams, nil
+	c, err := captures.get(path, func() (capture, error) {
+		hdr, streams, err := trace.ReadFile(path)
+		return capture{hdr, streams}, err
+	})
+	return c.hdr, c.streams, err
 }
 
-// digestCache memoizes trace-file digests by path, revalidated against
-// size+mtime (with the same recent-mtime guard) so an edited capture
-// re-hashes.
-var digestCache sync.Map // path -> digestEntry
-
-type digestEntry struct {
-	size  int64
-	mtime time.Time
-	sum   string
-}
+// digests memoizes trace-file digests, so an edited capture re-hashes.
+var digests fileMemo[string]
 
 // traceIdentity returns the key material of a trace workload: a
 // content digest of the capture file, so two different captures at the
@@ -211,34 +226,18 @@ func traceIdentity(name string) string {
 	return "trace\x00" + sum
 }
 
-// fileDigest returns the hex SHA-256 of the file's content, memoized
-// for files whose mtime has aged past the staleness guard.
+// fileDigest returns the hex SHA-256 of the file's content, memoized.
 func fileDigest(path string) (string, error) {
-	st, err := os.Stat(path)
-	if err != nil {
-		return "", err
-	}
-	cacheable := time.Since(st.ModTime()) >= mtimeGuard
-	if cacheable {
-		if e, ok := digestCache.Load(path); ok {
-			ent := e.(digestEntry)
-			if ent.size == st.Size() && ent.mtime.Equal(st.ModTime()) {
-				return ent.sum, nil
-			}
+	return digests.get(path, func() (string, error) {
+		f, err := os.Open(path)
+		if err != nil {
+			return "", err
 		}
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return "", err
-	}
-	defer f.Close()
-	h := sha256.New()
-	if _, err := io.Copy(h, f); err != nil {
-		return "", err
-	}
-	sum := hex.EncodeToString(h.Sum(nil))
-	if cacheable {
-		digestCache.Store(path, digestEntry{size: st.Size(), mtime: st.ModTime(), sum: sum})
-	}
-	return sum, nil
+		defer f.Close()
+		h := sha256.New()
+		if _, err := io.Copy(h, f); err != nil {
+			return "", err
+		}
+		return hex.EncodeToString(h.Sum(nil)), nil
+	})
 }

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -181,6 +182,37 @@ func TestCaptureDecodeShared(t *testing.T) {
 	if &a.streams[0][0] != &b.streams[0][0] {
 		t.Error("two replays of one aged capture hold separate decoded copies")
 	}
+}
+
+// TestFileMemosConcurrent: sweep workers key and load one aged capture
+// from several goroutines at once; every caller sees the same digest and
+// the same shared decode.
+func TestFileMemosConcurrent(t *testing.T) {
+	path := writeCapture(t, [][]trace.Op{{{Kind: trace.Load, Addr: 0x1000}}})
+	old := time.Now().Add(-time.Minute)
+	if err := os.Chtimes(path, old, old); err != nil {
+		t.Fatal(err)
+	}
+	wantID := Identity(TracePrefix + path)
+	_, want, err := loadCapture(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if id := Identity(TracePrefix + path); id != wantID {
+				t.Errorf("identity %q, want %q", id, wantID)
+			}
+			_, got, err := loadCapture(path)
+			if err != nil || &got[0][0] != &want[0][0] {
+				t.Errorf("concurrent load did not share the memoized decode (err %v)", err)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestRegisterValidation(t *testing.T) {

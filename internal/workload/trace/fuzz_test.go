@@ -59,9 +59,9 @@ func gzipFrame(t *testing.T, payload []byte) []byte {
 // FuzzDecode feeds arbitrary bytes to the .ndpt decoder, both as a
 // whole file and as the payload inside a valid gzip frame (so
 // mutations reach the varint decoder rather than dying in the
-// checksum). Decode must return an error or streams that re-encode, at
-// the decoded version, and decode back to themselves with a consistent
-// header. It must never panic.
+// checksum). Decode must return an error or streams that re-encode (as
+// version 2, whatever version they were read at) and decode back to
+// themselves with a consistent header. It must never panic.
 func FuzzDecode(f *testing.F) {
 	for _, b := range goldenCaptures(f) {
 		f.Add(b)
@@ -79,9 +79,6 @@ func checkDecodeRoundTrip(t *testing.T, data []byte) {
 		return
 	}
 	w := NewWriter(h.Name, h.Seed, len(streams))
-	if h.Version == VersionPC {
-		w = NewWriterPC(h.Name, h.Seed, len(streams))
-	}
 	for i, s := range streams {
 		for _, op := range s {
 			w.Append(i, op)
@@ -98,8 +95,8 @@ func checkDecodeRoundTrip(t *testing.T, data []byte) {
 	if !reflect.DeepEqual(back, streams) {
 		t.Fatalf("streams changed across re-encoding:\n got %v\nwant %v", back, streams)
 	}
-	if h2.Version != h.Version || h2.Name != h.Name || h2.Seed != h.Seed || !reflect.DeepEqual(h2.Ops, h.Ops) {
-		t.Fatalf("header changed across re-encoding: %+v, want %+v", h2, h)
+	if h2.Version != VersionPC || h2.Name != h.Name || h2.Seed != h.Seed || !reflect.DeepEqual(h2.Ops, h.Ops) {
+		t.Fatalf("header changed across re-encoding: %+v, want %+v at version %d", h2, h, VersionPC)
 	}
 	if err := h2.Check(back); err != nil {
 		t.Fatalf("re-encoded header inconsistent: %v", err)
@@ -107,10 +104,9 @@ func checkDecodeRoundTrip(t *testing.T, data []byte) {
 }
 
 // FuzzCSV feeds arbitrary text to the CSV decoder. DecodeCSV must
-// return an error or one stream that re-encodes and decodes back to
-// itself under the same derived header — except that a pc-column
-// capture whose PCs are all zero comes back in the two-column format.
-// It must never panic.
+// return an error or one stream that re-encodes (always with the pc
+// column) and decodes back to itself under the same derived header, at
+// VersionPC. It must never panic.
 func FuzzCSV(f *testing.F) {
 	for _, b := range goldenCaptures(f) {
 		_, streams, err := Decode(bytes.NewReader(b))
@@ -118,14 +114,11 @@ func FuzzCSV(f *testing.F) {
 			f.Fatal(err)
 		}
 		for _, s := range streams {
-			var buf bytes.Buffer
-			if err := EncodeCSV(&buf, s); err != nil {
-				f.Fatal(err)
-			}
-			f.Add(buf.Bytes())
+			f.Add(encodeCSV(f, s))
 		}
 	}
 	f.Add([]byte(CSVHeaderPC + "\n"))
+	f.Add([]byte(CSVHeader + "\nL,0x10\nC,4\nS,0x20\n"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		h, streams, err := DecodeCSV(bytes.NewReader(data))
 		if err != nil {
@@ -134,21 +127,16 @@ func FuzzCSV(f *testing.F) {
 		if len(streams) != 1 {
 			t.Fatalf("CSV decoded to %d streams, want 1", len(streams))
 		}
-		var buf bytes.Buffer
-		if err := EncodeCSV(&buf, streams[0]); err != nil {
-			t.Fatal(err)
-		}
-		h2, back, err := DecodeCSV(&buf)
+		text := encodeCSV(t, streams[0])
+		h2, back, err := DecodeCSV(bytes.NewReader(text))
 		if err != nil {
-			t.Fatalf("re-encoded CSV does not decode: %v\n%s", err, buf.Bytes())
+			t.Fatalf("re-encoded CSV does not decode: %v\n%s", err, text)
 		}
 		if !reflect.DeepEqual(back, streams) {
 			t.Fatalf("ops changed across re-encoding:\n got %v\nwant %v", back, streams)
 		}
 		want := h
-		if !carriesPC(streams[0]) {
-			want.Version = Version // an all-zero pc column is not re-emitted
-		}
+		want.Version = VersionPC
 		if !reflect.DeepEqual(h2, want) {
 			t.Fatalf("header changed across re-encoding: %+v, want %+v", h2, want)
 		}

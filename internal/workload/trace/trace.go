@@ -2,9 +2,9 @@
 // the op streams ndptrace dumps and the "trace:<path>" replay workload
 // consumes. Two formats share one in-memory model ([]Op per stream):
 //
-//   - CSV ("op,addr" header, or "op,addr,pc" with instruction PCs;
-//     L/S/C rows) — single-stream, line-per-op, meant for eyeballing
-//     and for feeding other tools.
+//   - CSV ("op,addr,pc" header; L/S/C rows, loads and stores carrying
+//     their instruction PC) — single-stream, line-per-op, meant for
+//     eyeballing and for feeding other tools.
 //   - Binary .ndpt — gzip-framed, varint-delta encoded, multi-stream,
 //     with a header carrying the stream count, address span, and
 //     per-stream op totals. Meant for multi-GB captures.
@@ -13,7 +13,7 @@
 // little-endian varints (encoding/binary Uvarint/Varint):
 //
 //	magic   4 bytes "NDPT"
-//	version uvarint (1, or 2 when ops carry instruction PCs)
+//	version uvarint (2; version 1, without PCs, is still read)
 //	name    uvarint length + bytes (source workload, informational)
 //	seed    uvarint (capture seed, informational)
 //	base    uvarint (lowest address touched; replay rebases against it)
@@ -25,15 +25,16 @@
 //	        compute: uvarint cycles
 //	        load/store: varint address delta from the stream's
 //	        previous load/store address (first delta is from 0, i.e.
-//	        the absolute address); version 2 appends a varint PC
-//	        delta from the stream's previous load/store PC
+//	        the absolute address), then a varint PC delta from the
+//	        stream's previous load/store PC
 //
-// Version 2 differs from version 1 only in that extra PC delta: a
-// version-1 file decodes exactly as before, and a writer without PCs
-// emits bytes identical to a version-1 writer. Address and PC deltas
-// are per-stream, so streams decode independently of one another and
-// of the header's base. WORKLOADS.md is the normative specification of
-// both formats.
+// The writers emit only this form: binary version 2 and the three-column
+// CSV. The readers also accept the older forms without PCs — binary
+// version 1 (no PC delta after the address) and the two-column "op,addr"
+// CSV — and decode every PC in them as zero. Address and PC deltas are
+// per-stream, so streams decode independently of one another and of the
+// header's base. WORKLOADS.md is the normative specification of both
+// formats.
 package trace
 
 import (
@@ -59,13 +60,12 @@ const (
 )
 
 // Op is one captured operation: a load/store address or a compute
-// burst. PC is the issuing instruction's address, carried by format
-// version 2 (and the optional CSV pc column); zero in version-1
-// captures.
+// burst. PC is the issuing instruction's address; it reads as zero from
+// the legacy forms that carry no PCs.
 type Op struct {
 	Kind   Kind
 	Addr   uint64 // Load/Store
-	PC     uint64 // Load/Store, format v2 only
+	PC     uint64 // Load/Store
 	Cycles uint32 // Compute
 }
 
@@ -77,19 +77,21 @@ const lineBytes = 64
 // Magic identifies a binary .ndpt capture (after gzip deframing).
 const Magic = "NDPT"
 
-// Version is the binary format version this package writes by default.
+// Version is the legacy binary format version, whose ops carry no
+// instruction PCs. No writer emits it; Decode still reads it, with every
+// PC zero.
 const Version = 1
 
-// VersionPC is the binary format version carrying per-op instruction
-// PCs (NewWriterPC). Decoding accepts both versions.
+// VersionPC is the binary format version every Writer emits: each
+// load/store carries its instruction PC. Decoding accepts both versions.
 const VersionPC = 2
 
 // Header describes a capture: identity of the source, the address span
 // the streams touch, and the per-stream op totals.
 type Header struct {
 	// Version is the binary format version the capture was encoded
-	// with (Version or VersionPC); CSV-derived headers report Version,
-	// or VersionPC when the pc column is present.
+	// with (VersionPC, or the legacy Version); CSV-derived headers
+	// report VersionPC under the pc column and Version without it.
 	Version uint64
 	// Name is the source workload's registry name (informational).
 	Name string
@@ -175,7 +177,6 @@ func (s *spanTracker) bounds() (uint64, uint64) {
 type Writer struct {
 	name    string
 	seed    uint64
-	pcs     bool
 	streams []streamBuf
 	span    spanTracker
 }
@@ -187,22 +188,14 @@ type streamBuf struct {
 	ops    uint64
 }
 
-// NewWriter returns a builder for a version-1 capture of the given
-// stream count. Op PCs are discarded; the output is byte-identical to
-// captures from before the PC stream existed.
+// NewWriter returns a builder for a version-2 capture of the given
+// stream count: each load/store's instruction PC is recorded alongside
+// its address.
 func NewWriter(name string, seed uint64, streams int) *Writer {
 	if streams < 1 {
 		panic("trace: NewWriter needs at least one stream")
 	}
 	return &Writer{name: name, seed: seed, streams: make([]streamBuf, streams)}
-}
-
-// NewWriterPC returns a builder for a version-2 capture that records
-// each load/store's instruction PC alongside its address.
-func NewWriterPC(name string, seed uint64, streams int) *Writer {
-	w := NewWriter(name, seed, streams)
-	w.pcs = true
-	return w
 }
 
 // Append records one op on the given stream.
@@ -215,11 +208,8 @@ func (w *Writer) Append(stream int, op Op) {
 		s.enc = binary.AppendUvarint(s.enc, uint64(op.Cycles))
 	case Load, Store:
 		s.enc = binary.AppendVarint(s.enc, int64(op.Addr-s.prev))
-		s.prev = op.Addr
-		if w.pcs {
-			s.enc = binary.AppendVarint(s.enc, int64(op.PC-s.prevPC))
-			s.prevPC = op.PC
-		}
+		s.enc = binary.AppendVarint(s.enc, int64(op.PC-s.prevPC))
+		s.prev, s.prevPC = op.Addr, op.PC
 		w.span.touch(op.Addr)
 	default:
 		panic(fmt.Sprintf("trace: unknown op kind %d", op.Kind))
@@ -228,10 +218,7 @@ func (w *Writer) Append(stream int, op Op) {
 
 // Header returns the header the capture built so far would carry.
 func (w *Writer) Header() Header {
-	h := Header{Version: Version, Name: w.name, Seed: w.seed, Ops: make([]uint64, len(w.streams))}
-	if w.pcs {
-		h.Version = VersionPC
-	}
+	h := Header{Version: VersionPC, Name: w.name, Seed: w.seed, Ops: make([]uint64, len(w.streams))}
 	h.Base, h.Footprint = w.span.bounds()
 	for i := range w.streams {
 		h.Ops[i] = w.streams[i].ops
@@ -436,11 +423,12 @@ func Decode(r io.Reader) (Header, [][]Op, error) {
 	return h, streams, nil
 }
 
-// CSVHeader is the first line of a CSV capture.
+// CSVHeader is the first line of a legacy CSV capture, whose load/store
+// rows carry no PC. No writer emits it; DecodeCSV still reads it.
 const CSVHeader = "op,addr"
 
-// CSVHeaderPC is the first line of a CSV capture whose load/store rows
-// carry a third column: the issuing instruction's PC in hex.
+// CSVHeaderPC is the first line of a CSV capture: load/store rows carry
+// a third column, the issuing instruction's PC in hex.
 const CSVHeaderPC = "op,addr,pc"
 
 // CSVWriter streams one op stream in the CSV format, row by row, so a
@@ -448,20 +436,14 @@ const CSVHeaderPC = "op,addr,pc"
 // once one occurs, every later Write and Flush returns it.
 type CSVWriter struct {
 	w   *bufio.Writer
-	pcs bool
 	row []byte
 }
 
-// NewCSVWriter writes the header line and returns the row writer. With
-// pcs, the header is CSVHeaderPC and every load/store row carries its PC
-// as a third column; without, the PC is not written.
-func NewCSVWriter(w io.Writer, pcs bool) *CSVWriter {
-	c := &CSVWriter{w: bufio.NewWriter(w), pcs: pcs}
-	header := CSVHeader
-	if pcs {
-		header = CSVHeaderPC
-	}
-	c.w.WriteString(header + "\n") // an error is sticky in c.w
+// NewCSVWriter writes the CSVHeaderPC line and returns the row writer;
+// every load/store row carries its PC as a third column.
+func NewCSVWriter(w io.Writer) *CSVWriter {
+	c := &CSVWriter{w: bufio.NewWriter(w)}
+	c.w.WriteString(CSVHeaderPC + "\n") // an error is sticky in c.w
 	return c
 }
 
@@ -475,9 +457,7 @@ func (c *CSVWriter) Write(op Op) error {
 			k = 'S'
 		}
 		b = strconv.AppendUint(append(b, k, ',', '0', 'x'), op.Addr, 16)
-		if c.pcs {
-			b = strconv.AppendUint(append(b, ",0x"...), op.PC, 16)
-		}
+		b = strconv.AppendUint(append(b, ",0x"...), op.PC, 16)
 	case Compute:
 		b = strconv.AppendUint(append(b, "C,"...), uint64(op.Cycles), 10)
 	default:
@@ -491,34 +471,12 @@ func (c *CSVWriter) Write(op Op) error {
 // Flush writes any buffered rows to the underlying writer.
 func (c *CSVWriter) Flush() error { return c.w.Flush() }
 
-// EncodeCSV writes a single-stream capture in the CSV format. The pc
-// column is emitted only when some op carries a nonzero PC, so captures
-// without PCs stay byte-identical to the two-column format.
-func EncodeCSV(w io.Writer, ops []Op) error {
-	c := NewCSVWriter(w, carriesPC(ops))
-	for _, op := range ops {
-		if err := c.Write(op); err != nil {
-			return err
-		}
-	}
-	return c.Flush()
-}
-
-// carriesPC reports whether any load or store in ops has a nonzero PC.
-func carriesPC(ops []Op) bool {
-	for _, op := range ops {
-		if (op.Kind == Load || op.Kind == Store) && op.PC != 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // DecodeCSV reads a CSV capture: one stream, a derived header (base,
 // footprint, and op count computed from the rows; name and seed empty).
 // Both headers are accepted; under the pc header, load/store rows carry
 // a third hex column (the instruction PC) and the derived header
-// reports VersionPC.
+// reports VersionPC, while the legacy two-column form reports Version
+// with every PC zero.
 func DecodeCSV(r io.Reader) (Header, [][]Op, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 64<<10), 64<<10)

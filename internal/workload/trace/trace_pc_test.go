@@ -31,25 +31,9 @@ func fixtureStreamsPC() [][]Op {
 	}
 }
 
-// encodePC builds a version-2 binary capture from streams.
-func encodePC(t *testing.T, name string, seed uint64, streams [][]Op) []byte {
-	t.Helper()
-	w := NewWriterPC(name, seed, len(streams))
-	for i, s := range streams {
-		for _, op := range s {
-			w.Append(i, op)
-		}
-	}
-	var buf bytes.Buffer
-	if err := w.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
 func TestPCBinaryRoundTrip(t *testing.T) {
 	in := fixtureStreamsPC()
-	b := encodePC(t, "pcfix", 9, in)
+	b := encode(t, "pcfix", 9, in)
 	h, out, err := Decode(bytes.NewReader(b))
 	if err != nil {
 		t.Fatal(err)
@@ -62,37 +46,6 @@ func TestPCBinaryRoundTrip(t *testing.T) {
 	}
 	if err := h.Check(out); err != nil {
 		t.Errorf("Check rejected a faithful decode: %v", err)
-	}
-}
-
-// TestV1WriterDiscardsPCs pins the compatibility contract on the write
-// side: a version-1 Writer fed PC-carrying ops produces output
-// byte-identical to the same ops with their PCs stripped — old captures
-// stay reproducible whatever the capture pipeline now threads through.
-func TestV1WriterDiscardsPCs(t *testing.T) {
-	withPCs := fixtureStreamsPC()
-	stripped := make([][]Op, len(withPCs))
-	for i, s := range withPCs {
-		stripped[i] = make([]Op, len(s))
-		for j, op := range s {
-			op.PC = 0
-			stripped[i][j] = op
-		}
-	}
-	a := encode(t, "v1", 3, withPCs)
-	b := encode(t, "v1", 3, stripped)
-	if !bytes.Equal(a, b) {
-		t.Error("v1 writer output depends on op PCs")
-	}
-	h, out, err := Decode(bytes.NewReader(a))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.Version != Version {
-		t.Errorf("version = %d, want %d", h.Version, Version)
-	}
-	if !reflect.DeepEqual(out, stripped) {
-		t.Error("v1 round trip did not zero the PCs")
 	}
 }
 
@@ -124,7 +77,7 @@ func TestV1GoldenStillReads(t *testing.T) {
 func TestGoldenPCFixture(t *testing.T) {
 	path := filepath.Join("testdata", "golden_pc.ndpt")
 	if *update {
-		if err := os.WriteFile(path, encodePC(t, "golden-pc", 42, fixtureStreamsPC()), 0o644); err != nil {
+		if err := os.WriteFile(path, encode(t, "golden-pc", 42, fixtureStreamsPC()), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -144,7 +97,7 @@ func TestGoldenPCFixture(t *testing.T) {
 // payload ends mid-op, after the address delta but before the PC delta
 // the version-2 header promises.
 func TestCorruptPCStream(t *testing.T) {
-	good := encodePC(t, "corrupt", 1, [][]Op{{
+	good := encode(t, "corrupt", 1, [][]Op{{
 		{Kind: Load, Addr: 0x8000000000, PC: 0x400000},
 		{Kind: Load, Addr: 0x8000000040, PC: 0x400004}, // 1-byte PC delta, last on the wire
 	}})
@@ -168,19 +121,15 @@ func TestCorruptPCStream(t *testing.T) {
 	}
 }
 
-// TestCSVPCRoundTrip covers the three-column CSV form: EncodeCSV
-// switches to the pc column when any op carries one, and DecodeCSV
-// brings the PCs back.
+// TestCSVPCRoundTrip covers the three-column CSV form: CSVWriter writes
+// the pc column, and DecodeCSV brings the PCs back.
 func TestCSVPCRoundTrip(t *testing.T) {
 	ops := fixtureStreamsPC()[0]
-	var buf bytes.Buffer
-	if err := EncodeCSV(&buf, ops); err != nil {
-		t.Fatal(err)
+	text := encodeCSV(t, ops)
+	if !bytes.HasPrefix(text, []byte(CSVHeaderPC+"\n")) {
+		t.Fatalf("CSV capture does not start with the pc header:\n%s", text)
 	}
-	if !strings.HasPrefix(buf.String(), CSVHeaderPC) {
-		t.Fatalf("PC-carrying ops did not select the pc header:\n%s", buf.String())
-	}
-	h, streams, err := DecodeCSV(&buf)
+	h, streams, err := DecodeCSV(bytes.NewReader(text))
 	if err != nil {
 		t.Fatal(err)
 	}

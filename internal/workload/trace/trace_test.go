@@ -11,11 +11,11 @@ import (
 	"testing"
 )
 
-var update = flag.Bool("update", false, "rewrite the golden capture fixture")
+var update = flag.Bool("update", false, "rewrite the version-2 golden capture fixture")
 
-// fixtureStreams is the capture pinned by testdata/golden.ndpt: two
-// streams exercising every op kind, backward address deltas, and a
-// compute-only tail.
+// fixtureStreams is the capture pinned by testdata/golden.ndpt, a
+// frozen version-1 file: two streams exercising every op kind, backward
+// address deltas, and a compute-only tail.
 func fixtureStreams() [][]Op {
 	return [][]Op{
 		{
@@ -34,7 +34,7 @@ func fixtureStreams() [][]Op {
 }
 
 // encode builds a binary capture from streams.
-func encode(t *testing.T, name string, seed uint64, streams [][]Op) []byte {
+func encode(t testing.TB, name string, seed uint64, streams [][]Op) []byte {
 	t.Helper()
 	w := NewWriter(name, seed, len(streams))
 	for i, s := range streams {
@@ -49,6 +49,22 @@ func encode(t *testing.T, name string, seed uint64, streams [][]Op) []byte {
 	return buf.Bytes()
 }
 
+// encodeCSV renders one stream through CSVWriter.
+func encodeCSV(t testing.TB, ops []Op) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	c := NewCSVWriter(&buf)
+	for _, op := range ops {
+		if err := c.Write(op); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
 func TestBinaryRoundTrip(t *testing.T) {
 	in := fixtureStreams()
 	b := encode(t, "fixture", 7, in)
@@ -56,8 +72,8 @@ func TestBinaryRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.Name != "fixture" || h.Seed != 7 {
-		t.Errorf("header identity = %q/%d, want fixture/7", h.Name, h.Seed)
+	if h.Version != VersionPC || h.Name != "fixture" || h.Seed != 7 {
+		t.Errorf("header = v%d %q/%d, want v%d fixture/7", h.Version, h.Name, h.Seed, VersionPC)
 	}
 	if h.Base != 0x8000000000 {
 		t.Errorf("base = %#x, want 0x8000000000", h.Base)
@@ -89,18 +105,35 @@ func TestHeaderOnlyDecode(t *testing.T) {
 
 func TestCSVRoundTrip(t *testing.T) {
 	ops := fixtureStreams()[0]
-	var buf bytes.Buffer
-	if err := EncodeCSV(&buf, ops); err != nil {
-		t.Fatal(err)
-	}
-	h, streams, err := DecodeCSV(&buf)
+	h, streams, err := DecodeCSV(bytes.NewReader(encodeCSV(t, ops)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(streams) != 1 || !reflect.DeepEqual(streams[0], ops) {
 		t.Errorf("CSV round trip: got %v, want %v", streams, [][]Op{ops})
 	}
-	if h.Base != 0x8000000000 || h.Ops[0] != 5 {
+	if h.Version != VersionPC || h.Base != 0x8000000000 || h.Ops[0] != 5 {
+		t.Errorf("derived header = %+v", h)
+	}
+}
+
+// TestLegacyCSVStillReads pins the read side of the two-column CSV, which
+// no writer emits any more: it decodes with Version 1 and every PC zero.
+func TestLegacyCSVStillReads(t *testing.T) {
+	text := CSVHeader + "\nL,0x8000000000\nC,3\nS,0x8000000040\n"
+	h, streams, err := DecodeCSV(strings.NewReader(text))
+	if err != nil {
+		t.Fatalf("two-column CSV unreadable: %v", err)
+	}
+	want := [][]Op{{
+		{Kind: Load, Addr: 0x8000000000},
+		{Kind: Compute, Cycles: 3},
+		{Kind: Store, Addr: 0x8000000040},
+	}}
+	if !reflect.DeepEqual(streams, want) {
+		t.Errorf("two-column CSV decoded to %v, want %v", streams, want)
+	}
+	if h.Version != Version || h.Base != 0x8000000000 || h.Footprint != 0x40+lineBytes {
 		t.Errorf("derived header = %+v", h)
 	}
 }
@@ -200,23 +233,14 @@ func TestCheckCatchesTamperedHeader(t *testing.T) {
 	}
 }
 
-// TestGoldenFixture pins reader compatibility: the committed .ndpt file
-// must keep decoding to the same streams, whatever the writer evolves
-// into. Regenerate (after a deliberate format change, with a version
-// bump) via: go test ./internal/workload/trace -run Golden -update
+// TestGoldenFixture pins reader compatibility: the committed version-1
+// .ndpt file must keep decoding to the same streams, whatever the writer
+// evolves into. No writer emits version 1, so the file is frozen: -update
+// leaves it alone.
 func TestGoldenFixture(t *testing.T) {
-	path := filepath.Join("testdata", "golden.ndpt")
-	if *update {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, encode(t, "golden", 42, fixtureStreams()), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	h, streams, err := ReadFile(path)
+	h, streams, err := ReadFile(filepath.Join("testdata", "golden.ndpt"))
 	if err != nil {
-		t.Fatalf("golden fixture unreadable: %v (regenerate with -update after a deliberate format change)", err)
+		t.Fatalf("golden fixture unreadable: %v", err)
 	}
 	if h.Name != "golden" || h.Seed != 42 {
 		t.Errorf("golden header identity = %q/%d", h.Name, h.Seed)
@@ -233,11 +257,7 @@ func TestSniffAndReadFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	csv := filepath.Join(dir, "t.csv")
-	var buf bytes.Buffer
-	if err := EncodeCSV(&buf, fixtureStreams()[0]); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(csv, buf.Bytes(), 0o644); err != nil {
+	if err := os.WriteFile(csv, encodeCSV(t, fixtureStreams()[0]), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	for _, path := range []string{bin, csv} {

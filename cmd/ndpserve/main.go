@@ -63,8 +63,6 @@ func run(ctx context.Context, args []string, logw io.Writer, ready chan<- string
 		storeDir = fs.String("store", "ndpserve-cache", "directory for the content-addressed result store")
 		workers  = fs.Int("workers", 0, "max concurrent simulations (0 = one per CPU)")
 		queue    = fs.Int("queue", 0, "admission queue depth before 429 backpressure (0 = 64)")
-		retry    = fs.Int("retry-after", 0, "Retry-After seconds sent with 429 responses (0 = 2)")
-		runTO    = fs.Duration("run-timeout", 0, "per-run watchdog deadline; runs past it fail transiently and detach (0 = none)")
 	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -81,8 +79,6 @@ func run(ctx context.Context, args []string, logw io.Writer, ready chan<- string
 		Store:      store,
 		Workers:    *workers,
 		QueueDepth: *queue,
-		RetryAfter: *retry,
-		RunTimeout: *runTO,
 		Logf: func(format string, args ...any) {
 			fmt.Fprintf(logw, format+"\n", args...)
 		},

@@ -14,7 +14,6 @@ import (
 	"sync"
 	"testing"
 	"testing/iotest"
-	"time"
 
 	"ndpage/internal/sim"
 	"ndpage/internal/sweep"
@@ -31,6 +30,7 @@ type chaosOp int
 
 const (
 	opPut     chaosOp = iota // a tornStore.Put
+	opGet                    // a tornStore.Get
 	opSim                    // a simulation run under wrapSim
 	opRequest                // a request through chaosTransport
 	opBody                   // a response body chaosTransport delivers
@@ -45,7 +45,8 @@ const (
 	// kindTorn reports a Put as done but leaves a truncated entry under
 	// the key's final name, as if the writer died after the rename.
 	kindTorn
-	kindPanic     // panic with injectedPanic before the simulator runs
+	kindReadErr   // fail a Get with an error, as a sick disk would
+	kindPanic     // panic before the simulator runs
 	kindReset     // fail the round trip with a connection reset
 	kindServerErr // answer 503 without reaching the server
 	kindTruncate  // deliver half the body, then io.ErrUnexpectedEOF
@@ -100,9 +101,22 @@ func (p *chaosPlan) total() int {
 	return n
 }
 
-// tornStore is a DirStore whose scheduled Puts (class opPut) tear. It
-// embeds the DirStore, so the server still sees its Inventory and
-// Quarantiner.
+// idle returns the indexes of the rules that never fired.
+func (p *chaosPlan) idle() []int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	var idle []int
+	for i, f := range p.fired {
+		if f == 0 {
+			idle = append(idle, i)
+		}
+	}
+	return idle
+}
+
+// tornStore is a DirStore whose scheduled Puts (class opPut) tear and
+// whose scheduled Gets (class opGet) fail. It embeds the DirStore, so
+// the server still sees its Inventory and Quarantiner.
 type tornStore struct {
 	*sweep.DirStore
 	tb   testing.TB
@@ -129,6 +143,15 @@ func (s *tornStore) Put(key string, res *sim.Result) error {
 		s.tb.Errorf("tearing %s: %v", key, err)
 	}
 	return nil
+}
+
+// Get implements sweep.Store. A failed read leaves the entry as it
+// was; the next read of the key goes to the DirStore.
+func (s *tornStore) Get(key string) (*sim.Result, bool, error) {
+	if s.plan.next(opGet) == kindReadErr {
+		return nil, false, errors.New("chaos: injected store read error")
+	}
+	return s.DirStore.Get(key)
 }
 
 // chaosTransport is http.DefaultTransport with scheduled faults: each
@@ -177,21 +200,12 @@ func closeBody(req *http.Request) {
 	}
 }
 
-// injectedPanic is the value a kindPanic throws. It implements
-// InjectedFault, sweep's transient-panic contract: the guard that
-// recovers it classifies the failure transient, so a retry runs the
-// configuration for real.
-type injectedPanic struct{}
-
-func (injectedPanic) InjectedFault() bool { return true }
-func (injectedPanic) String() string      { return "chaos: injected panic" }
-
 // wrapSim wraps a simulation function with the plan's scheduled panics
 // (class opSim).
 func (p *chaosPlan) wrapSim(fn func(sim.Config) (*sim.Result, error)) func(sim.Config) (*sim.Result, error) {
 	return func(cfg sim.Config) (*sim.Result, error) {
 		if p.next(opSim) == kindPanic {
-			panic(injectedPanic{})
+			panic("chaos: injected panic")
 		}
 		return fn(cfg)
 	}
@@ -302,31 +316,6 @@ func TestTransportFaults(t *testing.T) {
 	})
 }
 
-// TestWrapSimPanicIsTransient: an injected panic is recovered by
-// sweep.Guard and classified transient, so chaos never pollutes the
-// negative cache: the retry simulates for real.
-func TestWrapSimPanicIsTransient(t *testing.T) {
-	p := newChaosPlan(chaosRule{op: opSim, kind: kindPanic, every: 1, count: 1})
-	var calls int
-	wrapped := sweep.Guard(p.wrapSim(func(cfg sim.Config) (*sim.Result, error) {
-		calls++
-		return fakeResult(cfg), nil
-	}))
-	cfg := testBase(9)
-	_, err := wrapped(cfg)
-	var re *sweep.RunError
-	if !errors.As(err, &re) || !re.Panicked || re.Permanent {
-		t.Fatalf("err = %v, want transient recovered panic", err)
-	}
-	if calls != 0 {
-		t.Fatal("simulator ran despite the injected panic")
-	}
-	res, err := wrapped(cfg)
-	if err != nil || res.Cycles != 1009 {
-		t.Fatalf("retry = %+v, %v; want clean run", res, err)
-	}
-}
-
 // simulatingStore hands a Runner's cold runs to run: the sweep.Simulator
 // route a Runner takes for any Store that can compute.
 type simulatingStore struct {
@@ -337,8 +326,9 @@ type simulatingStore struct {
 func (s simulatingStore) Simulate(cfg sim.Config) (*sim.Result, error) { return s.run(cfg) }
 
 // TestRunnerSurvivesChaos drives a whole sweep through a tearing store
-// and a panicking simulator: every fault is transient, so retried Runs
-// converge to complete, correct results with zero process crashes.
+// and a panicking simulator. A panic fails its run, and the Runner
+// remembers no failure, so retried Runs converge to complete, correct
+// results with zero process crashes.
 func TestRunnerSurvivesChaos(t *testing.T) {
 	plan := newChaosPlan(
 		chaosRule{op: opPut, kind: kindTorn, every: 2, count: 1},
@@ -349,16 +339,13 @@ func TestRunnerSurvivesChaos(t *testing.T) {
 		newTornStore(t, plan),
 		plan.wrapSim(func(cfg sim.Config) (*sim.Result, error) { return fakeResult(cfg), nil }),
 	}}
-	// Retry until clean: transient faults may fail individual Runs, but
-	// the chaos budget is finite (both rules have count caps).
+	// Retry until clean: faults may fail individual Runs, but the chaos
+	// budget is finite (both rules have count caps).
 	var out []*sim.Result
 	var err error
 	for attempt := 0; attempt < 5; attempt++ {
 		if out, err = r.Run(t.Context(), cfgs); err == nil {
 			break
-		}
-		if sweep.IsPermanent(err) {
-			t.Fatalf("chaos produced a permanent failure: %v", err)
 		}
 	}
 	if err != nil {
@@ -375,10 +362,12 @@ func TestRunnerSurvivesChaos(t *testing.T) {
 }
 
 // TestWorkerRecoversPanic: a panicking configuration costs one failed
-// request — a 500 marked X-Sim-Permanent — while the process, its
-// workers, and subsequent healthy runs all survive.
+// request — a 500 marked X-Sim-Permanent, logged — while the process,
+// its workers, and subsequent healthy runs all survive. A RemoteStore
+// client takes the failure as final: one POST, then a RunError.
 func TestWorkerRecoversPanic(t *testing.T) {
-	var logLines int
+	var logMu sync.Mutex
+	var logs []string
 	s, ts := newTestServer(t, Options{
 		Workers: 1,
 		Simulate: func(cfg sim.Config) (*sim.Result, error) {
@@ -387,7 +376,11 @@ func TestWorkerRecoversPanic(t *testing.T) {
 			}
 			return fakeResult(cfg), nil
 		},
-		Logf: func(string, ...any) { logLines++ },
+		Logf: func(format string, args ...any) {
+			logMu.Lock()
+			defer logMu.Unlock()
+			logs = append(logs, fmt.Sprintf(format, args...))
+		},
 	})
 
 	resp := postSim(t, ts.URL, testBase(13))
@@ -397,7 +390,7 @@ func TestWorkerRecoversPanic(t *testing.T) {
 		t.Fatalf("panicking config: %d %q, want 500", resp.StatusCode, body)
 	}
 	if resp.Header.Get("X-Sim-Permanent") != "true" {
-		t.Error("real panic not classified permanent for the client")
+		t.Error("recovered panic not marked final for the client")
 	}
 
 	// The process shrugged: the same worker serves the next run.
@@ -412,84 +405,55 @@ func TestWorkerRecoversPanic(t *testing.T) {
 		t.Errorf("stats = {Panics:%d Failures:%d Sims:%d}, want 1/1/1",
 			snap.PanicsRecovered, snap.Failures, snap.Simulations)
 	}
-	if logLines == 0 {
-		t.Error("recovered panic was not logged")
-	}
-}
-
-// TestWatchdogKillsRunawayRun: a run past RunTimeout fails transiently
-// (the client may retry) and its worker moves on; when the detached
-// goroutine eventually finishes, the result is salvaged into the store
-// so the retry finds the key warm.
-func TestWatchdogKillsRunawayRun(t *testing.T) {
-	g := newGate()
-	store := sweep.NewMemStore()
-	s, ts := newTestServer(t, Options{
-		Store:      store,
-		Workers:    1,
-		Simulate:   g.simulate,
-		RunTimeout: 10 * time.Millisecond,
-	})
-
-	cfg := testBase(5)
-	resp := postSim(t, ts.URL, cfg)
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusInternalServerError {
-		t.Fatalf("runaway run: %d %q, want 500", resp.StatusCode, body)
-	}
-	if resp.Header.Get("X-Sim-Permanent") == "true" {
-		t.Error("watchdog kill classified permanent — retries would be suppressed")
-	}
-	if snap := s.Snapshot(); snap.WatchdogKills != 1 {
-		t.Fatalf("WatchdogKills = %d, want 1", snap.WatchdogKills)
+	logMu.Lock()
+	logged := strings.Join(logs, "\n")
+	logMu.Unlock()
+	if !strings.Contains(logged, "serve: recovered panic") {
+		t.Errorf("no recovered-panic log line in %q", logged)
 	}
 
-	// The runaway run finishes late; its result is salvaged.
-	close(g.release)
-	waitFor(t, "late result salvaged", func() bool { return s.Snapshot().Salvaged == 1 })
-	if _, ok, _ := store.Get(cfg.Normalize().Key()); !ok {
-		t.Error("salvaged result not in store")
+	posts, stats, err := simulateRemotely(t, s, testBase(13))
+	var re *sweep.RunError
+	if !errors.As(err, &re) {
+		t.Fatalf("remote Simulate of a panicking config: err = %v, want a RunError", err)
 	}
-	// The retry is warm: no new simulation scheduled.
-	resp = postSim(t, ts.URL, cfg)
-	if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Cache") != "hit" {
-		t.Errorf("retry after salvage: %d, X-Cache %q; want warm hit", resp.StatusCode, resp.Header.Get("X-Cache"))
+	if posts != 1 || stats.Retries != 0 || stats.LocalSims != 0 {
+		t.Errorf("remote client made %d POSTs, %d retries, %d local runs; want 1, 0, 0",
+			posts, stats.Retries, stats.LocalSims)
 	}
-	resp.Body.Close()
 }
 
 // TestChaosEndToEnd is the resilience contract under injected faults
-// (DESIGN.md §9). A server over a tearing DirStore (first simulation
-// panics, first store write torn) serves a client whose transport
-// injects resets, 503s and truncated bodies. Both chaos passes must be
-// byte-identical to a fault-free pass, the server must never die, and
-// /statsz must account for every recovery exactly.
+// (DESIGN.md §9). A server over a tearing DirStore (the third store
+// read fails, the first store write tears) serves a client whose
+// transport injects resets, 503s and truncated bodies. Every fault is
+// one production can meet, and none is a failed simulation, so the
+// client retries each one. Both chaos passes must be byte-identical to
+// a fault-free pass, the server must never die, and /statsz must
+// account for every recovery exactly.
 func TestChaosEndToEnd(t *testing.T) {
+	// The store's reads, in order, are each pass's GET of both keys and,
+	// per cold key, the POST's read plus its flight's re-check. The third
+	// read is the first POST's: it fails, so the server answers 500
+	// without X-Sim-Permanent and the client posts again.
 	serverPlan := newChaosPlan(
-		chaosRule{op: opSim, kind: kindPanic, every: 1, count: 1},
+		chaosRule{op: opGet, kind: kindReadErr, every: 3, count: 1},
 		chaosRule{op: opPut, kind: kindTorn, every: 1, count: 1},
 	)
 	store := newTornStore(t, serverPlan)
-	var logMu sync.Mutex
-	var logs []string
 	s, ts := newTestServer(t, Options{
 		Store:    store,
-		Simulate: serverPlan.wrapSim(sim.RunConfig),
+		Simulate: sim.RunConfig,
 		Workers:  2,
-		Logf: func(format string, args ...any) {
-			logMu.Lock()
-			defer logMu.Unlock()
-			logs = append(logs, fmt.Sprintf(format, args...))
-		},
 	})
 	// Co-prime periods put the client faults on different requests, so
 	// at most two consecutive requests fail: inside RemoteStore's retry
-	// budget and below its breaker's trip count.
+	// budget and below its breaker's trip count. Only responses from the
+	// server count as bodies; the 7th is pass 2's warm GET of seed 2.
 	clientPlan := newChaosPlan(
 		chaosRule{op: opRequest, kind: kindReset, every: 5},
 		chaosRule{op: opRequest, kind: kindServerErr, every: 7},
-		chaosRule{op: opBody, kind: kindTruncate, every: 11},
+		chaosRule{op: opBody, kind: kindTruncate, every: 7},
 	)
 
 	plan := sweep.Plan{Base: testBase(0), Seeds: []uint64{1, 2}}
@@ -514,7 +478,7 @@ func TestChaosEndToEnd(t *testing.T) {
 	}
 
 	clean := run("fault-free sweep", &sweep.Runner{Parallel: 1})
-	first := pass()  // rides out the injected panic; its first write is torn
+	first := pass()  // rides out the failed store read; its first write is torn
 	second := pass() // fresh client; re-reads the torn entry from disk and heals it
 	if first != clean {
 		t.Error("chaos pass 1 diverged from the fault-free pass")
@@ -536,10 +500,12 @@ func TestChaosEndToEnd(t *testing.T) {
 	}
 	for name, want := range map[string]float64{
 		"simulations":      3, // 2 cold + 1 quarantine heal
-		"panics_recovered": 1,
-		"failures":         1, // the recovered panic
+		"misses":           6, // 2 GETs + 2 POSTs in pass 1; the torn GET + its POST in pass 2
+		"hits":             2, // pass 2's GET of seed 2, truncated once and fetched again
+		"failures":         0, // no simulation failed
+		"panics_recovered": 0,
 		"quarantined":      1, // seen through the embedded DirStore
-		"watchdog_kills":   0,
+		"stored":           2,
 	} {
 		if got, ok := stats[name].(float64); !ok || got != want {
 			t.Errorf("/statsz %q = %v, want %v", name, stats[name], want)
@@ -548,15 +514,12 @@ func TestChaosEndToEnd(t *testing.T) {
 	if fi, err := os.Stat(filepath.Join(store.Dir(), "quarantine")); err != nil || !fi.IsDir() {
 		t.Errorf("quarantine directory: %v", err)
 	}
-	logMu.Lock()
-	logged := strings.Join(logs, "\n")
-	logMu.Unlock()
-	if !strings.Contains(logged, "serve: recovered panic") {
-		t.Errorf("no recovered-panic log line in %q", logged)
-	}
-	if serverPlan.total() != 2 || clientPlan.total() == 0 {
-		t.Errorf("injected faults: server %d (want 2), client %d (want >0)",
+	if serverPlan.total() != 2 || clientPlan.total() != 4 {
+		t.Errorf("injected faults: server %d (want 2), client %d (want 4)",
 			serverPlan.total(), clientPlan.total())
+	}
+	if idle := clientPlan.idle(); len(idle) != 0 {
+		t.Errorf("client rules %v never fired", idle)
 	}
 
 	// The server survived, and Close drains without running anything new.

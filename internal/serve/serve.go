@@ -15,7 +15,13 @@
 //	                         schedules work)
 //	POST /v1/sim             body sim.Config: warm → result; cold →
 //	                         singleflight-scheduled run (blocks); full
-//	                         queue → 429 + Retry-After
+//	                         queue → 429 + Retry-After: 2; failed run →
+//	                         500 + X-Sim-Permanent: true
+//
+// A failed simulation is final: the simulator is deterministic, so a
+// client that re-posts it gets the same failure. A 500 without
+// X-Sim-Permanent means the server itself had trouble (a store error)
+// and is worth a retry.
 //
 // A {key} must have the form sim.Config.Key() produces (32 lowercase
 // hex digits); anything else is a 400 before the store sees it.
@@ -35,7 +41,6 @@ import (
 	"io"
 	"net/http"
 	"runtime"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -55,23 +60,15 @@ type Options struct {
 	Workers int
 	// QueueDepth bounds runs admitted but not yet started (0 = 64).
 	// When the queue is full, new work is rejected with 429 and a
-	// Retry-After hint instead of queuing without bound.
+	// Retry-After hint of 2 seconds instead of queuing without bound.
 	QueueDepth int
-	// RetryAfter is the pacing hint sent with 429 responses, in seconds
-	// (0 = 2).
-	RetryAfter int
 	// Simulate overrides the simulation function (tests). Nil selects
 	// sim.RunConfig. Whatever the function, the server runs it under
 	// sweep.Guard: a panic becomes a structured per-run error, never a
 	// dead process.
 	Simulate func(sim.Config) (*sim.Result, error)
-	// RunTimeout is the per-run watchdog deadline (0 = none). A run that
-	// exceeds it fails with a transient sweep.RunError and its worker
-	// moves on; the runaway goroutine detaches, and if it ever finishes
-	// its result is salvaged into the store.
-	RunTimeout time.Duration
-	// Logf, when non-nil, receives one line per notable failure event
-	// (panic recovered, watchdog kill, salvage). log.Printf fits.
+	// Logf, when non-nil, receives one line per recovered simulator
+	// panic. log.Printf fits.
 	Logf func(format string, args ...any)
 }
 
@@ -79,16 +76,14 @@ type Options struct {
 // pool behind it. Create with New, serve with any http.Server, and
 // Close on shutdown to drain in-flight work.
 type Server struct {
-	store      sweep.Store
-	simulate   func(sim.Config) (*sim.Result, error)
-	workers    int
-	retryAfter int
-	runTimeout time.Duration
-	logf       func(format string, args ...any)
-	queue      chan *flight
-	mux        *http.ServeMux
-	start      time.Time
-	wg         sync.WaitGroup
+	store    sweep.Store
+	simulate func(sim.Config) (*sim.Result, error)
+	workers  int
+	logf     func(format string, args ...any)
+	queue    chan *flight
+	mux      *http.ServeMux
+	start    time.Time
+	wg       sync.WaitGroup
 
 	mu      sync.Mutex
 	flights map[string]*flight // in-flight runs by key (singleflight)
@@ -102,8 +97,6 @@ type Server struct {
 	rejected  atomic.Uint64
 	storeErrs atomic.Uint64
 	panics    atomic.Uint64
-	watchdog  atomic.Uint64
-	salvaged  atomic.Uint64
 	busy      atomic.Int64
 }
 
@@ -120,10 +113,6 @@ func New(opts Options) (*Server, error) {
 	if depth <= 0 {
 		depth = 64
 	}
-	retry := opts.RetryAfter
-	if retry <= 0 {
-		retry = 2
-	}
 	simulate := opts.Simulate
 	if simulate == nil {
 		simulate = sim.RunConfig
@@ -133,15 +122,13 @@ func New(opts Options) (*Server, error) {
 		logf = func(string, ...any) {}
 	}
 	s := &Server{
-		store:      opts.Store,
-		simulate:   sweep.Guard(simulate),
-		workers:    workers,
-		retryAfter: retry,
-		runTimeout: opts.RunTimeout,
-		logf:       logf,
-		queue:      make(chan *flight, depth),
-		flights:    make(map[string]*flight),
-		start:      time.Now(),
+		store:    opts.Store,
+		simulate: sweep.Guard(simulate),
+		workers:  workers,
+		logf:     logf,
+		queue:    make(chan *flight, depth),
+		flights:  make(map[string]*flight),
+		start:    time.Now(),
 	}
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
@@ -200,11 +187,6 @@ type Stats struct {
 	// guard — each one a run that failed structurally instead of killing
 	// the process.
 	PanicsRecovered uint64 `json:"panics_recovered"`
-	// WatchdogKills counts runs abandoned past the RunTimeout deadline;
-	// Salvaged the abandoned runs whose detached goroutine finished
-	// anyway and landed its result in the store.
-	WatchdogKills uint64 `json:"watchdog_kills"`
-	Salvaged      uint64 `json:"salvaged"`
 
 	QueueDepth    int `json:"queue_depth"`
 	QueueCapacity int `json:"queue_capacity"`
@@ -237,8 +219,6 @@ func (s *Server) Snapshot() Stats {
 		Rejected:        s.rejected.Load(),
 		StoreErrors:     s.storeErrs.Load(),
 		PanicsRecovered: s.panics.Load(),
-		WatchdogKills:   s.watchdog.Load(),
-		Salvaged:        s.salvaged.Load(),
 		QueueDepth:      len(s.queue),
 		QueueCapacity:   cap(s.queue),
 		Workers:         s.workers,
@@ -327,9 +307,9 @@ func decodeConfig(body io.Reader) (sim.Config, string, error) {
 // handleSim is the cold-run path: warm keys return immediately, cold
 // keys are scheduled with singleflight dedupe and the handler blocks
 // until the (possibly shared) run completes. A full queue is a 429
-// with a Retry-After pacing hint. A client that disconnects mid-run
-// detaches; the run itself completes and is stored — the next request
-// for the key is warm.
+// with a Retry-After pacing hint; a failed run is a 500 marked final.
+// A client that disconnects mid-run detaches; the run itself completes
+// and is stored — the next request for the key is warm.
 func (s *Server) handleSim(w http.ResponseWriter, r *http.Request) {
 	cfg, key, err := decodeConfig(r.Body)
 	if err != nil {
@@ -361,11 +341,9 @@ func (s *Server) handleSim(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if f.err != nil {
-		// Tell the client whether a retry is worth it: a permanent
-		// failure is a property of the configuration and will reproduce.
-		if sweep.IsPermanent(f.err) {
-			w.Header().Set("X-Sim-Permanent", "true")
-		}
+		// Every flight error comes from the guarded simulate: the
+		// configuration failed, and running it again reproduces that.
+		w.Header().Set("X-Sim-Permanent", "true")
 		http.Error(w, fmt.Sprintf("simulation: %v", f.err), http.StatusInternalServerError)
 		return
 	}
@@ -383,6 +361,6 @@ func (s *Server) reject(w http.ResponseWriter, err error) {
 		http.Error(w, "server shutting down", http.StatusServiceUnavailable)
 		return
 	}
-	w.Header().Set("Retry-After", strconv.Itoa(s.retryAfter))
+	w.Header().Set("Retry-After", "2")
 	http.Error(w, "queue full, retry later", http.StatusTooManyRequests)
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -116,6 +117,27 @@ func postSim(t *testing.T, base string, cfg sim.Config) *http.Response {
 	return resp
 }
 
+// simulateRemotely runs cfg through a fresh RemoteStore against s,
+// behind a front end that counts POSTs. It returns the POST count, the
+// client's counters and Simulate's error.
+func simulateRemotely(t *testing.T, s *Server, cfg sim.Config) (int64, sweep.RemoteStats, error) {
+	t.Helper()
+	var posts atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPost {
+			posts.Add(1)
+		}
+		s.ServeHTTP(w, r)
+	}))
+	defer ts.Close()
+	remote, err := sweep.NewRemoteStore(ts.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = remote.Simulate(cfg)
+	return posts.Load(), remote.Stats(), err
+}
+
 // decodeBody decodes a result response body.
 func decodeBody(t *testing.T, resp *http.Response) *sim.Result {
 	t.Helper()
@@ -186,6 +208,33 @@ func TestSingleflightCollapse(t *testing.T) {
 		t.Errorf("post-flight request: status %d, X-Cache %q, want warm hit", resp.StatusCode, resp.Header.Get("X-Cache"))
 	}
 	resp.Body.Close()
+}
+
+// TestFailedSimulationIsFinal: a simulation that fails with a plain
+// error, not a panic, is as final as a panic. The server marks its 500
+// X-Sim-Permanent, and a RemoteStore client returns a RunError after
+// one POST, with no backoff and no local run.
+func TestFailedSimulationIsFinal(t *testing.T) {
+	s, ts := newTestServer(t, Options{Simulate: func(sim.Config) (*sim.Result, error) {
+		return nil, errors.New("no machine for this configuration")
+	}})
+	resp := postSim(t, ts.URL, testBase(4))
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusInternalServerError || resp.Header.Get("X-Sim-Permanent") != "true" {
+		t.Errorf("failed run: %d %q, X-Sim-Permanent %q; want 500 marked true",
+			resp.StatusCode, body, resp.Header.Get("X-Sim-Permanent"))
+	}
+
+	posts, stats, err := simulateRemotely(t, s, testBase(4))
+	var re *sweep.RunError
+	if !errors.As(err, &re) {
+		t.Errorf("remote Simulate: err = %v, want a RunError", err)
+	}
+	if posts != 1 || stats.Retries != 0 || stats.LocalSims != 0 {
+		t.Errorf("remote client made %d POSTs, %d retries, %d local runs; want 1, 0, 0",
+			posts, stats.Retries, stats.LocalSims)
+	}
 }
 
 // TestWarmKeyNoScheduling: GETs and warm sims never touch the worker
@@ -360,12 +409,12 @@ func TestCancelMidRequest(t *testing.T) {
 	resp.Body.Close()
 }
 
-// TestBackpressure: a full admission queue answers 429 with the
-// configured Retry-After, and the rejected key succeeds on retry once
-// the queue drains.
+// TestBackpressure: a full admission queue answers 429 with a 2-second
+// Retry-After, and the rejected key succeeds on retry once the queue
+// drains.
 func TestBackpressure(t *testing.T) {
 	g := newGate()
-	s, ts := newTestServer(t, Options{Simulate: g.simulate, Workers: 1, QueueDepth: 1, RetryAfter: 7})
+	s, ts := newTestServer(t, Options{Simulate: g.simulate, Workers: 1, QueueDepth: 1})
 
 	resps := make(chan int, 2)
 	post := func(seed uint64) {
@@ -382,8 +431,8 @@ func TestBackpressure(t *testing.T) {
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("over-capacity request: status %d, want 429", resp.StatusCode)
 	}
-	if ra := resp.Header.Get("Retry-After"); ra != "7" {
-		t.Errorf("Retry-After %q, want \"7\"", ra)
+	if ra := resp.Header.Get("Retry-After"); ra != "2" {
+		t.Errorf("Retry-After %q, want \"2\"", ra)
 	}
 	resp.Body.Close()
 

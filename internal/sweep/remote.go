@@ -38,9 +38,10 @@ import (
 // server recomputes a content-addressed key the next time any client
 // posts it.
 //
-// The store is resilient: transient failures — connection resets,
-// timeouts, 5xx responses, truncated bodies — are retried with capped
-// jittered exponential backoff, and a circuit breaker watches
+// The store is resilient: transport failures — connection resets,
+// timeouts, 5xx responses the server does not mark X-Sim-Permanent,
+// truncated bodies — are retried with capped jittered exponential
+// backoff, and a circuit breaker watches
 // consecutive transport failures. When the server is persistently
 // unreachable the breaker opens and the store degrades instead of
 // failing the sweep: Get reports a miss for keys it does not hold, and
@@ -75,7 +76,7 @@ type RemoteStore struct {
 	hits         atomic.Uint64 // results fetched from the server
 	misses       atomic.Uint64 // keys the server does not hold
 	remoteSims   atomic.Uint64 // cold runs delegated via POST /v1/sim
-	retries      atomic.Uint64 // HTTP attempts repeated after a transient failure
+	retries      atomic.Uint64 // HTTP attempts repeated after a transport failure
 	breakerOpens atomic.Uint64 // closed/half-open -> open transitions
 	localSims    atomic.Uint64 // cold runs simulated locally (degraded mode)
 	degradedGets atomic.Uint64 // Gets answered without the server (breaker open or retries exhausted)
@@ -86,7 +87,7 @@ type RemoteStore struct {
 // shorten them.
 type remoteTuning struct {
 	// attempts bounds HTTP attempts per logical request across
-	// transient failures. Backpressure 429s do not consume attempts:
+	// transport failures. Backpressure 429s do not consume attempts:
 	// the server is alive, just busy.
 	attempts int
 	// backoffBase is the first retry delay; it doubles per attempt with
@@ -94,7 +95,7 @@ type remoteTuning struct {
 	backoffBase, backoffCap time.Duration
 	// requestTimeout is the per-attempt deadline for Get. Simulate
 	// attempts have none: a server-side simulation legitimately runs for
-	// minutes, and the server's own watchdog bounds runaway runs.
+	// minutes.
 	requestTimeout time.Duration
 	// breakerTrip is the consecutive transport-failure count that opens
 	// the circuit; breakerCooldown is how long it stays open before
@@ -135,12 +136,14 @@ type RemoteStats struct {
 	Hits         uint64 // results fetched from the server
 	Misses       uint64 // keys the server does not hold
 	RemoteSims   uint64 // cold runs delegated to the server
-	Retries      uint64 // attempts repeated after transient failures
+	Retries      uint64 // attempts repeated after transport failures
 	BreakerOpens uint64 // circuit open transitions
 	LocalSims    uint64 // cold runs simulated locally in degraded mode
 	DegradedGets uint64 // Gets answered without the server
 
-	Breaker BreakerState // current circuit position
+	// Breaker is the circuit's position; an open circuit past its
+	// cooldown reads as open until the next request probes it.
+	Breaker BreakerState
 }
 
 // NewRemoteStore returns a RemoteStore talking to the ndpserve instance
@@ -168,8 +171,12 @@ func NewRemoteStore(baseURL string) (*RemoteStore, error) {
 	}, nil
 }
 
-// Stats returns a snapshot of the traffic counters.
+// Stats returns a snapshot of the traffic counters and of the circuit
+// breaker's position.
 func (s *RemoteStore) Stats() RemoteStats {
+	s.brkMu.Lock()
+	breaker := s.brkState
+	s.brkMu.Unlock()
 	return RemoteStats{
 		Hits:         s.hits.Load(),
 		Misses:       s.misses.Load(),
@@ -178,7 +185,7 @@ func (s *RemoteStore) Stats() RemoteStats {
 		BreakerOpens: s.breakerOpens.Load(),
 		LocalSims:    s.localSims.Load(),
 		DegradedGets: s.degradedGets.Load(),
-		Breaker:      s.Breaker(),
+		Breaker:      breaker,
 	}
 }
 
@@ -194,14 +201,6 @@ func (s *RemoteStore) httpc() *http.Client {
 		return s.Client
 	}
 	return http.DefaultClient
-}
-
-// Breaker returns the circuit's current position (an open circuit past
-// its cooldown reads as open until the next request probes it).
-func (s *RemoteStore) Breaker() BreakerState {
-	s.brkMu.Lock()
-	defer s.brkMu.Unlock()
-	return s.brkState
 }
 
 // breakerAllow reports whether a request may go to the server. While
@@ -462,7 +461,7 @@ func (s *RemoteStore) Put(key string, res *sim.Result) error {
 // locally.
 func (s *RemoteStore) localFallback(cfg sim.Config, key string) (*sim.Result, error) {
 	s.localSims.Add(1)
-	res, err := simulateLocal(cfg)
+	res, err := Guard(sim.RunConfig)(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -476,13 +475,13 @@ func (s *RemoteStore) localFallback(cfg sim.Config, key string) (*sim.Result, er
 // identical requests (from this client and every other) into a single
 // simulation. Backpressure (429) is re-posted after the server's
 // Retry-After delay until the run is accepted or Context cancels;
-// transient failures (resets, 5xx the server marks retryable, torn
+// transport failures (resets, 5xx without X-Sim-Permanent, torn
 // bodies) back off and retry, up to four attempts. A server that stays
 // unreachable — or a breaker already open — degrades to local
 // in-process simulation, so the sweep completes on client hardware
-// instead of stalling. Permanent server-side failures (the server sets
-// X-Sim-Permanent: true) return a RunError with Permanent set and are
-// never retried.
+// instead of stalling. A failed simulation (the server sets
+// X-Sim-Permanent: true) is final: it returns a RunError after one
+// request, with no retry and no local run.
 func (s *RemoteStore) Simulate(cfg sim.Config) (*sim.Result, error) {
 	cfg = cfg.Normalize()
 	key := cfg.Key()
@@ -504,15 +503,12 @@ func (s *RemoteStore) Simulate(cfg sim.Config) (*sim.Result, error) {
 		case resp.StatusCode == http.StatusTooManyRequests:
 			return pace, nil
 		case resp.StatusCode >= 500 && resp.Header.Get("X-Sim-Permanent") == "true":
-			// The server ran the configuration and it failed
-			// deterministically; retrying would reproduce it.
-			return done, &RunError{Op: "remote-sim", Desc: cfg.Desc(), Permanent: true, Err: errBody("sim "+cfg.Desc(), resp)}
+			// The server ran the configuration and it failed; running it
+			// again anywhere reproduces the failure.
+			return done, &RunError{Op: "remote-sim", Desc: cfg.Desc(), Err: errBody("sim "+cfg.Desc(), resp)}
 		case resp.StatusCode >= 500:
-			// Transient server-side failure (watchdog kill, injected
-			// fault) or a gateway error: worth a retry. Only the latter
-			// indicts the transport, but the distinction is invisible
-			// here; roundTrip counts both against the breaker, which errs
-			// toward degrading early — the resilient direction.
+			// The server itself had trouble (a store error, a gateway):
+			// worth a retry.
 			return retry, nil
 		default:
 			return done, errBody("sim "+cfg.Desc(), resp)

@@ -332,9 +332,8 @@ func TestRemoteRetriesTransientFailures(t *testing.T) {
 }
 
 // TestRemoteSimulatePermanentFailure: a 500 carrying X-Sim-Permanent
-// surfaces as a permanent RunError with no retry and no local fallback
-// — the configuration itself is bad, and re-running it anywhere
-// reproduces the failure.
+// surfaces as a RunError with no retry and no local fallback — the
+// simulation failed, and re-running it anywhere reproduces the failure.
 func TestRemoteSimulatePermanentFailure(t *testing.T) {
 	store, fx, _ := newRemote(t, func(fx *remoteFixture, w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("X-Sim-Permanent", "true")
@@ -345,8 +344,9 @@ func TestRemoteSimulatePermanentFailure(t *testing.T) {
 	if err == nil {
 		t.Fatal("permanent server failure returned nil error")
 	}
-	if !IsPermanent(err) {
-		t.Errorf("error %v not classified permanent", err)
+	var re *RunError
+	if !errors.As(err, &re) {
+		t.Errorf("error %v is not a RunError", err)
 	}
 	if fx.sims.Load() != 1 {
 		t.Errorf("permanent failure was retried: %d attempts", fx.sims.Load())
@@ -417,8 +417,8 @@ func TestRemoteBreakerRecovers(t *testing.T) {
 	if _, ok, _ := store.Get(key); ok {
 		t.Fatal("outage Get reported a hit")
 	}
-	if store.Breaker() != BreakerOpen {
-		t.Fatalf("breaker = %v after outage, want open", store.Breaker())
+	if b := store.Stats().Breaker; b != BreakerOpen {
+		t.Fatalf("breaker = %v after outage, want open", b)
 	}
 	healthy.Store(true)
 	time.Sleep(10 * time.Millisecond) // past the cooldown
@@ -426,8 +426,8 @@ func TestRemoteBreakerRecovers(t *testing.T) {
 	if err != nil || !ok || got.Cycles != res.Cycles {
 		t.Fatalf("probe Get = %v, %v; want recovered hit", ok, err)
 	}
-	if store.Breaker() != BreakerClosed {
-		t.Errorf("breaker = %v after successful probe, want closed", store.Breaker())
+	if b := store.Stats().Breaker; b != BreakerClosed {
+		t.Errorf("breaker = %v after successful probe, want closed", b)
 	}
 	if store.Stats().BreakerOpens != 1 {
 		t.Errorf("BreakerOpens = %d, want 1", store.Stats().BreakerOpens)

@@ -2,7 +2,6 @@ package sweep
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime"
 	"sort"
@@ -37,28 +36,15 @@ type Event struct {
 // Desc formats the event's run for a progress line.
 func (e Event) Desc() string { return e.Config.Desc() }
 
-// defaultNegativeCap bounds the failed-run memo: generous for any real
-// sweep (the full evaluation is a few hundred configurations), small
-// enough that a long-lived server process absorbing an endless stream
-// of distinct bad configurations stays bounded. When full, the oldest
-// failure is forgotten — a re-request of that configuration simulates
-// again instead of replaying the memoized error, so memory stays
-// bounded and transient failures eventually retry.
-const defaultNegativeCap = 512
-
 // Runner executes simulation configurations through a bounded worker
 // pool, deduplicating by content hash against a pluggable Store. The
 // zero value is ready to use: it simulates with sim.RunConfig, stores
 // results in a private in-memory store, and bounds parallelism at
 // min(4, GOMAXPROCS). Simulator panics are recovered into structured
 // RunErrors (see Guard), so one poisoned configuration fails its run
-// instead of the process. Permanently failed runs — RunError with
-// Permanent set — are negatively cached (up to 512 entries, oldest
-// evicted first), so a sweep that shares cells across figures
-// reports one error per bad configuration instead of re-simulating it;
-// transient failures (network, backpressure exhaustion, watchdog
-// deadlines) are reported to the Run that observed them and retried by
-// the next. A Runner is safe for concurrent use; note that
+// instead of the process. A failure is reported to the Run that
+// observed it and not remembered: a later Run simulates the
+// configuration again. A Runner is safe for concurrent use; note that
 // concurrent Run calls whose plans overlap may simulate a shared
 // configuration twice (the store is consulted when each call starts) —
 // results stay correct, only the duplicated work is wasted.
@@ -74,11 +60,9 @@ type Runner struct {
 	// cached (first service only), or failed. Called serially.
 	Progress func(Event)
 
-	mu       sync.Mutex
-	store    Store
-	errs     map[string]error // simulation failures, by key
-	errOrder []string         // errs insertion order, for capped eviction
-	served   map[string]bool  // keys already announced to Progress
+	mu     sync.Mutex
+	store  Store
+	served map[string]bool // keys already announced to Progress
 
 	// progressMu serializes Progress callbacks separately from the
 	// state mutex, so a slow or re-entrant callback cannot stall the
@@ -96,8 +80,7 @@ func (r *Runner) init() {
 			r.store = NewMemStore()
 		}
 	}
-	if r.errs == nil {
-		r.errs = make(map[string]error)
+	if r.served == nil {
 		r.served = make(map[string]bool)
 	}
 }
@@ -117,40 +100,7 @@ func (r *Runner) sim(cfg sim.Config) (*sim.Result, error) {
 	if s, ok := r.store.(Simulator); ok {
 		return Guard(s.Simulate)(cfg)
 	}
-	return simulateLocal(cfg)
-}
-
-// simulateLocal runs cfg in-process under Guard. A plain sim.RunConfig
-// error is a build-time property of the configuration — deterministic,
-// so it becomes a permanent RunError, safe to memoize.
-func simulateLocal(cfg sim.Config) (*sim.Result, error) {
-	res, err := Guard(sim.RunConfig)(cfg)
-	var re *RunError
-	if err != nil && !errors.As(err, &re) {
-		err = &RunError{Op: "simulate", Desc: cfg.Desc(), Permanent: true, Err: err}
-	}
-	return res, err
-}
-
-// recordFailure memoizes a simulation failure under r.mu, evicting the
-// oldest entry when the negative cache is at capacity. Only permanent
-// failures are memoized: negatively caching a transient error (an
-// unreachable server, an exhausted 429 budget, a watchdog timeout)
-// would pin a blip as a process-lifetime failure.
-func (r *Runner) recordFailure(key string, err error) {
-	if !IsPermanent(err) {
-		return
-	}
-	r.mu.Lock()
-	if _, ok := r.errs[key]; !ok {
-		for len(r.errOrder) >= defaultNegativeCap {
-			delete(r.errs, r.errOrder[0])
-			r.errOrder = r.errOrder[1:]
-		}
-		r.errOrder = append(r.errOrder, key)
-	}
-	r.errs[key] = err
-	r.mu.Unlock()
+	return Guard(sim.RunConfig)(cfg)
 }
 
 // emit serializes Progress callbacks.
@@ -211,13 +161,12 @@ func (r *Runner) Run(ctx context.Context, cfgs []sim.Config) ([]*sim.Result, err
 		keys[i] = norm[i].Key()
 	}
 
-	// This Run's results and non-cacheable failures (store writes), by
+	// This Run's results and failures (simulations, store writes), by
 	// key; both guarded by r.mu.
 	results := make(map[string]*sim.Result, n)
 	runErrs := make(map[string]error)
 
-	// Classify: serve store hits and negatively-cached failures, queue
-	// the rest once per unique key.
+	// Serve store hits; queue the rest once per unique key.
 	var pending []int
 	queued := make(map[string]bool)
 	for i := range norm {
@@ -226,17 +175,6 @@ func (r *Runner) Run(ctx context.Context, cfgs []sim.Config) ([]*sim.Result, err
 			continue
 		}
 		queued[k] = true
-		r.mu.Lock()
-		memoErr, failed := r.errs[k]
-		if failed {
-			// Pin the memoized failure for this Run's assembly: the
-			// capped memo may evict it before we read it back.
-			runErrs[k] = memoErr
-		}
-		r.mu.Unlock()
-		if failed {
-			continue
-		}
 		res, ok, err := r.store.Get(k)
 		if err != nil {
 			return nil, err
@@ -293,10 +231,7 @@ dispatch:
 	for i, k := range keys {
 		r.mu.Lock()
 		out[i] = results[k]
-		err := r.errs[k]
-		if err == nil {
-			err = runErrs[k]
-		}
+		err := runErrs[k]
 		r.mu.Unlock()
 		if out[i] == nil && err == nil {
 			err = ctx.Err() // never dispatched
@@ -315,10 +250,6 @@ func (r *Runner) runOne(cfg sim.Config, key string, results map[string]*sim.Resu
 	res, err := r.sim(cfg)
 	if err != nil {
 		err = fmt.Errorf("sweep: %s: %w", cfg.Desc(), err)
-		// The lifetime memo (r.errs) may evict past defaultNegativeCap;
-		// runErrs is scoped to this Run call, so the call that observed
-		// the failure always reports it whatever the memo does.
-		r.recordFailure(key, err)
 		r.mu.Lock()
 		runErrs[key] = err
 		r.mu.Unlock()
@@ -326,8 +257,7 @@ func (r *Runner) runOne(cfg sim.Config, key string, results map[string]*sim.Resu
 		return
 	}
 	// A failed cache write is a real I/O problem the caller must see,
-	// but the computed result is still good — record both, and don't
-	// negatively cache what a retry could fix.
+	// but the computed result is still good — record both.
 	var putErr error
 	if perr := r.store.Put(key, res); perr != nil {
 		putErr = fmt.Errorf("sweep: %s: %w", cfg.Desc(), perr)

@@ -3,8 +3,6 @@ package sweep
 import (
 	"context"
 	"errors"
-	"fmt"
-	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -91,111 +89,6 @@ func TestRunnerResultsInInputOrder(t *testing.T) {
 		if res == nil || res.Config.Seed != uint64(i+1) {
 			t.Fatalf("result %d out of order: %+v", i, res)
 		}
-	}
-}
-
-func TestRunnerNegativeCachesFailures(t *testing.T) {
-	var calls atomic.Int64
-	boom := errors.New("boom")
-	var events []Event
-	r := &Runner{
-		Progress: func(e Event) { events = append(events, e) },
-		Store: simulating(func(cfg sim.Config) (*sim.Result, error) {
-			calls.Add(1)
-			if cfg.Seed == 2 {
-				// Permanent: only deterministic failures are memoized.
-				return nil, &RunError{Op: "simulate", Permanent: true, Err: boom}
-			}
-			return &sim.Result{Config: cfg, Cycles: cfg.Seed}, nil
-		}),
-	}
-	cfgs := seedPlan(1, 2, 3)
-	out, err := r.Run(context.Background(), cfgs)
-	if !errors.Is(err, boom) {
-		t.Fatalf("Run error = %v, want boom", err)
-	}
-	if out[0] == nil || out[1] != nil || out[2] == nil {
-		t.Fatalf("unexpected results: %v", out)
-	}
-	// The failure emitted a progress event naming the run (a sweep must
-	// not lose runs silently).
-	var failEvents int
-	for _, e := range events {
-		if e.Err != nil {
-			failEvents++
-			if e.Desc() == "" {
-				t.Error("failure event has empty description")
-			}
-		}
-	}
-	if failEvents != 1 {
-		t.Errorf("failure events = %d, want 1", failEvents)
-	}
-	// The failure is memoized: a second Run reports it without
-	// re-simulating.
-	before := calls.Load()
-	if _, err := r.Run(context.Background(), cfgs); !errors.Is(err, boom) {
-		t.Fatalf("memoized error lost: %v", err)
-	}
-	if calls.Load() != before {
-		t.Errorf("failed run was re-simulated")
-	}
-}
-
-// TestRunnerNegativeCacheBounded: the failure memo is capped at
-// defaultNegativeCap entries, evicting oldest-first. An evicted key
-// re-simulates on its next Run; keys still memoized do not — and every
-// Run reports the failure it observed regardless of later eviction.
-func TestRunnerNegativeCacheBounded(t *testing.T) {
-	var calls atomic.Int64
-	boom := errors.New("boom")
-	r := &Runner{
-		// One worker records failures in input order, so the eviction
-		// order is the seed order.
-		Parallel: 1,
-		Store: simulating(func(cfg sim.Config) (*sim.Result, error) {
-			calls.Add(1)
-			return nil, &RunError{Op: "simulate", Permanent: true, Err: fmt.Errorf("seed %d: %w", cfg.Seed, boom)}
-		}),
-	}
-	ctx := context.Background()
-	seeds := func(from, n int) []sim.Config {
-		s := make([]uint64, n)
-		for i := range s {
-			s[i] = uint64(from + i)
-		}
-		return seedPlan(s...)
-	}
-	// Fill the memo, then one more failure: recording it evicts seed 1.
-	if _, err := r.Run(ctx, seeds(1, defaultNegativeCap)); !errors.Is(err, boom) {
-		t.Fatalf("filling run: err = %v, want boom", err)
-	}
-	if _, err := r.Run(ctx, seeds(defaultNegativeCap+1, 1)); !errors.Is(err, boom) {
-		t.Fatalf("overflow run: err = %v, want boom", err)
-	}
-	if calls.Load() != defaultNegativeCap+1 {
-		t.Fatalf("initial failures simulated %d times, want %d", calls.Load(), defaultNegativeCap+1)
-	}
-	// Seeds 2..cap+1 are still memoized: failures report with no new
-	// simulation.
-	if _, err := r.Run(ctx, seeds(2, defaultNegativeCap)); !errors.Is(err, boom) {
-		t.Fatalf("memoized seeds: err = %v, want boom", err)
-	}
-	if calls.Load() != defaultNegativeCap+1 {
-		t.Errorf("memoized failures re-simulated: %d calls, want %d", calls.Load(), defaultNegativeCap+1)
-	}
-	// Seed 1 was evicted: its next Run re-simulates (and still fails).
-	if _, err := r.Run(ctx, seedPlan(1)); !errors.Is(err, boom) {
-		t.Fatalf("evicted seed 1: err = %v, want boom", err)
-	}
-	if calls.Load() != defaultNegativeCap+2 {
-		t.Errorf("evicted failure served from memo: %d calls, want %d", calls.Load(), defaultNegativeCap+2)
-	}
-	// One Run observing a failure that is evicted mid-flight by its own
-	// later failures still reports it as its first error: the per-Run
-	// pin, not the shared memo, carries the error to assembly.
-	if _, err := r.Run(ctx, seeds(10_000, defaultNegativeCap+2)); !errors.Is(err, boom) || !strings.Contains(err.Error(), "seed 10000:") {
-		t.Fatalf("Run with eviction churn: err = %v, want seed 10000's boom", err)
 	}
 }
 
@@ -308,39 +201,53 @@ func TestRunnerRealSimulation(t *testing.T) {
 	}
 }
 
-// TestRunnerTransientFailuresNotCached: a transient failure (plain
-// error, or RunError without Permanent) is reported to the Run that
-// observed it but never memoized — the next Run retries, and a
-// recovered transient can then succeed.
+// TestRunnerTransientFailuresNotCached: a failed run is reported to the
+// Run that observed it — as its error and as a progress event naming
+// the run — while the healthy runs beside it complete. The failure is
+// not remembered: the next Run simulates the configuration again, so a
+// failure that does not recur (only the first call fails here) clears.
 func TestRunnerTransientFailuresNotCached(t *testing.T) {
 	var calls atomic.Int64
-	blip := errors.New("connection reset")
+	boom := errors.New("boom")
+	var failed []Event
 	r := &Runner{
+		Progress: func(e Event) {
+			if e.Err != nil {
+				failed = append(failed, e)
+			}
+		},
 		Store: simulating(func(cfg sim.Config) (*sim.Result, error) {
-			if calls.Add(1) == 1 {
-				return nil, &RunError{Op: "remote-sim", Err: blip} // transient
+			if cfg.Seed == 2 && calls.Add(1) == 1 {
+				return nil, boom
 			}
 			return &sim.Result{Config: cfg, Cycles: cfg.Seed}, nil
 		}),
 	}
-	cfgs := seedPlan(1)
-	if _, err := r.Run(context.Background(), cfgs); !errors.Is(err, blip) {
-		t.Fatalf("first Run error = %v, want blip", err)
-	}
+	cfgs := seedPlan(1, 2, 3)
 	out, err := r.Run(context.Background(), cfgs)
-	if err != nil {
-		t.Fatalf("retry after transient failure: %v", err)
+	if !errors.Is(err, boom) {
+		t.Fatalf("first Run error = %v, want boom", err)
 	}
-	if out[0] == nil || out[0].Cycles != 1 {
-		t.Fatalf("retry result = %+v", out[0])
+	if out[0] == nil || out[1] != nil || out[2] == nil {
+		t.Fatalf("results around the failure: %v", out)
+	}
+	if len(failed) != 1 || failed[0].Desc() == "" {
+		t.Errorf("failure events = %+v, want one naming its run", failed)
+	}
+	out, err = r.Run(context.Background(), cfgs)
+	if err != nil {
+		t.Fatalf("second Run: %v", err)
+	}
+	if out[1] == nil || out[1].Cycles != 2 {
+		t.Fatalf("second Run result = %+v", out[1])
 	}
 	if calls.Load() != 2 {
-		t.Errorf("sim calls = %d, want 2 (transient failure retried)", calls.Load())
+		t.Errorf("failed config simulated %d times, want 2 (not remembered)", calls.Load())
 	}
 }
 
 // TestRunnerRecoversSimulatorPanics: a panicking configuration costs
-// one failed run with a structured, permanent, stack-carrying RunError
+// one failed run with a structured, stack-carrying RunError
 // — not the process — and healthy runs in the same sweep complete.
 func TestRunnerRecoversSimulatorPanics(t *testing.T) {
 	r := &Runner{
@@ -359,34 +266,10 @@ func TestRunnerRecoversSimulatorPanics(t *testing.T) {
 	if !errors.As(err, &re) {
 		t.Fatalf("error %v is not a RunError", err)
 	}
-	if !re.Panicked || !re.Permanent || re.Stack == "" {
-		t.Errorf("RunError = {Panicked:%v Permanent:%v stack %d bytes}, want panicked+permanent with stack", re.Panicked, re.Permanent, len(re.Stack))
+	if !re.Panicked || re.Stack == "" {
+		t.Errorf("RunError = {Panicked:%v stack %d bytes}, want a panic with its stack", re.Panicked, len(re.Stack))
 	}
 	if out[0] == nil || out[2] == nil || out[1] != nil {
 		t.Errorf("healthy runs lost around the panic: %v", out)
 	}
 }
-
-// TestGuardInjectedPanicIsTransient: a panic value satisfying the
-// injected-fault contract classifies transient — chaos testing must not
-// poison the negative cache.
-func TestGuardInjectedPanicIsTransient(t *testing.T) {
-	guarded := Guard(func(sim.Config) (*sim.Result, error) { panic(markedPanic{}) })
-	_, err := guarded(testBase())
-	var re *RunError
-	if !errors.As(err, &re) {
-		t.Fatalf("error %v is not a RunError", err)
-	}
-	if re.Permanent || !re.Panicked {
-		t.Errorf("injected panic classified {Permanent:%v Panicked:%v}, want transient panic", re.Permanent, re.Panicked)
-	}
-	if IsPermanent(err) {
-		t.Error("IsPermanent(injected panic) = true")
-	}
-}
-
-// markedPanic satisfies the transient-panic contract that the chaos
-// harness's injected panic (internal/serve/chaos_test.go) also meets.
-type markedPanic struct{}
-
-func (markedPanic) InjectedFault() bool { return true }

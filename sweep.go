@@ -63,16 +63,13 @@ type RemoteStore = sweep.RemoteStore
 // at baseURL (e.g. "http://localhost:8947").
 func NewRemoteStore(baseURL string) (*sweep.RemoteStore, error) { return sweep.NewRemoteStore(baseURL) }
 
-// RunError is the structured failure of one simulation run, carrying a
-// transient/permanent classification: permanent failures are a property
-// of the configuration (retrying reproduces them; the Sweep negatively
-// caches them), transient failures a property of the moment (network
-// blips, watchdog deadlines — the next Run retries).
+// RunError is the structured failure of one simulation run: a
+// recovered simulator panic, or a run that failed on the ndpserve
+// instance behind a RemoteStore. A failed simulation is final: the
+// simulator is deterministic, so retrying reproduces it. Only transport
+// failures retry, inside RemoteStore; a later Sweep.Run simulates the
+// configuration again.
 type RunError = sweep.RunError
-
-// IsPermanent reports whether err is (or wraps) a RunError marked
-// Permanent.
-func IsPermanent(err error) bool { return sweep.IsPermanent(err) }
 
 // BreakerState is a RemoteStore circuit breaker's position: closed
 // (normal service), open (degraded local operation), or half-open (a
